@@ -13,11 +13,12 @@ or files; human logs go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -31,46 +32,39 @@ from .errors import (
     SvolError,
 )
 from .metrics import precision_recall
-from .soft_staple import ENUMERATION_GUARD, run_soft_em
+from .soft_staple import ENUMERATION_GUARD, check_mc_request, run_soft_em
 from .softmask import SoftMaskConfig, build_soft_stack
 from .staple import FusionConfig, binarize, run_em
 from .svol_io import read_svol, write_svol
 from .synth import generate_phantom, load_simulation_config, simulate_raters
 from .volume import ExpertStack, GridKind, validate_stack
 
-_FUSE_DEFAULTS = {
-    "variant": "binary",
-    "prior": "auto",
-    "init_sens": 0.9,
-    "init_spec": 0.9,
-    "max_iters": 100,
-    "tol": 1e-6,
-    "mstep_mode": "expected-count",
-    "mc_samples": 10000,
-    "seed": 0,
-    "binarize": False,
-    "gamma": 0.3,
-    "ratio": 1.2,
-    "threshold_mode": "percentile:10",
-    "connectivity": 26,
-    "max_dilation_iters": 10,
-    "threads": 1,
-    "force": False,
-}
 
+def _field_defaults(config, renames: dict) -> dict:
+    """A config dataclass's defaults keyed by CLI option name; a field
+    renamed to None is left out."""
+    names = {f.name: renames.get(f.name, f.name) for f in fields(config)}
+    return {opt: getattr(config, name) for name, opt in names.items() if opt}
+
+
+_RUN_DEFAULTS = {"threads": 1, "force": False}
+
+_SOFTMASK = SoftMaskConfig()
 _SOFTMASK_DEFAULTS = {
-    "gamma": 0.3,
-    "ratio": 1.2,
-    "threshold_mode": "percentile:10",
-    "connectivity": 26,
-    "max_dilation_iters": 10,
-    "threads": 1,
-    "force": False,
+    **_field_defaults(_SOFTMASK, {"target_volume_ratio": "ratio", "threshold_value": None}),
+    "threshold_mode": f"{_SOFTMASK.threshold_mode}:{_SOFTMASK.threshold_value:g}",
+    **_RUN_DEFAULTS,
 }
 
-_SIMULATE_DEFAULTS = {"seed": None, "threads": 1, "force": False}
+_FUSE_DEFAULTS = {
+    **_field_defaults(FusionConfig(), {"mc_seed": "seed"}),
+    "binarize": False,
+    **_SOFTMASK_DEFAULTS,
+}
 
-_EVAL_DEFAULTS = {"threshold": 0.5, "binarize_truth": False, "threads": 1, "force": False}
+_SIMULATE_DEFAULTS = {"seed": None, **_RUN_DEFAULTS}
+
+_EVAL_DEFAULTS = {"threshold": 0.5, "binarize_truth": False, **_RUN_DEFAULTS}
 
 
 def main(argv=None) -> int:
@@ -223,40 +217,46 @@ def _load_stack(paths) -> ExpertStack:
     return stack
 
 
-def _prepare_outdir(out, filenames, inputs, force: bool) -> list[Path]:
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    input_paths = {os.path.realpath(p) for p in inputs}
-    targets = []
-    for name in filenames:
-        target = outdir / name
-        if os.path.realpath(target) in input_paths:
-            raise ConfigError(f"refusing to overwrite input file {target}")
-        if target.exists() and not force:
-            raise ConfigError(f"output {target} exists; pass --force to overwrite")
-        targets.append(target)
-    return targets
-
-
 def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_manifest(path: Path, command: str, resolved: dict, inputs, outputs,
-                    started: float) -> None:
-    _write_json(
-        path,
-        {
-            "command": command,
+@contextlib.contextmanager
+def _outputs(args, filenames, inputs, resolved: dict, started: float):
+    """Check the output targets, then yield a temporary path beside each.
+
+    Once the body has written them all, the manifest is written and every
+    file is renamed over its target, the manifest last. On any failure the
+    temporary files are removed instead, so a crashed run leaves no
+    outputs behind and needs no --force to rerun.
+    """
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    input_paths = {os.path.realpath(p) for p in inputs}
+    targets = [outdir / name for name in [*filenames, "manifest.json"]]
+    for target in targets:
+        if os.path.realpath(target) in input_paths:
+            raise ConfigError(f"refusing to overwrite input file {target}")
+        if target.exists() and not resolved["force"]:
+            raise ConfigError(f"output {target} exists; pass --force to overwrite")
+    temps = [t.with_name(f".{t.name}.partial") for t in targets]
+    try:
+        yield temps[:-1]
+        _write_json(temps[-1], {
+            "command": args.command,
             "config": resolved,
             "inputs": [str(p) for p in inputs],
-            "outputs": [str(p) for p in outputs],
+            "outputs": [str(p) for p in targets[:-1]],
             "version": __version__,
             "duration_s": time.perf_counter() - started,
-        },
-    )
+        })
+        for tmp, target in zip(temps, targets):
+            os.replace(tmp, target)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _softmask_config(resolved: dict) -> SoftMaskConfig:
@@ -294,6 +294,8 @@ def _cmd_fuse(args) -> int:
             f"{len(args.inputs)} experts exceed the exact-enumeration guard "
             f"({ENUMERATION_GUARD}); use --variant soft-mc"
         )
+    if config.variant == "soft-mc":
+        check_mc_request(config.mc_samples, len(args.inputs))
 
     stack = _load_stack(args.inputs)
     used_softmask = False
@@ -310,34 +312,31 @@ def _cmd_fuse(args) -> int:
         raise ConfigError("soft inputs cannot feed --variant binary; pick a soft variant")
 
     inputs = list(args.inputs) + ([args.flair] if args.flair and used_softmask else [])
-    filenames = ["posterior.svol", "params.json", "manifest.json"]
+    filenames = ["posterior.svol", "params.json"]
     if resolved["binarize"]:
         filenames.insert(1, "consensus.svol")
-    targets = _prepare_outdir(args.out, filenames, inputs, resolved["force"])
-    by_name = dict(zip(filenames, targets))
-
-    result = run_em(stack, config) if config.variant == "binary" else run_soft_em(stack, config)
-
-    write_svol(result.posterior, by_name["posterior.svol"])
-    if resolved["binarize"]:
-        write_svol(binarize(result.posterior), by_name["consensus.svol"])
-    _write_json(
-        by_name["params.json"],
-        {
-            "variant": config.variant,
-            "prior": result.prior,
-            "expert_ids": list(stack.expert_ids),
-            "sens": [float(v) for v in result.params.sens],
-            "spec": [float(v) for v in result.params.spec],
-            "ll_trace": [float(v) for v in result.ll_trace],
-            "iters_run": result.iters_run,
-            "converged": result.converged,
-            "ll_is_approximate": result.ll_is_approximate,
-        },
-    )
-    _write_manifest(by_name["manifest.json"], "fuse", resolved, inputs,
-                    [t for t in targets if t.name != "manifest.json"], started)
-    print(f"fuse: wrote {len(targets)} file(s) to {args.out}", file=sys.stderr)
+    with _outputs(args, filenames, inputs, resolved, started) as temps:
+        result = (run_em(stack, config) if config.variant == "binary"
+                  else run_soft_em(stack, config))
+        by_name = dict(zip(filenames, temps))
+        write_svol(result.posterior, by_name["posterior.svol"])
+        if resolved["binarize"]:
+            write_svol(binarize(result.posterior), by_name["consensus.svol"])
+        _write_json(
+            by_name["params.json"],
+            {
+                "variant": config.variant,
+                "prior": result.prior,
+                "expert_ids": list(stack.expert_ids),
+                "sens": [float(v) for v in result.params.sens],
+                "spec": [float(v) for v in result.params.spec],
+                "ll_trace": [float(v) for v in result.ll_trace],
+                "iters_run": result.iters_run,
+                "converged": result.converged,
+                "ll_is_approximate": result.ll_is_approximate,
+            },
+        )
+    print(f"fuse: wrote {len(filenames) + 1} file(s) to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -351,14 +350,11 @@ def _cmd_softmask(args) -> int:
     filenames = [Path(p).name for p in args.inputs]
     if len(set(filenames)) != len(filenames):
         raise ConfigError("input basenames collide; rename inputs or split the run")
-    inputs = list(args.inputs) + [args.flair]
-    targets = _prepare_outdir(args.out, filenames + ["manifest.json"], inputs,
-                              resolved["force"])
-
-    soft = build_soft_stack(stack, flair, cfg)
-    for grid, target in zip(soft.experts, targets):
-        write_svol(grid, target)
-    _write_manifest(targets[-1], "softmask", resolved, inputs, targets[:-1], started)
+    with _outputs(args, filenames, list(args.inputs) + [args.flair], resolved,
+                  started) as temps:
+        soft = build_soft_stack(stack, flair, cfg)
+        for grid, tmp in zip(soft.experts, temps):
+            write_svol(grid, tmp)
     print(f"softmask: wrote {len(filenames)} soft mask(s) to {args.out}", file=sys.stderr)
     return 0
 
@@ -376,16 +372,11 @@ def _cmd_simulate(args) -> int:
     filenames = ["truth.svol", "flair.svol"] + [
         f"expert_{r.rater_id}.svol" for r in rater_specs
     ]
-    targets = _prepare_outdir(args.out, filenames + ["manifest.json"], [args.spec],
-                              resolved["force"])
-
-    truth, flair = generate_phantom(phantom_spec)
-    stack = simulate_raters(truth, rater_specs)
-    write_svol(truth, targets[0])
-    write_svol(flair, targets[1])
-    for grid, target in zip(stack.experts, targets[2:-1]):
-        write_svol(grid, target)
-    _write_manifest(targets[-1], "simulate", resolved, [args.spec], targets[:-1], started)
+    with _outputs(args, filenames, [args.spec], resolved, started) as temps:
+        truth, flair = generate_phantom(phantom_spec)
+        stack = simulate_raters(truth, rater_specs)
+        for grid, tmp in zip((truth, flair, *stack.experts), temps):
+            write_svol(grid, tmp)
     print(f"simulate: wrote {len(filenames)} volume(s) to {args.out}", file=sys.stderr)
     return 0
 
@@ -402,11 +393,9 @@ def _cmd_eval(args) -> int:
     )
     print(report.to_json())
     if args.out:
-        targets = _prepare_outdir(args.out, ["report.json", "manifest.json"],
-                                  [args.truth, args.pred], resolved["force"])
-        _write_json(targets[0], report.to_dict())
-        _write_manifest(targets[1], "eval", resolved, [args.truth, args.pred],
-                        [targets[0]], started)
+        with _outputs(args, ["report.json"], [args.truth, args.pred], resolved,
+                      started) as temps:
+            _write_json(temps[0], report.to_dict())
     return 0
 
 

@@ -21,28 +21,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DegeneratePosteriorError
+from .errors import CapacityError, ConfigError
 from .staple import (
     FusionConfig,
     FusionResult,
     RaterParams,
     SOFT_VARIANTS,
-    _log_class_likelihoods,
+    VotePatterns,
+    _PatternModel,
+    _binary_posterior_arrays,
+    _em_loop,
     _lse_pair,
-    _m_step_arrays,
-    _posterior_from_logs,
-    canonical_order,
+    _mstep_ratio,
+    _plugin_mstep,
+    _posterior_grid,
+    _run_inputs,
     clamp_params,
-    resolve_prior,
+    vote_patterns,
 )
-from .volume import ExpertStack, GridKind, VolumeGrid, validate_stack
+from .volume import ExpertStack, GridKind, VolumeGrid
 
 # 2^m joint vote combinations per voxel; beyond this use variant "soft-mc".
 ENUMERATION_GUARD = 20
 
-# Work-array budgets for the enumeration engine.
+# Work-array budgets for the enumeration engine: up to _GROUP_LIMIT
+# distinct columns with at most _CELL_BUDGET weights are kept; beyond
+# either, columns are streamed in chunks.
 _GROUP_LIMIT = 4096
 _CELL_BUDGET = 2**22
+
+# Largest samples x m draw matrix one Monte Carlo voxel may allocate.
+MC_DRAW_LIMIT = 2**23
 
 
 @dataclass(frozen=True)
@@ -59,10 +68,7 @@ class VoteCombination:
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError(f"need at least one expert, got m={self.m}")
-        if self.m > ENUMERATION_GUARD:
-            raise CapacityError(
-                f"m={self.m} exceeds the enumeration guard ({ENUMERATION_GUARD})"
-            )
+        _check_enumeration(self.m)
         if not 0 <= self.code < 2**self.m:
             raise ConfigError(f"code {self.code} outside [0, 2^{self.m})")
 
@@ -75,10 +81,7 @@ class VoteCombination:
 
 def combination_matrix(m: int) -> np.ndarray:
     """All 2^m combinations as a (2^m, m) 0/1 float array, ascending code."""
-    if m > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"m={m} exceeds the enumeration guard ({ENUMERATION_GUARD})"
-        )
+    _check_enumeration(m)
     codes = np.arange(2**m, dtype=np.int64)
     return ((codes[:, None] >> np.arange(m)) & 1).astype(np.float64)
 
@@ -92,15 +95,12 @@ def joint_soft_prob(soft_votes, combo: VoteCombination) -> float:
     return float(np.prod(np.where(bits == 1.0, q, 1.0 - q)))
 
 
-def _combo_stats(m: int, params: RaterParams, prior: float):
-    """Posterior p(x=1 | B) and log-marginal log p(B) for every combination."""
-    sens, spec = clamp_params(params.sens, params.spec)
-    bmat = combination_matrix(m)
-    log_l1 = bmat @ np.log(sens) + (1.0 - bmat) @ np.log1p(-sens)
-    log_l0 = bmat @ np.log1p(-spec) + (1.0 - bmat) @ np.log(spec)
-    lse = _lse_pair(np.log1p(-prior) + log_l0, np.log(prior) + log_l1)
-    p1 = np.exp(np.log(prior) + log_l1 - lse)
-    return bmat, p1, lse
+def _check_enumeration(m: int, alternative: str = "") -> None:
+    if m > ENUMERATION_GUARD:
+        raise CapacityError(
+            f"exact enumeration needs m <= {ENUMERATION_GUARD}, got m={m}"
+            + (f"; {alternative}" if alternative else "")
+        )
 
 
 def _combo_weights(q_cols: np.ndarray, bmat: np.ndarray) -> np.ndarray:
@@ -112,71 +112,54 @@ def _combo_weights(q_cols: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     return w
 
 
-class _EnumerationEngine:
-    """Shared machinery for the exact soft variant.
+class _ExactModel(_PatternModel):
+    """The exact soft variant over distinct vote columns.
 
     The joint-combination weights depend only on the votes, not on the
-    parameters, so their per-combination voxel sums ``s`` are computed
-    once per run. When the stack has few distinct soft-vote columns
-    (labels like {0, gamma, 1} collapse heavily) the full weight matrix is
-    kept per unique column; otherwise voxels are streamed in chunks.
+    parameters, so their count-weighted column sums ``s`` are computed
+    once per run. With few distinct columns (labels like {0, gamma, 1}
+    collapse heavily) the full (2^m, u) weight matrix is kept; otherwise
+    the columns are streamed in chunks.
     """
 
-    def __init__(self, q: np.ndarray):
-        m, n = q.shape
-        if m > ENUMERATION_GUARD:
-            raise CapacityError(
-                f"exact enumeration needs m <= {ENUMERATION_GUARD}, got m={m}; "
-                "select the Monte Carlo variant instead"
-            )
-        self.q = q
-        self.m, self.n = m, n
+    def __init__(self, patterns: VotePatterns, prior: float):
+        super().__init__(patterns, prior)
+        m, u = patterns.columns.shape
+        _check_enumeration(m, "select variant 'soft-mc' instead")
         self.bmat = combination_matrix(m)
         c = self.bmat.shape[0]
+        grouped = u <= _GROUP_LIMIT and c * u <= _CELL_BUDGET
+        self.chunk = u if grouped else max(1, _CELL_BUDGET // c)
+        self.w_cols = _combo_weights(patterns.columns, self.bmat) if grouped else None
+        self.s = np.zeros(c)
+        for lo, w in self._weight_blocks():
+            self.s += w @ patterns.counts[lo : lo + self.chunk]
 
-        uniq, inverse, counts = np.unique(
-            q, axis=1, return_inverse=True, return_counts=True
-        )
-        inverse = np.asarray(inverse).reshape(-1)
-        u = uniq.shape[1]
-        if u <= _GROUP_LIMIT and c * u <= _CELL_BUDGET:
-            self.grouped = True
-            self.inverse = inverse
-            self.w_unique = _combo_weights(uniq, self.bmat)
-            self.s = self.w_unique @ counts.astype(np.float64)
-        else:
-            self.grouped = False
-            self.chunk = max(1, _CELL_BUDGET // c)
-            s = np.zeros(c)
-            for lo in range(0, n, self.chunk):
-                s += _combo_weights(q[:, lo : lo + self.chunk], self.bmat).sum(axis=1)
-            self.s = s
+    def _weight_blocks(self):
+        """(first column, weights) of each chunk of columns."""
+        if self.w_cols is not None:
+            yield 0, self.w_cols
+            return
+        cols = self.patterns.columns
+        for lo in range(0, cols.shape[1], self.chunk):
+            yield lo, _combo_weights(cols[:, lo : lo + self.chunk], self.bmat)
 
-    def posterior(self, params: RaterParams, prior: float) -> np.ndarray:
-        _, p1, _ = _combo_stats(self.m, params, prior)
-        if self.grouped:
-            return (p1 @ self.w_unique)[self.inverse]
-        w1 = np.empty(self.n)
-        for lo in range(0, self.n, self.chunk):
-            block = _combo_weights(self.q[:, lo : lo + self.chunk], self.bmat)
-            w1[lo : lo + self.chunk] = p1 @ block
+    def posterior(self, params: RaterParams) -> np.ndarray:
+        p1, _ = _binary_posterior_arrays(self.bmat.T, params, self.prior)
+        w1 = np.empty(self.patterns.counts.size)
+        for lo, w in self._weight_blocks():
+            w1[lo : lo + self.chunk] = p1 @ w
         return w1
 
-    def log_likelihood(self, params: RaterParams, prior: float) -> float:
-        _, _, lse = _combo_stats(self.m, params, prior)
+    def objective(self, params: RaterParams) -> float:
+        _, lse = _binary_posterior_arrays(self.bmat.T, params, self.prior)
         return float(self.s @ lse)
 
-    def expected_count_mstep(self, params: RaterParams, prior: float, ll_trace=()):
-        bmat, p1, _ = _combo_stats(self.m, params, prior)
-        mass1 = float(p1 @ self.s)
-        mass0 = float((1.0 - p1) @ self.s)
-        if mass1 == 0.0:
-            raise DegeneratePosteriorError("sensitivity", ll_trace)
-        if mass0 == 0.0:
-            raise DegeneratePosteriorError("specificity", ll_trace)
-        sens = (bmat.T @ (p1 * self.s)) / mass1
-        spec = ((1.0 - bmat.T) @ ((1.0 - p1) * self.s)) / mass0
-        return clamp_params(sens, spec)
+    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
+        p1, _ = _binary_posterior_arrays(self.bmat.T, params, self.prior)
+        n1 = p1 * self.s
+        n0 = (1.0 - p1) * self.s
+        return _mstep_ratio(self.bmat.T @ n1, (1.0 - self.bmat.T) @ n0, n1, n0, ll_trace)
 
 
 def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
@@ -185,31 +168,23 @@ def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     q = np.ascontiguousarray(soft_votes, dtype=np.float64).reshape(-1)
     if q.size != params.m:
         raise ConfigError(f"{q.size} votes for {params.m} experts")
-    if q.size > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"exact enumeration needs m <= {ENUMERATION_GUARD}, got m={q.size}; "
-            "use mc_soft_e_step_voxel instead"
-        )
-    bmat, p1, _ = _combo_stats(q.size, params, prior)
+    _check_enumeration(q.size, "use mc_soft_e_step_voxel instead")
+    bmat = combination_matrix(q.size)
+    p1, _ = _binary_posterior_arrays(bmat.T, params, prior)
     weights = _combo_weights(q[:, None], bmat)[:, 0]
     return float(np.clip(weights @ p1, 0.0, 1.0))
 
 
 def soft_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Exact soft posterior map over the whole grid."""
-    validate_stack(stack)
-    order = canonical_order(stack)
-    engine = _EnumerationEngine(stack.as_matrix()[order])
-    w1 = np.clip(engine.posterior(params.reordered(order), prior), 0.0, 1.0)
-    return VolumeGrid(stack.dims, w1, GridKind.POSTERIOR)
+    model = _ExactModel(vote_patterns(stack), prior)
+    return _posterior_grid(model, params.reordered(model.patterns.order))
 
 
 def soft_log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
     """Expected log-likelihood of the exact soft model."""
-    validate_stack(stack)
-    order = canonical_order(stack)
-    engine = _EnumerationEngine(stack.as_matrix()[order])
-    return engine.log_likelihood(params.reordered(order), prior)
+    model = _ExactModel(vote_patterns(stack), prior)
+    return model.objective(params.reordered(model.patterns.order))
 
 
 def soft_m_step(
@@ -225,21 +200,9 @@ def soft_m_step(
     plugs the soft votes directly into the binary update, with the
     posterior taken from the exact soft E-step.
     """
-    validate_stack(stack)
-    if mode not in ("expected-count", "plugin-mean"):
-        raise ConfigError(f"unknown mstep mode {mode!r}")
-    order = canonical_order(stack)
-    q = stack.as_matrix()[order]
-    engine = _EnumerationEngine(q)
-    cparams = params.reordered(order)
-    if mode == "expected-count":
-        sens, spec = engine.expected_count_mstep(cparams, prior)
-    else:
-        w1 = engine.posterior(cparams, prior)
-        sens, spec = _m_step_arrays(q, w1)
-    inverse = np.empty(stack.m, dtype=int)
-    inverse[order] = np.arange(stack.m)
-    return RaterParams(sens[inverse], spec[inverse])
+    model = _ExactModel(vote_patterns(stack), prior)
+    sens, spec = model.mstep(params.reordered(model.patterns.order), mode)
+    return model.patterns.restore(sens, spec)
 
 
 def _voxel_rng(seed: int, voxel_index: int) -> np.random.Generator:
@@ -248,10 +211,15 @@ def _voxel_rng(seed: int, voxel_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _bits_posterior(bits: np.ndarray, params: RaterParams, prior: float) -> np.ndarray:
-    """Binary posterior for each row of a (k, m) hard-vote matrix."""
-    log_l0, log_l1 = _log_class_likelihoods(bits.T, params.sens, params.spec)
-    return _posterior_from_logs(log_l0, log_l1, prior)
+def check_mc_request(samples: int, m: int) -> None:
+    """Refuse a Monte Carlo request whose per-voxel draw matrix of
+    ``samples`` x ``m`` float64 values exceeds :data:`MC_DRAW_LIMIT`."""
+    if samples * m > MC_DRAW_LIMIT:
+        raise CapacityError(
+            f"Monte Carlo request of {samples} samples x {m} experts = "
+            f"{samples * m} draws per voxel exceeds the limit of {MC_DRAW_LIMIT}; "
+            "lower the sample count"
+        )
 
 
 def mc_soft_e_step_voxel(
@@ -275,11 +243,13 @@ def mc_soft_e_step_voxel(
     q = np.ascontiguousarray(soft_votes, dtype=np.float64).reshape(-1)
     if q.size != params.m:
         raise ConfigError(f"{q.size} votes for {params.m} experts")
+    check_mc_request(samples, q.size)
     if np.all((q == 0.0) | (q == 1.0)):
-        return float(_bits_posterior((q > 0.5)[None, :].astype(np.float64), params, prior)[0])
+        return float(_binary_posterior_arrays(q[:, None], params, prior)[0][0])
     rng = _voxel_rng(seed, voxel_index)
     bits = (rng.random((samples, q.size)) < q).astype(np.float64)
-    return float(np.clip(_bits_posterior(bits, params, prior).mean(), 0.0, 1.0))
+    p1, _ = _binary_posterior_arrays(bits.T, params, prior)
+    return float(np.clip(p1.mean(), 0.0, 1.0))
 
 
 def noisy_channel_likelihood(q1: float, a: int, sens: float, spec: float) -> float:
@@ -290,7 +260,7 @@ def noisy_channel_likelihood(q1: float, a: int, sens: float, spec: float) -> flo
 
 
 def _channel_likelihoods(q: np.ndarray, params: RaterParams):
-    """Per-expert channel likelihoods, shape (m, n), for x=0 and x=1."""
+    """Per-expert channel likelihoods, shape (m, k), for x=0 and x=1."""
     sens, spec = clamp_params(params.sens, params.spec)
     l1 = q * sens[:, None] + (1.0 - q) * (1.0 - sens[:, None])
     l0 = q * (1.0 - spec[:, None]) + (1.0 - q) * spec[:, None]
@@ -314,47 +284,45 @@ def simple_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     return float(w1[0])
 
 
+class _SimpleModel(_PatternModel):
+    """The noisy-channel (simplified) variant over distinct vote columns."""
+
+    def posterior(self, params: RaterParams) -> np.ndarray:
+        return _simple_posterior_arrays(self.patterns.columns, params, self.prior)[0]
+
+    def objective(self, params: RaterParams) -> float:
+        _, lse = _simple_posterior_arrays(self.patterns.columns, params, self.prior)
+        return float(self.patterns.counts @ lse)
+
+    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
+        """Exact EM update for the noisy-channel model.
+
+        The latent hard vote behind each soft observation gets its own
+        posterior, so the counts entering the update are expectations over
+        both the true label and the hidden vote; this is what keeps the
+        simplified objective nondecreasing.
+        """
+        q = self.patterns.columns
+        sens, spec = clamp_params(params.sens, params.spec)
+        l0, l1 = _channel_likelihoods(q, params)
+        w1 = self.posterior(params)
+        n1 = self.patterns.counts * w1
+        n0 = self.patterns.counts * (1.0 - w1)
+        r1 = q * sens[:, None] / l1
+        r0 = (1.0 - q) * spec[:, None] / l0
+        return _mstep_ratio(r1 @ n1, r0 @ n0, n1, n0, ll_trace)
+
+
 def simple_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Noisy-channel posterior map over the whole grid."""
-    validate_stack(stack)
-    order = canonical_order(stack)
-    q = stack.as_matrix()[order]
-    w1, _ = _simple_posterior_arrays(q, params.reordered(order), prior)
-    return VolumeGrid(stack.dims, np.clip(w1, 0.0, 1.0), GridKind.POSTERIOR)
+    model = _SimpleModel(vote_patterns(stack), prior)
+    return _posterior_grid(model, params.reordered(model.patterns.order))
 
 
 def simple_log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
     """Observed-data log-likelihood of the noisy-channel model."""
-    validate_stack(stack)
-    order = canonical_order(stack)
-    q = stack.as_matrix()[order]
-    _, lse = _simple_posterior_arrays(q, params.reordered(order), prior)
-    return float(np.sum(lse))
-
-
-def _simple_expected_count_mstep(
-    q: np.ndarray, params: RaterParams, prior: float, ll_trace=()
-):
-    """Exact EM update for the noisy-channel model.
-
-    The latent hard vote behind each soft observation gets its own
-    posterior, so the counts entering the update are expectations over
-    both the true label and the hidden vote; this is what keeps the
-    simplified objective nondecreasing.
-    """
-    sens, spec = clamp_params(params.sens, params.spec)
-    l0, l1 = _channel_likelihoods(q, params)
-    w1, _ = _simple_posterior_arrays(q, params, prior)
-    w0 = 1.0 - w1
-    mass1 = float(np.sum(w1))
-    mass0 = float(np.sum(w0))
-    if mass1 == 0.0:
-        raise DegeneratePosteriorError("sensitivity", ll_trace)
-    if mass0 == 0.0:
-        raise DegeneratePosteriorError("specificity", ll_trace)
-    r1 = q * sens[:, None] / l1
-    r0 = (1.0 - q) * spec[:, None] / l0
-    return clamp_params((r1 @ w1) / mass1, (r0 @ w0) / mass0)
+    model = _SimpleModel(vote_patterns(stack), prior)
+    return model.objective(params.reordered(model.patterns.order))
 
 
 def simple_m_step(
@@ -364,191 +332,95 @@ def simple_m_step(
     mode: str = "expected-count",
 ) -> RaterParams:
     """Parameter update for the noisy-channel model (modes as in soft_m_step)."""
-    validate_stack(stack)
-    if mode not in ("expected-count", "plugin-mean"):
-        raise ConfigError(f"unknown mstep mode {mode!r}")
-    order = canonical_order(stack)
-    q = stack.as_matrix()[order]
-    cparams = params.reordered(order)
-    if mode == "expected-count":
-        sens, spec = _simple_expected_count_mstep(q, cparams, prior)
-    else:
-        w1, _ = _simple_posterior_arrays(q, cparams, prior)
-        sens, spec = _m_step_arrays(q, w1)
-    inverse = np.empty(stack.m, dtype=int)
-    inverse[order] = np.arange(stack.m)
-    return RaterParams(sens[inverse], spec[inverse])
+    model = _SimpleModel(vote_patterns(stack), prior)
+    sens, spec = model.mstep(params.reordered(model.patterns.order), mode)
+    return model.patterns.restore(sens, spec)
 
 
 class _McSweep:
-    """One Monte Carlo pass over all voxels with per-voxel keyed streams.
+    """The Monte Carlo soft variant: per-voxel keyed streams.
 
-    Voxels whose votes are all hard are evaluated exactly in one
-    vectorized batch (the estimator has zero variance there), which also
-    makes the all-hard case agree with the binary algorithm to machine
-    precision. No 2^m table is built, so any expert count works.
+    Voxels whose votes are all hard are evaluated exactly, once per
+    distinct hard column (the estimator has zero variance there), which
+    also makes the all-hard case agree with the binary algorithm to
+    machine precision. Soft voxels are never merged: each keeps its own
+    stream. The E-step builds no 2^m table, so any expert count works;
+    the objective is the exact one while m is within the enumeration
+    guard, and the sweep's estimate beyond it.
     """
 
-    def __init__(self, q: np.ndarray, samples: int, seed: int):
-        self.q = q
+    def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
+        self.patterns = patterns
+        self.prior = prior
         self.samples = samples
         self.seed = seed
-        self.m, self.n = q.shape
-        self.hard = np.all((q == 0.0) | (q == 1.0), axis=0)
-        self.soft_voxels = np.flatnonzero(~self.hard)
-        self.hard_bits = (q[:, self.hard] > 0.5).astype(np.float64)
+        self.m = patterns.order.size
+        check_mc_request(samples, self.m)
+        cols = patterns.columns
+        self.hard = np.all((cols == 0.0) | (cols == 1.0), axis=0)
+        self.hard_bits = cols[:, self.hard]
+        self.hard_counts = patterns.counts[self.hard]
+        self.soft_voxels = np.flatnonzero(~self.hard[patterns.inverse])
+        self.exact = _ExactModel(patterns, prior) if self.m <= ENUMERATION_GUARD else None
+        self.ll_is_approximate = self.exact is None
 
     def _sample_bits(self, t: int) -> np.ndarray:
         rng = _voxel_rng(self.seed, t)
-        return (rng.random((self.samples, self.m)) < self.q[:, t]).astype(np.float64)
+        q = self.patterns.columns[:, self.patterns.inverse[t]]
+        return (rng.random((self.samples, self.m)) < q).astype(np.float64)
 
-    def estep_and_counts(self, params: RaterParams, prior: float):
+    def estep_and_counts(self, params: RaterParams):
         """Posterior estimate plus expected-count M-step accumulators."""
-        w1 = np.empty(self.n)
-        num_sens = np.zeros(self.m)
-        num_spec = np.zeros(self.m)
-        if self.hard_bits.size:
-            log_l0, log_l1 = _log_class_likelihoods(
-                self.hard_bits, params.sens, params.spec
-            )
-            p1h = _posterior_from_logs(log_l0, log_l1, prior)
-            w1[self.hard] = p1h
-            num_sens += self.hard_bits @ p1h
-            num_spec += (1.0 - self.hard_bits) @ (1.0 - p1h)
+        p1h, _ = _binary_posterior_arrays(self.hard_bits, params, self.prior)
+        w1 = np.zeros(self.hard.size)
+        w1[self.hard] = p1h
+        w1 = w1[self.patterns.inverse]
+        num_sens = self.hard_bits @ (self.hard_counts * p1h)
+        num_spec = (1.0 - self.hard_bits) @ (self.hard_counts * (1.0 - p1h))
         k = float(self.samples)
         for t in self.soft_voxels:
             bits = self._sample_bits(t)
-            p1k = _bits_posterior(bits, params, prior)
+            p1k, _ = _binary_posterior_arrays(bits.T, params, self.prior)
             w1[t] = p1k.mean()
             num_sens += (bits.T @ p1k) / k
             num_spec += ((1.0 - bits.T) @ (1.0 - p1k)) / k
         return w1, num_sens, num_spec
 
-    def mc_log_likelihood(self, params: RaterParams, prior: float) -> float:
-        """Estimator of the exact objective using the same sample streams."""
-        total = 0.0
-        if self.hard_bits.size:
-            log_l0, log_l1 = _log_class_likelihoods(
-                self.hard_bits, params.sens, params.spec
-            )
-            total += float(
-                np.sum(_lse_pair(np.log1p(-prior) + log_l0, np.log(prior) + log_l1))
-            )
+    def voxel_posterior(self, params: RaterParams) -> np.ndarray:
+        return self.estep_and_counts(params)[0]
+
+    def objective(self, params: RaterParams) -> float:
+        if self.exact is not None:
+            return self.exact.objective(params)
+        _, lse = _binary_posterior_arrays(self.hard_bits, params, self.prior)
+        total = float(self.hard_counts @ lse)
         for t in self.soft_voxels:
-            bits = self._sample_bits(t)
-            log_l0, log_l1 = _log_class_likelihoods(bits.T, params.sens, params.spec)
-            total += float(
-                np.mean(_lse_pair(np.log1p(-prior) + log_l0, np.log(prior) + log_l1))
-            )
+            _, lse = _binary_posterior_arrays(self._sample_bits(t).T, params, self.prior)
+            total += float(np.mean(lse))
         return total
+
+    def mstep(self, params: RaterParams, mode: str, ll_trace=()):
+        w1, num_sens, num_spec = self.estep_and_counts(params)
+        if mode == "expected-count":
+            return _mstep_ratio(num_sens, num_spec, w1, 1.0 - w1, ll_trace)
+        n1, n0 = self.patterns.label_counts(w1)
+        return _plugin_mstep(self.patterns.columns, n1, n0, ll_trace)
 
 
 def run_soft_em(stack: ExpertStack, config: FusionConfig) -> FusionResult:
     """Full EM fusion of a soft stack under the configured variant.
 
-    Loop contract matches the binary runner: initialize from the config,
-    resolve the prior as the fractional grand mean when "auto", iterate
-    until every parameter moves less than ``tol`` or ``max_iters`` is
-    reached, and return the posterior from a final E-step at the converged
-    parameters. The trace records the exact-model objective for variants
-    "soft-exact"/"soft-mc" and the noisy-channel objective for
-    "simplified".
+    The loop is the binary runner's (``_em_loop``); the prior resolves to
+    the fractional grand mean when "auto". The trace records the
+    exact-model objective for variants "soft-exact"/"soft-mc" and the
+    noisy-channel objective for "simplified".
     """
-    config.validate()
-    if config.variant not in SOFT_VARIANTS:
-        raise ConfigError(
-            f"run_soft_em handles variants {SOFT_VARIANTS}, got {config.variant!r}"
-        )
-    validate_stack(stack)
-    if stack.kind is not GridKind.SOFT:
-        raise ConfigError("run_soft_em needs a soft stack; use run_em for binary votes")
-
-    order = canonical_order(stack)
-    q = stack.as_matrix()[order]
-    prior = resolve_prior(stack, config.prior)
-    m = stack.m
-    sens, spec = clamp_params(np.full(m, config.init_sens), np.full(m, config.init_spec))
-
-    exact_engine = None
-    mc_sweep = None
-    ll_is_approximate = False
-    if config.variant in ("soft-exact", "soft-mc") and m <= ENUMERATION_GUARD:
-        exact_engine = _EnumerationEngine(q)
-    elif config.variant == "soft-exact":
-        raise CapacityError(
-            f"exact enumeration needs m <= {ENUMERATION_GUARD}, got m={m}; "
-            "select variant 'soft-mc' instead"
-        )
-    if config.variant == "soft-mc":
-        mc_sweep = _McSweep(q, config.mc_samples, config.mc_seed)
-        ll_is_approximate = exact_engine is None
-
-    def posterior_at(p: RaterParams) -> np.ndarray:
-        if config.variant == "simplified":
-            w1, _ = _simple_posterior_arrays(q, p, prior)
-            return w1
-        if config.variant == "soft-exact":
-            return exact_engine.posterior(p, prior)
-        w1, _, _ = mc_sweep.estep_and_counts(p, prior)
-        return w1
-
-    def objective_at(p: RaterParams) -> float:
-        if config.variant == "simplified":
-            _, lse = _simple_posterior_arrays(q, p, prior)
-            return float(np.sum(lse))
-        if exact_engine is not None:
-            return exact_engine.log_likelihood(p, prior)
-        return mc_sweep.mc_log_likelihood(p, prior)
-
-    trace: list[float] = []
-    converged = False
-    iters = 0
-    for iters in range(1, config.max_iters + 1):
-        cparams = RaterParams(sens, spec)
-        if config.variant == "simplified":
-            if config.mstep_mode == "expected-count":
-                new_sens, new_spec = _simple_expected_count_mstep(
-                    q, cparams, prior, trace
-                )
-            else:
-                w1, _ = _simple_posterior_arrays(q, cparams, prior)
-                new_sens, new_spec = _m_step_arrays(q, w1, trace)
-        elif config.variant == "soft-exact":
-            if config.mstep_mode == "expected-count":
-                new_sens, new_spec = exact_engine.expected_count_mstep(
-                    cparams, prior, trace
-                )
-            else:
-                w1 = exact_engine.posterior(cparams, prior)
-                new_sens, new_spec = _m_step_arrays(q, w1, trace)
-        else:
-            w1, num_sens, num_spec = mc_sweep.estep_and_counts(cparams, prior)
-            if config.mstep_mode == "expected-count":
-                mass1 = float(np.sum(w1))
-                mass0 = float(np.sum(1.0 - w1))
-                if mass1 == 0.0:
-                    raise DegeneratePosteriorError("sensitivity", trace)
-                if mass0 == 0.0:
-                    raise DegeneratePosteriorError("specificity", trace)
-                new_sens, new_spec = clamp_params(num_sens / mass1, num_spec / mass0)
-            else:
-                new_sens, new_spec = _m_step_arrays(q, w1, trace)
-
-        trace.append(objective_at(RaterParams(new_sens, new_spec)))
-        delta = max(
-            float(np.max(np.abs(new_sens - sens))),
-            float(np.max(np.abs(new_spec - spec))),
-        )
-        sens, spec = new_sens, new_spec
-        if delta < config.tol:
-            converged = True
-            break
-
-    w1 = np.clip(posterior_at(RaterParams(sens, spec)), 0.0, 1.0)
-    posterior = VolumeGrid(stack.dims, w1, GridKind.POSTERIOR)
-    inverse = np.empty(m, dtype=int)
-    inverse[order] = np.arange(m)
-    params = RaterParams(sens[inverse], spec[inverse])
-    return FusionResult(
-        posterior, params, tuple(trace), iters, converged, prior, ll_is_approximate
-    )
+    patterns, prior = _run_inputs(stack, config, "run_soft_em", "run_em", SOFT_VARIANTS,
+                                  GridKind.SOFT)
+    if config.variant == "soft-exact":
+        model = _ExactModel(patterns, prior)
+    elif config.variant == "simplified":
+        model = _SimpleModel(patterns, prior)
+    else:
+        model = _McSweep(patterns, prior, config.mc_samples, config.mc_seed)
+    return _em_loop(model, config)

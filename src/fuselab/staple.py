@@ -1,9 +1,12 @@
 """Binary consensus estimation by expectation-maximization.
 
-Given m aligned binary expert masks, the EM loop alternates a per-voxel
-Bayes posterior for the latent true label (E-step) with closed-form
-updates of each expert's sensitivity/specificity (M-step), tracking the
-observed-data log-likelihood until the parameters stop moving.
+Given m aligned binary expert masks, the EM loop alternates a Bayes
+posterior for the latent true label (E-step) with closed-form updates of
+each expert's sensitivity/specificity (M-step), tracking the observed-data
+log-likelihood until the parameters stop moving. A voxel's posterior
+depends only on its column of votes, so every step runs once per distinct
+column (:class:`VotePatterns`) and is weighted by the column's voxel
+count; one loop (``_em_loop``) drives the binary and the soft models.
 
 All per-voxel likelihood products are accumulated in log space and turned
 into probabilities only inside normalized ratios, so any number of experts
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneratePosteriorError
-from .volume import ExpertStack, GridKind, VolumeGrid, validate_stack
+from .volume import Dim3, ExpertStack, GridKind, VolumeGrid, validate_stack
 
 # Parameters are clipped here after every update; keeps log() finite and
 # stops sensitivity/specificity from freezing at an absorbing 0 or 1.
@@ -31,6 +34,11 @@ AUTO_PRIOR = "auto"
 VARIANTS = ("binary", "soft-exact", "soft-mc", "simplified")
 SOFT_VARIANTS = ("soft-exact", "soft-mc", "simplified")
 MSTEP_MODES = ("expected-count", "plugin-mean")
+
+_INT64_MAX = np.iinfo(np.int64).max
+# Pattern codes are counted with bincount while their range is at most
+# this many values (or twice the voxel count), else by sorting.
+_BINCOUNT_BINS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,8 @@ def clamp_params(sens: np.ndarray, spec: np.ndarray):
 def resolve_prior(stack: ExpertStack, prior: float | str) -> float:
     """Materialize the prior: grand mean of all votes when "auto"."""
     if prior == AUTO_PRIOR:
-        return float(np.clip(np.mean(stack.as_matrix()), CLAMP_LO, CLAMP_HI))
+        votes = sum(float(np.sum(stack.experts[i].data)) for i in canonical_order(stack))
+        return float(np.clip(votes / (stack.m * stack.dims.n), CLAMP_LO, CLAMP_HI))
     p = float(prior)
     if not 0.0 < p < 1.0:
         raise ConfigError(f"prior must be in (0, 1), got {p}")
@@ -151,10 +160,76 @@ def canonical_order(stack: ExpertStack) -> np.ndarray:
     return np.array(sorted(range(stack.m), key=lambda i: stack.expert_ids[i]))
 
 
-def _log_class_likelihoods(y: np.ndarray, sens: np.ndarray, spec: np.ndarray):
-    """Per-voxel log p(votes | x=a) for a=0, 1.
+@dataclass(frozen=True)
+class VotePatterns:
+    """The distinct vote columns of a stack: ``columns`` is (m, u), rows in
+    canonical expert order (``order``), columns in lexicographic order;
+    ``counts`` holds how many voxels carry each column and ``inverse``
+    maps every voxel to its column."""
 
-    ``y`` is (m, n), expert-major; the sums over experts run in the given
+    order: np.ndarray
+    columns: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+    dims: Dim3
+
+    def restore(self, sens: np.ndarray, spec: np.ndarray) -> RaterParams:
+        """Canonical-order estimates back in the stack's own expert order."""
+        back = np.argsort(self.order)
+        return RaterParams(sens[back], spec[back])
+
+    def label_counts(self, w1: np.ndarray):
+        """Per-column sums of a per-voxel posterior w(1) and of w(0)."""
+        u = self.counts.size
+        return (
+            np.bincount(self.inverse, weights=w1, minlength=u),
+            np.bincount(self.inverse, weights=1.0 - w1, minlength=u),
+        )
+
+
+def vote_patterns(stack: ExpertStack) -> VotePatterns:
+    """Group the voxels of a stack by their column of votes.
+
+    Each expert's values become level indices (binary votes have two
+    levels), combined into mixed-radix int64 codes in canonical expert
+    order. When the next digit would overflow, the running codes are first
+    compacted to their ranks, which keeps the columns sorted.
+    """
+    validate_stack(stack)
+    order = canonical_order(stack)
+    n = stack.dims.n
+    code = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for i in order:
+        row = stack.experts[i].data
+        if stack.kind is GridKind.BINARY:
+            radix, digit = 2, row != 0.0
+        else:
+            levels = np.unique(row)
+            radix, digit = levels.size, np.searchsorted(levels, row)
+        if bound > _INT64_MAX // radix:
+            ranks, code = np.unique(code, return_inverse=True)
+            bound = ranks.size
+        code *= radix
+        code += digit
+        bound *= radix
+    if bound <= max(2 * n, _BINCOUNT_BINS):
+        counts = np.bincount(code, minlength=bound)
+        inverse = (np.cumsum(counts > 0) - 1)[code]
+        counts = counts[counts > 0]
+    else:
+        _, inverse, counts = np.unique(code, return_inverse=True, return_counts=True)
+        inverse = inverse.reshape(-1)
+    first = np.empty(counts.size, dtype=np.int64)
+    first[inverse] = np.arange(n)
+    columns = np.stack([stack.experts[i].data[first] for i in order])
+    return VotePatterns(order, columns, counts.astype(np.float64), inverse, stack.dims)
+
+
+def _log_class_likelihoods(y: np.ndarray, sens: np.ndarray, spec: np.ndarray):
+    """Per-column log p(votes | x=a) for a=0, 1.
+
+    ``y`` is (m, k), expert-major; the sums over experts run in the given
     row order.
     """
     sens, spec = clamp_params(sens, spec)
@@ -171,11 +246,13 @@ def _lse_pair(a0, a1):
     return hi + np.log(np.exp(a0 - hi) + np.exp(a1 - hi))
 
 
-def _posterior_from_logs(log_l0, log_l1, prior: float):
-    """w(1) from class log-likelihoods via a two-term log-sum-exp."""
-    a0 = np.log1p(-prior) + log_l0
+def _binary_posterior_arrays(y: np.ndarray, params: RaterParams, prior: float):
+    """Per-column w(1) and log p(votes) of the binary model, the posterior
+    via a two-term log-sum-exp."""
+    log_l0, log_l1 = _log_class_likelihoods(y, params.sens, params.spec)
     a1 = np.log(prior) + log_l1
-    return np.exp(a1 - _lse_pair(a0, a1))
+    lse = _lse_pair(np.log1p(-prior) + log_l0, a1)
+    return np.exp(a1 - lse), lse
 
 
 def annotation_likelihood(votes, a: int, params: RaterParams) -> float:
@@ -194,49 +271,122 @@ def posterior_voxel(votes, params: RaterParams, prior: float) -> float:
     y = np.ascontiguousarray(votes, dtype=np.float64).reshape(-1)
     if y.size != params.m:
         raise ConfigError(f"{y.size} votes for {params.m} experts")
-    log_l0, log_l1 = _log_class_likelihoods(y[:, None], params.sens, params.spec)
-    return float(_posterior_from_logs(log_l0, log_l1, prior)[0])
+    return float(_binary_posterior_arrays(y[:, None], params, prior)[0][0])
+
+
+def _mstep_ratio(num_sens, num_spec, n1, n0, ll_trace=()):
+    """Normalize M-step numerators by the expected label masses sum(n1)
+    (true label 1) and sum(n0) (true label 0)."""
+    mass1 = float(np.sum(n1))
+    mass0 = float(np.sum(n0))
+    if mass1 == 0.0:
+        raise DegeneratePosteriorError("sensitivity", ll_trace)
+    if mass0 == 0.0:
+        raise DegeneratePosteriorError("specificity", ll_trace)
+    return clamp_params(num_sens / mass1, num_spec / mass0)
+
+
+def _plugin_mstep(columns: np.ndarray, n1: np.ndarray, n0: np.ndarray, ll_trace=()):
+    """Binary update with the votes plugged in, from per-column label
+    counts; exact EM for hard votes."""
+    return _mstep_ratio(columns @ n1, (1.0 - columns) @ n0, n1, n0, ll_trace)
+
+
+class _PatternModel:
+    """An EM model evaluated once per distinct vote column.
+
+    ``_em_loop`` drives any model through ``mstep``, ``objective`` and
+    ``voxel_posterior`` (plus ``patterns``, ``prior`` and
+    ``ll_is_approximate``), always with canonical-order parameters.
+    Subclasses of this base define ``posterior`` (w(1) per column),
+    ``objective`` and ``expected_count_mstep``.
+    """
+
+    ll_is_approximate = False
+
+    def __init__(self, patterns: VotePatterns, prior: float):
+        self.patterns = patterns
+        self.prior = prior
+
+    def voxel_posterior(self, params: RaterParams) -> np.ndarray:
+        return self.posterior(params)[self.patterns.inverse]
+
+    def mstep(self, params: RaterParams, mode: str, ll_trace=()):
+        if mode not in MSTEP_MODES:
+            raise ConfigError(f"unknown mstep mode {mode!r}")
+        if mode == "expected-count":
+            return self.expected_count_mstep(params, ll_trace)
+        w1 = self.posterior(params)
+        counts = self.patterns.counts
+        return _plugin_mstep(self.patterns.columns, counts * w1, counts * (1.0 - w1), ll_trace)
+
+
+class _BinaryModel(_PatternModel):
+    def posterior(self, params: RaterParams) -> np.ndarray:
+        return _binary_posterior_arrays(self.patterns.columns, params, self.prior)[0]
+
+    def objective(self, params: RaterParams) -> float:
+        _, lse = _binary_posterior_arrays(self.patterns.columns, params, self.prior)
+        return float(self.patterns.counts @ lse)
+
+    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
+        return self.mstep(params, "plugin-mean", ll_trace)
+
+
+def _posterior_grid(model, params: RaterParams) -> VolumeGrid:
+    """A model's posterior map at canonical-order ``params``."""
+    w1 = np.clip(model.voxel_posterior(params), 0.0, 1.0)
+    return VolumeGrid(model.patterns.dims, w1, GridKind.POSTERIOR)
+
+
+def _em_loop(model, config: FusionConfig) -> FusionResult:
+    """The EM iterations every variant shares.
+
+    Starts from the config's initial sensitivity/specificity, alternates
+    the model's M-step (its E-step included) with the objective until
+    every parameter moves less than ``tol`` or ``max_iters`` is hit, and
+    returns the posterior of a final E-step at the last parameters.
+    """
+    m = model.patterns.order.size
+    sens, spec = clamp_params(np.full(m, config.init_sens), np.full(m, config.init_spec))
+    trace: list[float] = []
+    converged = False
+    iters = 0
+    for iters in range(1, config.max_iters + 1):
+        new_sens, new_spec = model.mstep(RaterParams(sens, spec), config.mstep_mode, trace)
+        trace.append(model.objective(RaterParams(new_sens, new_spec)))
+        delta = max(
+            float(np.max(np.abs(new_sens - sens))),
+            float(np.max(np.abs(new_spec - spec))),
+        )
+        sens, spec = new_sens, new_spec
+        if delta < config.tol:
+            converged = True
+            break
+    posterior = _posterior_grid(model, RaterParams(sens, spec))
+    return FusionResult(posterior, model.patterns.restore(sens, spec), tuple(trace), iters,
+                        converged, model.prior, model.ll_is_approximate)
 
 
 def e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Posterior map w(1) over the whole grid; w(0) is its complement."""
-    validate_stack(stack)
-    order = canonical_order(stack)
-    y = stack.as_matrix()[order]
-    log_l0, log_l1 = _log_class_likelihoods(y, params.sens[order], params.spec[order])
-    w1 = np.clip(_posterior_from_logs(log_l0, log_l1, prior), 0.0, 1.0)
-    return VolumeGrid(stack.dims, w1, GridKind.POSTERIOR)
+    model = _BinaryModel(vote_patterns(stack), prior)
+    return _posterior_grid(model, params.reordered(model.patterns.order))
 
 
 def m_step(stack: ExpertStack, w: VolumeGrid) -> RaterParams:
     """Reliability updates from expected true-label counts."""
     if w.dims != stack.dims:
         raise ConfigError("posterior dims do not match the stack")
-    y = stack.as_matrix()
-    sens, spec = _m_step_arrays(y, w.data)
-    return RaterParams(sens, spec)
-
-
-def _m_step_arrays(y: np.ndarray, w1: np.ndarray, ll_trace=()):
-    w0 = 1.0 - w1
-    mass1 = float(np.sum(w1))
-    mass0 = float(np.sum(w0))
-    if mass1 == 0.0:
-        raise DegeneratePosteriorError("sensitivity", ll_trace)
-    if mass0 == 0.0:
-        raise DegeneratePosteriorError("specificity", ll_trace)
-    sens = (y @ w1) / mass1
-    spec = ((1.0 - y) @ w0) / mass0
-    return clamp_params(sens, spec)
+    patterns = vote_patterns(stack)
+    n1, n0 = patterns.label_counts(w.data)
+    return patterns.restore(*_plugin_mstep(patterns.columns, n1, n0))
 
 
 def log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
     """Observed-data log-likelihood of the binary model."""
-    validate_stack(stack)
-    order = canonical_order(stack)
-    y = stack.as_matrix()[order]
-    log_l0, log_l1 = _log_class_likelihoods(y, params.sens[order], params.spec[order])
-    return float(np.sum(_lse_pair(np.log1p(-prior) + log_l0, np.log(prior) + log_l1)))
+    model = _BinaryModel(vote_patterns(stack), prior)
+    return model.objective(params.reordered(model.patterns.order))
 
 
 def binarize(posterior: VolumeGrid) -> VolumeGrid:
@@ -248,57 +398,21 @@ def binarize(posterior: VolumeGrid) -> VolumeGrid:
     )
 
 
-def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResult:
-    """Full EM fusion of a binary stack.
-
-    Initializes sensitivity/specificity from the config, resolves the
-    prior, and iterates E/M until every parameter moves less than ``tol``
-    or ``max_iters`` is hit. The returned posterior is a final E-step at
-    the converged parameters.
-    """
-    config = config or FusionConfig()
+def _run_inputs(stack: ExpertStack, config: FusionConfig, runner: str, other: str,
+                variants: tuple, kind: GridKind):
+    """Check a run's config and stack; return its vote patterns and prior."""
     config.validate()
-    if config.variant != "binary":
-        raise ConfigError(f"run_em handles variant 'binary', got {config.variant!r}")
+    if config.variant not in variants:
+        raise ConfigError(f"{runner} handles variants {variants}, got {config.variant!r}")
     validate_stack(stack)
-    if stack.kind is not GridKind.BINARY:
-        raise ConfigError("run_em needs a binary stack; use run_soft_em for soft votes")
-
-    order = canonical_order(stack)
-    y = stack.as_matrix()[order]
-    prior = resolve_prior(stack, config.prior)
-    m = stack.m
-    sens = np.full(m, config.init_sens)
-    spec = np.full(m, config.init_spec)
-    sens, spec = clamp_params(sens, spec)
-
-    trace: list[float] = []
-    converged = False
-    iters = 0
-    for iters in range(1, config.max_iters + 1):
-        log_l0, log_l1 = _log_class_likelihoods(y, sens, spec)
-        w1 = _posterior_from_logs(log_l0, log_l1, prior)
-        new_sens, new_spec = _m_step_arrays(y, w1, trace)
-        trace.append(_ll_arrays(y, new_sens, new_spec, prior))
-        delta = max(
-            float(np.max(np.abs(new_sens - sens))),
-            float(np.max(np.abs(new_spec - spec))),
-        )
-        sens, spec = new_sens, new_spec
-        if delta < config.tol:
-            converged = True
-            break
-
-    log_l0, log_l1 = _log_class_likelihoods(y, sens, spec)
-    w1 = np.clip(_posterior_from_logs(log_l0, log_l1, prior), 0.0, 1.0)
-    posterior = VolumeGrid(stack.dims, w1, GridKind.POSTERIOR)
-
-    inverse = np.empty(m, dtype=int)
-    inverse[order] = np.arange(m)
-    params = RaterParams(sens[inverse], spec[inverse])
-    return FusionResult(posterior, params, tuple(trace), iters, converged, prior)
+    if stack.kind is not kind:
+        raise ConfigError(f"{runner} needs a {kind.value} stack; use {other} instead")
+    return vote_patterns(stack), resolve_prior(stack, config.prior)
 
 
-def _ll_arrays(y: np.ndarray, sens, spec, prior: float) -> float:
-    log_l0, log_l1 = _log_class_likelihoods(y, sens, spec)
-    return float(np.sum(_lse_pair(np.log1p(-prior) + log_l0, np.log(prior) + log_l1)))
+def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResult:
+    """Full EM fusion of a binary stack (see ``_em_loop``)."""
+    config = config or FusionConfig()
+    patterns, prior = _run_inputs(stack, config, "run_em", "run_soft_em", ("binary",),
+                                  GridKind.BINARY)
+    return _em_loop(_BinaryModel(patterns, prior), config)

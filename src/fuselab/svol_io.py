@@ -71,8 +71,9 @@ def read_svol(path) -> VolumeGrid:
         raise TrailingDataError(
             f"{path}: {got - expected} trailing byte(s) after the payload"
         )
+    # VolumeGrid keeps its own copy, so the read-only view is passed as is.
     data = np.frombuffer(raw, dtype="<f8", count=dims.n, offset=_PREFIX_LEN + hlen)
-    return VolumeGrid(dims, data.astype(np.float64), kind)
+    return VolumeGrid(dims, data, kind)
 
 
 def _parse_header(blob: bytes, path) -> tuple[Dim3, GridKind]:

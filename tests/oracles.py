@@ -120,6 +120,43 @@ def simple_loglik_brute(q_matrix, sens, spec, prior):
     return total
 
 
+def plugin_mstep_brute(q_matrix, w1):
+    """Binary update with the votes plugged in, for a given posterior w(1)."""
+    m, n = q_matrix.shape
+    den1 = sum(w1[t] for t in range(n))
+    den0 = sum(1.0 - w1[t] for t in range(n))
+    sens = [sum(q_matrix[i, t] * w1[t] for t in range(n)) / den1 for i in range(m)]
+    spec = [
+        sum((1.0 - q_matrix[i, t]) * (1.0 - w1[t]) for t in range(n)) / den0
+        for i in range(m)
+    ]
+    return np.array(sens), np.array(spec)
+
+
+def simple_expected_count_mstep_brute(q_matrix, sens, spec, prior):
+    """Expected-count update of the noisy-channel model: each soft vote's
+    hidden hard vote gets its own posterior given the true label."""
+    m, n = q_matrix.shape
+    num_sens = [0.0] * m
+    num_spec = [0.0] * m
+    den1 = 0.0
+    den0 = 0.0
+    for t in range(n):
+        q = q_matrix[:, t]
+        w1 = simple_posterior_brute(q, sens, spec, prior)
+        den1 += w1
+        den0 += 1.0 - w1
+        for i in range(m):
+            hit = q[i] * sens[i]
+            num_sens[i] += w1 * hit / (hit + (1.0 - q[i]) * (1.0 - sens[i]))
+            rej = (1.0 - q[i]) * spec[i]
+            num_spec[i] += (1.0 - w1) * rej / (q[i] * (1.0 - spec[i]) + rej)
+    return (
+        np.array([v / den1 for v in num_sens]),
+        np.array([v / den0 for v in num_spec]),
+    )
+
+
 def majority_vote(votes_matrix):
     """Plain majority baseline; exact ties go to background."""
     m = votes_matrix.shape[0]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import fuselab.cli
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
 from fuselab.cli import main
 from helpers import grid
@@ -184,6 +185,90 @@ class TestFuse:
         cfg.write_text(json.dumps({"max_iter": 2}))
         assert main(["fuse", "--variant", "binary", *paths, "-o", str(tmp_path / "o"),
                      "--config", str(cfg)]) == 2
+
+
+    def test_mc_memory_guard_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(6)
+        paths = _write_experts(tmp_path, rng.random((7, 10)), GridKind.SOFT)
+
+        def no_reads(path):
+            raise AssertionError(f"read {path} before the guard")
+
+        monkeypatch.setattr(fuselab.cli, "read_svol", no_reads)
+        out = tmp_path / "o"
+        code = main(["fuse", "--variant", "soft-mc", "--mc-samples", "1000000000",
+                     *paths, "-o", str(out)])
+        assert code == 2
+        assert "1000000000 samples x 7 experts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_crash_mid_write_leaves_no_outputs(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))
+        out = tmp_path / "cons"
+        written = []
+        write_json = fuselab.cli._write_json
+
+        def disk_full(path, doc):
+            written.extend(p.name for p in out.iterdir())
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fuselab.cli, "_write_json", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            main(["fuse", "--variant", "binary", *paths, "-o", str(out), "--binarize"])
+        assert len(written) == 2          # posterior and consensus were staged
+        assert list(out.iterdir()) == []
+
+        monkeypatch.setattr(fuselab.cli, "_write_json", write_json)
+        assert main(["fuse", "--variant", "binary", *paths, "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "params.json", "posterior.svol"]
+
+
+class TestResolvedDefaults:
+    """The defaults the CLI derives from the config dataclasses, as
+    recorded in manifest.json when no flag is given."""
+
+    def test_fuse(self, tmp_path):
+        paths = _write_experts(tmp_path, np.tile([1.0, 1.0, 0.0, 0.0], (3, 1)))
+        out = tmp_path / "cons"
+        assert main(["fuse", *paths, "-o", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == {
+            "variant": "binary",
+            "prior": "auto",
+            "init_sens": 0.9,
+            "init_spec": 0.9,
+            "max_iters": 100,
+            "tol": 1e-6,
+            "mstep_mode": "expected-count",
+            "mc_samples": 10000,
+            "seed": 0,
+            "binarize": False,
+            "gamma": 0.3,
+            "ratio": 1.2,
+            "threshold_mode": "percentile:10",
+            "connectivity": 26,
+            "max_dilation_iters": 10,
+            "threads": 1,
+            "force": False,
+        }
+
+    def test_softmask(self, tmp_path):
+        mask = tmp_path / "expert.svol"
+        write_svol(grid([0.0, 1.0, 1.0, 0.0], dims=Dim3(2, 2, 1)), mask)
+        flair = tmp_path / "flair.svol"
+        write_svol(VolumeGrid(Dim3(2, 2, 1), np.full(4, 50.0), GridKind.INTENSITY), flair)
+        out = tmp_path / "soft"
+        assert main(["softmask", str(mask), "--flair", str(flair), "-o", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == {
+            "gamma": 0.3,
+            "ratio": 1.2,
+            "threshold_mode": "percentile:10",
+            "connectivity": 26,
+            "max_dilation_iters": 10,
+            "threads": 1,
+            "force": False,
+        }
 
 
 class TestSoftmaskCommand:

@@ -1,0 +1,253 @@
+"""Property tests of the vote-pattern EM core.
+
+Hypothesis draws small stacks (1-7 experts, 1-50 voxels, binary votes or
+soft mixes, all-zero, all-one and all-tied inputs) and priors near 0 and
+1. Every variant's E-step, M-step and objective is checked against the
+brute-force oracles, and the core's invariants are checked on full runs:
+exact invariance to expert order, soft variants on hard votes equal to
+binary, and EM ascent under the expected-count M-step.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from fuselab import (
+    FusionConfig,
+    GridKind,
+    RaterParams,
+    e_step,
+    log_likelihood,
+    m_step,
+    run_em,
+    run_soft_em,
+    simple_e_step,
+    simple_log_likelihood,
+    simple_m_step,
+    soft_e_step,
+    soft_log_likelihood,
+    soft_m_step,
+)
+from fuselab.errors import DegeneratePosteriorError
+from fuselab.staple import CLAMP_HI, CLAMP_LO, vote_patterns
+from helpers import assert_monotone, stack_from_rows
+from oracles import (
+    loglik_brute,
+    plugin_mstep_brute,
+    posterior_brute,
+    simple_expected_count_mstep_brute,
+    simple_loglik_brute,
+    simple_posterior_brute,
+    soft_expected_count_mstep_brute,
+    soft_loglik_brute,
+    soft_posterior_brute,
+)
+
+SOFT_VARIANTS = ("soft-exact", "soft-mc", "simplified")
+CORE = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# Protocol levels, the blur levels of soften_votes, and arbitrary values.
+SOFT_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9, 1.0]),
+    st.floats(0.0, 1.0, allow_subnormal=False),
+)
+PRIORS = st.one_of(st.sampled_from([1e-3, 1.0 - 1e-3]), st.floats(0.01, 0.99))
+
+
+@st.composite
+def vote_rows(draw, binary):
+    """An (m, n) vote matrix: random, all zero, all one or all tied."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 50))
+    shape = draw(st.sampled_from(["random", "random", "zeros", "ones", "tied"]))
+    values = st.sampled_from([0.0, 1.0]) if binary else SOFT_VALUES
+    if shape == "random":
+        rows = draw(hnp.arrays(np.float64, (m, n), elements=values))
+    else:
+        fill = {"zeros": 0.0, "ones": 1.0}.get(shape)
+        rows = np.full((m, n), draw(values) if fill is None else fill)
+    return rows + 0.0  # no negative zeros
+
+
+@st.composite
+def rater_params(draw, m):
+    reliab = hnp.arrays(np.float64, m, elements=st.floats(0.55, 0.95))
+    return RaterParams(draw(reliab), draw(reliab))
+
+
+@st.composite
+def problems(draw, binary):
+    rows = draw(vote_rows(binary))
+    kind = GridKind.BINARY if binary else GridKind.SOFT
+    return rows, stack_from_rows(rows, kind), draw(rater_params(rows.shape[0])), draw(PRIORS)
+
+
+def _clamped(arr):
+    return np.clip(arr, CLAMP_LO, CLAMP_HI)
+
+
+def _assert_update(got: RaterParams, want, atol=1e-10):
+    np.testing.assert_allclose(got.sens, _clamped(want[0]), rtol=0, atol=atol)
+    np.testing.assert_allclose(got.spec, _clamped(want[1]), rtol=0, atol=atol)
+
+
+def _permuted(rows, perm, kind):
+    ids = tuple(f"e{i}" for i in range(rows.shape[0]))
+    return (stack_from_rows(rows, kind, ids=ids),
+            stack_from_rows(rows[perm], kind, ids=tuple(ids[i] for i in perm)))
+
+
+def _run(stack, variant, **kw):
+    cfg = FusionConfig(variant=variant, mc_samples=9, mc_seed=3, **kw)
+    return run_em(stack, cfg) if variant == "binary" else run_soft_em(stack, cfg)
+
+
+class TestVotePatterns:
+    @CORE
+    @given(data=st.data(), binary=st.booleans())
+    def test_matches_columnwise_unique(self, data, binary):
+        rows = data.draw(vote_rows(binary))
+        kind = GridKind.BINARY if binary else GridKind.SOFT
+        pats = vote_patterns(stack_from_rows(rows, kind))
+        cols, inverse, counts = np.unique(rows, axis=1, return_inverse=True,
+                                          return_counts=True)
+        np.testing.assert_array_equal(pats.columns, cols)
+        np.testing.assert_array_equal(pats.inverse, inverse.reshape(-1))
+        np.testing.assert_array_equal(pats.counts, counts)
+
+    def test_code_recompaction_path(self):
+        """m=14 experts with 50 levels each: 50^14 codes overflow int64, so
+        the running codes are compacted on the way."""
+        assert 50**14 > np.iinfo(np.int64).max
+        rng = np.random.default_rng(14)
+        levels = rng.random((14, 50))
+        rows = np.stack([rng.choice(lv, 400) for lv in levels])
+        rows[:, 200:] = rows[:, :200]          # every column occurs at least twice
+        ids = tuple(f"e{i:02d}" for i in range(14))   # ids sort in row order
+        stack = stack_from_rows(rows, GridKind.SOFT, ids=ids)
+        pats = vote_patterns(stack)
+        cols, inverse, counts = np.unique(rows, axis=1, return_inverse=True,
+                                          return_counts=True)
+        np.testing.assert_array_equal(pats.columns, cols)
+        np.testing.assert_array_equal(pats.inverse, inverse.reshape(-1))
+        np.testing.assert_array_equal(pats.counts, counts)
+
+        p = RaterParams(rng.uniform(0.6, 0.9, 14), rng.uniform(0.6, 0.9, 14))
+        w = simple_e_step(stack, p, 0.3)
+        for t in range(rows.shape[1]):
+            assert w.data[t] == pytest.approx(
+                simple_posterior_brute(rows[:, t], p.sens, p.spec, 0.3), abs=1e-12)
+        assert simple_log_likelihood(stack, p, 0.3) == pytest.approx(
+            simple_loglik_brute(rows, p.sens, p.spec, 0.3), rel=1e-10)
+        _assert_update(simple_m_step(stack, p, 0.3),
+                       simple_expected_count_mstep_brute(rows, p.sens, p.spec, 0.3))
+
+
+class TestStepsAgainstOracles:
+    @CORE
+    @given(problem=problems(binary=True))
+    def test_binary(self, problem):
+        rows, stack, p, prior = problem
+        w = e_step(stack, p, prior)
+        want = [posterior_brute(rows[:, t], p.sens, p.spec, prior)
+                for t in range(rows.shape[1])]
+        np.testing.assert_allclose(w.data, want, rtol=0, atol=1e-12)
+        assert log_likelihood(stack, p, prior) == pytest.approx(
+            loglik_brute(rows, p.sens, p.spec, prior), rel=1e-10)
+        _assert_update(m_step(stack, w), plugin_mstep_brute(rows, w.data))
+
+    @CORE
+    @given(problem=problems(binary=False))
+    def test_soft_exact(self, problem):
+        rows, stack, p, prior = problem
+        want = [soft_posterior_brute(rows[:, t], p.sens, p.spec, prior)
+                for t in range(rows.shape[1])]
+        np.testing.assert_allclose(soft_e_step(stack, p, prior).data, want,
+                                   rtol=0, atol=1e-12)
+        assert soft_log_likelihood(stack, p, prior) == pytest.approx(
+            soft_loglik_brute(rows, p.sens, p.spec, prior), rel=1e-10)
+        _assert_update(soft_m_step(stack, p, prior, "expected-count"),
+                       soft_expected_count_mstep_brute(rows, p.sens, p.spec, prior))
+        _assert_update(soft_m_step(stack, p, prior, "plugin-mean"),
+                       plugin_mstep_brute(rows, want))
+
+    @CORE
+    @given(problem=problems(binary=False))
+    def test_simplified(self, problem):
+        rows, stack, p, prior = problem
+        want = [simple_posterior_brute(rows[:, t], p.sens, p.spec, prior)
+                for t in range(rows.shape[1])]
+        np.testing.assert_allclose(simple_e_step(stack, p, prior).data, want,
+                                   rtol=0, atol=1e-12)
+        assert simple_log_likelihood(stack, p, prior) == pytest.approx(
+            simple_loglik_brute(rows, p.sens, p.spec, prior), rel=1e-10)
+        _assert_update(simple_m_step(stack, p, prior, "expected-count"),
+                       simple_expected_count_mstep_brute(rows, p.sens, p.spec, prior))
+        _assert_update(simple_m_step(stack, p, prior, "plugin-mean"),
+                       plugin_mstep_brute(rows, want))
+
+
+class TestInvariants:
+    @CORE
+    @given(data=st.data(), binary=st.booleans())
+    def test_expert_order_is_bitwise_irrelevant(self, data, binary):
+        rows = data.draw(vote_rows(binary))
+        perm = data.draw(st.permutations(range(rows.shape[0])))
+        kind = GridKind.BINARY if binary else GridKind.SOFT
+        stack, shuffled = _permuted(rows, perm, kind)
+        variants = ("binary",) if binary else SOFT_VARIANTS
+        prior = data.draw(st.sampled_from(["auto", 0.3]))
+        for variant in variants:
+            try:
+                r1 = _run(stack, variant, prior=prior, max_iters=3, tol=1e-300)
+            except DegeneratePosteriorError as err:
+                with pytest.raises(DegeneratePosteriorError) as err2:
+                    _run(shuffled, variant, prior=prior, max_iters=3, tol=1e-300)
+                assert err2.value.ll_trace == err.value.ll_trace
+                continue
+            r2 = _run(shuffled, variant, prior=prior, max_iters=3, tol=1e-300)
+            assert r1.posterior.data.tobytes() == r2.posterior.data.tobytes()
+            assert r1.params.sens[perm].tobytes() == r2.params.sens.tobytes()
+            assert r1.params.spec[perm].tobytes() == r2.params.spec.tobytes()
+            assert r1.ll_trace == r2.ll_trace and r1.prior == r2.prior
+
+    @CORE
+    @given(data=st.data())
+    def test_soft_variants_on_hard_votes_equal_binary(self, data):
+        rows = data.draw(vote_rows(binary=True))
+        iters = data.draw(st.integers(1, 4))
+        hard = stack_from_rows(rows, GridKind.BINARY)
+        soft = stack_from_rows(rows, GridKind.SOFT)
+        kw = dict(max_iters=iters, tol=1e-300, prior=data.draw(PRIORS))
+        try:
+            ref = _run(hard, "binary", **kw)
+        except DegeneratePosteriorError as err:
+            for variant in SOFT_VARIANTS:
+                with pytest.raises(DegeneratePosteriorError) as got:
+                    _run(soft, variant, **kw)
+                assert got.value.side == err.value.side
+            return
+        for variant in SOFT_VARIANTS:
+            res = _run(soft, variant, **kw)
+            np.testing.assert_allclose(res.posterior.data, ref.posterior.data,
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(res.params.sens, ref.params.sens, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(res.params.spec, ref.params.spec, rtol=0, atol=1e-10)
+
+    @CORE
+    @given(data=st.data(), binary=st.booleans())
+    def test_expected_count_trace_never_decreases(self, data, binary):
+        rows = data.draw(vote_rows(binary))
+        stack = stack_from_rows(rows, GridKind.BINARY if binary else GridKind.SOFT)
+        variants = ("binary",) if binary else ("soft-exact", "simplified")
+        for variant in variants:
+            try:
+                res = _run(stack, variant, mstep_mode="expected-count", max_iters=25,
+                           prior=data.draw(PRIORS))
+            except DegeneratePosteriorError as err:
+                assert_monotone(err.ll_trace)
+                continue
+            assert_monotone(res.ll_trace)

@@ -247,6 +247,11 @@ class TestMonteCarloEStep:
         with pytest.raises(ConfigError):
             mc_soft_e_step_voxel([0.5], params(0.9, 0.9), 0.5, 0, seed=0)
 
+    def test_draw_budget_checked_before_drawing(self):
+        p = params(np.full(7, 0.9), np.full(7, 0.9))
+        with pytest.raises(CapacityError, match="1000000000 samples x 7 experts"):
+            mc_soft_e_step_voxel(np.full(7, 0.5), p, 0.5, 10**9, seed=0)
+
     def test_square_root_convergence_rate(self):
         # 100x the samples should cut the error ~10x; allow a 3x margin
         rng = np.random.default_rng(12)
