@@ -239,7 +239,11 @@ def _outputs(args, filenames, inputs, resolved: dict, started: float):
     for target in targets:
         if os.path.realpath(target) in input_paths:
             raise ConfigError(f"refusing to overwrite input file {target}")
-        if target.exists() and not resolved["force"]:
+        if not target.exists():
+            continue
+        if not target.is_file():
+            raise ConfigError(f"output {target} exists and is not a regular file")
+        if not resolved["force"]:
             raise ConfigError(f"output {target} exists; pass --force to overwrite")
     temps = [t.with_name(f".{t.name}.partial") for t in targets]
     try:

@@ -26,7 +26,6 @@ from .staple import (
     FusionConfig,
     FusionResult,
     RaterParams,
-    SOFT_VARIANTS,
     VotePatterns,
     _PatternModel,
     _binary_posterior_arrays,
@@ -243,9 +242,9 @@ def mc_soft_e_step_voxel(
     q = np.ascontiguousarray(soft_votes, dtype=np.float64).reshape(-1)
     if q.size != params.m:
         raise ConfigError(f"{q.size} votes for {params.m} experts")
-    check_mc_request(samples, q.size)
     if np.all((q == 0.0) | (q == 1.0)):
         return float(_binary_posterior_arrays(q[:, None], params, prior)[0][0])
+    check_mc_request(samples, q.size)
     rng = _voxel_rng(seed, voxel_index)
     bits = (rng.random((samples, q.size)) < q).astype(np.float64)
     p1, _ = _binary_posterior_arrays(bits.T, params, prior)
@@ -415,8 +414,7 @@ def run_soft_em(stack: ExpertStack, config: FusionConfig) -> FusionResult:
     exact-model objective for variants "soft-exact"/"soft-mc" and the
     noisy-channel objective for "simplified".
     """
-    patterns, prior = _run_inputs(stack, config, "run_soft_em", "run_em", SOFT_VARIANTS,
-                                  GridKind.SOFT)
+    patterns, prior = _run_inputs(stack, config, GridKind.SOFT)
     if config.variant == "soft-exact":
         model = _ExactModel(patterns, prior)
     elif config.variant == "simplified":

@@ -36,9 +36,6 @@ SOFT_VARIANTS = ("soft-exact", "soft-mc", "simplified")
 MSTEP_MODES = ("expected-count", "plugin-mean")
 
 _INT64_MAX = np.iinfo(np.int64).max
-# Pattern codes are counted with bincount while their range is at most
-# this many values (or twice the voxel count), else by sorting.
-_BINCOUNT_BINS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -193,7 +190,10 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
     Each expert's values become level indices (binary votes have two
     levels), combined into mixed-radix int64 codes in canonical expert
     order. When the next digit would overflow, the running codes are first
-    compacted to their ranks, which keeps the columns sorted.
+    compacted to their ranks, which keeps the columns sorted. Codes are
+    counted with bincount while their range is at most twice the voxel
+    count (there it beats a sort, which wins from about four times the
+    voxel count on), else with a sort.
     """
     validate_stack(stack)
     order = canonical_order(stack)
@@ -213,7 +213,7 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
         code *= radix
         code += digit
         bound *= radix
-    if bound <= max(2 * n, _BINCOUNT_BINS):
+    if bound <= 2 * n:
         counts = np.bincount(code, minlength=bound)
         inverse = (np.cumsum(counts > 0) - 1)[code]
         counts = counts[counts > 0]
@@ -398,10 +398,12 @@ def binarize(posterior: VolumeGrid) -> VolumeGrid:
     )
 
 
-def _run_inputs(stack: ExpertStack, config: FusionConfig, runner: str, other: str,
-                variants: tuple, kind: GridKind):
+def _run_inputs(stack: ExpertStack, config: FusionConfig, kind: GridKind):
     """Check a run's config and stack; return its vote patterns and prior."""
     config.validate()
+    binary = kind is GridKind.BINARY
+    runner, other = ("run_em", "run_soft_em") if binary else ("run_soft_em", "run_em")
+    variants = ("binary",) if binary else SOFT_VARIANTS
     if config.variant not in variants:
         raise ConfigError(f"{runner} handles variants {variants}, got {config.variant!r}")
     validate_stack(stack)
@@ -413,6 +415,5 @@ def _run_inputs(stack: ExpertStack, config: FusionConfig, runner: str, other: st
 def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResult:
     """Full EM fusion of a binary stack (see ``_em_loop``)."""
     config = config or FusionConfig()
-    patterns, prior = _run_inputs(stack, config, "run_em", "run_soft_em", ("binary",),
-                                  GridKind.BINARY)
+    patterns, prior = _run_inputs(stack, config, GridKind.BINARY)
     return _em_loop(_BinaryModel(patterns, prior), config)

@@ -224,6 +224,15 @@ class TestFuse:
         assert sorted(p.name for p in out.iterdir()) == [
             "manifest.json", "params.json", "posterior.svol"]
 
+    def test_refuses_directory_target_before_writing(self, tmp_path):
+        rng = np.random.default_rng(8)
+        paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))
+        out = tmp_path / "cons"
+        (out / "params.json").mkdir(parents=True)
+        code = main(["fuse", "--variant", "binary", *paths, "-o", str(out), "--force"])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["params.json"]
+
 
 class TestResolvedDefaults:
     """The defaults the CLI derives from the config dataclasses, as

@@ -214,7 +214,7 @@ class TestMonteCarloEStep:
         votes = (rng.random(5) > 0.5).astype(float)
         p = params(rng.uniform(0.6, 0.9, 5), rng.uniform(0.6, 0.9, 5))
         exact = soft_e_step_voxel(votes, p, 0.2)
-        for samples in (1, 3, 100):
+        for samples in (1, 3, 100, 10**9):
             assert mc_soft_e_step_voxel(votes, p, 0.2, samples, seed=0) == pytest.approx(
                 exact, abs=1e-15
             )
