@@ -32,7 +32,7 @@ from .errors import (
     SvolError,
 )
 from .metrics import precision_recall
-from .soft_staple import ENUMERATION_GUARD, check_mc_request, run_soft_em
+from .soft_staple import check_enumeration, check_mc_request, run_soft_em
 from .softmask import SoftMaskConfig, build_soft_stack
 from .staple import FusionConfig, binarize, run_em
 from .svol_io import read_svol, write_svol
@@ -156,7 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--threads", type=int, help="worker cap, recorded in the manifest")
+    cmd.add_argument("--threads", type=int,
+                     help="reserved: recorded in the manifest, no effect yet")
     cmd.add_argument("--seed", type=int, help="run seed where the command uses one")
     cmd.add_argument("--force", action="store_const", const=True, default=None,
                      help="allow overwriting existing output files")
@@ -293,11 +294,8 @@ def _cmd_fuse(args) -> int:
         mc_seed=resolved["seed"],
     )
     config.validate()
-    if config.variant == "soft-exact" and len(args.inputs) > ENUMERATION_GUARD:
-        raise ConfigError(
-            f"{len(args.inputs)} experts exceed the exact-enumeration guard "
-            f"({ENUMERATION_GUARD}); use --variant soft-mc"
-        )
+    if config.variant == "soft-exact":
+        check_enumeration(len(args.inputs), "use --variant soft-mc")
     if config.variant == "soft-mc":
         check_mc_request(config.mc_samples, len(args.inputs))
 

@@ -67,7 +67,7 @@ class ConfigError(FuselabError):
 
 
 class CapacityError(FuselabError):
-    """Exact vote-combination enumeration was requested beyond the guard."""
+    """A request exceeds the enumeration guard or the Monte Carlo draw budget."""
 
 
 class DegeneratePosteriorError(FuselabError):

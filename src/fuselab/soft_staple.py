@@ -40,14 +40,11 @@ from .staple import (
 )
 from .volume import ExpertStack, GridKind, VolumeGrid
 
-# 2^m joint vote combinations per voxel; beyond this use variant "soft-mc".
+# Most experts exact enumeration takes (it tables all 2^m codes); beyond, use "soft-mc".
 ENUMERATION_GUARD = 20
 
-# Work-array budgets for the enumeration engine: up to _GROUP_LIMIT
-# distinct columns with at most _CELL_BUDGET weights are kept; beyond
-# either, columns are streamed in chunks.
-_GROUP_LIMIT = 4096
-_CELL_BUDGET = 2**22
+# Most joint-vote terms (columns x 2^k) per enumeration chunk; 2^18 measured fastest.
+_CELL_BUDGET = 2**18
 
 # Largest samples x m draw matrix one Monte Carlo voxel may allocate.
 MC_DRAW_LIMIT = 2**23
@@ -67,7 +64,7 @@ class VoteCombination:
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError(f"need at least one expert, got m={self.m}")
-        _check_enumeration(self.m)
+        check_enumeration(self.m)
         if not 0 <= self.code < 2**self.m:
             raise ConfigError(f"code {self.code} outside [0, 2^{self.m})")
 
@@ -80,7 +77,7 @@ class VoteCombination:
 
 def combination_matrix(m: int) -> np.ndarray:
     """All 2^m combinations as a (2^m, m) 0/1 float array, ascending code."""
-    _check_enumeration(m)
+    check_enumeration(m)
     codes = np.arange(2**m, dtype=np.int64)
     return ((codes[:, None] >> np.arange(m)) & 1).astype(np.float64)
 
@@ -94,7 +91,9 @@ def joint_soft_prob(soft_votes, combo: VoteCombination) -> float:
     return float(np.prod(np.where(bits == 1.0, q, 1.0 - q)))
 
 
-def _check_enumeration(m: int, alternative: str = "") -> None:
+def check_enumeration(m: int, alternative: str = "") -> None:
+    """Refuse exact enumeration over more than :data:`ENUMERATION_GUARD`
+    experts; ``alternative`` names what to use instead."""
     if m > ENUMERATION_GUARD:
         raise CapacityError(
             f"exact enumeration needs m <= {ENUMERATION_GUARD}, got m={m}"
@@ -102,52 +101,58 @@ def _check_enumeration(m: int, alternative: str = "") -> None:
         )
 
 
-def _combo_weights(q_cols: np.ndarray, bmat: np.ndarray) -> np.ndarray:
-    """(2^m, k) joint vote probabilities for the k voxel columns in q_cols."""
-    m = q_cols.shape[0]
-    w = np.ones((bmat.shape[0], q_cols.shape[1]))
-    for i in range(m):
-        w *= np.where(bmat[:, i : i + 1] == 1.0, q_cols[i], 1.0 - q_cols[i])
-    return w
+def _joint_votes(q_cols: np.ndarray):
+    """Yield (column indices, hard-vote codes, weights) per chunk of columns.
+
+    A vote of exactly 0 or 1 fixes its bit, so a column with k fractional
+    votes has 2^k joint hard votes (code bit i = expert i). Columns are
+    grouped by k, chunked to at most ``_CELL_BUDGET`` terms (or one column),
+    and their (columns, 2^k) terms built by doubling over the fractional votes.
+    """
+    frac = (q_cols > 0.0) & (q_cols < 1.0)
+    k_cols = frac.sum(axis=0)
+    base = (1 << np.arange(q_cols.shape[0])) @ (q_cols == 1.0)
+    for k in np.unique(k_cols):
+        group = np.flatnonzero(k_cols == k)
+        step = max(1, _CELL_BUDGET >> k)
+        for lo in range(0, group.size, step):
+            cols = group[lo : lo + step]
+            experts = np.nonzero(frac[:, cols].T)[1].reshape(cols.size, k)
+            codes = np.empty((cols.size, 1 << k), dtype=np.int32)
+            weights = np.ones((cols.size, 1 << k))
+            codes[:, 0] = base[cols]
+            for j, e in enumerate(experts.T):
+                size = 1 << j
+                q = q_cols[e, cols][:, None]
+                np.bitwise_or(codes[:, :size], (1 << e)[:, None], out=codes[:, size : 2 * size])
+                np.multiply(weights[:, :size], q, out=weights[:, size : 2 * size])
+                weights[:, :size] *= 1.0 - q
+            yield cols, codes, weights
 
 
 class _ExactModel(_PatternModel):
     """The exact soft variant over distinct vote columns.
 
-    The joint-combination weights depend only on the votes, not on the
-    parameters, so their count-weighted column sums ``s`` are computed
-    once per run. With few distinct columns (labels like {0, gamma, 1}
-    collapse heavily) the full (2^m, u) weight matrix is kept; otherwise
-    the columns are streamed in chunks.
+    The joint-vote weights depend only on the votes, not on the
+    parameters, so their count-weighted sums ``s`` over the 2^m hard-vote
+    codes are accumulated once per run; the posterior enumerates again.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float):
         super().__init__(patterns, prior)
-        m, u = patterns.columns.shape
-        _check_enumeration(m, "select variant 'soft-mc' instead")
-        self.bmat = combination_matrix(m)
-        c = self.bmat.shape[0]
-        grouped = u <= _GROUP_LIMIT and c * u <= _CELL_BUDGET
-        self.chunk = u if grouped else max(1, _CELL_BUDGET // c)
-        self.w_cols = _combo_weights(patterns.columns, self.bmat) if grouped else None
-        self.s = np.zeros(c)
-        for lo, w in self._weight_blocks():
-            self.s += w @ patterns.counts[lo : lo + self.chunk]
-
-    def _weight_blocks(self):
-        """(first column, weights) of each chunk of columns."""
-        if self.w_cols is not None:
-            yield 0, self.w_cols
-            return
-        cols = self.patterns.columns
-        for lo in range(0, cols.shape[1], self.chunk):
-            yield lo, _combo_weights(cols[:, lo : lo + self.chunk], self.bmat)
+        check_enumeration(patterns.order.size, "select variant 'soft-mc' instead")
+        self.bmat = combination_matrix(patterns.order.size)
+        self.s = np.zeros(self.bmat.shape[0])
+        for cols, codes, w in _joint_votes(patterns.columns):
+            w *= patterns.counts[cols, None]
+            self.s += np.bincount(codes.ravel(), weights=w.ravel(), minlength=self.s.size)
 
     def posterior(self, params: RaterParams) -> np.ndarray:
         p1, _ = _binary_posterior_arrays(self.bmat.T, params, self.prior)
         w1 = np.empty(self.patterns.counts.size)
-        for lo, w in self._weight_blocks():
-            w1[lo : lo + self.chunk] = p1 @ w
+        for cols, codes, w in _joint_votes(self.patterns.columns):
+            w *= p1[codes]
+            w1[cols] = w.sum(axis=1)
         return w1
 
     def objective(self, params: RaterParams) -> float:
@@ -163,15 +168,14 @@ class _ExactModel(_PatternModel):
 
 def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     """Exact soft posterior for one voxel: the binary posterior averaged
-    over every joint hard-vote combination, weighted by the soft votes."""
+    over the joint hard votes the soft votes allow, weighted by them."""
     q = np.ascontiguousarray(soft_votes, dtype=np.float64).reshape(-1)
     if q.size != params.m:
         raise ConfigError(f"{q.size} votes for {params.m} experts")
-    _check_enumeration(q.size, "use mc_soft_e_step_voxel instead")
-    bmat = combination_matrix(q.size)
-    p1, _ = _binary_posterior_arrays(bmat.T, params, prior)
-    weights = _combo_weights(q[:, None], bmat)[:, 0]
-    return float(np.clip(weights @ p1, 0.0, 1.0))
+    check_enumeration(q.size, "use mc_soft_e_step_voxel instead")
+    p1, _ = _binary_posterior_arrays(combination_matrix(q.size).T, params, prior)
+    _, codes, w = next(_joint_votes(q[:, None]))
+    return float(np.clip(w[0] @ p1[codes[0]], 0.0, 1.0))
 
 
 def soft_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     HeaderError,
+    ShapeError,
     TrailingDataError,
     TruncatedPayloadError,
 )
@@ -87,16 +88,13 @@ def _parse_header(blob: bytes, path) -> tuple[Dim3, GridKind]:
         if key not in header:
             raise HeaderError(f"{path}: header misses required key {key!r}")
     dims = header["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims)
-    ):
-        raise HeaderError(
-            f"{path}: dims must be a list of 3 positive integers, got {dims!r}"
-        )
+    if not isinstance(dims, list) or len(dims) != 3 or any(isinstance(d, bool) for d in dims):
+        raise HeaderError(f"{path}: dims must be a list of 3 positive integers, got {dims!r}")
     try:
-        kind = GridKind(header["kind"])
+        shape = Dim3(*dims)
+    except ShapeError as exc:
+        raise HeaderError(f"{path}: dims {dims!r}: {exc}") from exc
+    try:
+        return shape, GridKind(header["kind"])
     except ValueError as exc:
         raise HeaderError(f"{path}: unknown kind {header['kind']!r}") from exc
-    return Dim3(*dims), kind

@@ -2,6 +2,7 @@
 noisy-channel variant, Monte Carlo estimator, and reduction to the
 binary algorithm on hard votes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from fuselab import (
 from fuselab.errors import CapacityError, ConfigError
 from helpers import assert_monotone, random_binary_stack, stack_from_rows
 from oracles import (
+    plugin_mstep_brute,
     simple_loglik_brute,
     simple_posterior_brute,
     soft_expected_count_mstep_brute,
@@ -360,7 +362,6 @@ class TestEnumerationPaths:
         grouped_ll = soft_log_likelihood(soft, p, 0.3)
         grouped_m = soft_m_step(soft, p, 0.3)
 
-        monkeypatch.setattr(ss, "_GROUP_LIMIT", 0)
         monkeypatch.setattr(ss, "_CELL_BUDGET", 256)  # a few voxels per chunk
         dense_w = soft_e_step(soft, p, 0.3)
         dense_ll = soft_log_likelihood(soft, p, 0.3)
@@ -370,6 +371,35 @@ class TestEnumerationPaths:
         assert dense_ll == pytest.approx(grouped_ll, rel=1e-12)
         np.testing.assert_allclose(dense_m.sens, grouped_m.sens, atol=1e-12)
         np.testing.assert_allclose(dense_m.spec, grouped_m.spec, atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, 8])
+    def test_every_fractional_count_against_oracles(self, monkeypatch, budget):
+        """m=6 columns with every count k = 0..6 of fractional votes: all
+        3^6 columns over {0, 0.3, 1}, some twice, plus one continuous column,
+        enumerated in chunks of at most ``budget`` terms."""
+        import fuselab.soft_staple as ss
+
+        levels = np.array(list(itertools.product([0.0, 0.3, 1.0], repeat=6))).T
+        q = np.hstack([levels, levels[:, ::17], [[0.15], [0.42], [0.77], [0.05], [0.6], [0.91]]])
+        soft = stack_from_rows(q, GridKind.SOFT)
+        sens = np.array([0.62, 0.71, 0.93, 0.85, 0.58, 0.77])
+        spec = np.array([0.88, 0.66, 0.74, 0.95, 0.81, 0.69])
+        p = params(sens, spec)
+        monkeypatch.setattr(ss, "_CELL_BUDGET", budget)
+
+        want_w = [soft_posterior_brute(q[:, t], sens, spec, 0.3) for t in range(q.shape[1])]
+        np.testing.assert_allclose(soft_e_step(soft, p, 0.3).data, want_w, rtol=0, atol=1e-12)
+        voxel_w = [soft_e_step_voxel(q[:, t], p, 0.3) for t in range(q.shape[1])]
+        np.testing.assert_allclose(voxel_w, want_w, rtol=0, atol=1e-12)
+        assert soft_log_likelihood(soft, p, 0.3) == pytest.approx(
+            soft_loglik_brute(q, sens, spec, 0.3), rel=1e-10)
+        for mode, (want_sens, want_spec) in (
+            ("expected-count", soft_expected_count_mstep_brute(q, sens, spec, 0.3)),
+            ("plugin-mean", plugin_mstep_brute(q, want_w)),
+        ):
+            got = soft_m_step(soft, p, 0.3, mode)
+            np.testing.assert_allclose(got.sens, want_sens, atol=1e-12)
+            np.testing.assert_allclose(got.spec, want_spec, atol=1e-12)
 
     def test_grid_estep_matches_voxel_op(self):
         rng = np.random.default_rng(31)

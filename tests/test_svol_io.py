@@ -2,14 +2,17 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
+from fuselab.cli import main
 from fuselab.errors import (
     BadMagicError,
     HeaderError,
+    SvolError,
     TrailingDataError,
     TruncatedPayloadError,
     ValueRangeError,
@@ -126,6 +129,60 @@ class TestMalformedFiles:
                          struct.pack("<d", 0.5))
         with pytest.raises(ValueRangeError):
             read_svol(path)
+
+
+class TestFaultInjection:
+    """Crafted files at the edges of the header: each must fail with an
+    SVOL error that names the file, before any voxel array is built."""
+
+    def test_cut_inside_header_length_field(self, tmp_path):
+        path = tmp_path / "cut.svol"
+        path.write_bytes(MAGIC + struct.pack("<I", 20)[:2])
+        with pytest.raises(HeaderError, match="header length field"):
+            read_svol(path)
+
+    def test_header_length_at_u32_max(self, tmp_path):
+        path = tmp_path / "huge.svol"
+        path.write_bytes(MAGIC + struct.pack("<I", 2**32 - 1) + b'{"dims":[1,1,1]}')
+        with pytest.raises(HeaderError, match="4294967295 overruns"):
+            read_svol(path)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[1.0, 1, 1], [2, 2.5, 1], [True, 1, 1], [1, 1, False], [[1], 1, 1],
+         [1, [1, 1], 1], [-1, 1, 1], [1, 1, -8], ["1", 1, 1], [1, 1, None]],
+    )
+    def test_invalid_dims(self, tmp_path, dims):
+        path = _raw_file(tmp_path, {"dims": dims, "kind": "soft"}, struct.pack("<d", 0.5))
+        with pytest.raises(HeaderError, match="dims") as info:
+            read_svol(path)
+        assert str(path) in str(info.value)
+
+    def test_huge_dims_short_payload_allocates_nothing(self, tmp_path):
+        path = _raw_file(tmp_path, {"dims": [2**20] * 3, "kind": "soft"},
+                         struct.pack("<d", 0.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError, match=f"expected {2**63}"):
+                read_svol(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_dims_product_overflow_is_a_header_error(self, tmp_path):
+        path = _raw_file(tmp_path, {"dims": [2**21] * 3, "kind": "soft"},
+                         struct.pack("<d", 0.5))
+        with pytest.raises(HeaderError) as info:
+            read_svol(path)
+        assert isinstance(info.value, SvolError)
+        assert str(path) in str(info.value)
+
+    def test_dims_product_overflow_exits_3(self, tmp_path, capsys):
+        path = _raw_file(tmp_path, {"dims": [2**21] * 3, "kind": "soft"},
+                         struct.pack("<d", 0.5))
+        assert main(["eval", str(path), str(path)]) == 3
+        assert str(path) in capsys.readouterr().err
 
 
 class TestWriteValidation:
