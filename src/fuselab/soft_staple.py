@@ -27,12 +27,12 @@ from .staple import (
     FusionResult,
     RaterParams,
     VotePatterns,
+    _INT64_MAX,
     _PatternModel,
     _binary_posterior_arrays,
     _em_loop,
     _lse_pair,
     _mstep_ratio,
-    _plugin_mstep,
     _posterior_grid,
     _run_inputs,
     clamp_params,
@@ -46,8 +46,16 @@ ENUMERATION_GUARD = 20
 # Most joint-vote terms (columns x 2^k) per enumeration chunk; 2^18 measured fastest.
 _CELL_BUDGET = 2**18
 
-# Largest samples x m draw matrix one Monte Carlo voxel may allocate.
+# Largest samples x m draw matrix one Monte Carlo voxel may allocate; it
+# also bounds every block of draws.
 MC_DRAW_LIMIT = 2**23
+
+# Most draws one block of Monte Carlo voxels holds, unless one voxel needs more.
+# On 40^3 voxels and 7 experts, 2^18 ran fastest of 2^14 ... 2^20.
+_DRAW_BLOCK = 2**18
+
+# Most experts whose sampled hard-vote codes are int64; beyond, packed bit rows.
+_CODE_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -130,40 +138,48 @@ def _joint_votes(q_cols: np.ndarray):
             yield cols, codes, weights
 
 
-class _ExactModel(_PatternModel):
+class _CodeMassModel(_PatternModel):
+    """A soft model whose statistics are a mass ``s`` over hard-vote codes.
+
+    The columns of ``bits`` (m, codes) hold each code's hard votes; ``s``
+    depends only on the votes, not on the parameters, so the objective
+    and the expected-count M-step are weighted sums over the codes.
+    """
+
+    def objective(self, params: RaterParams) -> float:
+        _, lse = _binary_posterior_arrays(self.bits, params, self.prior)
+        return float(self.s @ lse)
+
+    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
+        p1, _ = _binary_posterior_arrays(self.bits, params, self.prior)
+        n1 = p1 * self.s
+        n0 = (1.0 - p1) * self.s
+        return _mstep_ratio(self.bits @ n1, (1.0 - self.bits) @ n0, n1, n0, ll_trace)
+
+
+class _ExactModel(_CodeMassModel):
     """The exact soft variant over distinct vote columns.
 
-    The joint-vote weights depend only on the votes, not on the
-    parameters, so their count-weighted sums ``s`` over the 2^m hard-vote
-    codes are accumulated once per run; the posterior enumerates again.
+    ``s`` holds the count-weighted joint-vote weights of the 2^m hard-vote
+    codes, accumulated once per run; the posterior enumerates again.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float):
         super().__init__(patterns, prior)
         check_enumeration(patterns.order.size, "select variant 'soft-mc' instead")
-        self.bmat = combination_matrix(patterns.order.size)
-        self.s = np.zeros(self.bmat.shape[0])
+        self.bits = combination_matrix(patterns.order.size).T
+        self.s = np.zeros(self.bits.shape[1])
         for cols, codes, w in _joint_votes(patterns.columns):
             w *= patterns.counts[cols, None]
             self.s += np.bincount(codes.ravel(), weights=w.ravel(), minlength=self.s.size)
 
     def posterior(self, params: RaterParams) -> np.ndarray:
-        p1, _ = _binary_posterior_arrays(self.bmat.T, params, self.prior)
+        p1, _ = _binary_posterior_arrays(self.bits, params, self.prior)
         w1 = np.empty(self.patterns.counts.size)
         for cols, codes, w in _joint_votes(self.patterns.columns):
             w *= p1[codes]
             w1[cols] = w.sum(axis=1)
         return w1
-
-    def objective(self, params: RaterParams) -> float:
-        _, lse = _binary_posterior_arrays(self.bmat.T, params, self.prior)
-        return float(self.s @ lse)
-
-    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
-        p1, _ = _binary_posterior_arrays(self.bmat.T, params, self.prior)
-        n1 = p1 * self.s
-        n0 = (1.0 - p1) * self.s
-        return _mstep_ratio(self.bmat.T @ n1, (1.0 - self.bmat.T) @ n0, n1, n0, ll_trace)
 
 
 def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
@@ -208,21 +224,97 @@ def soft_m_step(
     return model.patterns.restore(sens, spec)
 
 
-def _voxel_rng(seed: int, voxel_index: int) -> np.random.Generator:
-    mask = (1 << 64) - 1
-    key = np.array([int(seed) & mask, int(voxel_index) & mask], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def check_mc_request(samples: int, m: int) -> None:
     """Refuse a Monte Carlo request whose per-voxel draw matrix of
-    ``samples`` x ``m`` float64 values exceeds :data:`MC_DRAW_LIMIT`."""
+    ``samples`` x ``m`` values exceeds :data:`MC_DRAW_LIMIT`, which thus
+    also bounds every block of draws."""
     if samples * m > MC_DRAW_LIMIT:
         raise CapacityError(
             f"Monte Carlo request of {samples} samples x {m} experts = "
             f"{samples * m} draws per voxel exceeds the limit of {MC_DRAW_LIMIT}; "
             "lower the sample count"
         )
+
+
+def _mc_codes(q: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """Sampled hard-vote codes of a block of voxels, ``samples`` per voxel.
+
+    ``q`` (m, voxels) holds their soft votes. Voxel t draws from the
+    Philox stream keyed by (seed, t), as ``Generator.random((samples, m))
+    < q`` would: ``(raw >> 11) < ceil(q 2^53)`` is that test bit for bit.
+    Codes are int64 (bit i = expert i) up to :data:`_CODE_BITS` experts,
+    packed bit rows beyond.
+    """
+    m = q.shape[0]
+    thresholds = np.ceil(q.T * 2.0**53).astype(np.uint64)
+    width = -(-m // 8) * 8
+    bits = np.zeros((voxels.size, samples, width), dtype=bool)
+    mask = (1 << 64) - 1
+    keys = np.array([(int(seed) & mask, int(t) & mask) for t in voxels], dtype=np.uint64)
+    bitgen = np.random.Philox(key=keys[0])
+    fresh = bitgen.state
+    for j, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        raw = bitgen.random_raw(samples * m).reshape(samples, m)
+        np.less(np.right_shift(raw, 11, out=raw), thresholds[j], out=bits[j, :, :m])
+    return _pack_codes(bits.reshape(-1, width), m)
+
+
+def _pack_codes(bits: np.ndarray, m: int) -> np.ndarray:
+    """Hard-vote codes (see ``_mc_codes``) of k boolean rows of m votes,
+    given as (k, m) or padded with False to whole bytes."""
+    if bits.shape[1] % 8:
+        padded = np.zeros((bits.shape[0], -(-m // 8) * 8), dtype=bool)
+        padded[:, :m] = bits
+        bits = padded
+    rows = np.packbits(bits.reshape(-1), bitorder="little").reshape(-1, bits.shape[1] // 8)
+    if m > _CODE_BITS:
+        return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
+    wide = np.zeros((rows.shape[0], 8), dtype=np.uint8)
+    wide[:, : rows.shape[1]] = rows
+    return wide.view("<i8").reshape(-1)
+
+
+def _code_bits(codes: np.ndarray, m: int) -> np.ndarray:
+    """The (m, k) 0/1 float votes of k hard-vote codes."""
+    rows = np.ascontiguousarray(codes).view(np.uint8).reshape(codes.size, -1)
+    return np.unpackbits(rows, axis=1, count=m, bitorder="little").T.astype(np.float64)
+
+
+def _tally(group: np.ndarray, groups: int, codes: np.ndarray, m: int, weights=None):
+    """Sum ``weights`` (default 1) over equal (group, code) pairs, with
+    groups in [0, ``groups``) and codes of m experts.
+
+    Returns the distinct pairs, sorted by group then code, and their sums.
+    Keys group x 2^m + code are counted with bincount while their range
+    is at most twice the pair count, else with a sort (the rule in
+    ``vote_patterns``); codes are ranked first when the keys would not
+    fit in int64.
+    """
+    table = None
+    if m > _CODE_BITS or groups > _INT64_MAX >> m:
+        table, codes = np.unique(codes, return_inverse=True)
+        span = table.size
+    else:
+        span = 1 << m
+    key = group * span + codes
+    if groups * span <= 2 * key.size:
+        sums = np.bincount(key, weights, minlength=groups * span)
+        key = np.flatnonzero(sums)
+        sums = sums[key]
+    else:
+        key, inverse = np.unique(key, return_inverse=True)
+        sums = np.bincount(inverse, weights)
+    group, codes = np.divmod(key, span)
+    return group, (codes if table is None else table[codes]), sums
+
+
+def _mc_means(codes: np.ndarray, voxels: int, samples: int, m: int, p1_at) -> np.ndarray:
+    """Per-voxel sample means of the posterior: a count-weighted sum over
+    each voxel's distinct sampled codes; ``p1_at`` maps codes to w(1)."""
+    group, codes, counts = _tally(np.repeat(np.arange(voxels), samples), voxels, codes, m)
+    return np.bincount(group, counts * p1_at(codes), minlength=voxels) / samples
 
 
 def mc_soft_e_step_voxel(
@@ -249,10 +341,12 @@ def mc_soft_e_step_voxel(
     if np.all((q == 0.0) | (q == 1.0)):
         return float(_binary_posterior_arrays(q[:, None], params, prior)[0][0])
     check_mc_request(samples, q.size)
-    rng = _voxel_rng(seed, voxel_index)
-    bits = (rng.random((samples, q.size)) < q).astype(np.float64)
-    p1, _ = _binary_posterior_arrays(bits.T, params, prior)
-    return float(np.clip(p1.mean(), 0.0, 1.0))
+    codes = _mc_codes(q[:, None], np.array([voxel_index]), samples, seed)
+    mean = _mc_means(
+        codes, 1, samples, q.size,
+        lambda c: _binary_posterior_arrays(_code_bits(c, q.size), params, prior)[0],
+    )
+    return float(np.clip(mean[0], 0.0, 1.0))
 
 
 def noisy_channel_likelihood(q1: float, a: int, sens: float, spec: float) -> float:
@@ -340,74 +434,110 @@ def simple_m_step(
     return model.patterns.restore(sens, spec)
 
 
-class _McSweep:
-    """The Monte Carlo soft variant: per-voxel keyed streams.
+class _McModel(_CodeMassModel):
+    """The Monte Carlo soft variant over (column, code, weight) entries.
 
-    Voxels whose votes are all hard are evaluated exactly, once per
-    distinct hard column (the estimator has zero variance there), which
-    also makes the all-hard case agree with the binary algorithm to
-    machine precision. Soft voxels are never merged: each keeps its own
-    stream. The E-step builds no 2^m table, so any expert count works;
-    the objective is the exact one while m is within the enumeration
-    guard, and the sweep's estimate beyond it.
+    Each soft voxel keeps its own keyed stream (see ``_mc_codes``); its
+    samples are drawn once at set-up, block by block, and reduced at once
+    to entries: a distinct column, a sampled hard-vote code and the
+    code's sample count over the column's soft voxels, divided by the
+    sample count. A hard column is one entry weighted by its voxel count
+    (the estimator has zero variance there), which makes the all-hard
+    case agree with the binary algorithm to machine precision. The
+    E-step builds no 2^m table, so any expert count works; the objective
+    is the exact one while m is within the enumeration guard, and the
+    entries' estimate beyond it. Only the final posterior needs each
+    voxel's own samples, so it draws the streams a second time.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
-        self.patterns = patterns
-        self.prior = prior
+        super().__init__(patterns, prior)
+        m = patterns.order.size
+        check_mc_request(samples, m)
         self.samples = samples
         self.seed = seed
-        self.m = patterns.order.size
-        check_mc_request(samples, self.m)
         cols = patterns.columns
-        self.hard = np.all((cols == 0.0) | (cols == 1.0), axis=0)
-        self.hard_bits = cols[:, self.hard]
-        self.hard_counts = patterns.counts[self.hard]
-        self.soft_voxels = np.flatnonzero(~self.hard[patterns.inverse])
-        self.exact = _ExactModel(patterns, prior) if self.m <= ENUMERATION_GUARD else None
+        hard = np.all((cols == 0.0) | (cols == 1.0), axis=0)
+        # Column by column, so that a block spans few columns.
+        soft = np.flatnonzero(~hard[patterns.inverse])
+        self.soft_voxels = soft[np.argsort(patterns.inverse[soft], kind="stable")]
+        col = np.flatnonzero(hard)
+        code = _pack_codes(cols[:, hard].T == 1.0, m)
+        weight = patterns.counts[hard]
+        if self.soft_voxels.size:
+            soft_col, soft_code, counts = self._sample_counts()
+            col = np.concatenate([col, soft_col])
+            code = np.concatenate([code, soft_code])
+            weight = np.concatenate([weight, counts / samples])
+        self.table, self.code = np.unique(code, return_inverse=True)
+        self.col, self.weight = col, weight
+        self.bits = _code_bits(self.table, m)
+        self.s = np.bincount(self.code, weight)
+        self.exact = _ExactModel(patterns, prior) if m <= ENUMERATION_GUARD else None
         self.ll_is_approximate = self.exact is None
 
-    def _sample_bits(self, t: int) -> np.ndarray:
-        rng = _voxel_rng(self.seed, t)
-        q = self.patterns.columns[:, self.patterns.inverse[t]]
-        return (rng.random((self.samples, self.m)) < q).astype(np.float64)
+    def _sample_counts(self):
+        """(column, code, sample count) entries of the soft voxels' draws.
 
-    def estep_and_counts(self, params: RaterParams):
-        """Posterior estimate plus expected-count M-step accumulators."""
-        p1h, _ = _binary_posterior_arrays(self.hard_bits, params, self.prior)
-        w1 = np.zeros(self.hard.size)
-        w1[self.hard] = p1h
-        w1 = w1[self.patterns.inverse]
-        num_sens = self.hard_bits @ (self.hard_counts * p1h)
-        num_spec = (1.0 - self.hard_bits) @ (self.hard_counts * (1.0 - p1h))
-        k = float(self.samples)
-        for t in self.soft_voxels:
-            bits = self._sample_bits(t)
-            p1k, _ = _binary_posterior_arrays(bits.T, params, self.prior)
-            w1[t] = p1k.mean()
-            num_sens += (bits.T @ p1k) / k
-            num_spec += ((1.0 - bits.T) @ (1.0 - p1k)) / k
-        return w1, num_sens, num_spec
+        While a (soft column, code) table fits in ``_DRAW_BLOCK`` cells,
+        every block is counted into it with bincount. Otherwise each block
+        is reduced to entries, which are merged at the end; keeping many
+        small per-block arrays alive fragments the heap, so the table is
+        preferred (on 40^3 voxels and 7 experts it kept the process's peak
+        RSS 4 MiB lower).
+        """
+        m = self.patterns.order.size
+        inverse = self.patterns.inverse
+        soft_cols = np.unique(inverse[self.soft_voxels])
+        if m <= _CODE_BITS and soft_cols.size << m <= _DRAW_BLOCK:
+            rank = np.zeros(self.patterns.counts.size, dtype=np.int64)
+            rank[soft_cols] = np.arange(soft_cols.size)
+            table = np.zeros(soft_cols.size << m)
+            for voxels, codes in self._blocks():
+                r = rank[inverse[voxels]]
+                key = (np.repeat(r - r[0], self.samples) << m) + codes
+                table[r[0] << m : (r[-1] + 1) << m] += np.bincount(
+                    key, minlength=(r[-1] - r[0] + 1) << m)
+            key = np.flatnonzero(table)
+            return soft_cols[key >> m], key & ((1 << m) - 1), table[key]
+        blocks = []
+        for voxels, codes in self._blocks():
+            ids = inverse[voxels]
+            group, codes, counts = _tally(
+                np.repeat(ids - ids[0], self.samples), ids[-1] - ids[0] + 1, codes, m)
+            blocks.append((group + ids[0], codes, counts))
+        col, code, counts = map(np.concatenate, zip(*blocks))
+        return _tally(col, self.patterns.counts.size, code, m, counts)
 
-    def voxel_posterior(self, params: RaterParams) -> np.ndarray:
-        return self.estep_and_counts(params)[0]
+    def _blocks(self):
+        """Yield (voxels, sampled codes) per block of at most
+        ``_DRAW_BLOCK`` draws (or one voxel) of the soft voxels."""
+        inverse = self.patterns.inverse
+        step = max(1, _DRAW_BLOCK // (self.samples * self.patterns.order.size))
+        for lo in range(0, self.soft_voxels.size, step):
+            voxels = self.soft_voxels[lo : lo + step]
+            q = self.patterns.columns[:, inverse[voxels]]
+            yield voxels, _mc_codes(q, voxels, self.samples, self.seed)
+
+    def posterior(self, params: RaterParams) -> np.ndarray:
+        p1, _ = _binary_posterior_arrays(self.bits, params, self.prior)
+        counts = self.patterns.counts
+        return np.bincount(self.col, self.weight * p1[self.code], minlength=counts.size) / counts
 
     def objective(self, params: RaterParams) -> float:
         if self.exact is not None:
             return self.exact.objective(params)
-        _, lse = _binary_posterior_arrays(self.hard_bits, params, self.prior)
-        total = float(self.hard_counts @ lse)
-        for t in self.soft_voxels:
-            _, lse = _binary_posterior_arrays(self._sample_bits(t).T, params, self.prior)
-            total += float(np.mean(lse))
-        return total
+        return super().objective(params)
 
-    def mstep(self, params: RaterParams, mode: str, ll_trace=()):
-        w1, num_sens, num_spec = self.estep_and_counts(params)
-        if mode == "expected-count":
-            return _mstep_ratio(num_sens, num_spec, w1, 1.0 - w1, ll_trace)
-        n1, n0 = self.patterns.label_counts(w1)
-        return _plugin_mstep(self.patterns.columns, n1, n0, ll_trace)
+    def voxel_posterior(self, params: RaterParams) -> np.ndarray:
+        p1, _ = _binary_posterior_arrays(self.bits, params, self.prior)
+        w1 = self.posterior(params)[self.patterns.inverse]
+        for voxels, codes in self._blocks():
+            w1[voxels] = _mc_means(
+                codes, voxels.size, self.samples, self.bits.shape[0],
+                lambda c: p1[np.searchsorted(self.table, c)],
+            )
+        return w1
 
 
 def run_soft_em(stack: ExpertStack, config: FusionConfig) -> FusionResult:
@@ -424,5 +554,5 @@ def run_soft_em(stack: ExpertStack, config: FusionConfig) -> FusionResult:
     elif config.variant == "simplified":
         model = _SimpleModel(patterns, prior)
     else:
-        model = _McSweep(patterns, prior, config.mc_samples, config.mc_seed)
+        model = _McModel(patterns, prior, config.mc_samples, config.mc_seed)
     return _em_loop(model, config)

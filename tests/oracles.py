@@ -157,6 +157,76 @@ def simple_expected_count_mstep_brute(q_matrix, sens, spec, prior):
     )
 
 
+def mc_uniforms_brute(m, samples, seed, voxel_index):
+    """One voxel's (samples, m) Monte Carlo uniforms, drawn by numpy's own
+    Generator from the Philox stream keyed by (seed, voxel index)."""
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, voxel_index & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random((samples, m))
+
+
+def mc_draws_brute(q, samples, seed, voxel_index):
+    """One voxel's Monte Carlo hard votes, (samples, m) booleans."""
+    q = np.asarray(q, dtype=np.float64)
+    return mc_uniforms_brute(q.size, samples, seed, voxel_index) < q
+
+
+def _mc_voxel_draws(q, samples, seed, voxel_index):
+    """A voxel's samples; hard votes are their own single sample."""
+    if all(v in (0.0, 1.0) for v in q):
+        return [q == 1.0]
+    return mc_draws_brute(q, samples, seed, voxel_index)
+
+
+def mc_posterior_brute(q, sens, spec, prior, samples, seed, voxel_index):
+    """Monte Carlo posterior of one voxel: the mean over its samples."""
+    draws = _mc_voxel_draws(q, samples, seed, voxel_index)
+    return sum(posterior_brute(bits, sens, spec, prior) for bits in draws) / len(draws)
+
+
+def mc_loglik_brute(q_matrix, sens, spec, prior, samples, seed):
+    """Monte Carlo objective: the mean log-likelihood over each voxel's
+    samples, summed over the voxels."""
+    m, n = q_matrix.shape
+    total = 0.0
+    for t in range(n):
+        draws = _mc_voxel_draws(q_matrix[:, t], samples, seed, t)
+        voxel = 0.0
+        for bits in draws:
+            l1 = 1.0
+            l0 = 1.0
+            for i in range(m):
+                l1 *= sens[i] if bits[i] else 1.0 - sens[i]
+                l0 *= (1.0 - spec[i]) if bits[i] else spec[i]
+            voxel += math.log((1.0 - prior) * l0 + prior * l1)
+        total += voxel / len(draws)
+    return total
+
+
+def mc_expected_count_mstep_brute(q_matrix, sens, spec, prior, samples, seed):
+    """Expected-count update with each voxel's expectations taken over its
+    Monte Carlo samples."""
+    m, n = q_matrix.shape
+    num_sens = [0.0] * m
+    num_spec = [0.0] * m
+    den1 = 0.0
+    den0 = 0.0
+    for t in range(n):
+        draws = _mc_voxel_draws(q_matrix[:, t], samples, seed, t)
+        for bits in draws:
+            p1 = posterior_brute(bits, sens, spec, prior) / len(draws)
+            p0 = 1.0 / len(draws) - p1
+            den1 += p1
+            den0 += p0
+            for i in range(m):
+                num_sens[i] += p1 * bits[i]
+                num_spec[i] += p0 * (1 - bits[i])
+    return (
+        np.array([v / den1 for v in num_sens]),
+        np.array([v / den0 for v in num_spec]),
+    )
+
+
 def majority_vote(votes_matrix):
     """Plain majority baseline; exact ties go to background."""
     m = votes_matrix.shape[0]

@@ -35,6 +35,11 @@ from fuselab import (
 from fuselab.errors import CapacityError, ConfigError
 from helpers import assert_monotone, random_binary_stack, stack_from_rows
 from oracles import (
+    mc_draws_brute,
+    mc_expected_count_mstep_brute,
+    mc_loglik_brute,
+    mc_posterior_brute,
+    mc_uniforms_brute,
     plugin_mstep_brute,
     simple_loglik_brute,
     simple_posterior_brute,
@@ -268,6 +273,129 @@ class TestMonteCarloEStep:
             )
             errs.append(worst)
         assert errs[1] < errs[0] / 3.0
+
+
+class TestMonteCarloSweep:
+    """The soft-mc run draws each soft voxel's keyed stream in blocks."""
+
+    # 0, 1, a half, the smallest positive thresholds, just below 1, random.
+    EDGE_VOTES = (0.0, 1.0, 0.5, 2.0**-60, 1.0 - 2.0**-53)
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 70])
+    @pytest.mark.parametrize("samples", [1, 6, 13])
+    def test_block_draws_match_generator_bit_for_bit(self, m, samples):
+        import fuselab.soft_staple as ss
+
+        rng = np.random.default_rng(m * 100 + samples)
+        voxels = np.array([0, 3, 17, 255, 2**40 + 5, 2**64 - 1], dtype=np.uint64)
+        q = rng.random((m, voxels.size))  # the last voxel keeps random votes
+        q[:, : len(self.EDGE_VOTES)] = self.EDGE_VOTES
+        codes = ss._mc_codes(q, voxels, samples, seed=2024)
+        got = ss._code_bits(codes, m).T.reshape(voxels.size, samples, m) == 1.0
+        for j, t in enumerate(voxels):
+            want = mc_draws_brute(q[:, j], samples, 2024, int(t))
+            np.testing.assert_array_equal(got[j], want)
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_votes_on_a_drawn_value_match_generator(self, m):
+        """A vote equal to a drawn uniform rejects it; the next float up
+        accepts it. Random votes almost never land this close."""
+        import fuselab.soft_staple as ss
+
+        voxels = np.array([11, 12], dtype=np.uint64)
+        q = np.stack([mc_uniforms_brute(m, 6, 77, int(t))[2] for t in voxels], axis=1)
+        q[:, 1] = np.nextafter(q[:, 1], 1.0)
+        got = ss._code_bits(ss._mc_codes(q, voxels, 6, seed=77), m).T.reshape(2, 6, m) == 1.0
+        assert not got[0, 2].any() and got[1, 2].all()
+        for j, t in enumerate(voxels):
+            np.testing.assert_array_equal(got[j], mc_draws_brute(q[:, j], 6, 77, int(t)))
+
+    @staticmethod
+    def _canonical(stack, res):
+        order = np.argsort(stack.expert_ids)
+        q = np.stack([stack.experts[i].data for i in order])
+        return q, res.params.reordered(order)
+
+    @pytest.mark.parametrize("block", [100, 2**18])  # entries merged / one count table
+    @pytest.mark.parametrize("mode", ["expected-count", "plugin-mean"])
+    def test_final_posterior_matches_voxel_function(self, monkeypatch, mode, block):
+        import fuselab.soft_staple as ss
+
+        rng = np.random.default_rng(41)
+        q = rng.choice([0.0, 0.3, 1.0], size=(4, 60))
+        q[:, ::7] = rng.random((4, 9))
+        stack = stack_from_rows(q, GridKind.SOFT, ids=("c", "a", "d", "b"))
+        monkeypatch.setattr(ss, "_DRAW_BLOCK", block)
+        res = run_soft_em(stack, FusionConfig(
+            variant="soft-mc", mstep_mode=mode, mc_samples=37, mc_seed=5, max_iters=3))
+        qc, pc = self._canonical(stack, res)
+        want = [mc_soft_e_step_voxel(qc[:, t], pc, res.prior, 37, 5, t) for t in range(60)]
+        np.testing.assert_allclose(res.posterior.data, want, rtol=0, atol=1e-12)
+        brute = [mc_posterior_brute(qc[:, t], pc.sens, pc.spec, res.prior, 37, 5, t)
+                 for t in range(60)]
+        np.testing.assert_allclose(want, brute, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [100, 2**18])  # entries merged / one count table
+    @pytest.mark.parametrize("mode", ["expected-count", "plugin-mean"])
+    def test_first_mstep_matches_brute(self, monkeypatch, mode, block):
+        import fuselab.soft_staple as ss
+
+        rng = np.random.default_rng(45)
+        q = rng.choice([0.0, 0.3, 1.0], size=(4, 50))
+        q[:, 40:] = q[:, :10]  # repeated columns, some soft
+        stack = stack_from_rows(q, GridKind.SOFT, ids=("c", "a", "d", "b"))
+        monkeypatch.setattr(ss, "_DRAW_BLOCK", block)
+        res = run_soft_em(stack, FusionConfig(
+            variant="soft-mc", mstep_mode=mode, mc_samples=23, mc_seed=6, max_iters=1))
+        qc, pc = self._canonical(stack, res)
+        start = np.full(4, 0.9)
+        if mode == "expected-count":
+            want = mc_expected_count_mstep_brute(qc, start, start, res.prior, 23, 6)
+        else:
+            w1 = [mc_posterior_brute(qc[:, t], start, start, res.prior, 23, 6, t)
+                  for t in range(50)]
+            want = plugin_mstep_brute(qc, w1)
+        np.testing.assert_allclose(pc.sens, want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pc.spec, want[1], rtol=0, atol=1e-12)
+
+    def test_objective_beyond_guard_matches_brute(self):
+        rng = np.random.default_rng(42)
+        q = rng.choice([0.0, 0.25, 0.6, 1.0], size=(21, 6))
+        q[:, 2] = q[:, 3] = (q[:, 2] > 0.5).astype(float)  # one hard column, twice
+        stack = stack_from_rows(q, GridKind.SOFT)
+        res = run_soft_em(stack, FusionConfig(
+            variant="soft-mc", mc_samples=30, mc_seed=9, max_iters=2, tol=1e-300))
+        assert res.ll_is_approximate
+        qc, pc = self._canonical(stack, res)
+        want = mc_loglik_brute(qc, pc.sens, pc.spec, res.prior, 30, 9)
+        assert res.ll_trace[-1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [62, 63, 70])
+    def test_runs_beyond_int64_codes(self, m):
+        rng = np.random.default_rng(43)
+        q = rng.choice([0.0, 0.4, 1.0], size=(m, 5))
+        stack = stack_from_rows(q, GridKind.SOFT)
+        res = run_soft_em(stack, FusionConfig(variant="soft-mc", mc_samples=8, max_iters=2))
+        assert res.ll_is_approximate and res.iters_run == 2
+        qc, pc = self._canonical(stack, res)
+        want = [mc_soft_e_step_voxel(qc[:, t], pc, res.prior, 8, 0, t) for t in range(5)]
+        np.testing.assert_allclose(res.posterior.data, want, rtol=0, atol=1e-12)
+
+    def test_draw_passes_do_not_grow_with_iterations(self, monkeypatch):
+        import fuselab.soft_staple as ss
+
+        stack = random_soft_stack(np.random.default_rng(44), m=5, n=30)
+        monkeypatch.setattr(ss, "_DRAW_BLOCK", 5 * 11 * 4)  # four voxels per block
+        draw = ss._mc_codes
+        passes = []
+        for iters in (1, 6):
+            calls = []
+            monkeypatch.setattr(ss, "_mc_codes", lambda *a: calls.append(a) or draw(*a))
+            res = run_soft_em(stack, FusionConfig(
+                variant="soft-mc", mc_samples=11, max_iters=iters, tol=1e-300))
+            assert res.iters_run == iters
+            passes.append(len(calls))
+        assert passes[0] == passes[1] == 2 * 8
 
 
 class TestNoisyChannel:
