@@ -1,9 +1,10 @@
 """Batch command-line front end: simulate -> softmask -> fuse -> eval.
 
 Every command resolves its options (CLI flags win over the optional
-``--config`` JSON file, which wins over built-in defaults), writes its
-outputs into a directory, and drops a ``manifest.json`` beside them with
-the fully resolved configuration so any run can be reproduced exactly.
+``--config`` JSON file, which wins over built-in defaults; the file's
+values are parsed like flags), writes its outputs into a directory, and
+drops a ``manifest.json`` beside them with the fully resolved
+configuration so any run can be reproduced exactly.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 invalid
 input data, 4 numerical failure. Machine-readable output goes to stdout
@@ -33,31 +34,43 @@ from .errors import (
 )
 from .metrics import precision_recall
 from .soft_staple import check_enumeration, check_mc_request, run_soft_em
-from .softmask import SoftMaskConfig, build_soft_stack
-from .staple import FusionConfig, binarize, run_em
+from .softmask import CONNECTIVITY_RANK, SoftMaskConfig, build_soft_stack
+from .staple import MSTEP_MODES, VARIANTS, FusionConfig, binarize, run_em
 from .svol_io import read_svol, write_svol
 from .synth import generate_phantom, load_simulation_config, simulate_raters
 from .volume import ExpertStack, GridKind, validate_stack
 
 
+# Config dataclass field -> CLI option where the names differ; None: no option.
+_FUSION_OPTIONS = {"mc_seed": "seed"}
+_SOFTMASK_OPTIONS = {"target_volume_ratio": "ratio", "threshold_value": None}
+
+
 def _field_defaults(config, renames: dict) -> dict:
-    """A config dataclass's defaults keyed by CLI option name; a field
-    renamed to None is left out."""
+    """A config dataclass's defaults keyed by CLI option name."""
     names = {f.name: renames.get(f.name, f.name) for f in fields(config)}
     return {opt: getattr(config, name) for name, opt in names.items() if opt}
+
+
+def _from_options(config_cls, renames: dict, resolved: dict, **fixed):
+    """A validated config dataclass: ``fixed`` fields as given, the rest from options."""
+    cfg = config_cls(**fixed, **{f.name: resolved[renames.get(f.name, f.name)]
+                                 for f in fields(config_cls) if f.name not in fixed})
+    cfg.validate()
+    return cfg
 
 
 _RUN_DEFAULTS = {"threads": 1, "force": False}
 
 _SOFTMASK = SoftMaskConfig()
 _SOFTMASK_DEFAULTS = {
-    **_field_defaults(_SOFTMASK, {"target_volume_ratio": "ratio", "threshold_value": None}),
+    **_field_defaults(_SOFTMASK, _SOFTMASK_OPTIONS),
     "threshold_mode": f"{_SOFTMASK.threshold_mode}:{_SOFTMASK.threshold_value:g}",
     **_RUN_DEFAULTS,
 }
 
 _FUSE_DEFAULTS = {
-    **_field_defaults(FusionConfig(), {"mc_seed": "seed"}),
+    **_field_defaults(FusionConfig(), _FUSION_OPTIONS),
     "binarize": False,
     **_SOFTMASK_DEFAULTS,
 }
@@ -68,13 +81,21 @@ _EVAL_DEFAULTS = {"threshold": 0.5, "binarize_truth": False, **_RUN_DEFAULTS}
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, args.options)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
+        resolved = {key: getattr(args, key) for key in args.options}
+        if resolved["threads"] < 1:
+            raise ConfigError(f"--threads must be >= 1, got {resolved['threads']}")
+        return args.handler(args, resolved, started)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
     except (ConfigError, CapacityError) as exc:
         print(f"fuselab: {exc}", file=sys.stderr)
         return 2
@@ -103,88 +124,87 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse = sub.add_parser("fuse", help="fuse expert masks into a consensus")
     fuse.add_argument("inputs", nargs="+", help="expert SVOL files (all binary or all soft)")
     fuse.add_argument("-o", "--out", required=True, help="output directory")
-    fuse.add_argument("--variant", choices=["binary", "soft-exact", "soft-mc", "simplified"])
+    fuse.add_argument("--variant", choices=VARIANTS)
     fuse.add_argument("--prior", help="foreground prior in (0,1), or 'auto'")
-    fuse.add_argument("--init-sens", type=float, dest="init_sens")
-    fuse.add_argument("--init-spec", type=float, dest="init_spec")
-    fuse.add_argument("--max-iters", type=int, dest="max_iters")
+    fuse.add_argument("--init-sens", type=float)
+    fuse.add_argument("--init-spec", type=float)
+    fuse.add_argument("--max-iters", type=int)
     fuse.add_argument("--tol", type=float)
-    fuse.add_argument("--mstep-mode", choices=["expected-count", "plugin-mean"], dest="mstep_mode")
-    fuse.add_argument("--mc-samples", type=int, dest="mc_samples")
-    fuse.add_argument("--binarize", action="store_const", const=True, default=None,
+    fuse.add_argument("--mstep-mode", choices=MSTEP_MODES)
+    fuse.add_argument("--mc-samples", type=int)
+    fuse.add_argument("--binarize", action="store_true",
                       help="also write the thresholded consensus mask")
     fuse.add_argument("--flair", help="intensity SVOL; lets binary inputs feed the "
                                       "soft variants via the soft-mask protocol")
-    fuse.add_argument("--gamma", type=float, help="soft label for the auto-softmask path")
-    fuse.add_argument("--ratio", type=float, help="volume ratio for the auto-softmask path")
-    fuse.add_argument("--threshold-mode", dest="threshold_mode",
-                      help="'percentile:P' or 'fixed:V' for the auto-softmask path")
-    fuse.add_argument("--connectivity", type=int, choices=[6, 18, 26])
-    fuse.add_argument("--max-dilation-iters", type=int, dest="max_dilation_iters")
-    _common_flags(fuse)
-    fuse.set_defaults(handler=_cmd_fuse)
+    _softmask_flags(fuse)
+    _command_flags(fuse, _cmd_fuse, _FUSE_DEFAULTS)
 
     soft = sub.add_parser("softmask", help="turn binary masks into soft masks")
     soft.add_argument("inputs", nargs="+", help="binary expert SVOL files")
     soft.add_argument("--flair", required=True, help="intensity SVOL gating the dilation")
     soft.add_argument("-o", "--out", required=True, help="output directory")
-    soft.add_argument("--gamma", type=float)
-    soft.add_argument("--ratio", type=float)
-    soft.add_argument("--threshold-mode", dest="threshold_mode",
-                      help="'percentile:P' or 'fixed:V'")
-    soft.add_argument("--connectivity", type=int, choices=[6, 18, 26])
-    soft.add_argument("--max-dilation-iters", type=int, dest="max_dilation_iters")
-    _common_flags(soft)
-    soft.set_defaults(handler=_cmd_softmask)
+    _softmask_flags(soft)
+    _command_flags(soft, _cmd_softmask, _SOFTMASK_DEFAULTS)
 
     sim = sub.add_parser("simulate", help="generate a phantom plus simulated raters")
     sim.add_argument("spec", help="JSON simulation config")
     sim.add_argument("-o", "--out", required=True, help="output directory")
-    _common_flags(sim)
-    sim.set_defaults(handler=_cmd_simulate)
+    _command_flags(sim, _cmd_simulate, _SIMULATE_DEFAULTS)
 
     ev = sub.add_parser("eval", help="score a prediction against a truth mask")
     ev.add_argument("truth", help="truth SVOL")
     ev.add_argument("pred", help="prediction SVOL")
     ev.add_argument("--threshold", type=float)
-    ev.add_argument("--binarize-truth", action="store_const", const=True, default=None,
-                    dest="binarize_truth", help="threshold a soft truth as well")
+    ev.add_argument("--binarize-truth", action="store_true",
+                    help="threshold a soft truth as well")
     ev.add_argument("-o", "--out", help="optional directory for report.json + manifest")
-    _common_flags(ev)
-    ev.set_defaults(handler=_cmd_eval)
+    _command_flags(ev, _cmd_eval, _EVAL_DEFAULTS)
     return parser
 
 
-def _common_flags(cmd: argparse.ArgumentParser) -> None:
+def _softmask_flags(cmd: argparse.ArgumentParser) -> None:
+    """The soft-mask protocol's options (on ``fuse``, for the --flair path)."""
+    cmd.add_argument("--gamma", type=float, help="soft label of the grown voxels")
+    cmd.add_argument("--ratio", type=float, help="target volume ratio of each component")
+    cmd.add_argument("--threshold-mode", help="'percentile:P' or 'fixed:V'")
+    cmd.add_argument("--connectivity", type=int, choices=tuple(CONNECTIVITY_RANK))
+    cmd.add_argument("--max-dilation-iters", type=int)
+
+
+def _command_flags(cmd: argparse.ArgumentParser, handler, defaults: dict) -> None:
+    """The flags every command shares, its handler, and its option defaults."""
     cmd.add_argument("--threads", type=int,
                      help="reserved: recorded in the manifest, no effect yet")
     cmd.add_argument("--seed", type=int, help="run seed where the command uses one")
-    cmd.add_argument("--force", action="store_const", const=True, default=None,
+    cmd.add_argument("--force", action="store_true",
                      help="allow overwriting existing output files")
-    cmd.add_argument("--config", help="JSON file with flag defaults (flags win)")
+    cmd.add_argument("--config", help="JSON file of option values, parsed like flags (flags win)")
+    cmd.set_defaults(handler=handler, options=defaults, **defaults)
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Materialize every option: CLI flag, else config-file value, else default."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"--config is not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("--config must hold a JSON object")
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ConfigError(f"--config has unknown key(s): {sorted(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        resolved[key] = cli_value if cli_value is not None else file_cfg.get(key, default)
-    if resolved["threads"] is not None and resolved["threads"] < 1:
-        raise ConfigError(f"--threads must be >= 1, got {resolved['threads']}")
-    return resolved
+def _config_flags(path: str, defaults: dict) -> list[str]:
+    """The options a --config file sets, as ``--key=value`` flags for argparse
+    to check. Values are strings or numbers; an on/off flag takes a boolean."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("--config must hold a JSON object")
+    unknown = set(doc) - set(defaults)
+    if unknown:
+        raise ConfigError(f"--config has unknown key(s): {sorted(unknown)}")
+    flags = []
+    for key, value in doc.items():
+        on_off = isinstance(defaults[key], bool)
+        if isinstance(value, bool) != on_off or not isinstance(value, (str, int, float)):
+            kind = "true or false" if on_off else "a string or a number"
+            raise ConfigError(f"--config value of {key!r} must be {kind}, got {value!r}")
+        flag = "--" + key.replace("_", "-")
+        if value is not False:
+            flags.append(flag if value is True else f"{flag}={value}")
+    return flags
 
 
 def _parse_threshold_mode(text: str) -> tuple[str, float]:
@@ -266,34 +286,13 @@ def _outputs(args, filenames, inputs, resolved: dict, started: float):
 
 def _softmask_config(resolved: dict) -> SoftMaskConfig:
     mode, value = _parse_threshold_mode(resolved["threshold_mode"])
-    cfg = SoftMaskConfig(
-        gamma=resolved["gamma"],
-        target_volume_ratio=resolved["ratio"],
-        threshold_mode=mode,
-        threshold_value=value,
-        connectivity=resolved["connectivity"],
-        max_dilation_iters=resolved["max_dilation_iters"],
-    )
-    cfg.validate()
-    return cfg
+    return _from_options(SoftMaskConfig, _SOFTMASK_OPTIONS, resolved,
+                         threshold_mode=mode, threshold_value=value)
 
 
-def _cmd_fuse(args) -> int:
-    started = time.perf_counter()
-    resolved = _resolve(args, _FUSE_DEFAULTS)
+def _cmd_fuse(args, resolved: dict, started: float) -> int:
     resolved["prior"] = _parse_prior(resolved["prior"])
-    config = FusionConfig(
-        prior=resolved["prior"],
-        init_sens=resolved["init_sens"],
-        init_spec=resolved["init_spec"],
-        max_iters=resolved["max_iters"],
-        tol=resolved["tol"],
-        variant=resolved["variant"],
-        mstep_mode=resolved["mstep_mode"],
-        mc_samples=resolved["mc_samples"],
-        mc_seed=resolved["seed"],
-    )
-    config.validate()
+    config = _from_options(FusionConfig, _FUSION_OPTIONS, resolved)
     if config.variant == "soft-exact":
         check_enumeration(len(args.inputs), "use --variant soft-mc")
     if config.variant == "soft-mc":
@@ -342,9 +341,7 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _cmd_softmask(args) -> int:
-    started = time.perf_counter()
-    resolved = _resolve(args, _SOFTMASK_DEFAULTS)
+def _cmd_softmask(args, resolved: dict, started: float) -> int:
     cfg = _softmask_config(resolved)
     stack = _load_stack(args.inputs)
     flair = read_svol(args.flair)
@@ -361,9 +358,7 @@ def _cmd_softmask(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    resolved = _resolve(args, _SIMULATE_DEFAULTS)
+def _cmd_simulate(args, resolved: dict, started: float) -> int:
     phantom_spec, rater_specs = load_simulation_config(args.spec)
     if resolved["seed"] is not None:
         shift = resolved["seed"] - phantom_spec.seed
@@ -383,9 +378,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    started = time.perf_counter()
-    resolved = _resolve(args, _EVAL_DEFAULTS)
+def _cmd_eval(args, resolved: dict, started: float) -> int:
     truth = read_svol(args.truth)
     pred = read_svol(args.pred)
     report = precision_recall(

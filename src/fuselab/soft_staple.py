@@ -31,16 +31,18 @@ from .staple import (
     _PatternModel,
     _binary_posterior_arrays,
     _em_loop,
+    _group_keys,
     _lse_pair,
     _mstep_ratio,
     _posterior_grid,
     _run_inputs,
+    _votes,
     clamp_params,
     vote_patterns,
 )
 from .volume import ExpertStack, GridKind, VolumeGrid
 
-# Most experts exact enumeration takes (it tables all 2^m codes); beyond, use "soft-mc".
+# Most experts exact enumeration takes (it sums into a 2^m array); beyond, use "soft-mc".
 ENUMERATION_GUARD = 20
 
 # Most joint-vote terms (columns x 2^k) per enumeration chunk; 2^18 measured fastest.
@@ -86,15 +88,12 @@ class VoteCombination:
 def combination_matrix(m: int) -> np.ndarray:
     """All 2^m combinations as a (2^m, m) 0/1 float array, ascending code."""
     check_enumeration(m)
-    codes = np.arange(2**m, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(m)) & 1).astype(np.float64)
+    return _code_bits(np.arange(2**m), m).T
 
 
 def joint_soft_prob(soft_votes, combo: VoteCombination) -> float:
     """Probability of one joint hard-vote combination under the soft votes."""
-    q = np.ascontiguousarray(soft_votes, dtype=np.float64).reshape(-1)
-    if q.size != combo.m:
-        raise ConfigError(f"{q.size} votes for a combination over {combo.m} experts")
+    q = _votes(soft_votes, combo.m)
     bits = np.array(combo.bits(), dtype=np.float64)
     return float(np.prod(np.where(bits == 1.0, q, 1.0 - q)))
 
@@ -160,21 +159,27 @@ class _CodeMassModel(_PatternModel):
 class _ExactModel(_CodeMassModel):
     """The exact soft variant over distinct vote columns.
 
-    ``s`` holds the count-weighted joint-vote weights of the 2^m hard-vote
-    codes, accumulated once per run; the posterior enumerates again.
+    ``s`` holds the count-weighted joint-vote weights of the hard-vote
+    codes that occur (``codes``, votes in ``bits``), accumulated once per
+    run; the binary posterior is evaluated at those codes only, and the
+    soft posterior enumerates the terms again.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float):
         super().__init__(patterns, prior)
-        check_enumeration(patterns.order.size, "select variant 'soft-mc' instead")
-        self.bits = combination_matrix(patterns.order.size).T
-        self.s = np.zeros(self.bits.shape[1])
+        m = patterns.order.size
+        check_enumeration(m, "select variant 'soft-mc' instead")
+        s = np.zeros(1 << m)
         for cols, codes, w in _joint_votes(patterns.columns):
             w *= patterns.counts[cols, None]
-            self.s += np.bincount(codes.ravel(), weights=w.ravel(), minlength=self.s.size)
+            s += np.bincount(codes.ravel(), weights=w.ravel(), minlength=s.size)
+        self.codes = np.flatnonzero(s)
+        self.s = s[self.codes]
+        self.bits = _code_bits(self.codes, m)
 
     def posterior(self, params: RaterParams) -> np.ndarray:
-        p1, _ = _binary_posterior_arrays(self.bits, params, self.prior)
+        p1 = np.zeros(1 << self.bits.shape[0])
+        p1[self.codes] = _binary_posterior_arrays(self.bits, params, self.prior)[0]
         w1 = np.empty(self.patterns.counts.size)
         for cols, codes, w in _joint_votes(self.patterns.columns):
             w *= p1[codes]
@@ -185,13 +190,11 @@ class _ExactModel(_CodeMassModel):
 def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     """Exact soft posterior for one voxel: the binary posterior averaged
     over the joint hard votes the soft votes allow, weighted by them."""
-    q = np.ascontiguousarray(soft_votes, dtype=np.float64).reshape(-1)
-    if q.size != params.m:
-        raise ConfigError(f"{q.size} votes for {params.m} experts")
+    q = _votes(soft_votes, params.m)
     check_enumeration(q.size, "use mc_soft_e_step_voxel instead")
-    p1, _ = _binary_posterior_arrays(combination_matrix(q.size).T, params, prior)
     _, codes, w = next(_joint_votes(q[:, None]))
-    return float(np.clip(w[0] @ p1[codes[0]], 0.0, 1.0))
+    p1, _ = _binary_posterior_arrays(_code_bits(codes[0], q.size), params, prior)
+    return float(np.clip(w[0] @ p1, 0.0, 1.0))
 
 
 def soft_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
@@ -287,10 +290,8 @@ def _tally(group: np.ndarray, groups: int, codes: np.ndarray, m: int, weights=No
     groups in [0, ``groups``) and codes of m experts.
 
     Returns the distinct pairs, sorted by group then code, and their sums.
-    Keys group x 2^m + code are counted with bincount while their range
-    is at most twice the pair count, else with a sort (the rule in
-    ``vote_patterns``); codes are ranked first when the keys would not
-    fit in int64.
+    Keys group x 2^m + code are grouped by ``_group_keys``; codes are
+    ranked first when the keys would not fit in int64.
     """
     table = None
     if m > _CODE_BITS or groups > _INT64_MAX >> m:
@@ -298,14 +299,7 @@ def _tally(group: np.ndarray, groups: int, codes: np.ndarray, m: int, weights=No
         span = table.size
     else:
         span = 1 << m
-    key = group * span + codes
-    if groups * span <= 2 * key.size:
-        sums = np.bincount(key, weights, minlength=groups * span)
-        key = np.flatnonzero(sums)
-        sums = sums[key]
-    else:
-        key, inverse = np.unique(key, return_inverse=True)
-        sums = np.bincount(inverse, weights)
+    key, sums, _ = _group_keys(group * span + codes, groups * span, weights)
     group, codes = np.divmod(key, span)
     return group, (codes if table is None else table[codes]), sums
 
@@ -335,9 +329,7 @@ def mc_soft_e_step_voxel(
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
-    q = np.ascontiguousarray(soft_votes, dtype=np.float64).reshape(-1)
-    if q.size != params.m:
-        raise ConfigError(f"{q.size} votes for {params.m} experts")
+    q = _votes(soft_votes, params.m)
     if np.all((q == 0.0) | (q == 1.0)):
         return float(_binary_posterior_arrays(q[:, None], params, prior)[0][0])
     check_mc_request(samples, q.size)
@@ -374,9 +366,7 @@ def _simple_posterior_arrays(q: np.ndarray, params: RaterParams, prior: float):
 
 def simple_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     """Noisy-channel posterior for one voxel; linear in the expert count."""
-    q = np.ascontiguousarray(soft_votes, dtype=np.float64).reshape(-1)
-    if q.size != params.m:
-        raise ConfigError(f"{q.size} votes for {params.m} experts")
+    q = _votes(soft_votes, params.m)
     w1, _ = _simple_posterior_arrays(q[:, None], params, prior)
     return float(w1[0])
 

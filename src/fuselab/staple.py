@@ -190,10 +190,8 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
     Each expert's values become level indices (binary votes have two
     levels), combined into mixed-radix int64 codes in canonical expert
     order. When the next digit would overflow, the running codes are first
-    compacted to their ranks, which keeps the columns sorted. Codes are
-    counted with bincount while their range is at most twice the voxel
-    count (there it beats a sort, which wins from about four times the
-    voxel count on), else with a sort.
+    compacted to their ranks, which keeps the columns sorted, and the
+    codes are grouped by ``_group_keys``.
     """
     validate_stack(stack)
     order = canonical_order(stack)
@@ -213,17 +211,35 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
         code *= radix
         code += digit
         bound *= radix
-    if bound <= 2 * n:
-        counts = np.bincount(code, minlength=bound)
-        inverse = (np.cumsum(counts > 0) - 1)[code]
-        counts = counts[counts > 0]
-    else:
-        _, inverse, counts = np.unique(code, return_inverse=True, return_counts=True)
-        inverse = inverse.reshape(-1)
+    _, counts, inverse = _group_keys(code, bound, inverse=True)
     first = np.empty(counts.size, dtype=np.int64)
     first[inverse] = np.arange(n)
     columns = np.stack([stack.experts[i].data[first] for i in order])
     return VotePatterns(order, columns, counts.astype(np.float64), inverse, stack.dims)
+
+
+def _group_keys(key: np.ndarray, span: int, weights=None, inverse: bool = False):
+    """The distinct values, ascending, of the int64 ``key`` (all in [0, ``span``)),
+    the sums of the nonnegative ``weights`` (default 1) over each, and if
+    ``inverse`` each key's value index (else None). Keys are counted with
+    bincount while ``span`` is at most twice the key count (there it beats
+    a sort, which wins from about four times the key count on), else sorted.
+    """
+    if span <= 2 * key.size:
+        sums = np.bincount(key, weights, minlength=span)
+        values = np.flatnonzero(sums)
+        index = (np.cumsum(sums > 0) - 1)[key] if inverse else None
+        return values, sums[values], index
+    values, index = np.unique(key, return_inverse=True)
+    return values, np.bincount(index, weights), index if inverse else None
+
+
+def _votes(votes, m: int) -> np.ndarray:
+    """One voxel's votes as a flat float64 array, checked to number m."""
+    y = np.ascontiguousarray(votes, dtype=np.float64).reshape(-1)
+    if y.size != m:
+        raise ConfigError(f"{y.size} votes for {m} experts")
+    return y
 
 
 def _log_class_likelihoods(y: np.ndarray, sens: np.ndarray, spec: np.ndarray):
@@ -257,9 +273,7 @@ def _binary_posterior_arrays(y: np.ndarray, params: RaterParams, prior: float):
 
 def annotation_likelihood(votes, a: int, params: RaterParams) -> float:
     """p(votes | x=a): product over experts of the per-vote likelihood."""
-    y = np.ascontiguousarray(votes, dtype=np.float64).reshape(-1)
-    if y.size != params.m:
-        raise ConfigError(f"{y.size} votes for {params.m} experts")
+    y = _votes(votes, params.m)
     log_l0, log_l1 = _log_class_likelihoods(y[:, None], params.sens, params.spec)
     return float(np.exp(log_l1[0] if a == 1 else log_l0[0]))
 
@@ -268,9 +282,7 @@ def posterior_voxel(votes, params: RaterParams, prior: float) -> float:
     """Bayes posterior that the voxel's true label is 1 given hard votes."""
     if not 0.0 < prior < 1.0:
         raise ConfigError(f"prior must be in (0, 1), got {prior}")
-    y = np.ascontiguousarray(votes, dtype=np.float64).reshape(-1)
-    if y.size != params.m:
-        raise ConfigError(f"{y.size} votes for {params.m} experts")
+    y = _votes(votes, params.m)
     return float(_binary_posterior_arrays(y[:, None], params, prior)[0][0])
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: files produced, exit codes, determinism."""
 
+import argparse
 import json
 
 import numpy as np
@@ -396,3 +397,83 @@ class TestArgumentErrors:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "fuselab" in capsys.readouterr().out
+
+
+class TestConfigValuesParsedLikeFlags:
+    """--config values go through the same argparse checks as flags."""
+
+    def _fuse(self, tmp_path, out, doc=None, *flags):
+        paths = _write_experts(tmp_path, np.tile([1.0, 1.0, 0.0, 0.0, 1.0, 0.0], (3, 1)))
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            flags = ("--config", str(cfg), *flags)
+        return main(["fuse", *paths, "-o", str(tmp_path / out), *flags])
+
+    @pytest.mark.parametrize("doc", [
+        {"max_iters": 2.5},
+        {"tol": None},
+        {"init_sens": [0.9]},
+        {"binarize": "yes"},
+        {"seed": "abc"},
+    ])
+    def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, doc):
+        assert self._fuse(tmp_path, "cons", doc) == 2
+        assert not (tmp_path / "cons").exists()
+
+    def test_string_read_as_the_flag_reads_it(self, tmp_path):
+        assert self._fuse(tmp_path, "by_config", {"init_sens": "0.8"}) == 0
+        assert self._fuse(tmp_path, "by_flag", None, "--init-sens", "0.8") == 0
+        manifest = json.loads((tmp_path / "by_config" / "manifest.json").read_text())
+        assert manifest["config"]["init_sens"] == 0.8
+        assert ((tmp_path / "by_config" / "params.json").read_bytes()
+                == (tmp_path / "by_flag" / "params.json").read_bytes())
+
+    def test_true_sets_an_on_off_flag(self, tmp_path):
+        assert self._fuse(tmp_path, "cons", {"binarize": True, "force": False}) == 0
+        assert (tmp_path / "cons" / "consensus.svol").exists()
+        config = json.loads((tmp_path / "cons" / "manifest.json").read_text())["config"]
+        assert config["binarize"] is True
+        assert config["force"] is False
+
+
+def _subcommands():
+    parser = fuselab.cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+_COMMON = [["--threads"], ["--seed"], ["--force"], ["--config"]]
+
+
+class TestParserSurface:
+    """Every command keeps its option strings and choices."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("fuse", [["-h", "--help"], ["inputs"], ["-o", "--out"], ["--variant"], ["--prior"],
+                  ["--init-sens"], ["--init-spec"], ["--max-iters"], ["--tol"],
+                  ["--mstep-mode"], ["--mc-samples"], ["--binarize"], ["--flair"],
+                  ["--gamma"], ["--ratio"], ["--threshold-mode"], ["--connectivity"],
+                  ["--max-dilation-iters"], *_COMMON]),
+        ("softmask", [["-h", "--help"], ["inputs"], ["--flair"], ["-o", "--out"], ["--gamma"],
+                      ["--ratio"], ["--threshold-mode"], ["--connectivity"],
+                      ["--max-dilation-iters"], *_COMMON]),
+        ("simulate", [["-h", "--help"], ["spec"], ["-o", "--out"], *_COMMON]),
+        ("eval", [["-h", "--help"], ["truth"], ["pred"], ["--threshold"], ["--binarize-truth"],
+                  ["-o", "--out"], *_COMMON]),
+    ])
+    def test_option_strings(self, command, options):
+        actions = _subcommands()[command]._actions
+        assert [a.option_strings or [a.dest] for a in actions] == options
+
+    @pytest.mark.parametrize("command, choices", [
+        ("fuse", {"variant": ["binary", "soft-exact", "soft-mc", "simplified"],
+                  "mstep_mode": ["expected-count", "plugin-mean"],
+                  "connectivity": [6, 18, 26]}),
+        ("softmask", {"connectivity": [6, 18, 26]}),
+        ("simulate", {}),
+        ("eval", {}),
+    ])
+    def test_choices(self, command, choices):
+        actions = _subcommands()[command]._actions
+        assert {a.dest: list(a.choices) for a in actions if a.choices} == choices

@@ -529,6 +529,34 @@ class TestEnumerationPaths:
             np.testing.assert_allclose(got.sens, want_sens, atol=1e-12)
             np.testing.assert_allclose(got.spec, want_spec, atol=1e-12)
 
+    def test_many_experts_few_fractional_votes_stay_small(self):
+        """m=20 with about two fractional votes per column: the posterior is
+        evaluated at the hard-vote codes that occur, not tabled over 2^20."""
+        import tracemalloc
+
+        rng = np.random.default_rng(32)
+        u = rng.random((20, 2000))
+        q = np.where(u < 0.1, 0.3, np.where(u < 0.4, 1.0, 0.0))
+        soft = stack_from_rows(q, GridKind.SOFT)
+        tracemalloc.start()
+        try:
+            res = run_soft_em(soft, FusionConfig(variant="soft-exact", max_iters=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        p = res.params
+        for t in range(3):
+            frac = np.flatnonzero(q[:, t] == 0.3)
+            want = 0.0
+            for bits in itertools.product([0.0, 1.0], repeat=frac.size):
+                hard = q[:, t].copy()
+                hard[frac] = bits
+                weight = np.prod(np.where(np.array(bits) == 1.0, 0.3, 0.7))
+                want += weight * posterior_voxel(hard, p, res.prior)
+            assert res.posterior.data[t] == pytest.approx(want, abs=1e-12)
+            assert soft_e_step_voxel(q[:, t], p, res.prior) == pytest.approx(want, abs=1e-12)
+
     def test_grid_estep_matches_voxel_op(self):
         rng = np.random.default_rng(31)
         q = rng.random((4, 25))
