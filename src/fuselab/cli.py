@@ -29,6 +29,7 @@ from .errors import (
     DegeneratePosteriorError,
     FuselabError,
     GridError,
+    InputReadError,
     StackError,
     SvolError,
 )
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
     except DegeneratePosteriorError as exc:
         print(f"fuselab: numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (SvolError, GridError, StackError) as exc:
+    except (SvolError, GridError, StackError, InputReadError) as exc:
         print(f"fuselab: invalid input: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:
@@ -185,11 +186,11 @@ def _command_flags(cmd: argparse.ArgumentParser, handler, defaults: dict) -> Non
 def _config_flags(path: str, defaults: dict) -> list[str]:
     """The options a --config file sets, as ``--key=value`` flags for argparse
     to check. Values are strings or numbers; an on/off flag takes a boolean."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--config is not valid JSON: {exc}") from exc
+    text = _read(lambda p: Path(p).read_text(encoding="utf-8"), path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
     unknown = set(doc) - set(defaults)
@@ -228,8 +229,18 @@ def _parse_prior(text) -> float | str:
         raise ConfigError(f"prior must be a number or 'auto', got {text!r}") from exc
 
 
+def _read(read, path):
+    """``read(path)``; an input that exists but cannot be read is invalid input."""
+    try:
+        return read(path)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise InputReadError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _load_stack(paths) -> ExpertStack:
-    grids = [read_svol(p) for p in paths]
+    grids = [_read(read_svol, p) for p in paths]
     ids = [Path(p).stem for p in paths]
     if len(set(ids)) != len(ids):
         ids = [str(p) for p in paths]
@@ -293,6 +304,7 @@ def _softmask_config(resolved: dict) -> SoftMaskConfig:
 def _cmd_fuse(args, resolved: dict, started: float) -> int:
     resolved["prior"] = _parse_prior(resolved["prior"])
     config = _from_options(FusionConfig, _FUSION_OPTIONS, resolved)
+    softmask = _softmask_config(resolved)
     if config.variant == "soft-exact":
         check_enumeration(len(args.inputs), "use --variant soft-mc")
     if config.variant == "soft-mc":
@@ -306,8 +318,8 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
                 "binary inputs need --variant binary, or --flair to build "
                 "soft masks for the soft variants"
             )
-        flair = read_svol(args.flair)
-        stack = build_soft_stack(stack, flair, _softmask_config(resolved))
+        flair = _read(read_svol, args.flair)
+        stack = build_soft_stack(stack, flair, softmask)
         used_softmask = True
     elif stack.kind is GridKind.SOFT and config.variant == "binary":
         raise ConfigError("soft inputs cannot feed --variant binary; pick a soft variant")
@@ -344,7 +356,7 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
 def _cmd_softmask(args, resolved: dict, started: float) -> int:
     cfg = _softmask_config(resolved)
     stack = _load_stack(args.inputs)
-    flair = read_svol(args.flair)
+    flair = _read(read_svol, args.flair)
 
     filenames = [Path(p).name for p in args.inputs]
     if len(set(filenames)) != len(filenames):
@@ -359,7 +371,7 @@ def _cmd_softmask(args, resolved: dict, started: float) -> int:
 
 
 def _cmd_simulate(args, resolved: dict, started: float) -> int:
-    phantom_spec, rater_specs = load_simulation_config(args.spec)
+    phantom_spec, rater_specs = _read(load_simulation_config, args.spec)
     if resolved["seed"] is not None:
         shift = resolved["seed"] - phantom_spec.seed
         phantom_spec = replace(phantom_spec, seed=resolved["seed"])
@@ -379,8 +391,8 @@ def _cmd_simulate(args, resolved: dict, started: float) -> int:
 
 
 def _cmd_eval(args, resolved: dict, started: float) -> int:
-    truth = read_svol(args.truth)
-    pred = read_svol(args.pred)
+    truth = _read(read_svol, args.truth)
+    pred = _read(read_svol, args.pred)
     report = precision_recall(
         truth, pred,
         threshold=resolved["threshold"],

@@ -62,6 +62,10 @@ class TrailingDataError(SvolError):
     """Extra bytes follow the voxel payload."""
 
 
+class InputReadError(FuselabError):
+    """An input file exists but cannot be read."""
+
+
 class ConfigError(FuselabError):
     """A configuration object or config file holds an invalid value."""
 

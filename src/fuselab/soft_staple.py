@@ -6,8 +6,8 @@ parameters:
 * the exact variant treats each voxel's soft votes as a distribution over
   the 2^m joint hard-vote combinations and averages the binary posterior
   over them; its objective is the expected log-likelihood under that
-  distribution. A Monte Carlo estimator ("soft-mc") replaces the
-  enumeration when m exceeds the guard.
+  distribution. It refuses m above the enumeration guard; "soft-mc", a
+  variant of its own, estimates the same average by sampling for any m.
 * the simplified variant treats each soft vote as a noisy observation of
   a latent hard vote, which factorizes per expert and keeps the E-step
   linear in m.
@@ -285,13 +285,14 @@ def _code_bits(codes: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=m, bitorder="little").T.astype(np.float64)
 
 
-def _tally(group: np.ndarray, groups: int, codes: np.ndarray, m: int, weights=None):
-    """Sum ``weights`` (default 1) over equal (group, code) pairs, with
-    groups in [0, ``groups``) and codes of m experts.
+def _tally(group: np.ndarray, groups: int, codes: np.ndarray, m: int):
+    """Count equal (group, code) pairs, with groups in [0, ``groups``) and
+    codes of m experts. Monte Carlo draws are tallied one block per call;
+    counts of a pair drawn in two blocks are summed by their users.
 
-    Returns the distinct pairs, sorted by group then code, and their sums.
-    Keys group x 2^m + code are grouped by ``_group_keys``; codes are
-    ranked first when the keys would not fit in int64.
+    Returns the distinct pairs, sorted by group then code, and their
+    counts. Keys group x 2^m + code are grouped by ``_group_keys``; codes
+    are ranked first when the keys would not fit in int64.
     """
     table = None
     if m > _CODE_BITS or groups > _INT64_MAX >> m:
@@ -299,9 +300,9 @@ def _tally(group: np.ndarray, groups: int, codes: np.ndarray, m: int, weights=No
         span = table.size
     else:
         span = 1 << m
-    key, sums, _ = _group_keys(group * span + codes, groups * span, weights)
+    key, counts, _ = _group_keys(group * span + codes, groups * span)
     group, codes = np.divmod(key, span)
-    return group, (codes if table is None else table[codes]), sums
+    return group, (codes if table is None else table[codes]), counts
 
 
 def _mc_means(codes: np.ndarray, voxels: int, samples: int, m: int, p1_at) -> np.ndarray:
@@ -428,16 +429,18 @@ class _McModel(_CodeMassModel):
     """The Monte Carlo soft variant over (column, code, weight) entries.
 
     Each soft voxel keeps its own keyed stream (see ``_mc_codes``); its
-    samples are drawn once at set-up, block by block, and reduced at once
-    to entries: a distinct column, a sampled hard-vote code and the
-    code's sample count over the column's soft voxels, divided by the
-    sample count. A hard column is one entry weighted by its voxel count
-    (the estimator has zero variance there), which makes the all-hard
-    case agree with the binary algorithm to machine precision. The
-    E-step builds no 2^m table, so any expert count works; the objective
-    is the exact one while m is within the enumeration guard, and the
-    entries' estimate beyond it. Only the final posterior needs each
-    voxel's own samples, so it draws the streams a second time.
+    samples are drawn once at set-up, block by block, and each block is
+    reduced at once to entries: a distinct column, a sampled hard-vote
+    code and its sample count over the block's voxels of that column,
+    divided by the sample count. A (column, code) pair drawn in two blocks
+    gets two entries, which the weighted sums add. A hard column
+    is one entry weighted by its voxel count (the estimator has zero
+    variance there), which makes the all-hard case agree with the binary
+    algorithm to machine precision. The E-step builds no 2^m table, so
+    any expert count works; the objective is the exact one while m is
+    within the enumeration guard, and the entries' estimate beyond it.
+    Only the final posterior needs each voxel's own samples, so it draws
+    the streams a second time.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
@@ -451,53 +454,19 @@ class _McModel(_CodeMassModel):
         # Column by column, so that a block spans few columns.
         soft = np.flatnonzero(~hard[patterns.inverse])
         self.soft_voxels = soft[np.argsort(patterns.inverse[soft], kind="stable")]
-        col = np.flatnonzero(hard)
-        code = _pack_codes(cols[:, hard].T == 1.0, m)
-        weight = patterns.counts[hard]
-        if self.soft_voxels.size:
-            soft_col, soft_code, counts = self._sample_counts()
-            col = np.concatenate([col, soft_col])
-            code = np.concatenate([code, soft_code])
-            weight = np.concatenate([weight, counts / samples])
+        entries = [(np.flatnonzero(hard), _pack_codes(cols[:, hard].T == 1.0, m),
+                    patterns.counts[hard])]
+        for voxels, codes in self._blocks():
+            ids = patterns.inverse[voxels]
+            group, code, counts = _tally(
+                np.repeat(ids - ids[0], samples), ids[-1] - ids[0] + 1, codes, m)
+            entries.append((group + ids[0], code, counts / samples))
+        self.col, code, self.weight = map(np.concatenate, zip(*entries))
         self.table, self.code = np.unique(code, return_inverse=True)
-        self.col, self.weight = col, weight
         self.bits = _code_bits(self.table, m)
-        self.s = np.bincount(self.code, weight)
+        self.s = np.bincount(self.code, self.weight)
         self.exact = _ExactModel(patterns, prior) if m <= ENUMERATION_GUARD else None
         self.ll_is_approximate = self.exact is None
-
-    def _sample_counts(self):
-        """(column, code, sample count) entries of the soft voxels' draws.
-
-        While a (soft column, code) table fits in ``_DRAW_BLOCK`` cells,
-        every block is counted into it with bincount. Otherwise each block
-        is reduced to entries, which are merged at the end; keeping many
-        small per-block arrays alive fragments the heap, so the table is
-        preferred (on 40^3 voxels and 7 experts it kept the process's peak
-        RSS 4 MiB lower).
-        """
-        m = self.patterns.order.size
-        inverse = self.patterns.inverse
-        soft_cols = np.unique(inverse[self.soft_voxels])
-        if m <= _CODE_BITS and soft_cols.size << m <= _DRAW_BLOCK:
-            rank = np.zeros(self.patterns.counts.size, dtype=np.int64)
-            rank[soft_cols] = np.arange(soft_cols.size)
-            table = np.zeros(soft_cols.size << m)
-            for voxels, codes in self._blocks():
-                r = rank[inverse[voxels]]
-                key = (np.repeat(r - r[0], self.samples) << m) + codes
-                table[r[0] << m : (r[-1] + 1) << m] += np.bincount(
-                    key, minlength=(r[-1] - r[0] + 1) << m)
-            key = np.flatnonzero(table)
-            return soft_cols[key >> m], key & ((1 << m) - 1), table[key]
-        blocks = []
-        for voxels, codes in self._blocks():
-            ids = inverse[voxels]
-            group, codes, counts = _tally(
-                np.repeat(ids - ids[0], self.samples), ids[-1] - ids[0] + 1, codes, m)
-            blocks.append((group + ids[0], codes, counts))
-        col, code, counts = map(np.concatenate, zip(*blocks))
-        return _tally(col, self.patterns.counts.size, code, m, counts)
 
     def _blocks(self):
         """Yield (voxels, sampled codes) per block of at most

@@ -165,6 +165,33 @@ class TestFuse:
         assert main(["fuse", "--variant", "binary", str(tmp_path / "nope.svol"),
                      "-o", str(tmp_path / "o")]) == 3
 
+    def test_unreadable_input_exits_3_naming_it(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))
+        folder = tmp_path / "folder.svol"
+        folder.mkdir()
+        out = tmp_path / "o"
+        for argv in (
+            ["fuse", "--variant", "binary", *paths, str(folder), "-o", str(out)],
+            ["fuse", "--variant", "binary", *paths, "-o", str(out), "--config", str(folder)],
+            ["eval", str(folder), paths[0]],
+        ):
+            assert main(argv) == 3
+            assert str(folder) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        ["--gamma", "5"],
+        ["--threshold-mode", "bogus"],
+        ["--max-dilation-iters", "0"],
+    ])
+    def test_bad_protocol_options_fail_without_flair(self, tmp_path, bad):
+        rng = np.random.default_rng(11)
+        paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))
+        out = tmp_path / "o"
+        assert main(["fuse", "--variant", "binary", *paths, "-o", str(out), *bad]) == 2
+        assert not out.exists()
+
     def test_config_file_flags_win(self, tmp_path):
         rng = np.random.default_rng(4)
         paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))

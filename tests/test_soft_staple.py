@@ -316,7 +316,7 @@ class TestMonteCarloSweep:
         q = np.stack([stack.experts[i].data for i in order])
         return q, res.params.reordered(order)
 
-    @pytest.mark.parametrize("block", [100, 2**18])  # entries merged / one count table
+    @pytest.mark.parametrize("block", [100, 2**18])  # many blocks / one block
     @pytest.mark.parametrize("mode", ["expected-count", "plugin-mean"])
     def test_final_posterior_matches_voxel_function(self, monkeypatch, mode, block):
         import fuselab.soft_staple as ss
@@ -335,7 +335,7 @@ class TestMonteCarloSweep:
                  for t in range(60)]
         np.testing.assert_allclose(want, brute, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("block", [100, 2**18])  # entries merged / one count table
+    @pytest.mark.parametrize("block", [100, 2**18])  # many blocks / one block
     @pytest.mark.parametrize("mode", ["expected-count", "plugin-mean"])
     def test_first_mstep_matches_brute(self, monkeypatch, mode, block):
         import fuselab.soft_staple as ss
