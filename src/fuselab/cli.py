@@ -186,11 +186,10 @@ def _command_flags(cmd: argparse.ArgumentParser, handler, defaults: dict) -> Non
 def _config_flags(path: str, defaults: dict) -> list[str]:
     """The options a --config file sets, as ``--key=value`` flags for argparse
     to check. Values are strings or numbers; an on/off flag takes a boolean."""
-    text = _read(lambda p: Path(p).read_text(encoding="utf-8"), path)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--config is not valid JSON: {exc}") from exc
+        doc = json.loads(_read(lambda p: Path(p).read_text(encoding="utf-8"), path))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"--config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
     unknown = set(doc) - set(defaults)
@@ -265,7 +264,10 @@ def _outputs(args, filenames, inputs, resolved: dict, started: float):
     outputs behind and needs no --force to rerun.
     """
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {outdir} cannot be made: {exc.strerror}") from exc
     input_paths = {os.path.realpath(p) for p in inputs}
     targets = [outdir / name for name in [*filenames, "manifest.json"]]
     for target in targets:

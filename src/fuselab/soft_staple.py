@@ -137,32 +137,13 @@ def _joint_votes(q_cols: np.ndarray):
             yield cols, codes, weights
 
 
-class _CodeMassModel(_PatternModel):
-    """A soft model whose statistics are a mass ``s`` over hard-vote codes.
-
-    The columns of ``bits`` (m, codes) hold each code's hard votes; ``s``
-    depends only on the votes, not on the parameters, so the objective
-    and the expected-count M-step are weighted sums over the codes.
-    """
-
-    def objective(self, params: RaterParams) -> float:
-        _, lse = _binary_posterior_arrays(self.bits, params, self.prior)
-        return float(self.s @ lse)
-
-    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
-        p1, _ = _binary_posterior_arrays(self.bits, params, self.prior)
-        n1 = p1 * self.s
-        n0 = (1.0 - p1) * self.s
-        return _mstep_ratio(self.bits @ n1, (1.0 - self.bits) @ n0, n1, n0, ll_trace)
-
-
-class _ExactModel(_CodeMassModel):
+class _ExactModel(_PatternModel):
     """The exact soft variant over distinct vote columns.
 
-    ``s`` holds the count-weighted joint-vote weights of the hard-vote
-    codes that occur (``codes``, votes in ``bits``), accumulated once per
-    run; the binary posterior is evaluated at those codes only, and the
-    soft posterior enumerates the terms again.
+    Its units are the hard-vote codes that occur (``codes``, votes in
+    ``bits``), with masses ``s``, their count-weighted joint-vote weights,
+    accumulated once per run; the binary posterior is evaluated at those
+    codes only, and the per-column posterior enumerates the terms again.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float):
@@ -179,7 +160,7 @@ class _ExactModel(_CodeMassModel):
 
     def posterior(self, params: RaterParams) -> np.ndarray:
         p1 = np.zeros(1 << self.bits.shape[0])
-        p1[self.codes] = _binary_posterior_arrays(self.bits, params, self.prior)[0]
+        p1[self.codes] = self.arrays(params)[0]
         w1 = np.empty(self.patterns.counts.size)
         for cols, codes, w in _joint_votes(self.patterns.columns):
             w *= p1[codes]
@@ -373,14 +354,14 @@ def simple_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
 
 
 class _SimpleModel(_PatternModel):
-    """The noisy-channel (simplified) variant over distinct vote columns."""
+    """The noisy-channel (simplified) variant over distinct vote columns.
 
-    def posterior(self, params: RaterParams) -> np.ndarray:
-        return _simple_posterior_arrays(self.patterns.columns, params, self.prior)[0]
+    Its units are the soft vote columns themselves, evaluated with the
+    noisy-channel arrays in place of the binary ones.
+    """
 
-    def objective(self, params: RaterParams) -> float:
-        _, lse = _simple_posterior_arrays(self.patterns.columns, params, self.prior)
-        return float(self.patterns.counts @ lse)
+    def arrays(self, params: RaterParams):
+        return _simple_posterior_arrays(self.patterns.columns, params, self.prior)
 
     def expected_count_mstep(self, params: RaterParams, ll_trace=()):
         """Exact EM update for the noisy-channel model.
@@ -425,7 +406,7 @@ def simple_m_step(
     return model.patterns.restore(sens, spec)
 
 
-class _McModel(_CodeMassModel):
+class _McModel(_PatternModel):
     """The Monte Carlo soft variant over (column, code, weight) entries.
 
     Each soft voxel keeps its own keyed stream (see ``_mc_codes``); its
@@ -433,7 +414,9 @@ class _McModel(_CodeMassModel):
     reduced at once to entries: a distinct column, a sampled hard-vote
     code and its sample count over the block's voxels of that column,
     divided by the sample count. A (column, code) pair drawn in two blocks
-    gets two entries, which the weighted sums add. A hard column
+    gets two entries, which the weighted sums add; the model's units are
+    the distinct sampled codes (``table``), massed by their entries'
+    summed weights. A hard column
     is one entry weighted by its voxel count (the estimator has zero
     variance there), which makes the all-hard case agree with the binary
     algorithm to machine precision. The E-step builds no 2^m table, so
@@ -479,7 +462,7 @@ class _McModel(_CodeMassModel):
             yield voxels, _mc_codes(q, voxels, self.samples, self.seed)
 
     def posterior(self, params: RaterParams) -> np.ndarray:
-        p1, _ = _binary_posterior_arrays(self.bits, params, self.prior)
+        p1 = self.arrays(params)[0]
         counts = self.patterns.counts
         return np.bincount(self.col, self.weight * p1[self.code], minlength=counts.size) / counts
 
@@ -489,7 +472,7 @@ class _McModel(_CodeMassModel):
         return super().objective(params)
 
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
-        p1, _ = _binary_posterior_arrays(self.bits, params, self.prior)
+        p1 = self.arrays(params)[0]
         w1 = self.posterior(params)[self.patterns.inverse]
         for voxels, codes in self._blocks():
             w1[voxels] = _mc_means(

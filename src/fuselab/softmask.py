@@ -123,7 +123,7 @@ def dilate(mask: VolumeGrid, se: StructuringElement, iters: int) -> VolumeGrid:
     grown = mask.as_3d() > 0.5
     if iters > 0:
         grown = ndimage.binary_dilation(grown, structure=se.as_array(), iterations=iters)
-    return VolumeGrid(mask.dims, grown.astype(np.float64).reshape(-1), GridKind.BINARY)
+    return VolumeGrid(mask.dims, grown, GridKind.BINARY)
 
 
 def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:

@@ -6,7 +6,10 @@ each expert's sensitivity/specificity (M-step), tracking the observed-data
 log-likelihood until the parameters stop moving. A voxel's posterior
 depends only on its column of votes, so every step runs once per distinct
 column (:class:`VotePatterns`) and is weighted by the column's voxel
-count; one loop (``_em_loop``) drives the binary and the soft models.
+count. That binary model over weighted hard-vote units (``_PatternModel``)
+serves the soft variants too: soft-exact and soft-mc swap in enumerated or
+sampled hard-vote codes as units, simplified swaps in the noisy-channel
+arrays, and one loop (``_em_loop``) drives them all.
 
 All per-voxel likelihood products are accumulated in log space and turned
 into probabilities only inside normalized ratios, so any number of experts
@@ -175,14 +178,6 @@ class VotePatterns:
         back = np.argsort(self.order)
         return RaterParams(sens[back], spec[back])
 
-    def label_counts(self, w1: np.ndarray):
-        """Per-column sums of a per-voxel posterior w(1) and of w(0)."""
-        u = self.counts.size
-        return (
-            np.bincount(self.inverse, weights=w1, minlength=u),
-            np.bincount(self.inverse, weights=1.0 - w1, minlength=u),
-        )
-
 
 def vote_patterns(stack: ExpertStack) -> VotePatterns:
     """Group the voxels of a stack by their column of votes.
@@ -305,13 +300,16 @@ def _plugin_mstep(columns: np.ndarray, n1: np.ndarray, n0: np.ndarray, ll_trace=
 
 
 class _PatternModel:
-    """An EM model evaluated once per distinct vote column.
+    """The binary model over weighted hard-vote units.
 
-    ``_em_loop`` drives any model through ``mstep``, ``objective`` and
-    ``voxel_posterior`` (plus ``patterns``, ``prior`` and
+    ``bits`` (m, units) holds the units' hard votes and ``s`` their masses:
+    here the distinct vote columns and their voxel counts, which subclasses
+    replace. ``arrays`` gives w(1) and log p(votes) per unit, ``posterior``
+    w(1) per distinct vote column; the objective (``s`` @ log p) and the
+    expected-count M-step sum over the units, the plug-in M-step over the
+    columns. ``_em_loop`` drives any model through ``mstep``, ``objective``
+    and ``voxel_posterior`` (plus ``patterns``, ``prior`` and
     ``ll_is_approximate``), always with canonical-order parameters.
-    Subclasses of this base define ``posterior`` (w(1) per column),
-    ``objective`` and ``expected_count_mstep``.
     """
 
     ll_is_approximate = False
@@ -319,6 +317,23 @@ class _PatternModel:
     def __init__(self, patterns: VotePatterns, prior: float):
         self.patterns = patterns
         self.prior = prior
+        self.bits = patterns.columns
+        self.s = patterns.counts
+
+    def arrays(self, params: RaterParams):
+        return _binary_posterior_arrays(self.bits, params, self.prior)
+
+    def posterior(self, params: RaterParams) -> np.ndarray:
+        return self.arrays(params)[0]
+
+    def objective(self, params: RaterParams) -> float:
+        return float(self.s @ self.arrays(params)[1])
+
+    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
+        p1 = self.arrays(params)[0]
+        n1 = p1 * self.s
+        n0 = (1.0 - p1) * self.s
+        return _mstep_ratio(self.bits @ n1, (1.0 - self.bits) @ n0, n1, n0, ll_trace)
 
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
         return self.posterior(params)[self.patterns.inverse]
@@ -331,18 +346,6 @@ class _PatternModel:
         w1 = self.posterior(params)
         counts = self.patterns.counts
         return _plugin_mstep(self.patterns.columns, counts * w1, counts * (1.0 - w1), ll_trace)
-
-
-class _BinaryModel(_PatternModel):
-    def posterior(self, params: RaterParams) -> np.ndarray:
-        return _binary_posterior_arrays(self.patterns.columns, params, self.prior)[0]
-
-    def objective(self, params: RaterParams) -> float:
-        _, lse = _binary_posterior_arrays(self.patterns.columns, params, self.prior)
-        return float(self.patterns.counts @ lse)
-
-    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
-        return self.mstep(params, "plugin-mean", ll_trace)
 
 
 def _posterior_grid(model, params: RaterParams) -> VolumeGrid:
@@ -382,7 +385,7 @@ def _em_loop(model, config: FusionConfig) -> FusionResult:
 
 def e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Posterior map w(1) over the whole grid; w(0) is its complement."""
-    model = _BinaryModel(vote_patterns(stack), prior)
+    model = _PatternModel(vote_patterns(stack), prior)
     return _posterior_grid(model, params.reordered(model.patterns.order))
 
 
@@ -391,13 +394,15 @@ def m_step(stack: ExpertStack, w: VolumeGrid) -> RaterParams:
     if w.dims != stack.dims:
         raise ConfigError("posterior dims do not match the stack")
     patterns = vote_patterns(stack)
-    n1, n0 = patterns.label_counts(w.data)
+    u = patterns.counts.size
+    n1 = np.bincount(patterns.inverse, weights=w.data, minlength=u)
+    n0 = np.bincount(patterns.inverse, weights=1.0 - w.data, minlength=u)
     return patterns.restore(*_plugin_mstep(patterns.columns, n1, n0))
 
 
 def log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
     """Observed-data log-likelihood of the binary model."""
-    model = _BinaryModel(vote_patterns(stack), prior)
+    model = _PatternModel(vote_patterns(stack), prior)
     return model.objective(params.reordered(model.patterns.order))
 
 
@@ -405,9 +410,7 @@ def binarize(posterior: VolumeGrid) -> VolumeGrid:
     """Hard consensus: label 1 where w(1) > 0.5; the 0.5 tie goes to 0."""
     if posterior.kind is not GridKind.POSTERIOR:
         raise ConfigError(f"binarize expects a posterior grid, got {posterior.kind.value}")
-    return VolumeGrid(
-        posterior.dims, (posterior.data > 0.5).astype(np.float64), GridKind.BINARY
-    )
+    return VolumeGrid(posterior.dims, posterior.data > 0.5, GridKind.BINARY)
 
 
 def _run_inputs(stack: ExpertStack, config: FusionConfig, kind: GridKind):
@@ -428,4 +431,4 @@ def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResu
     """Full EM fusion of a binary stack (see ``_em_loop``)."""
     config = config or FusionConfig()
     patterns, prior = _run_inputs(stack, config, GridKind.BINARY)
-    return _em_loop(_BinaryModel(patterns, prior), config)
+    return _em_loop(_PatternModel(patterns, prior), config)

@@ -109,9 +109,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[VolumeGrid, VolumeGrid]:
     """Voxelize the lesion spheres and synthesize the intensity volume."""
     spec.validate()
     nx, ny, nz = spec.dims.as_tuple()
-    zz, yy, xx = np.meshgrid(
-        np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij"
-    )
+    zz, yy, xx = np.ogrid[:nz, :ny, :nx]
     truth3 = np.zeros((nz, ny, nx), dtype=bool)
     for (cx, cy, cz), radius in spec.lesions:
         d2 = (xx - cx) ** 2 + (yy - cy) ** 2 + (zz - cz) ** 2
@@ -152,9 +150,7 @@ def simulate_raters(truth: VolumeGrid, raters: list[RaterSpec]) -> ExpertStack:
                 shell = _boundary_shell(truth.as_3d() > 0.5).reshape(-1)
             flip = shell & (u < rater.boundary_softening)
             votes = truth_flat ^ flip
-        experts.append(
-            VolumeGrid(truth.dims, votes.astype(np.float64), GridKind.BINARY)
-        )
+        experts.append(VolumeGrid(truth.dims, votes, GridKind.BINARY))
     return ExpertStack(tuple(experts), tuple(r.rater_id for r in raters))
 
 
@@ -184,8 +180,8 @@ def load_simulation_config(path) -> tuple[PhantomSpec, list[RaterSpec]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_simulation_config(doc)
 
 

@@ -99,15 +99,10 @@ class VolumeGrid:
     kind: GridKind
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
-        if arr.size != self.dims.n:
-            raise ShapeError(
-                f"data length {arr.size} does not match dims product {self.dims.n}"
-            )
-        _check_values(arr, self.kind)
-        arr = arr.copy()
+        arr = np.array(self.data, dtype=np.float64, order="C").reshape(-1)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+        self.validate()
 
     @classmethod
     def from_3d(cls, arr, kind: GridKind) -> "VolumeGrid":
@@ -127,7 +122,7 @@ class VolumeGrid:
         return self.dims.n
 
     def validate(self) -> None:
-        """Re-check the invariants (constructor already enforces them)."""
+        """Check the invariants; the constructor runs this on its copy."""
         if self.data.size != self.dims.n:
             raise ShapeError(
                 f"data length {self.data.size} does not match dims product {self.dims.n}"

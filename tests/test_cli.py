@@ -425,6 +425,29 @@ class TestArgumentErrors:
         assert main(["--version"]) == 0
         assert "fuselab" in capsys.readouterr().out
 
+    def test_undecodable_config_exits_2_naming_it(self, sim_config, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        out = tmp_path / "o"
+        for argv in (["simulate", str(sim_config), "-o", str(out), "--config", str(bad)],
+                     ["simulate", str(bad), "-o", str(out)]):
+            assert main(argv) == 2
+            assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_through_a_file_exits_2_naming_it(self, sim_config, tmp_path, capsys):
+        paths = _write_experts(tmp_path, [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        before = sorted(tmp_path.iterdir())
+        for argv in (["fuse", *paths, "-o", str(afile)],
+                     ["eval", *paths, "-o", str(afile)],
+                     ["simulate", str(sim_config), "-o", str(afile / "sub")]):
+            assert main(argv) == 2
+            assert str(afile) in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert afile.read_text() == "kept"
+
 
 class TestConfigValuesParsedLikeFlags:
     """--config values go through the same argparse checks as flags."""

@@ -238,6 +238,26 @@ class TestInvariants:
             np.testing.assert_allclose(res.params.spec, ref.params.spec, rtol=0, atol=1e-10)
 
     @CORE
+    @given(data=st.data())
+    def test_binary_mstep_modes_are_bitwise_equal(self, data):
+        """On hard votes the expected counts are the plugged-in votes."""
+        stack = stack_from_rows(data.draw(vote_rows(binary=True)), GridKind.BINARY)
+        kw = dict(max_iters=data.draw(st.integers(1, 6)), tol=1e-300,
+                  prior=data.draw(PRIORS))
+        try:
+            ref = _run(stack, "binary", mstep_mode="plugin-mean", **kw)
+        except DegeneratePosteriorError as err:
+            with pytest.raises(DegeneratePosteriorError) as got:
+                _run(stack, "binary", mstep_mode="expected-count", **kw)
+            assert got.value.ll_trace == err.value.ll_trace
+            return
+        res = _run(stack, "binary", mstep_mode="expected-count", **kw)
+        assert res.posterior.data.tobytes() == ref.posterior.data.tobytes()
+        assert res.params.sens.tobytes() == ref.params.sens.tobytes()
+        assert res.params.spec.tobytes() == ref.params.spec.tobytes()
+        assert res.ll_trace == ref.ll_trace
+
+    @CORE
     @given(data=st.data(), binary=st.booleans())
     def test_expected_count_trace_never_decreases(self, data, binary):
         rows = data.draw(vote_rows(binary))
