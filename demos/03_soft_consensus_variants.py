@@ -3,10 +3,12 @@ Fusing soft votes: exact, Monte Carlo, and simplified
 =====================================================
 
 Soft masks weight ring voxels with a reduced confidence. The exact fuser
-enumerates all 2^m joint hard-vote combinations per voxel; the Monte
-Carlo variant samples them; the simplified variant treats each soft vote
-as a noisy observation and stays linear in m. The exact posterior keeps
-more lesion-surrounding voxels than the simplified one.
+enumerates the 2^k joint hard-vote combinations of each distinct vote
+column with k fractional votes; the Monte Carlo variant samples them, so
+its objective is its sampled model's, an estimate of the exact one; the
+simplified variant treats each soft vote as a noisy observation and stays
+linear in m. The exact posterior keeps more lesion-surrounding voxels
+than the simplified one.
 """
 
 import numpy as np

@@ -419,9 +419,9 @@ class _McModel(_PatternModel):
     summed weights. A hard column
     is one entry weighted by its voxel count (the estimator has zero
     variance there), which makes the all-hard case agree with the binary
-    algorithm to machine precision. The E-step builds no 2^m table, so
-    any expert count works; the objective is the exact one while m is
-    within the enumeration guard, and the entries' estimate beyond it.
+    algorithm to machine precision. Nothing builds a 2^m table, so any
+    expert count works. With the draws fixed, the run is exact EM on the
+    sampled model, whose inherited objective estimates the exact one.
     Only the final posterior needs each voxel's own samples, so it draws
     the streams a second time.
     """
@@ -448,8 +448,7 @@ class _McModel(_PatternModel):
         self.table, self.code = np.unique(code, return_inverse=True)
         self.bits = _code_bits(self.table, m)
         self.s = np.bincount(self.code, self.weight)
-        self.exact = _ExactModel(patterns, prior) if m <= ENUMERATION_GUARD else None
-        self.ll_is_approximate = self.exact is None
+        self.ll_is_approximate = self.soft_voxels.size > 0
 
     def _blocks(self):
         """Yield (voxels, sampled codes) per block of at most
@@ -466,11 +465,6 @@ class _McModel(_PatternModel):
         counts = self.patterns.counts
         return np.bincount(self.col, self.weight * p1[self.code], minlength=counts.size) / counts
 
-    def objective(self, params: RaterParams) -> float:
-        if self.exact is not None:
-            return self.exact.objective(params)
-        return super().objective(params)
-
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
         p1 = self.arrays(params)[0]
         w1 = self.posterior(params)[self.patterns.inverse]
@@ -486,9 +480,9 @@ def run_soft_em(stack: ExpertStack, config: FusionConfig) -> FusionResult:
     """Full EM fusion of a soft stack under the configured variant.
 
     The loop is the binary runner's (``_em_loop``); the prior resolves to
-    the fractional grand mean when "auto". The trace records the
-    exact-model objective for variants "soft-exact"/"soft-mc" and the
-    noisy-channel objective for "simplified".
+    the fractional grand mean when "auto". The trace records the objective
+    the variant's EM ascends: the exact model's ("soft-exact"), the sampled
+    model's, which estimates it ("soft-mc"), or the noisy-channel one.
     """
     patterns, prior = _run_inputs(stack, config, GridKind.SOFT)
     if config.variant == "soft-exact":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import ceil
+from math import ceil, isnan
 
 import numpy as np
 from scipy import ndimage
@@ -47,6 +47,8 @@ class SoftMaskConfig:
             )
         if self.threshold_mode not in ("percentile", "fixed"):
             raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
+        if isnan(self.threshold_value):
+            raise ConfigError("threshold_value must be a number, got nan")
         if self.threshold_mode == "percentile" and not 0.0 <= self.threshold_value <= 100.0:
             raise ConfigError(
                 f"percentile must lie in [0, 100], got {self.threshold_value}"

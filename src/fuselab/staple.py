@@ -125,10 +125,10 @@ class FusionConfig:
 class FusionResult:
     """Outcome of one EM run.
 
-    ``ll_trace`` holds the objective after each iteration's M-step; for
-    the deterministic variants it is nondecreasing (EM ascent). When the
-    objective had to be Monte-Carlo estimated, ``ll_is_approximate`` is
-    set.
+    ``ll_trace`` holds the objective after each iteration's M-step; under
+    the expected-count M-step it never falls (EM ascent), for every
+    variant. soft-mc traces its sampled model's, an estimate of
+    soft-exact's, and sets ``ll_is_approximate`` when any voxel is soft.
     """
 
     posterior: VolumeGrid

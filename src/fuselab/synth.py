@@ -9,6 +9,7 @@ evaluation order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ class PhantomSpec:
         )
 
     def validate(self) -> None:
+        for name in ("background_intensity", "lesion_intensity", "intensity_noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.intensity_noise_sd < 0.0:
             raise ConfigError(
                 f"intensity_noise_sd must be >= 0, got {self.intensity_noise_sd}"
@@ -64,8 +68,10 @@ class PhantomSpec:
         for center, radius in self.lesions:
             if len(center) != 3:
                 raise ConfigError(f"lesion center must have 3 coordinates, got {center}")
-            if radius < 0.0:
-                raise ConfigError(f"lesion radius must be >= 0, got {radius}")
+            if not all(map(math.isfinite, center)):
+                raise ConfigError(f"lesion center must be finite, got {center}")
+            if not math.isfinite(radius) or radius < 0.0:
+                raise ConfigError(f"lesion radius must be finite and >= 0, got {radius}")
             for c, naxis in zip(center, bounds):
                 if c - radius < 0 or c + radius > naxis - 1:
                     raise ConfigError(

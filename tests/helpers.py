@@ -1,8 +1,18 @@
 """Small shared builders for the test suite."""
 
+import argparse
+
 import numpy as np
 
+import fuselab.cli
 from fuselab import Dim3, ExpertStack, GridKind, VolumeGrid
+
+
+def subcommands():
+    """The CLI's subcommand parsers by name."""
+    parser = fuselab.cli._build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 def grid(values, kind=GridKind.BINARY, dims=None):

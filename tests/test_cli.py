@@ -1,6 +1,5 @@
 """Command-line contract: files produced, exit codes, determinism."""
 
-import argparse
 import json
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 import fuselab.cli
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
 from fuselab.cli import main
-from helpers import grid
+from helpers import grid, subcommands
 
 
 @pytest.fixture()
@@ -75,6 +74,26 @@ class TestSimulate:
         doc["lesions"][0]["center"] = [0, 6, 6]
         sim_config.write_text(json.dumps(doc))
         assert main(["simulate", str(sim_config), "-o", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("field, path, value", [
+        ("radius", ["lesions", 0, "radius"], float("nan")),
+        ("center", ["lesions", 0, "center", 1], float("nan")),
+        ("intensity_noise_sd", ["intensity_noise_sd"], float("nan")),
+        ("lesion_intensity", ["lesion_intensity"], float("inf")),
+    ])
+    def test_non_finite_spec_value_exits_2_naming_it(self, sim_config, tmp_path, capsys,
+                                                      field, path, value):
+        doc = json.loads(sim_config.read_text())
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        sim_config.write_text(json.dumps(doc))  # as NaN / Infinity
+        out = tmp_path / "o"
+        assert main(["simulate", str(sim_config), "-o", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refuses_overwrite_without_force(self, sim_config, tmp_path):
         out = tmp_path / "out"
@@ -348,6 +367,18 @@ class TestSoftmaskCommand:
         assert main(["softmask", str(mask), "--flair", str(flair),
                      "-o", str(tmp_path / "o")]) == 3
 
+    def test_nan_fixed_threshold_exits_2(self, tmp_path):
+        """No voxel passes flair >= nan, so it would silently gate every ring out."""
+        mask, flair = self._cube_files(tmp_path)
+        other = tmp_path / "other.svol"
+        other.write_bytes(mask.read_bytes())
+        out = tmp_path / "o"
+        for argv in (["softmask", str(mask)],
+                     ["fuse", "--variant", "soft-exact", str(mask), str(other)]):
+            assert main([*argv, "--flair", str(flair), "-o", str(out),
+                         "--threshold-mode", "fixed:nan"]) == 2
+            assert not out.exists()
+
     def test_never_overwrites_inputs(self, tmp_path):
         mask, flair = self._cube_files(tmp_path)
         assert main(["softmask", str(mask), "--flair", str(flair),
@@ -487,12 +518,6 @@ class TestConfigValuesParsedLikeFlags:
         assert config["force"] is False
 
 
-def _subcommands():
-    parser = fuselab.cli._build_parser()
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
 _COMMON = [["--threads"], ["--seed"], ["--force"], ["--config"]]
 
 
@@ -513,7 +538,7 @@ class TestParserSurface:
                   ["-o", "--out"], *_COMMON]),
     ])
     def test_option_strings(self, command, options):
-        actions = _subcommands()[command]._actions
+        actions = subcommands()[command]._actions
         assert [a.option_strings or [a.dest] for a in actions] == options
 
     @pytest.mark.parametrize("command, choices", [
@@ -525,5 +550,5 @@ class TestParserSurface:
         ("eval", {}),
     ])
     def test_choices(self, command, choices):
-        actions = _subcommands()[command]._actions
+        actions = subcommands()[command]._actions
         assert {a.dest: list(a.choices) for a in actions if a.choices} == choices

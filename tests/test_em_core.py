@@ -262,7 +262,7 @@ class TestInvariants:
     def test_expected_count_trace_never_decreases(self, data, binary):
         rows = data.draw(vote_rows(binary))
         stack = stack_from_rows(rows, GridKind.BINARY if binary else GridKind.SOFT)
-        variants = ("binary",) if binary else ("soft-exact", "simplified")
+        variants = ("binary",) if binary else SOFT_VARIANTS
         for variant in variants:
             try:
                 res = _run(stack, variant, mstep_mode="expected-count", max_iters=25,

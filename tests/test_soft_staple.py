@@ -370,6 +370,45 @@ class TestMonteCarloSweep:
         want = mc_loglik_brute(qc, pc.sens, pc.spec, res.prior, 30, 9)
         assert res.ll_trace[-1] == pytest.approx(want, rel=1e-12)
 
+    def test_objective_is_the_sampled_models(self):
+        """Within the guard too, the trace is the objective soft-mc's EM
+        ascends; it is the exact binary one only when every vote is hard."""
+        rng = np.random.default_rng(46)
+        q = rng.choice([0.0, 0.3, 1.0], size=(4, 40))
+        q[:, :5] = (q[:, :5] > 0.5).astype(float)  # hard columns
+        stack = stack_from_rows(q, GridKind.SOFT, ids=("c", "a", "d", "b"))
+        cfg = dict(max_iters=4, tol=1e-300)
+        res = run_soft_em(stack, FusionConfig(
+            variant="soft-mc", mc_samples=17, mc_seed=4, **cfg))
+        assert res.ll_is_approximate
+        assert_monotone(res.ll_trace)
+        qc, pc = self._canonical(stack, res)
+        want = mc_loglik_brute(qc, pc.sens, pc.spec, res.prior, 17, 4)
+        assert res.ll_trace[-1] == pytest.approx(want, rel=1e-12)
+
+        hard = random_binary_stack(rng, m=4, n=40)
+        res = run_soft_em(stack_from_rows(hard.as_matrix(), GridKind.SOFT),
+                          FusionConfig(variant="soft-mc", mc_samples=9, **cfg))
+        assert not res.ll_is_approximate
+        assert res.ll_trace == pytest.approx(run_em(hard, FusionConfig(**cfg)).ll_trace,
+                                             rel=1e-12)
+
+    def test_enumerates_nothing_at_the_guard(self, monkeypatch):
+        import fuselab.soft_staple as ss
+
+        def refuse(*_):
+            raise AssertionError("soft-mc enumerated joint votes")
+
+        monkeypatch.setattr(ss, "_joint_votes", refuse)
+        q = np.random.default_rng(48).random((20, 6))
+        stack = stack_from_rows(q, GridKind.SOFT)
+        res = run_soft_em(stack, FusionConfig(
+            variant="soft-mc", mc_samples=10, mc_seed=2, max_iters=2, tol=1e-300))
+        assert res.ll_is_approximate and res.iters_run == 2
+        qc, pc = self._canonical(stack, res)
+        want = mc_loglik_brute(qc, pc.sens, pc.spec, res.prior, 10, 2)
+        assert res.ll_trace[-1] == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("m", [62, 63, 70])
     def test_runs_beyond_int64_codes(self, m):
         rng = np.random.default_rng(43)
