@@ -286,11 +286,24 @@ def _tally(group: np.ndarray, groups: int, codes: np.ndarray, m: int):
     return group, (codes if table is None else table[codes]), counts
 
 
-def _mc_means(codes: np.ndarray, voxels: int, samples: int, m: int, p1_at) -> np.ndarray:
-    """Per-voxel sample means of the posterior: a count-weighted sum over
-    each voxel's distinct sampled codes; ``p1_at`` maps codes to w(1)."""
-    group, codes, counts = _tally(np.repeat(np.arange(voxels), samples), voxels, codes, m)
-    return np.bincount(group, counts * p1_at(codes), minlength=voxels) / samples
+def _voxel_tally(codes: np.ndarray, voxels: int, samples: int, m: int):
+    """Tally a block of draws (``samples`` codes per voxel, voxel by voxel)
+    per voxel: each voxel's number of entries, then its distinct codes and
+    their sample counts, sorted by voxel then code. A voxel with k
+    fractional votes has at most min(samples, 2^k) entries. Counts and
+    int64 codes come in the narrowest unsigned types that hold them."""
+    group, code, counts = _tally(np.repeat(np.arange(voxels), samples), voxels, codes, m)
+    narrow = np.min_scalar_type(samples)
+    if m <= _CODE_BITS:
+        code = code.astype(np.min_scalar_type((1 << m) - 1))
+    return np.bincount(group, minlength=voxels).astype(narrow), code, counts.astype(narrow)
+
+
+def _voxel_means(sizes: np.ndarray, counts: np.ndarray, p1: np.ndarray, samples: int):
+    """Per-voxel sample means of the posterior ``p1`` at tallied codes
+    (see ``_voxel_tally``): count-weighted sums over each voxel's entries."""
+    group = np.repeat(np.arange(sizes.size), sizes)
+    return np.bincount(group, counts * p1, minlength=sizes.size) / samples
 
 
 def mc_soft_e_step_voxel(
@@ -316,11 +329,9 @@ def mc_soft_e_step_voxel(
         return float(_binary_posterior_arrays(q[:, None], params, prior)[0][0])
     check_mc_request(samples, q.size)
     codes = _mc_codes(q[:, None], np.array([voxel_index]), samples, seed)
-    mean = _mc_means(
-        codes, 1, samples, q.size,
-        lambda c: _binary_posterior_arrays(_code_bits(c, q.size), params, prior)[0],
-    )
-    return float(np.clip(mean[0], 0.0, 1.0))
+    sizes, code, counts = _voxel_tally(codes, 1, samples, q.size)
+    p1 = _binary_posterior_arrays(_code_bits(code, q.size), params, prior)[0]
+    return float(np.clip(_voxel_means(sizes, counts, p1, samples)[0], 0.0, 1.0))
 
 
 def noisy_channel_likelihood(q1: float, a: int, sens: float, spec: float) -> float:
@@ -422,8 +433,9 @@ class _McModel(_PatternModel):
     algorithm to machine precision. Nothing builds a 2^m table, so any
     expert count works. With the draws fixed, the run is exact EM on the
     sampled model, whose inherited objective estimates the exact one.
-    Only the final posterior needs each voxel's own samples, so it draws
-    the streams a second time.
+    Only the final posterior needs each voxel's own samples: the set-up
+    pass also tallies each block per voxel (``tallies``, see
+    ``_voxel_tally``), so every stream is drawn once per run.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
@@ -431,7 +443,6 @@ class _McModel(_PatternModel):
         m = patterns.order.size
         check_mc_request(samples, m)
         self.samples = samples
-        self.seed = seed
         cols = patterns.columns
         hard = np.all((cols == 0.0) | (cols == 1.0), axis=0)
         # Column by column, so that a block spans few columns.
@@ -439,26 +450,21 @@ class _McModel(_PatternModel):
         self.soft_voxels = soft[np.argsort(patterns.inverse[soft], kind="stable")]
         entries = [(np.flatnonzero(hard), _pack_codes(cols[:, hard].T == 1.0, m),
                     patterns.counts[hard])]
-        for voxels, codes in self._blocks():
+        self.tallies = []
+        step = max(1, _DRAW_BLOCK // (samples * m))  # _DRAW_BLOCK draws, or one voxel
+        for lo in range(0, self.soft_voxels.size, step):
+            voxels = self.soft_voxels[lo : lo + step]
             ids = patterns.inverse[voxels]
+            codes = _mc_codes(cols[:, ids], voxels, samples, seed)
             group, code, counts = _tally(
                 np.repeat(ids - ids[0], samples), ids[-1] - ids[0] + 1, codes, m)
             entries.append((group + ids[0], code, counts / samples))
+            self.tallies.append((voxels, *_voxel_tally(codes, voxels.size, samples, m)))
         self.col, code, self.weight = map(np.concatenate, zip(*entries))
         self.table, self.code = np.unique(code, return_inverse=True)
         self.bits = _code_bits(self.table, m)
         self.s = np.bincount(self.code, self.weight)
         self.ll_is_approximate = self.soft_voxels.size > 0
-
-    def _blocks(self):
-        """Yield (voxels, sampled codes) per block of at most
-        ``_DRAW_BLOCK`` draws (or one voxel) of the soft voxels."""
-        inverse = self.patterns.inverse
-        step = max(1, _DRAW_BLOCK // (self.samples * self.patterns.order.size))
-        for lo in range(0, self.soft_voxels.size, step):
-            voxels = self.soft_voxels[lo : lo + step]
-            q = self.patterns.columns[:, inverse[voxels]]
-            yield voxels, _mc_codes(q, voxels, self.samples, self.seed)
 
     def posterior(self, params: RaterParams) -> np.ndarray:
         p1 = self.arrays(params)[0]
@@ -468,11 +474,9 @@ class _McModel(_PatternModel):
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
         p1 = self.arrays(params)[0]
         w1 = self.posterior(params)[self.patterns.inverse]
-        for voxels, codes in self._blocks():
-            w1[voxels] = _mc_means(
-                codes, voxels.size, self.samples, self.bits.shape[0],
-                lambda c: p1[np.searchsorted(self.table, c)],
-            )
+        for voxels, sizes, code, counts in self.tallies:
+            unit = np.searchsorted(self.table, code.astype(self.table.dtype))
+            w1[voxels] = _voxel_means(sizes, counts, p1[unit], self.samples)
         return w1
 
 

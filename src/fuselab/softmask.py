@@ -140,9 +140,10 @@ def build_soft_mask(
 
     Per component: grow by unit dilations until the candidate region holds
     at least ``target_volume_ratio`` times the component's voxels (or the
-    iteration cap is hit), take the intensity threshold, then label the
-    ring. Original annotations always stay 1; a voxel excluded by one
-    component's threshold can still receive gamma from another component.
+    iteration cap is hit, or a step adds no voxel), take the intensity
+    threshold, then label the ring. Original annotations always stay 1; a
+    voxel excluded by one component's threshold can still receive gamma
+    from another component.
     """
     cfg = cfg or SoftMaskConfig()
     cfg.validate()
@@ -165,10 +166,12 @@ def build_soft_mask(
     for cid, comp in enumerate(components, start=1):
         comp_mask = labels3 == cid
         target = cfg.target_volume_ratio * comp.size
-        candidate = comp_mask
+        candidate, size, last = comp_mask, comp.size, -1
         iters = 0
-        while candidate.sum() < target and iters < cfg.max_dilation_iters:
+        # Dilation only adds voxels: a step that adds none fixes the region for good.
+        while last < size < target and iters < cfg.max_dilation_iters:
             candidate = ndimage.binary_dilation(candidate, structure=structure)
+            last, size = size, int(candidate.sum())
             iters += 1
 
         if cfg.threshold_mode == "fixed":

@@ -434,7 +434,36 @@ class TestMonteCarloSweep:
                 variant="soft-mc", mc_samples=11, max_iters=iters, tol=1e-300))
             assert res.iters_run == iters
             passes.append(len(calls))
-        assert passes[0] == passes[1] == 2 * 8
+        assert passes[0] == passes[1] == 8  # one pass: the final posterior draws nothing
+
+    def test_store_follows_distinct_codes_not_samples(self, monkeypatch):
+        """Per-voxel tallies hold at most 2^k entries per voxel, so on votes
+        with at most two fractional values their size barely moves from
+        256 to 4,096 samples (kept raw codes would grow 16x), and the final
+        posterior is served from them without a draw."""
+        import fuselab.soft_staple as ss
+        from fuselab.staple import vote_patterns
+
+        rng = np.random.default_rng(49)
+        q = (rng.random((6, 200)) < 0.4).astype(float)
+        for t in range(200):
+            q[rng.choice(6, size=int(rng.integers(1, 3)), replace=False), t] = 0.3
+        patterns = vote_patterns(stack_from_rows(q, GridKind.SOFT))
+        p = params(np.full(6, 0.85), np.full(6, 0.9))
+
+        def kept(model):
+            return sum(a.nbytes for _, *arrays in model.tallies for a in arrays)
+
+        small = ss._McModel(patterns, 0.3, 256, 3)
+        model = ss._McModel(patterns, 0.3, 4096, 3)
+        assert kept(model) < 2 * kept(small)
+        want = model.voxel_posterior(p).tobytes()
+
+        def refuse(*_):
+            raise AssertionError("the final posterior drew again")
+
+        monkeypatch.setattr(ss, "_mc_codes", refuse)
+        assert model.voxel_posterior(p).tobytes() == want
 
 
 class TestNoisyChannel:

@@ -206,6 +206,35 @@ class TestBuildSoftMask:
         assert np.all(out[2:7, 2:7, 2:7][mask[2:7, 2:7, 2:7] == 0.0] == 0.3)
         assert np.all(out[2:7, 2:7, 13:18][mask[2:7, 2:7, 13:18] == 0.0] == 0.3)
 
+    def test_dilation_stops_once_the_region_stops_growing(self, monkeypatch):
+        """An unreachable ratio stops growing each component once a step
+        adds no voxel (within nx + ny + nz steps on this grid), not at a
+        huge cap; the mask is the one a cap of nx + ny + nz gives."""
+        from scipy import ndimage
+
+        shape = (5, 6, 8)
+        mask = np.zeros(shape)
+        mask[1, 1, 1] = mask[3, 4, 6] = 1.0
+        binary = VolumeGrid.from_3d(mask, GridKind.BINARY)
+        flair = VolumeGrid.from_3d(np.linspace(0.0, 1.0, mask.size).reshape(shape),
+                                   GridKind.INTENSITY)
+        cfg = dict(target_volume_ratio=1e9, connectivity=6, threshold_mode="fixed",
+                   threshold_value=0.5)
+        want = build_soft_mask(binary, flair, SoftMaskConfig(max_dilation_iters=sum(shape), **cfg))
+        dilation = ndimage.binary_dilation
+        bound = 2 * (sum(shape) + 1)  # two components
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) <= bound, "dilation went on after the region stopped growing"
+            return dilation(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "binary_dilation", counted)
+        got = build_soft_mask(binary, flair, SoftMaskConfig(max_dilation_iters=10**6, **cfg))
+        np.testing.assert_array_equal(got.data, want.data)
+        assert 0 < len(calls) <= bound
+
     def test_dims_mismatch(self):
         binary, _ = cube_fixture()
         flair = VolumeGrid.from_3d(np.zeros((5, 5, 5)), GridKind.INTENSITY)
