@@ -10,7 +10,8 @@ parameters:
   variant of its own, estimates the same average by sampling for any m.
 * the simplified variant treats each soft vote as a noisy observation of
   a latent hard vote, which factorizes per expert and keeps the E-step
-  linear in m.
+  linear in m. It is the binary model (``staple._PatternModel``) over the
+  soft vote columns, which reads such votes through the noisy channel.
 
 Both reduce exactly to the binary algorithm when every vote is hard.
 """
@@ -30,14 +31,14 @@ from .staple import (
     _INT64_MAX,
     _PatternModel,
     _binary_posterior_arrays,
+    _channel_posterior_arrays,
     _em_loop,
     _group_keys,
-    _lse_pair,
-    _mstep_ratio,
     _posterior_grid,
     _run_inputs,
     _votes,
-    clamp_params,
+    e_step,
+    log_likelihood,
     vote_patterns,
 )
 from .volume import ExpertStack, GridKind, VolumeGrid
@@ -147,7 +148,6 @@ class _ExactModel(_PatternModel):
     """
 
     def __init__(self, patterns: VotePatterns, prior: float):
-        super().__init__(patterns, prior)
         m = patterns.order.size
         check_enumeration(m, "select variant 'soft-mc' instead")
         s = np.zeros(1 << m)
@@ -155,8 +155,7 @@ class _ExactModel(_PatternModel):
             w *= patterns.counts[cols, None]
             s += np.bincount(codes.ravel(), weights=w.ravel(), minlength=s.size)
         self.codes = np.flatnonzero(s)
-        self.s = s[self.codes]
-        self.bits = _code_bits(self.codes, m)
+        super().__init__(patterns, prior, _code_bits(self.codes, m), s[self.codes])
 
     def posterior(self, params: RaterParams) -> np.ndarray:
         p1 = np.zeros(1 << self.bits.shape[0])
@@ -341,68 +340,21 @@ def noisy_channel_likelihood(q1: float, a: int, sens: float, spec: float) -> flo
     return q1 * (1.0 - spec) + (1.0 - q1) * spec
 
 
-def _channel_likelihoods(q: np.ndarray, params: RaterParams):
-    """Per-expert channel likelihoods, shape (m, k), for x=0 and x=1."""
-    sens, spec = clamp_params(params.sens, params.spec)
-    l1 = q * sens[:, None] + (1.0 - q) * (1.0 - sens[:, None])
-    l0 = q * (1.0 - spec[:, None]) + (1.0 - q) * spec[:, None]
-    return l0, l1
-
-
-def _simple_posterior_arrays(q: np.ndarray, params: RaterParams, prior: float):
-    l0, l1 = _channel_likelihoods(q, params)
-    a0 = np.log1p(-prior) + np.log(l0).sum(axis=0)
-    a1 = np.log(prior) + np.log(l1).sum(axis=0)
-    lse = _lse_pair(a0, a1)
-    return np.exp(a1 - lse), lse
-
-
 def simple_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     """Noisy-channel posterior for one voxel; linear in the expert count."""
     q = _votes(soft_votes, params.m)
-    w1, _ = _simple_posterior_arrays(q[:, None], params, prior)
+    w1, _ = _channel_posterior_arrays(q[:, None], params, prior)
     return float(w1[0])
-
-
-class _SimpleModel(_PatternModel):
-    """The noisy-channel (simplified) variant over distinct vote columns.
-
-    Its units are the soft vote columns themselves, evaluated with the
-    noisy-channel arrays in place of the binary ones.
-    """
-
-    def arrays(self, params: RaterParams):
-        return _simple_posterior_arrays(self.patterns.columns, params, self.prior)
-
-    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
-        """Exact EM update for the noisy-channel model.
-
-        The latent hard vote behind each soft observation gets its own
-        posterior, so the counts entering the update are expectations over
-        both the true label and the hidden vote; this is what keeps the
-        simplified objective nondecreasing.
-        """
-        q = self.patterns.columns
-        sens, spec = clamp_params(params.sens, params.spec)
-        l0, l1 = _channel_likelihoods(q, params)
-        w1 = self.posterior(params)
-        n1 = self.patterns.counts * w1
-        n0 = self.patterns.counts * (1.0 - w1)
-        r1 = q * sens[:, None] / l1
-        r0 = (1.0 - q) * spec[:, None] / l0
-        return _mstep_ratio(r1 @ n1, r0 @ n0, n1, n0, ll_trace)
 
 
 def simple_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Noisy-channel posterior map over the whole grid."""
-    model = _SimpleModel(vote_patterns(stack), prior)
-    return _posterior_grid(model, params.reordered(model.patterns.order))
+    return e_step(stack, params, prior)
 
 
 def simple_log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
     """Observed-data log-likelihood of the noisy-channel model."""
-    model = _SimpleModel(vote_patterns(stack), prior)
-    return model.objective(params.reordered(model.patterns.order))
+    return log_likelihood(stack, params, prior)
 
 
 def simple_m_step(
@@ -412,7 +364,7 @@ def simple_m_step(
     mode: str = "expected-count",
 ) -> RaterParams:
     """Parameter update for the noisy-channel model (modes as in soft_m_step)."""
-    model = _SimpleModel(vote_patterns(stack), prior)
+    model = _PatternModel(vote_patterns(stack), prior)
     sens, spec = model.mstep(params.reordered(model.patterns.order), mode)
     return model.patterns.restore(sens, spec)
 
@@ -439,7 +391,6 @@ class _McModel(_PatternModel):
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
-        super().__init__(patterns, prior)
         m = patterns.order.size
         check_mc_request(samples, m)
         self.samples = samples
@@ -462,8 +413,8 @@ class _McModel(_PatternModel):
             self.tallies.append((voxels, *_voxel_tally(codes, voxels.size, samples, m)))
         self.col, code, self.weight = map(np.concatenate, zip(*entries))
         self.table, self.code = np.unique(code, return_inverse=True)
-        self.bits = _code_bits(self.table, m)
-        self.s = np.bincount(self.code, self.weight)
+        super().__init__(patterns, prior, _code_bits(self.table, m),
+                         np.bincount(self.code, self.weight))
         self.ll_is_approximate = self.soft_voxels.size > 0
 
     def posterior(self, params: RaterParams) -> np.ndarray:
@@ -492,7 +443,7 @@ def run_soft_em(stack: ExpertStack, config: FusionConfig) -> FusionResult:
     if config.variant == "soft-exact":
         model = _ExactModel(patterns, prior)
     elif config.variant == "simplified":
-        model = _SimpleModel(patterns, prior)
+        model = _PatternModel(patterns, prior)
     else:
         model = _McModel(patterns, prior, config.mc_samples, config.mc_seed)
     return _em_loop(model, config)

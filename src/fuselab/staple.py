@@ -6,10 +6,11 @@ each expert's sensitivity/specificity (M-step), tracking the observed-data
 log-likelihood until the parameters stop moving. A voxel's posterior
 depends only on its column of votes, so every step runs once per distinct
 column (:class:`VotePatterns`) and is weighted by the column's voxel
-count. That binary model over weighted hard-vote units (``_PatternModel``)
+count. That binary model over weighted vote units (``_PatternModel``)
 serves the soft variants too: soft-exact and soft-mc swap in enumerated or
-sampled hard-vote codes as units, simplified swaps in the noisy-channel
-arrays, and one loop (``_em_loop``) drives them all.
+sampled hard-vote codes as units, simplified keeps the soft columns and
+reads each soft vote through the noisy channel, and one loop
+(``_em_loop``) drives them all.
 
 All per-voxel likelihood products are accumulated in log space and turned
 into probabilities only inside normalized ratios, so any number of experts
@@ -266,6 +267,25 @@ def _binary_posterior_arrays(y: np.ndarray, params: RaterParams, prior: float):
     return np.exp(a1 - lse), lse
 
 
+def _channel_likelihoods(q: np.ndarray, params: RaterParams):
+    """Per-expert noisy-channel likelihoods of soft votes ``q`` (m, k),
+    for x=0 and x=1: each vote is a hard vote seen with probability q."""
+    sens, spec = clamp_params(params.sens, params.spec)
+    l1 = q * sens[:, None] + (1.0 - q) * (1.0 - sens[:, None])
+    l0 = q * (1.0 - spec[:, None]) + (1.0 - q) * spec[:, None]
+    return l0, l1
+
+
+def _channel_posterior_arrays(q: np.ndarray, params: RaterParams, prior: float):
+    """Per-column w(1) and log p(votes) of the noisy-channel model; at
+    votes 0 and 1 it is the binary model."""
+    l0, l1 = _channel_likelihoods(q, params)
+    a0 = np.log1p(-prior) + np.log(l0).sum(axis=0)
+    a1 = np.log(prior) + np.log(l1).sum(axis=0)
+    lse = _lse_pair(a0, a1)
+    return np.exp(a1 - lse), lse
+
+
 def annotation_likelihood(votes, a: int, params: RaterParams) -> float:
     """p(votes | x=a): product over experts of the per-vote likelihood."""
     y = _votes(votes, params.m)
@@ -300,28 +320,35 @@ def _plugin_mstep(columns: np.ndarray, n1: np.ndarray, n0: np.ndarray, ll_trace=
 
 
 class _PatternModel:
-    """The binary model over weighted hard-vote units.
+    """The binary model over weighted vote units.
 
-    ``bits`` (m, units) holds the units' hard votes and ``s`` their masses:
-    here the distinct vote columns and their voxel counts, which subclasses
-    replace. ``arrays`` gives w(1) and log p(votes) per unit, ``posterior``
-    w(1) per distinct vote column; the objective (``s`` @ log p) and the
-    expected-count M-step sum over the units, the plug-in M-step over the
-    columns. ``_em_loop`` drives any model through ``mstep``, ``objective``
-    and ``voxel_posterior`` (plus ``patterns``, ``prior`` and
-    ``ll_is_approximate``), always with canonical-order parameters.
+    ``bits`` (m, units) holds the units' votes and ``s`` their masses: by
+    default the distinct vote columns and their voxel counts, while
+    soft-exact and soft-mc pass their hard-vote codes. The likelihood is
+    chosen once, from the units: hard units take the log-linear binary
+    form, and units with any fractional vote read each vote through the
+    noisy channel (the simplified variant), which equals the binary form
+    at votes 0 and 1 but costs more. ``arrays`` gives w(1) and log p(votes)
+    per unit, ``posterior`` w(1) per distinct vote column; the objective
+    (``s`` @ log p) and the expected-count M-step sum over the units, the
+    plug-in M-step over the columns. ``_em_loop`` drives any model through
+    ``mstep``, ``objective`` and ``voxel_posterior`` (plus ``patterns``,
+    ``prior`` and ``ll_is_approximate``), always with canonical-order
+    parameters.
     """
 
     ll_is_approximate = False
 
-    def __init__(self, patterns: VotePatterns, prior: float):
+    def __init__(self, patterns: VotePatterns, prior: float, bits=None, s=None):
         self.patterns = patterns
         self.prior = prior
-        self.bits = patterns.columns
-        self.s = patterns.counts
+        self.bits = patterns.columns if bits is None else bits
+        self.s = patterns.counts if s is None else s
+        self.hard = bool(np.all((self.bits == 0.0) | (self.bits == 1.0)))
 
     def arrays(self, params: RaterParams):
-        return _binary_posterior_arrays(self.bits, params, self.prior)
+        form = _binary_posterior_arrays if self.hard else _channel_posterior_arrays
+        return form(self.bits, params, self.prior)
 
     def posterior(self, params: RaterParams) -> np.ndarray:
         return self.arrays(params)[0]
@@ -330,10 +357,20 @@ class _PatternModel:
         return float(self.s @ self.arrays(params)[1])
 
     def expected_count_mstep(self, params: RaterParams, ll_trace=()):
+        """Exact EM update: the counts are expectations over the true label
+        and, for soft units, over the hidden hard vote behind each soft
+        vote, which is the vote itself when the units are hard."""
         p1 = self.arrays(params)[0]
         n1 = p1 * self.s
         n0 = (1.0 - p1) * self.s
-        return _mstep_ratio(self.bits @ n1, (1.0 - self.bits) @ n0, n1, n0, ll_trace)
+        if self.hard:
+            h1, h0 = self.bits, 1.0 - self.bits
+        else:
+            sens, spec = clamp_params(params.sens, params.spec)
+            l0, l1 = _channel_likelihoods(self.bits, params)
+            h1 = self.bits * sens[:, None] / l1
+            h0 = (1.0 - self.bits) * spec[:, None] / l0
+        return _mstep_ratio(h1 @ n1, h0 @ n0, n1, n0, ll_trace)
 
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
         return self.posterior(params)[self.patterns.inverse]
@@ -384,7 +421,8 @@ def _em_loop(model, config: FusionConfig) -> FusionResult:
 
 
 def e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
-    """Posterior map w(1) over the whole grid; w(0) is its complement."""
+    """Posterior map w(1) over the whole grid; w(0) is its complement. On
+    a soft stack it is the simplified (noisy-channel) model's."""
     model = _PatternModel(vote_patterns(stack), prior)
     return _posterior_grid(model, params.reordered(model.patterns.order))
 
@@ -401,7 +439,8 @@ def m_step(stack: ExpertStack, w: VolumeGrid) -> RaterParams:
 
 
 def log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
-    """Observed-data log-likelihood of the binary model."""
+    """Observed-data log-likelihood of the binary model; on a soft stack,
+    of the simplified (noisy-channel) model."""
     model = _PatternModel(vote_patterns(stack), prior)
     return model.objective(params.reordered(model.patterns.order))
 
