@@ -157,14 +157,14 @@ class _ExactModel(_PatternModel):
         self.codes = np.flatnonzero(s)
         super().__init__(patterns, prior, _code_bits(self.codes, m), s[self.codes])
 
-    def posterior(self, params: RaterParams) -> np.ndarray:
-        p1 = np.zeros(1 << self.bits.shape[0])
-        p1[self.codes] = self.arrays(params)[0]
-        w1 = np.empty(self.patterns.counts.size)
-        for cols, codes, w in _joint_votes(self.patterns.columns):
-            w *= p1[codes]
-            w1[cols] = w.sum(axis=1)
-        return w1
+    def posterior(self, params: RaterParams, label: int = 1) -> np.ndarray:
+        p = np.zeros(1 << self.bits.shape[0])
+        p[self.codes] = self.arrays(params)[label]
+        w = np.empty(self.patterns.counts.size)
+        for cols, codes, weights in _joint_votes(self.patterns.columns):
+            weights *= p[codes]
+            w[cols] = weights.sum(axis=1)
+        return w
 
 
 def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
@@ -173,7 +173,7 @@ def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     q = _votes(soft_votes, params.m)
     check_enumeration(q.size, "use mc_soft_e_step_voxel instead")
     _, codes, w = next(_joint_votes(q[:, None]))
-    p1, _ = _binary_posterior_arrays(_code_bits(codes[0], q.size), params, prior)
+    p1 = _binary_posterior_arrays(_code_bits(codes[0], q.size), params, prior)[1]
     return float(np.clip(w[0] @ p1, 0.0, 1.0))
 
 
@@ -325,11 +325,11 @@ def mc_soft_e_step_voxel(
         raise ConfigError(f"samples must be >= 1, got {samples}")
     q = _votes(soft_votes, params.m)
     if np.all((q == 0.0) | (q == 1.0)):
-        return float(_binary_posterior_arrays(q[:, None], params, prior)[0][0])
+        return float(_binary_posterior_arrays(q[:, None], params, prior)[1][0])
     check_mc_request(samples, q.size)
     codes = _mc_codes(q[:, None], np.array([voxel_index]), samples, seed)
     sizes, code, counts = _voxel_tally(codes, 1, samples, q.size)
-    p1 = _binary_posterior_arrays(_code_bits(code, q.size), params, prior)[0]
+    p1 = _binary_posterior_arrays(_code_bits(code, q.size), params, prior)[1]
     return float(np.clip(_voxel_means(sizes, counts, p1, samples)[0], 0.0, 1.0))
 
 
@@ -343,8 +343,7 @@ def noisy_channel_likelihood(q1: float, a: int, sens: float, spec: float) -> flo
 def simple_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     """Noisy-channel posterior for one voxel; linear in the expert count."""
     q = _votes(soft_votes, params.m)
-    w1, _ = _channel_posterior_arrays(q[:, None], params, prior)
-    return float(w1[0])
+    return float(_channel_posterior_arrays(q[:, None], params, prior)[1][0])
 
 
 def simple_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
@@ -417,13 +416,13 @@ class _McModel(_PatternModel):
                          np.bincount(self.code, self.weight))
         self.ll_is_approximate = self.soft_voxels.size > 0
 
-    def posterior(self, params: RaterParams) -> np.ndarray:
-        p1 = self.arrays(params)[0]
+    def posterior(self, params: RaterParams, label: int = 1) -> np.ndarray:
+        p = self.arrays(params)[label]
         counts = self.patterns.counts
-        return np.bincount(self.col, self.weight * p1[self.code], minlength=counts.size) / counts
+        return np.bincount(self.col, self.weight * p[self.code], minlength=counts.size) / counts
 
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
-        p1 = self.arrays(params)[0]
+        p1 = self.arrays(params)[1]
         w1 = self.posterior(params)[self.patterns.inverse]
         for voxels, sizes, code, counts in self.tallies:
             unit = np.searchsorted(self.table, code.astype(self.table.dtype))

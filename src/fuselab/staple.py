@@ -252,19 +252,19 @@ def _log_class_likelihoods(y: np.ndarray, sens: np.ndarray, spec: np.ndarray):
     return log_l0, log_l1
 
 
-def _lse_pair(a0, a1):
-    """Elementwise log(exp(a0) + exp(a1)), overflow-safe."""
+def _label_posteriors(a0, a1):
+    """w(0), w(1) and log p(votes) from the log joints a_x = log p(x, votes),
+    via an overflow-safe two-term log-sum-exp. Each posterior comes from
+    its own log-odds, so w(0) keeps its digits where w(1) is near 1."""
     hi = np.maximum(a0, a1)
-    return hi + np.log(np.exp(a0 - hi) + np.exp(a1 - hi))
+    lse = hi + np.log(np.exp(a0 - hi) + np.exp(a1 - hi))
+    return np.exp(a0 - lse), np.exp(a1 - lse), lse
 
 
 def _binary_posterior_arrays(y: np.ndarray, params: RaterParams, prior: float):
-    """Per-column w(1) and log p(votes) of the binary model, the posterior
-    via a two-term log-sum-exp."""
+    """Per-column w(0), w(1) and log p(votes) of the binary model."""
     log_l0, log_l1 = _log_class_likelihoods(y, params.sens, params.spec)
-    a1 = np.log(prior) + log_l1
-    lse = _lse_pair(np.log1p(-prior) + log_l0, a1)
-    return np.exp(a1 - lse), lse
+    return _label_posteriors(np.log1p(-prior) + log_l0, np.log(prior) + log_l1)
 
 
 def _channel_likelihoods(q: np.ndarray, params: RaterParams):
@@ -277,13 +277,11 @@ def _channel_likelihoods(q: np.ndarray, params: RaterParams):
 
 
 def _channel_posterior_arrays(q: np.ndarray, params: RaterParams, prior: float):
-    """Per-column w(1) and log p(votes) of the noisy-channel model; at
-    votes 0 and 1 it is the binary model."""
+    """Per-column w(0), w(1) and log p(votes) of the noisy-channel model;
+    at votes 0 and 1 it is the binary model."""
     l0, l1 = _channel_likelihoods(q, params)
-    a0 = np.log1p(-prior) + np.log(l0).sum(axis=0)
-    a1 = np.log(prior) + np.log(l1).sum(axis=0)
-    lse = _lse_pair(a0, a1)
-    return np.exp(a1 - lse), lse
+    return _label_posteriors(np.log1p(-prior) + np.log(l0).sum(axis=0),
+                             np.log(prior) + np.log(l1).sum(axis=0))
 
 
 def annotation_likelihood(votes, a: int, params: RaterParams) -> float:
@@ -298,17 +296,18 @@ def posterior_voxel(votes, params: RaterParams, prior: float) -> float:
     if not 0.0 < prior < 1.0:
         raise ConfigError(f"prior must be in (0, 1), got {prior}")
     y = _votes(votes, params.m)
-    return float(_binary_posterior_arrays(y[:, None], params, prior)[0][0])
+    return float(_binary_posterior_arrays(y[:, None], params, prior)[1][0])
 
 
 def _mstep_ratio(num_sens, num_spec, n1, n0, ll_trace=()):
     """Normalize M-step numerators by the expected label masses sum(n1)
-    (true label 1) and sum(n0) (true label 0)."""
+    (true label 1) and sum(n0) (true label 0). A mass too small to change
+    the sum of both in float64 leaves its parameters undetermined."""
     mass1 = float(np.sum(n1))
     mass0 = float(np.sum(n0))
-    if mass1 == 0.0:
+    if mass0 + mass1 == mass0:
         raise DegeneratePosteriorError("sensitivity", ll_trace)
-    if mass0 == 0.0:
+    if mass0 + mass1 == mass1:
         raise DegeneratePosteriorError("specificity", ll_trace)
     return clamp_params(num_sens / mass1, num_spec / mass0)
 
@@ -328,10 +327,10 @@ class _PatternModel:
     chosen once, from the units: hard units take the log-linear binary
     form, and units with any fractional vote read each vote through the
     noisy channel (the simplified variant), which equals the binary form
-    at votes 0 and 1 but costs more. ``arrays`` gives w(1) and log p(votes)
-    per unit, ``posterior`` w(1) per distinct vote column; the objective
-    (``s`` @ log p) and the expected-count M-step sum over the units, the
-    plug-in M-step over the columns. ``_em_loop`` drives any model through
+    at votes 0 and 1 but costs more. ``arrays`` gives w(0), w(1) and
+    log p(votes) per unit, ``posterior`` w(label) per distinct vote column;
+    the objective (``s`` @ log p) and the expected-count M-step sum over
+    the units, the plug-in M-step over the columns. ``_em_loop`` drives any model through
     ``mstep``, ``objective`` and ``voxel_posterior`` (plus ``patterns``,
     ``prior`` and ``ll_is_approximate``), always with canonical-order
     parameters.
@@ -350,19 +349,19 @@ class _PatternModel:
         form = _binary_posterior_arrays if self.hard else _channel_posterior_arrays
         return form(self.bits, params, self.prior)
 
-    def posterior(self, params: RaterParams) -> np.ndarray:
-        return self.arrays(params)[0]
+    def posterior(self, params: RaterParams, label: int = 1) -> np.ndarray:
+        return self.arrays(params)[label]
 
     def objective(self, params: RaterParams) -> float:
-        return float(self.s @ self.arrays(params)[1])
+        return float(self.s @ self.arrays(params)[2])
 
     def expected_count_mstep(self, params: RaterParams, ll_trace=()):
         """Exact EM update: the counts are expectations over the true label
         and, for soft units, over the hidden hard vote behind each soft
         vote, which is the vote itself when the units are hard."""
-        p1 = self.arrays(params)[0]
+        p0, p1, _ = self.arrays(params)
         n1 = p1 * self.s
-        n0 = (1.0 - p1) * self.s
+        n0 = p0 * self.s
         if self.hard:
             h1, h0 = self.bits, 1.0 - self.bits
         else:
@@ -380,9 +379,9 @@ class _PatternModel:
             raise ConfigError(f"unknown mstep mode {mode!r}")
         if mode == "expected-count":
             return self.expected_count_mstep(params, ll_trace)
-        w1 = self.posterior(params)
+        w1, w0 = self.posterior(params), self.posterior(params, 0)
         counts = self.patterns.counts
-        return _plugin_mstep(self.patterns.columns, counts * w1, counts * (1.0 - w1), ll_trace)
+        return _plugin_mstep(self.patterns.columns, counts * w1, counts * w0, ll_trace)
 
 
 def _posterior_grid(model, params: RaterParams) -> VolumeGrid:

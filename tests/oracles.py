@@ -6,18 +6,31 @@ agreement between the two paths is evidence rather than tautology.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 
-def posterior_brute(votes, sens, spec, prior):
-    """Bayes posterior of label 1 for one voxel's hard votes."""
+def _hard_likelihoods(votes, sens, spec):
+    """p(votes | x=0) and p(votes | x=1) for one voxel's hard votes."""
     l1 = 1.0
     l0 = 1.0
     for y, se, sp in zip(votes, sens, spec):
         l1 *= se if y == 1 else 1.0 - se
         l0 *= (1.0 - sp) if y == 1 else sp
-    return prior * l1 / ((1.0 - prior) * l0 + prior * l1)
+    return l0, l1
+
+
+def _bayes(l0, l1, prior, label):
+    """Posterior of ``label`` from the class likelihoods. Label 0 takes its
+    own ratio: 1 - w(1) would lose its digits where w(1) is near 1."""
+    joint = prior * l1 if label == 1 else (1.0 - prior) * l0
+    return joint / ((1.0 - prior) * l0 + prior * l1)
+
+
+def posterior_brute(votes, sens, spec, prior, label=1):
+    """Bayes posterior of the label (1 unless given) for one voxel's hard votes."""
+    return _bayes(*_hard_likelihoods(votes, sens, spec), prior, label)
 
 
 def loglik_brute(votes_matrix, sens, spec, prior):
@@ -39,8 +52,9 @@ def _combo_bits(code, m):
     return [(code >> i) & 1 for i in range(m)]
 
 
-def soft_posterior_brute(q, sens, spec, prior):
-    """Exact soft posterior: literal sum over all 2^m vote combinations."""
+def soft_posterior_brute(q, sens, spec, prior, label=1):
+    """Exact soft posterior of the label (1 unless given): literal sum over
+    all 2^m vote combinations."""
     m = len(q)
     total = 0.0
     for code in range(2**m):
@@ -48,7 +62,7 @@ def soft_posterior_brute(q, sens, spec, prior):
         weight = 1.0
         for qi, b in zip(q, bits):
             weight *= qi if b else 1.0 - qi
-        total += weight * posterior_brute(bits, sens, spec, prior)
+        total += weight * posterior_brute(bits, sens, spec, prior, label)
     return total
 
 
@@ -85,25 +99,27 @@ def soft_expected_count_mstep_brute(q_matrix, sens, spec, prior):
             for i, b in enumerate(bits):
                 weight *= q_matrix[i, t] if b else 1.0 - q_matrix[i, t]
             p1 = posterior_brute(bits, sens, spec, prior)
+            p0 = posterior_brute(bits, sens, spec, prior, 0)
             den1 += weight * p1
-            den0 += weight * (1.0 - p1)
+            den0 += weight * p0
             for i, b in enumerate(bits):
                 num_sens[i] += weight * p1 * b
-                num_spec[i] += weight * (1.0 - p1) * (1 - b)
+                num_spec[i] += weight * p0 * (1 - b)
     return (
         np.array([v / den1 for v in num_sens]),
         np.array([v / den0 for v in num_spec]),
     )
 
 
-def simple_posterior_brute(q, sens, spec, prior):
-    """Noisy-channel posterior: per-expert mixtures, then Bayes."""
+def simple_posterior_brute(q, sens, spec, prior, label=1):
+    """Noisy-channel posterior of the label (1 unless given): per-expert
+    mixtures, then Bayes."""
     l1 = 1.0
     l0 = 1.0
     for qi, se, sp in zip(q, sens, spec):
         l1 *= qi * se + (1.0 - qi) * (1.0 - se)
         l0 *= qi * (1.0 - sp) + (1.0 - qi) * sp
-    return prior * l1 / ((1.0 - prior) * l0 + prior * l1)
+    return _bayes(l0, l1, prior, label)
 
 
 def simple_loglik_brute(q_matrix, sens, spec, prior):
@@ -120,17 +136,45 @@ def simple_loglik_brute(q_matrix, sens, spec, prior):
     return total
 
 
-def plugin_mstep_brute(q_matrix, w1):
-    """Binary update with the votes plugged in, for a given posterior w(1)."""
+def plugin_mstep_brute(q_matrix, w1, w0=None):
+    """Binary update with the votes plugged in, for a given posterior w(1)
+    and w(0) (1 - w(1) unless given)."""
     m, n = q_matrix.shape
+    if w0 is None:
+        w0 = [1.0 - w1[t] for t in range(n)]
     den1 = sum(w1[t] for t in range(n))
-    den0 = sum(1.0 - w1[t] for t in range(n))
+    den0 = sum(w0[t] for t in range(n))
     sens = [sum(q_matrix[i, t] * w1[t] for t in range(n)) / den1 for i in range(m)]
     spec = [
-        sum((1.0 - q_matrix[i, t]) * (1.0 - w1[t]) for t in range(n)) / den0
+        sum((1.0 - q_matrix[i, t]) * w0[t] for t in range(n)) / den0
         for i in range(m)
     ]
     return np.array(sens), np.array(spec)
+
+
+def plugin_mstep_exact(q_matrix, sens, spec, prior):
+    """Binary update with the votes plugged in at the noisy-channel
+    posterior, in exact rational arithmetic (every float is a rational).
+    On hard votes the channel posterior is the binary one, and the update
+    is also the expected-count update of every variant."""
+    q = [[Fraction(float(v)) for v in row] for row in q_matrix]
+    se = [Fraction(float(v)) for v in sens]
+    sp = [Fraction(float(v)) for v in spec]
+    pi = Fraction(float(prior))
+    m, n = len(q), len(q[0])
+    w1 = []
+    for t in range(n):
+        l1 = Fraction(1)
+        l0 = Fraction(1)
+        for i in range(m):
+            l1 *= q[i][t] * se[i] + (1 - q[i][t]) * (1 - se[i])
+            l0 *= q[i][t] * (1 - sp[i]) + (1 - q[i][t]) * sp[i]
+        w1.append(pi * l1 / (pi * l1 + (1 - pi) * l0))
+    den1 = sum(w1)
+    den0 = sum(1 - w for w in w1)
+    sens_new = [sum(q[i][t] * w1[t] for t in range(n)) / den1 for i in range(m)]
+    spec_new = [sum((1 - q[i][t]) * (1 - w1[t]) for t in range(n)) / den0 for i in range(m)]
+    return np.array([float(v) for v in sens_new]), np.array([float(v) for v in spec_new])
 
 
 def simple_expected_count_mstep_brute(q_matrix, sens, spec, prior):
@@ -144,13 +188,14 @@ def simple_expected_count_mstep_brute(q_matrix, sens, spec, prior):
     for t in range(n):
         q = q_matrix[:, t]
         w1 = simple_posterior_brute(q, sens, spec, prior)
+        w0 = simple_posterior_brute(q, sens, spec, prior, 0)
         den1 += w1
-        den0 += 1.0 - w1
+        den0 += w0
         for i in range(m):
             hit = q[i] * sens[i]
             num_sens[i] += w1 * hit / (hit + (1.0 - q[i]) * (1.0 - sens[i]))
             rej = (1.0 - q[i]) * spec[i]
-            num_spec[i] += (1.0 - w1) * rej / (q[i] * (1.0 - spec[i]) + rej)
+            num_spec[i] += w0 * rej / (q[i] * (1.0 - spec[i]) + rej)
     return (
         np.array([v / den1 for v in num_sens]),
         np.array([v / den0 for v in num_spec]),
@@ -215,7 +260,7 @@ def mc_expected_count_mstep_brute(q_matrix, sens, spec, prior, samples, seed):
         draws = _mc_voxel_draws(q_matrix[:, t], samples, seed, t)
         for bits in draws:
             p1 = posterior_brute(bits, sens, spec, prior) / len(draws)
-            p0 = 1.0 / len(draws) - p1
+            p0 = posterior_brute(bits, sens, spec, prior, 0) / len(draws)
             den1 += p1
             den0 += p0
             for i in range(m):

@@ -10,7 +10,7 @@ binary, and EM ascent under the expected-count M-step.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -36,6 +36,7 @@ from helpers import assert_monotone, stack_from_rows
 from oracles import (
     loglik_brute,
     plugin_mstep_brute,
+    plugin_mstep_exact,
     posterior_brute,
     simple_expected_count_mstep_brute,
     simple_loglik_brute,
@@ -83,6 +84,20 @@ def problems(draw, binary):
     rows = draw(vote_rows(binary))
     kind = GridKind.BINARY if binary else GridKind.SOFT
     return rows, stack_from_rows(rows, kind), draw(rater_params(rows.shape[0])), draw(PRIORS)
+
+
+# Recorded examples that missed the 1e-10 atol while w(0) was taken as
+# 1 - w(1) at a prior near 1 (sens 0.75, prior 0.999 each): soft-exact
+# expected-count on hard votes, and the simplified plug-in update twice.
+HARD_FLAKE = (np.array([[0.0, 1.0]] + 6 * [[1.0, 1.0]]), 0.875)
+SOFT_FLAKE = (np.array([[0.0, 0.9, 0.9, 0.9, 0.9]] + 6 * [[0.9] * 5]), 0.875)
+SIX_EXPERT_FLAKE = (np.array([[0.0, 0.9, 0.9, 0.9]] + 5 * [[0.9] * 4]), 0.9375)
+
+
+def _recorded(rows, spec):
+    m = rows.shape[0]
+    params = RaterParams(np.full(m, 0.75), np.full(m, spec))
+    return rows, stack_from_rows(rows, GridKind.SOFT), params, 0.999
 
 
 def _clamped(arr):
@@ -161,10 +176,11 @@ class TestStepsAgainstOracles:
 
     @CORE
     @given(problem=problems(binary=False))
+    @example(problem=_recorded(*HARD_FLAKE))
     def test_soft_exact(self, problem):
         rows, stack, p, prior = problem
-        want = [soft_posterior_brute(rows[:, t], p.sens, p.spec, prior)
-                for t in range(rows.shape[1])]
+        want, want0 = ([soft_posterior_brute(rows[:, t], p.sens, p.spec, prior, label)
+                        for t in range(rows.shape[1])] for label in (1, 0))
         np.testing.assert_allclose(soft_e_step(stack, p, prior).data, want,
                                    rtol=0, atol=1e-12)
         assert soft_log_likelihood(stack, p, prior) == pytest.approx(
@@ -172,14 +188,16 @@ class TestStepsAgainstOracles:
         _assert_update(soft_m_step(stack, p, prior, "expected-count"),
                        soft_expected_count_mstep_brute(rows, p.sens, p.spec, prior))
         _assert_update(soft_m_step(stack, p, prior, "plugin-mean"),
-                       plugin_mstep_brute(rows, want))
+                       plugin_mstep_brute(rows, want, want0))
 
     @CORE
     @given(problem=problems(binary=False))
+    @example(problem=_recorded(*SOFT_FLAKE))
+    @example(problem=_recorded(*SIX_EXPERT_FLAKE))
     def test_simplified(self, problem):
         rows, stack, p, prior = problem
-        want = [simple_posterior_brute(rows[:, t], p.sens, p.spec, prior)
-                for t in range(rows.shape[1])]
+        want, want0 = ([simple_posterior_brute(rows[:, t], p.sens, p.spec, prior, label)
+                        for t in range(rows.shape[1])] for label in (1, 0))
         np.testing.assert_allclose(simple_e_step(stack, p, prior).data, want,
                                    rtol=0, atol=1e-12)
         assert simple_log_likelihood(stack, p, prior) == pytest.approx(
@@ -187,7 +205,18 @@ class TestStepsAgainstOracles:
         _assert_update(simple_m_step(stack, p, prior, "expected-count"),
                        simple_expected_count_mstep_brute(rows, p.sens, p.spec, prior))
         _assert_update(simple_m_step(stack, p, prior, "plugin-mean"),
-                       plugin_mstep_brute(rows, want))
+                       plugin_mstep_brute(rows, want, want0))
+
+
+@pytest.mark.parametrize("recorded, step, mode", [
+    (HARD_FLAKE, soft_m_step, "expected-count"),
+    (SOFT_FLAKE, simple_m_step, "plugin-mean"),
+    (SIX_EXPERT_FLAKE, simple_m_step, "plugin-mean"),
+])
+def test_recorded_updates_match_exact_arithmetic(recorded, step, mode):
+    rows, stack, p, prior = _recorded(*recorded)
+    _assert_update(step(stack, p, prior, mode),
+                   plugin_mstep_exact(rows, p.sens, p.spec, prior), atol=1e-12)
 
 
 class TestInvariants:
