@@ -53,6 +53,12 @@ _CELL_BUDGET = 2**18
 # also bounds every block of draws.
 MC_DRAW_LIMIT = 2**23
 
+# Most (voxel, code) tallies and (column, code) entries a Monte Carlo run
+# may keep. They peak at about 30 bytes each (250 MiB at the limit, on
+# 64,000 continuous-vote voxels of 7 experts); the 40^3 protocol-m7
+# benchmark case at the default 10,000 samples keeps at most 6,709 x 128.
+MC_ENTRY_LIMIT = 2**23
+
 # Most draws one block of Monte Carlo voxels holds, unless one voxel needs more.
 # On 40^3 voxels and 7 experts, 2^18 ran fastest of 2^14 ... 2^20.
 _DRAW_BLOCK = 2**18
@@ -378,15 +384,17 @@ class _McModel(_PatternModel):
     divided by the sample count. A (column, code) pair drawn in two blocks
     gets two entries, which the weighted sums add; the model's units are
     the distinct sampled codes (``table``), massed by their entries'
-    summed weights. A hard column
-    is one entry weighted by its voxel count (the estimator has zero
-    variance there), which makes the all-hard case agree with the binary
-    algorithm to machine precision. Nothing builds a 2^m table, so any
-    expert count works. With the draws fixed, the run is exact EM on the
-    sampled model, whose inherited objective estimates the exact one.
-    Only the final posterior needs each voxel's own samples: the set-up
-    pass also tallies each block per voxel (``tallies``, see
-    ``_voxel_tally``), so every stream is drawn once per run.
+    summed weights. A hard column is one entry weighted by its voxel count
+    (the estimator has zero variance there), which makes the all-hard case
+    agree with the binary algorithm to machine precision. Nothing builds a
+    2^m table, so any expert count works. With the draws fixed, the run is
+    exact EM on the sampled model, whose inherited objective estimates the
+    exact one. Only the final posterior needs each voxel's own samples:
+    the set-up pass also tallies each block per voxel (``tallies``, see
+    ``_voxel_tally``), so every stream is drawn once per run. A voxel with
+    k fractional votes keeps at most min(samples, 2^k) tallies and entries;
+    a run whose sum of those exceeds :data:`MC_ENTRY_LIMIT` is refused
+    before the first draw.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
@@ -394,7 +402,15 @@ class _McModel(_PatternModel):
         check_mc_request(samples, m)
         self.samples = samples
         cols = patterns.columns
-        hard = np.all((cols == 0.0) | (cols == 1.0), axis=0)
+        k = np.count_nonzero((cols > 0.0) & (cols < 1.0), axis=0)
+        hard = k == 0
+        kept = int(patterns.counts[~hard] @ np.minimum(samples, np.exp2(k[~hard])))
+        if kept > MC_ENTRY_LIMIT:
+            raise CapacityError(
+                f"Monte Carlo request may keep {kept} sampled (voxel, code) entries "
+                f"(soft voxels x min(samples, 2^k)), over the limit of {MC_ENTRY_LIMIT}; "
+                "lower the sample count"
+            )
         # Column by column, so that a block spans few columns.
         soft = np.flatnonzero(~hard[patterns.inverse])
         self.soft_voxels = soft[np.argsort(patterns.inverse[soft], kind="stable")]

@@ -249,6 +249,18 @@ class TestFuse:
         assert "1000000000 samples x 7 experts" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mc_entry_bound_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        import fuselab.soft_staple as ss
+
+        monkeypatch.setattr(ss, "MC_ENTRY_LIMIT", 100)
+        paths = _write_experts(tmp_path, np.full((3, 20), 0.5), GridKind.SOFT)
+        out = tmp_path / "o"
+        code = main(["fuse", "--variant", "soft-mc", "--mc-samples", "64", *paths,
+                     "-o", str(out)])
+        assert code == 2
+        assert "160 sampled (voxel, code) entries" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_crash_mid_write_leaves_no_outputs(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(7)
         paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))

@@ -466,6 +466,25 @@ class TestMonteCarloSweep:
         assert model.voxel_posterior(p).tobytes() == want
 
 
+    def test_entry_bound_refuses_before_any_draw(self, monkeypatch):
+        """Each of the 30 voxels has 5 fractional votes, so it may keep
+        min(11, 2^5) = 11 entries: 330 in all."""
+        import fuselab.soft_staple as ss
+
+        stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
+        calls = []
+        draw = ss._mc_codes
+        monkeypatch.setattr(ss, "_mc_codes", lambda *a: calls.append(a) or draw(*a))
+        cfg = FusionConfig(variant="soft-mc", mc_samples=11, max_iters=1)
+        monkeypatch.setattr(ss, "MC_ENTRY_LIMIT", 329)
+        with pytest.raises(CapacityError, match="330 .* limit of 329"):
+            run_soft_em(stack, cfg)
+        assert calls == []
+        monkeypatch.setattr(ss, "MC_ENTRY_LIMIT", 330)
+        run_soft_em(stack, cfg)
+        assert calls
+
+
 class TestNoisyChannel:
     def test_degenerate_input(self):
         assert noisy_channel_likelihood(1.0, 1, 0.8, 0.9) == pytest.approx(0.8)
