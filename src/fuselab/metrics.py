@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,22 +27,21 @@ class EvalReport:
     fn: float
 
     def to_dict(self) -> dict:
-        return {
-            "dice": self.dice,
-            "precision": self.precision,
-            "recall": self.recall,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _check_label_grid(grid: VolumeGrid, name: str) -> None:
-    if grid.kind not in LABEL_KINDS:
-        raise ConfigError(f"{name} must be a label grid, got {grid.kind.value}")
+def _check_pair(truth: VolumeGrid, pred: VolumeGrid) -> None:
+    """Both grids must hold labels, on the same dims."""
+    for name, grid in (("truth", truth), ("pred", pred)):
+        if grid.kind not in LABEL_KINDS:
+            raise ConfigError(f"{name} must be a label grid, got {grid.kind.value}")
+    if truth.dims != pred.dims:
+        raise DimensionMismatchError(
+            f"truth dims {truth.dims.as_tuple()} != pred dims {pred.dims.as_tuple()}"
+        )
 
 
 def soft_dice(truth: VolumeGrid, pred: VolumeGrid) -> float:
@@ -52,12 +51,7 @@ def soft_dice(truth: VolumeGrid, pred: VolumeGrid) -> float:
     grids score 1 by the eps convention. Use ``soft_dice_loss`` for the
     negated training-style value.
     """
-    _check_label_grid(truth, "truth")
-    _check_label_grid(pred, "pred")
-    if truth.dims != pred.dims:
-        raise DimensionMismatchError(
-            f"truth dims {truth.dims.as_tuple()} != pred dims {pred.dims.as_tuple()}"
-        )
+    _check_pair(truth, pred)
     t, p = truth.data, pred.data
     return float(
         (np.sum(t * p) + DICE_EPS) / (0.5 * np.sum(p) + 0.5 * np.sum(t) + DICE_EPS)
@@ -80,12 +74,7 @@ def precision_recall(
     binarization rule. The truth must be binary; pass
     ``binarize_truth=True`` to apply the same rule to a soft truth.
     """
-    _check_label_grid(truth, "truth")
-    _check_label_grid(pred, "pred")
-    if truth.dims != pred.dims:
-        raise DimensionMismatchError(
-            f"truth dims {truth.dims.as_tuple()} != pred dims {pred.dims.as_tuple()}"
-        )
+    _check_pair(truth, pred)
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     t = truth.data

@@ -35,18 +35,18 @@ _PREFIX_LEN = len(MAGIC) + struct.calcsize(_HEADER_LEN_FMT)
 
 
 def write_svol(grid: VolumeGrid, path) -> None:
-    """Serialize a validated grid; the full byte string is built first so
-    nothing is written when validation fails."""
+    """Serialize a validated grid. The grid is validated before the file
+    is opened, so nothing is written when validation fails; the payload
+    goes out through the buffer protocol, without a copy of the file."""
     grid.validate()
     header = json.dumps(
         {"dims": list(grid.dims.as_tuple()), "kind": grid.kind.value},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    payload = np.ascontiguousarray(grid.data, dtype="<f8").tobytes()
-    blob = MAGIC + struct.pack(_HEADER_LEN_FMT, len(header)) + header + payload
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(MAGIC + struct.pack(_HEADER_LEN_FMT, len(header)) + header)
+        fh.write(np.ascontiguousarray(grid.data, dtype="<f8"))
 
 
 def read_svol(path) -> VolumeGrid:
