@@ -330,10 +330,10 @@ class _PatternModel:
     at votes 0 and 1 but costs more. ``arrays`` gives w(0), w(1) and
     log p(votes) per unit, ``posterior`` w(label) per distinct vote column;
     the objective (``s`` @ log p) and the expected-count M-step sum over
-    the units, the plug-in M-step over the columns. ``_em_loop`` drives any model through
-    ``mstep``, ``objective`` and ``voxel_posterior`` (plus ``patterns``,
-    ``prior`` and ``ll_is_approximate``), always with canonical-order
-    parameters.
+    the units, the plug-in M-step over the columns. ``_em_loop`` drives
+    any model through ``mstep``, ``objective`` and ``voxel_posterior``
+    (plus ``patterns``, ``prior`` and ``ll_is_approximate``), always with
+    canonical-order parameters.
     """
 
     ll_is_approximate = False

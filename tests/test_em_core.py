@@ -219,6 +219,37 @@ def test_recorded_updates_match_exact_arithmetic(recorded, step, mode):
                    plugin_mstep_exact(rows, p.sens, p.spec, prior), atol=1e-12)
 
 
+class TestLikelihoodForm:
+    """Hard units take the log-linear binary likelihood; only units with a
+    fractional vote read their votes through the slower noisy channel."""
+
+    def test_hard_units_never_take_the_channel_form(self, monkeypatch):
+        import fuselab.staple as staple
+
+        calls = []
+        channel = staple._channel_likelihoods
+        monkeypatch.setattr(staple, "_channel_likelihoods",
+                            lambda *a: calls.append(a) or channel(*a))
+        rng = np.random.default_rng(61)
+        binary = stack_from_rows((rng.random((4, 40)) < 0.4).astype(float))
+        soft = stack_from_rows(rng.choice([0.0, 0.3, 0.7, 1.0], size=(4, 40)), GridKind.SOFT)
+        for mode in ("expected-count", "plugin-mean"):
+            _run(binary, "binary", mstep_mode=mode, max_iters=3)
+            for variant in ("soft-exact", "soft-mc"):
+                _run(soft, variant, mstep_mode=mode, max_iters=3)
+        assert calls == []
+        _run(soft, "simplified", max_iters=1)
+        assert calls
+
+    @CORE
+    @given(problem=problems(binary=False))
+    def test_soft_stack_steps_are_the_simplified_model(self, problem):
+        _, stack, p, prior = problem
+        assert (e_step(stack, p, prior).data.tobytes()
+                == simple_e_step(stack, p, prior).data.tobytes())
+        assert log_likelihood(stack, p, prior) == simple_log_likelihood(stack, p, prior)
+
+
 class TestInvariants:
     @CORE
     @given(data=st.data(), binary=st.booleans())
