@@ -150,7 +150,8 @@ class _ExactModel(_PatternModel):
     Its units are the hard-vote codes that occur (``codes``, votes in
     ``bits``), with masses ``s``, their count-weighted joint-vote weights,
     accumulated once per run; the binary posterior is evaluated at those
-    codes only, and the per-column posterior enumerates the terms again.
+    codes only, and the per-column posterior enumerates the terms again,
+    once for all requested labels.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float):
@@ -163,13 +164,16 @@ class _ExactModel(_PatternModel):
         self.codes = np.flatnonzero(s)
         super().__init__(patterns, prior, _code_bits(self.codes, m), s[self.codes])
 
-    def posterior(self, params: RaterParams, label: int = 1) -> np.ndarray:
-        p = np.zeros(1 << self.bits.shape[0])
-        p[self.codes] = self.arrays(params)[label]
-        w = np.empty(self.patterns.counts.size)
+    def posteriors(self, params: RaterParams, labels=(0, 1)):
+        arrays = self.arrays(params)
+        tables = np.zeros((len(labels), 1 << self.bits.shape[0]))
+        tables[:, self.codes] = [arrays[a] for a in labels]
+        w = np.empty((len(labels), self.patterns.counts.size))
         for cols, codes, weights in _joint_votes(self.patterns.columns):
-            weights *= p[codes]
-            w[cols] = weights.sum(axis=1)
+            for row, table in zip(w, tables):
+                terms = table[codes]
+                terms *= weights
+                row[cols] = terms.sum(axis=1)
         return w
 
 
@@ -432,14 +436,15 @@ class _McModel(_PatternModel):
                          np.bincount(self.code, self.weight))
         self.ll_is_approximate = self.soft_voxels.size > 0
 
-    def posterior(self, params: RaterParams, label: int = 1) -> np.ndarray:
-        p = self.arrays(params)[label]
+    def posteriors(self, params: RaterParams, labels=(0, 1)):
+        arrays = self.arrays(params)
         counts = self.patterns.counts
-        return np.bincount(self.col, self.weight * p[self.code], minlength=counts.size) / counts
+        return [np.bincount(self.col, self.weight * arrays[a][self.code], minlength=counts.size)
+                / counts for a in labels]
 
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
         p1 = self.arrays(params)[1]
-        w1 = self.posterior(params)[self.patterns.inverse]
+        w1 = self.posteriors(params, (1,))[0][self.patterns.inverse]
         for voxels, sizes, code, counts in self.tallies:
             unit = np.searchsorted(self.table, code.astype(self.table.dtype))
             w1[voxels] = _voxel_means(sizes, counts, p1[unit], self.samples)

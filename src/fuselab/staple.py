@@ -301,11 +301,13 @@ def posterior_voxel(votes, params: RaterParams, prior: float) -> float:
 
 def _mstep_ratio(num_sens, num_spec, n1, n0, ll_trace=()):
     """Normalize M-step numerators by the expected label masses sum(n1)
-    (true label 1) and sum(n0) (true label 0). A mass too small to change
-    the sum of both in float64 leaves its parameters undetermined."""
+    (true label 1) and sum(n0) (true label 0). A zero label-1 mass leaves
+    sensitivity undetermined; so does, for specificity, a label-0 mass too
+    small to change the sum of both in float64 (where 1 - w(1) would be
+    exactly 0)."""
     mass1 = float(np.sum(n1))
     mass0 = float(np.sum(n0))
-    if mass0 + mass1 == mass0:
+    if mass1 == 0.0:
         raise DegeneratePosteriorError("sensitivity", ll_trace)
     if mass0 + mass1 == mass1:
         raise DegeneratePosteriorError("specificity", ll_trace)
@@ -328,12 +330,13 @@ class _PatternModel:
     form, and units with any fractional vote read each vote through the
     noisy channel (the simplified variant), which equals the binary form
     at votes 0 and 1 but costs more. ``arrays`` gives w(0), w(1) and
-    log p(votes) per unit, ``posterior`` w(label) per distinct vote column;
-    the objective (``s`` @ log p) and the expected-count M-step sum over
-    the units, the plug-in M-step over the columns. ``_em_loop`` drives
-    any model through ``mstep``, ``objective`` and ``voxel_posterior``
-    (plus ``patterns``, ``prior`` and ``ll_is_approximate``), always with
-    canonical-order parameters.
+    log p(votes) per unit, ``posteriors`` w(a) per distinct vote column
+    for each requested label a (the final posterior asks for w(1) only,
+    the plug-in M-step for both); the objective (``s`` @ log p) and the
+    expected-count M-step sum over the units, the plug-in M-step over the
+    columns. ``_em_loop`` drives any model through ``mstep``,
+    ``objective`` and ``voxel_posterior`` (plus ``patterns``, ``prior``
+    and ``ll_is_approximate``), always with canonical-order parameters.
     """
 
     ll_is_approximate = False
@@ -349,8 +352,9 @@ class _PatternModel:
         form = _binary_posterior_arrays if self.hard else _channel_posterior_arrays
         return form(self.bits, params, self.prior)
 
-    def posterior(self, params: RaterParams, label: int = 1) -> np.ndarray:
-        return self.arrays(params)[label]
+    def posteriors(self, params: RaterParams, labels=(0, 1)):
+        arrays = self.arrays(params)
+        return [arrays[a] for a in labels]
 
     def objective(self, params: RaterParams) -> float:
         return float(self.s @ self.arrays(params)[2])
@@ -372,14 +376,14 @@ class _PatternModel:
         return _mstep_ratio(h1 @ n1, h0 @ n0, n1, n0, ll_trace)
 
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
-        return self.posterior(params)[self.patterns.inverse]
+        return self.posteriors(params, (1,))[0][self.patterns.inverse]
 
     def mstep(self, params: RaterParams, mode: str, ll_trace=()):
         if mode not in MSTEP_MODES:
             raise ConfigError(f"unknown mstep mode {mode!r}")
         if mode == "expected-count":
             return self.expected_count_mstep(params, ll_trace)
-        w1, w0 = self.posterior(params), self.posterior(params, 0)
+        w0, w1 = self.posteriors(params)
         counts = self.patterns.counts
         return _plugin_mstep(self.patterns.columns, counts * w1, counts * w0, ll_trace)
 

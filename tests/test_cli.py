@@ -170,6 +170,17 @@ class TestFuse:
         assert code == 4
         assert "specificity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant, kind", [
+        ("binary", GridKind.BINARY), ("soft-exact", GridKind.SOFT),
+        ("simplified", GridKind.SOFT), ("soft-mc", GridKind.SOFT),
+    ])
+    def test_empty_case_fuses(self, tmp_path, variant, kind):
+        paths = _write_experts(tmp_path, np.zeros((12, 6)), kind)
+        out = tmp_path / "cons"
+        assert main(["fuse", "--variant", variant, *paths, "-o", str(out),
+                     "--binarize"]) == 0
+        assert not read_svol(out / "consensus.svol").data.any()
+
     def test_auto_softmask_path_needs_flair(self, tmp_path):
         rows = np.tile([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], (3, 1))
         paths = _write_experts(tmp_path, rows, dims=Dim3(2, 2, 2))

@@ -23,6 +23,7 @@ from fuselab import (
     run_em,
 )
 from fuselab.errors import ConfigError, DegeneratePosteriorError
+from fuselab.staple import CLAMP_LO
 from helpers import assert_monotone, grid, random_binary_stack, stack_from_rows
 from oracles import loglik_brute, posterior_brute
 
@@ -243,6 +244,18 @@ class TestRunEm:
         stack = stack_from_rows([[0.5, 0.5]], GridKind.SOFT)
         with pytest.raises(ConfigError):
             run_em(stack)
+
+    @pytest.mark.parametrize("m, prior", [(10, "auto"), (20, "auto"), (20, 0.01)])
+    @pytest.mark.parametrize("mode", ["expected-count", "plugin-mean"])
+    def test_empty_case_fuses(self, m, prior, mode):
+        # Raters that all mark nothing leave a label-1 mass far below the
+        # label-0 mass (about 3e-17 per voxel at m=10 and the auto prior),
+        # but not zero: sensitivity stays determined.
+        stack = stack_from_rows(np.zeros((m, 8)))
+        res = run_em(stack, FusionConfig(prior=prior, mstep_mode=mode))
+        assert res.converged
+        np.testing.assert_array_equal(res.params.sens, np.full(m, CLAMP_LO))
+        assert np.all(res.posterior.data < 0.5)
 
     def test_degenerate_run_attaches_partial_trace(self):
         # 20 unanimous all-ones experts push the posterior to exactly 1.0.
