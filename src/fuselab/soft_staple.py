@@ -171,9 +171,7 @@ class _ExactModel(_PatternModel):
         w = np.empty((len(labels), self.patterns.counts.size))
         for cols, codes, weights in _joint_votes(self.patterns.columns):
             for row, table in zip(w, tables):
-                terms = table[codes]
-                terms *= weights
-                row[cols] = terms.sum(axis=1)
+                row[cols] = (weights * table[codes]).sum(axis=1)
         return w
 
 

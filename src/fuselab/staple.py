@@ -300,11 +300,9 @@ def posterior_voxel(votes, params: RaterParams, prior: float) -> float:
 
 
 def _mstep_ratio(num_sens, num_spec, n1, n0, ll_trace=()):
-    """Normalize M-step numerators by the expected label masses sum(n1)
-    (true label 1) and sum(n0) (true label 0). A zero label-1 mass leaves
-    sensitivity undetermined; so does, for specificity, a label-0 mass too
-    small to change the sum of both in float64 (where 1 - w(1) would be
-    exactly 0)."""
+    """Normalize M-step numerators by the expected label masses sum(n1) and
+    sum(n0). Sensitivity is undetermined at a zero label-1 mass, specificity
+    at a label-0 mass too small to change their sum (1 - w(1) would be 0)."""
     mass1 = float(np.sum(n1))
     mass0 = float(np.sum(n0))
     if mass1 == 0.0:
