@@ -112,8 +112,10 @@ def connected_components(mask: VolumeGrid, connectivity: int = 26):
     structure = StructuringElement.from_connectivity(connectivity).as_array()
     labels3, count = ndimage.label(mask.as_3d() > 0.5, structure=structure)
     labels = labels3.reshape(-1)
-    components = [np.flatnonzero(labels == cid) for cid in range(1, count + 1)]
-    return labels, components
+    # A stable sort groups each id's voxels in index order; slot 0 is background.
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=count + 1))
+    return labels, np.split(order, ends[:-1])[1:]
 
 
 def dilate(mask: VolumeGrid, se: StructuringElement, iters: int) -> VolumeGrid:
@@ -133,6 +135,13 @@ def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
     return float(sorted_values[min(rank, sorted_values.size) - 1])
 
 
+def _protocol(cfg: SoftMaskConfig | None) -> tuple[SoftMaskConfig, np.ndarray]:
+    """The validated config and its dilation footprint."""
+    cfg = cfg or SoftMaskConfig()
+    cfg.validate()
+    return cfg, StructuringElement.from_connectivity(cfg.connectivity).as_array()
+
+
 def build_soft_mask(
     binary: VolumeGrid, flair: VolumeGrid, cfg: SoftMaskConfig | None = None
 ) -> VolumeGrid:
@@ -145,8 +154,12 @@ def build_soft_mask(
     voxel excluded by one component's threshold can still receive gamma
     from another component.
     """
-    cfg = cfg or SoftMaskConfig()
-    cfg.validate()
+    return _soft_mask(binary, flair, *_protocol(cfg))
+
+
+def _soft_mask(
+    binary: VolumeGrid, flair: VolumeGrid, cfg: SoftMaskConfig, structure: np.ndarray
+) -> VolumeGrid:
     if binary.kind is not GridKind.BINARY:
         raise ConfigError(f"expected a binary mask, got {binary.kind.value}")
     if flair.kind is not GridKind.INTENSITY:
@@ -159,30 +172,30 @@ def build_soft_mask(
     original = binary.as_3d() > 0.5
     flair3 = flair.as_3d()
     out = original.astype(np.float64)
-    structure = StructuringElement.from_connectivity(cfg.connectivity).as_array()
 
-    labels, components = connected_components(binary, cfg.connectivity)
-    labels3 = labels.reshape(original.shape)
-    for cid, comp in enumerate(components, start=1):
-        comp_mask = labels3 == cid
-        target = cfg.target_volume_ratio * comp.size
-        candidate, size, last = comp_mask, comp.size, -1
-        iters = 0
-        # Dilation only adds voxels: a step that adds none fixes the region for good.
-        while last < size < target and iters < cfg.max_dilation_iters:
-            candidate = ndimage.binary_dilation(candidate, structure=structure)
-            last, size = size, int(candidate.sum())
-            iters += 1
-
+    labels3, _ = ndimage.label(original, structure=structure)
+    for cid, box in enumerate(ndimage.find_objects(labels3), start=1):
+        comp_mask = labels3[box] == cid
         if cfg.threshold_mode == "fixed":
             threshold = cfg.threshold_value
         else:
-            comp_values = np.sort(flair3[comp_mask])
-            threshold = _nearest_rank(comp_values, cfg.threshold_value)
+            threshold = _nearest_rank(np.sort(flair3[box][comp_mask]), cfg.threshold_value)
 
-        ring = candidate & ~original
-        accepted = ring & (flair3 >= threshold)
-        out[accepted] = np.maximum(out[accepted], cfg.gamma)
+        candidate, size, last, iters = comp_mask, int(comp_mask.sum()), -1, 0
+        target = cfg.target_volume_ratio * size
+        # Dilation only adds voxels: a step that adds none fixes the region for good.
+        # A unit step grows it by at most one voxel per axis side, and the grid edge
+        # clips it as the full grid's zero border does: widen the box by one, clipped.
+        while last < size < target and iters < cfg.max_dilation_iters:
+            pads = [(min(1, s.start), min(1, n - s.stop)) for s, n in zip(box, original.shape)]
+            box = tuple(slice(s.start - lo, s.stop + hi) for s, (lo, hi) in zip(box, pads))
+            candidate = ndimage.binary_dilation(np.pad(candidate, pads), structure=structure)
+            last, size = size, int(candidate.sum())
+            iters += 1
+
+        accepted = candidate & ~original[box] & (flair3[box] >= threshold)
+        view = out[box]
+        view[accepted] = np.maximum(view[accepted], cfg.gamma)
 
     return VolumeGrid(binary.dims, out.reshape(-1), GridKind.SOFT)
 
@@ -194,5 +207,6 @@ def build_soft_stack(
     validate_stack(stack)
     if stack.kind is not GridKind.BINARY:
         raise ConfigError("build_soft_stack expects a binary stack")
-    soft = tuple(build_soft_mask(g, flair, cfg) for g in stack.experts)
+    cfg, structure = _protocol(cfg)
+    soft = tuple(_soft_mask(g, flair, cfg, structure) for g in stack.experts)
     return ExpertStack(soft, stack.expert_ids)

@@ -1,14 +1,16 @@
 """Independent brute-force reference implementations used as oracles.
 
 Everything in this module is transcribed directly from the probability
-model with plain Python loops and shares no code with the package, so
-agreement between the two paths is evidence rather than tautology.
+model with plain Python loops (the soft-mask protocol with scipy's
+whole-grid morphology) and shares no code with the package, so agreement
+between the two paths is evidence rather than tautology.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import ndimage
 
 
 def _hard_likelihoods(votes, sens, spec):
@@ -298,3 +300,32 @@ def sphere_count_brute(dims, center, radius):
                 if d2 <= radius**2:
                     count += 1
     return count
+
+
+def soft_mask_brute(mask, flair, gamma=0.3, ratio=1.2, mode="percentile",
+                    value=10.0, connectivity=26, max_iters=10):
+    """The soft-mask protocol on whole [z, y, x] grids: each component is
+    dilated over the full grid, one unit step at a time, until it holds
+    ratio times its voxels, the cap is hit or a step adds no voxel; its
+    ring voxels at or above the threshold get gamma, annotations stay 1."""
+    structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+    original = mask > 0.5
+    out = original.astype(np.float64)
+    labels, count = ndimage.label(original, structure=structure)
+    for cid in range(1, count + 1):
+        comp = labels == cid
+        candidate, size, last, iters = comp, int(comp.sum()), -1, 0
+        target = ratio * size
+        while last < size < target and iters < max_iters:
+            candidate = ndimage.binary_dilation(candidate, structure=structure)
+            last, size = size, int(candidate.sum())
+            iters += 1
+        if mode == "fixed":
+            threshold = value
+        else:
+            values = sorted(flair[comp])
+            rank = max(1, math.ceil(value / 100.0 * len(values)))
+            threshold = values[min(rank, len(values)) - 1]
+        accepted = candidate & ~original & (flair >= threshold)
+        out[accepted] = np.maximum(out[accepted], gamma)
+    return out

@@ -3,6 +3,10 @@ gating, and the protocol invariants."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from fuselab import (
     Dim3,
@@ -17,6 +21,7 @@ from fuselab import (
 )
 from fuselab.errors import ConfigError, DimensionMismatchError
 from helpers import stack_from_rows
+from oracles import soft_mask_brute
 
 
 def cube_fixture(edge=3, grid_edge=9, flair_value=100.0):
@@ -73,6 +78,17 @@ class TestConnectedComponents:
         g = VolumeGrid.from_3d(mask, GridKind.BINARY)
         assert len(connected_components(g, 26)[1]) == 1
         assert len(connected_components(g, 6)[1]) == 2
+
+    def test_one_pass_matches_per_component_formula(self):
+        rng = np.random.default_rng(17)
+        g = VolumeGrid.from_3d(rng.random((12, 13, 14)) < 0.08, GridKind.BINARY)
+        labels, comps = connected_components(g, 6)
+        assert len(comps) > 50
+        assert len(comps) == labels.max()
+        for cid, comp in enumerate(comps, start=1):
+            want = np.flatnonzero(labels == cid)
+            assert comp.dtype == want.dtype
+            np.testing.assert_array_equal(comp, want)
 
 
 class TestDilate:
@@ -235,6 +251,43 @@ class TestBuildSoftMask:
         np.testing.assert_array_equal(got.data, want.data)
         assert 0 < len(calls) <= bound
 
+    def test_each_step_dilates_inside_the_grown_box(self, monkeypatch):
+        """Step s of a component dilates an array no larger than the
+        component's box plus s voxels per axis side, clipped at the grid."""
+        shape = (12, 14, 16)
+        mask = np.zeros(shape, dtype=bool)
+        mask[0, 0, 0] = True                # a corner: clipped on three sides
+        mask[5:7, 6:9, 7] = True            # interior
+        mask[11, 13, 9:16] = True           # an edge run reaching the x face
+        binary = VolumeGrid.from_3d(mask, GridKind.BINARY)
+        flair = VolumeGrid.from_3d(np.arange(mask.size, dtype=float).reshape(shape),
+                                   GridKind.INTENSITY)
+        steps = 3
+        cfg = SoftMaskConfig(target_volume_ratio=1e9, max_dilation_iters=steps)
+        boxes = ndimage.find_objects(ndimage.label(mask, structure=np.ones((3, 3, 3)))[0])
+        want = soft_mask_brute(mask, flair.as_3d(), ratio=1e9, max_iters=steps)
+        dilation = ndimage.binary_dilation
+        shapes = []
+
+        def recorded(region, *args, **kwargs):
+            shapes.append(np.shape(region))
+            return dilation(region, *args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "binary_dilation", recorded)
+        got = build_soft_mask(binary, flair, cfg)
+        assert got.data.tobytes() == want.reshape(-1).tobytes()
+        assert len(shapes) == len(boxes) * steps
+        for i, region in enumerate(shapes):
+            box, s = boxes[i // steps], i % steps + 1
+            bound = tuple(min(sl.stop + s, n) - max(sl.start - s, 0)
+                          for sl, n in zip(box, shape))
+            assert all(r <= b for r, b in zip(region, bound)), (i, region, bound)
+
+    def test_invalid_config_refused_on_its_own(self):
+        binary, flair = cube_fixture()
+        with pytest.raises(ConfigError):
+            build_soft_mask(binary, flair, SoftMaskConfig(gamma=0.0))
+
     def test_dims_mismatch(self):
         binary, _ = cube_fixture()
         flair = VolumeGrid.from_3d(np.zeros((5, 5, 5)), GridKind.INTENSITY)
@@ -254,7 +307,68 @@ class TestBuildSoftMask:
                 bad.validate()
 
 
+@st.composite
+def protocol_inputs(draw):
+    """A sparse random mask (optionally with one component touching all six
+    grid faces) and an intensity volume with ties."""
+    shape = tuple(draw(st.integers(1, 8)) for _ in range(3))
+    mask = draw(hnp.arrays(np.bool_, shape, elements=st.just(True), fill=st.just(False)))
+    if draw(st.booleans()):
+        mask[:, 0, 0] = mask[0, :, 0] = mask[0, 0, :] = True
+    flair = draw(hnp.arrays(np.float64, shape, elements=st.integers(0, 9).map(float)))
+    return mask, flair
+
+
+class TestAgainstBruteForce:
+    """Byte-identical to growing every component over the whole grid."""
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    @pytest.mark.parametrize("growth", ["reachable", "small cap", "huge cap"])
+    @settings(max_examples=25, deadline=None)
+    @given(case=protocol_inputs(), mode=st.sampled_from(["percentile", "fixed"]),
+           value=st.integers(0, 100).map(float), ratio=st.floats(1.0, 4.0),
+           cap=st.integers(1, 3), gamma=st.floats(0.05, 0.95))
+    def test_matches_whole_grid_protocol(self, connectivity, growth, case, mode, value,
+                                         ratio, cap, gamma):
+        if growth != "reachable":
+            ratio = 1e9
+        if growth == "huge cap":
+            cap = 10**6
+        if mode == "fixed":
+            value /= 10.0  # the intensity levels are 0-9
+        mask, flair = case
+        cfg = SoftMaskConfig(gamma=gamma, target_volume_ratio=ratio, threshold_mode=mode,
+                             threshold_value=value, connectivity=connectivity,
+                             max_dilation_iters=cap)
+        got = build_soft_mask(VolumeGrid.from_3d(mask, GridKind.BINARY),
+                              VolumeGrid.from_3d(flair, GridKind.INTENSITY), cfg)
+        want = soft_mask_brute(mask, flair, gamma, ratio, mode, value, connectivity, cap)
+        assert got.data.tobytes() == want.reshape(-1).tobytes()
+
+
 class TestBuildSoftStack:
+    def test_config_and_footprint_built_once_per_stack(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        stack = stack_from_rows((rng.random((4, 216)) < 0.1).astype(float),
+                                GridKind.BINARY, dims=Dim3(6, 6, 6))
+        flair = VolumeGrid.from_3d(np.full((6, 6, 6), 5.0), GridKind.INTENSITY)
+        calls = []
+        validate = SoftMaskConfig.validate
+        footprint = StructuringElement.as_array
+
+        def counted(original, name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SoftMaskConfig, "validate", counted(validate, "validate"))
+        monkeypatch.setattr(StructuringElement, "as_array", counted(footprint, "as_array"))
+        soft = build_soft_stack(stack, flair)
+        assert sorted(calls) == ["as_array", "validate"]
+        for g, s in zip(stack.experts, soft.experts):
+            assert s == build_soft_mask(g, flair)
+
     def test_empty_masks_stay_empty(self):
         shape = (4, 4, 4)
         stack = stack_from_rows(
