@@ -72,23 +72,23 @@ def precision_recall(
 
     Values exactly at the threshold go to 0, matching the consensus
     binarization rule. The truth must be binary; pass
-    ``binarize_truth=True`` to apply the same rule to a soft truth.
+    ``binarize_truth=True`` to apply the same rule to a soft truth. Both
+    masks hold 0/1 only, so the counts are exact integers.
     """
     _check_pair(truth, pred)
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
-    t = truth.data
-    if truth.kind is not GridKind.BINARY:
-        if not binarize_truth:
-            raise ConfigError(
-                "truth is not binary; pass binarize_truth=True to threshold it"
-            )
-        t = (t > threshold).astype(np.float64)
-    p = (pred.data > threshold).astype(np.float64)
+    if truth.kind is GridKind.BINARY:
+        t = truth.data != 0.0
+    elif binarize_truth:
+        t = truth.data > threshold
+    else:
+        raise ConfigError("truth is not binary; pass binarize_truth=True to threshold it")
+    p = pred.data > threshold
 
-    tp = float(np.sum(t * p))
-    fp = float(np.sum((1.0 - t) * p))
-    fn = float(np.sum(t * (1.0 - p)))
+    tp = float(np.count_nonzero(t & p))
+    fp = float(np.count_nonzero(p)) - tp
+    fn = float(np.count_nonzero(t)) - tp
     dice = (tp + DICE_EPS) / (tp + 0.5 * fp + 0.5 * fn + DICE_EPS)
     precision = tp / (tp + fp) if tp + fp > 0 else None
     recall = tp / (tp + fn) if tp + fn > 0 else None

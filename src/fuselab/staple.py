@@ -40,6 +40,7 @@ SOFT_VARIANTS = ("soft-exact", "soft-mc", "simplified")
 MSTEP_MODES = ("expected-count", "plugin-mean")
 
 _INT64_MAX = np.iinfo(np.int64).max
+_CODE_SPAN = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,15 @@ def resolve_prior(stack: ExpertStack, prior: float | str) -> float:
     """Materialize the prior: grand mean of all votes when "auto"."""
     if prior == AUTO_PRIOR:
         votes = sum(float(np.sum(stack.experts[i].data)) for i in canonical_order(stack))
-        return float(np.clip(votes / (stack.m * stack.dims.n), CLAMP_LO, CLAMP_HI))
+        return _mean_vote_prior(votes, stack)
     p = float(prior)
     if not 0.0 < p < 1.0:
         raise ConfigError(f"prior must be in (0, 1), got {p}")
     return p
+
+
+def _mean_vote_prior(votes: float, stack: ExpertStack) -> float:
+    return float(np.clip(votes / (stack.m * stack.dims.n), CLAMP_LO, CLAMP_HI))
 
 
 def canonical_order(stack: ExpertStack) -> np.ndarray:
@@ -184,38 +189,47 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
     """Group the voxels of a stack by their column of votes.
 
     Each expert's values become level indices (binary votes have two
-    levels), combined into mixed-radix int64 codes in canonical expert
-    order. When the next digit would overflow, the running codes are first
-    compacted to their ranks, which keeps the columns sorted, and the
-    codes are grouped by ``_group_keys``.
+    levels), combined in place into mixed-radix codes in canonical expert
+    order, held in the smallest unsigned dtype that fits the code range
+    (uint8 for up to 8 binary experts). When the next digit would pass
+    2^64, the running codes are first compacted to their ranks, which keeps
+    the columns sorted. The codes are grouped by ``_group_keys``; binary
+    columns are decoded from the code bits.
     """
     validate_stack(stack)
     order = canonical_order(stack)
-    n = stack.dims.n
-    code = np.zeros(n, dtype=np.int64)
+    binary = stack.kind is GridKind.BINARY
+    code = np.zeros(stack.dims.n, dtype=np.uint8)
     bound = 1
     for i in order:
         row = stack.experts[i].data
-        if stack.kind is GridKind.BINARY:
+        if binary:
             radix, digit = 2, row != 0.0
         else:
             levels = np.unique(row)
-            radix, digit = levels.size, np.searchsorted(levels, row)
-        if bound > _INT64_MAX // radix:
+            radix = levels.size
+            digit = np.searchsorted(levels, row).astype(np.min_scalar_type(radix - 1))
+        if bound * radix > _CODE_SPAN:
             ranks, code = np.unique(code, return_inverse=True)
             bound = ranks.size
-        code *= radix
+        code = code.astype(np.min_scalar_type(bound * radix - 1), copy=False)
+        if bound > 1:  # else every code is 0, and radix may not fit the dtype
+            code *= radix
         code += digit
         bound *= radix
-    _, counts, inverse = _group_keys(code, bound, inverse=True)
-    first = np.empty(counts.size, dtype=np.int64)
-    first[inverse] = np.arange(n)
-    columns = np.stack([stack.experts[i].data[first] for i in order])
+    values, counts, inverse = _group_keys(code, bound, inverse=True)
+    if binary and bound == 1 << order.size:  # not compacted: codes are the vote bits
+        shifts = np.arange(order.size - 1, -1, -1, dtype=values.dtype)
+        columns = ((values >> shifts[:, None]) & 1).astype(np.float64)
+    else:
+        first = np.empty(counts.size, dtype=np.int64)
+        first[inverse] = np.arange(inverse.size)
+        columns = np.stack([stack.experts[i].data[first] for i in order])
     return VotePatterns(order, columns, counts.astype(np.float64), inverse, stack.dims)
 
 
 def _group_keys(key: np.ndarray, span: int, inverse: bool = False):
-    """The distinct values, ascending, of the int64 ``key`` (all in [0, ``span``)),
+    """The distinct values, ascending, of the integer ``key`` (all in [0, ``span``)),
     how often each occurs, and if ``inverse`` each key's value index (else
     None). Keys are counted with bincount while ``span`` is at most twice
     the key count (there it beats a sort, which wins from about four times
@@ -224,7 +238,7 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False):
     if span <= 2 * key.size:
         counts = np.bincount(key, minlength=span)
         values = np.flatnonzero(counts)
-        index = (np.cumsum(counts > 0) - 1)[key] if inverse else None
+        index = (np.cumsum(counts > 0) - 1).take(key) if inverse else None
         return values, counts[values], index
     values, index = np.unique(key, return_inverse=True)
     return values, np.bincount(index), index if inverse else None
@@ -374,7 +388,7 @@ class _PatternModel:
         return _mstep_ratio(h1 @ n1, h0 @ n0, n1, n0, ll_trace)
 
     def voxel_posterior(self, params: RaterParams) -> np.ndarray:
-        return self.posteriors(params, (1,))[0][self.patterns.inverse]
+        return self.posteriors(params, (1,))[0].take(self.patterns.inverse)
 
     def mstep(self, params: RaterParams, mode: str, ll_trace=()):
         if mode not in MSTEP_MODES:
@@ -387,9 +401,13 @@ class _PatternModel:
 
 
 def _posterior_grid(model, params: RaterParams) -> VolumeGrid:
-    """A model's posterior map at canonical-order ``params``."""
-    w1 = np.clip(model.voxel_posterior(params), 0.0, 1.0)
-    return VolumeGrid(model.patterns.dims, w1, GridKind.POSTERIOR)
+    """A model's posterior map at canonical-order ``params``; the range is
+    still checked after the clip, which lets NaN through."""
+    w1 = model.voxel_posterior(params)
+    np.clip(w1, 0.0, 1.0, out=w1)
+    grid = VolumeGrid._owned(model.patterns.dims, w1, GridKind.POSTERIOR)
+    grid.validate()
+    return grid
 
 
 def _em_loop(model, config: FusionConfig) -> FusionResult:
@@ -450,11 +468,15 @@ def binarize(posterior: VolumeGrid) -> VolumeGrid:
     """Hard consensus: label 1 where w(1) > 0.5; the 0.5 tie goes to 0."""
     if posterior.kind is not GridKind.POSTERIOR:
         raise ConfigError(f"binarize expects a posterior grid, got {posterior.kind.value}")
-    return VolumeGrid(posterior.dims, posterior.data > 0.5, GridKind.BINARY)
+    consensus = np.greater(posterior.data, 0.5, out=np.empty(posterior.n))
+    return VolumeGrid._owned(posterior.dims, consensus, GridKind.BINARY)
 
 
 def _run_inputs(stack: ExpertStack, config: FusionConfig, kind: GridKind):
-    """Check a run's config and stack; return its vote patterns and prior."""
+    """Check a run's config and stack; return its vote patterns and prior.
+
+    A binary stack's auto prior comes from the patterns: its vote total is
+    an exact integer either way, so it equals ``resolve_prior``'s."""
     config.validate()
     binary = kind is GridKind.BINARY
     runner, other = ("run_em", "run_soft_em") if binary else ("run_soft_em", "run_em")
@@ -464,7 +486,11 @@ def _run_inputs(stack: ExpertStack, config: FusionConfig, kind: GridKind):
     validate_stack(stack)
     if stack.kind is not kind:
         raise ConfigError(f"{runner} needs a {kind.value} stack; use {other} instead")
-    return vote_patterns(stack), resolve_prior(stack, config.prior)
+    patterns = vote_patterns(stack)
+    if binary and config.prior == AUTO_PRIOR:
+        votes = float(patterns.columns.sum(axis=0) @ patterns.counts)
+        return patterns, _mean_vote_prior(votes, stack)
+    return patterns, resolve_prior(stack, config.prior)
 
 
 def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResult:

@@ -15,7 +15,9 @@ always produces byte-identical files.
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import struct
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import (
     TrailingDataError,
     TruncatedPayloadError,
 )
-from .volume import Dim3, GridKind, VolumeGrid
+from .volume import _CHECK_BLOCK, Dim3, GridKind, VolumeGrid, _check_values
 
 MAGIC = b"SVOL1\x00"
 _HEADER_LEN_FMT = "<I"
@@ -50,31 +52,44 @@ def write_svol(grid: VolumeGrid, path) -> None:
 
 
 def read_svol(path) -> VolumeGrid:
-    """Parse and validate an SVOL file into a VolumeGrid."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) or raw[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: not an SVOL file (bad magic)")
-    if len(raw) < _PREFIX_LEN:
-        raise HeaderError(f"{path}: file ends before the header length field")
-    (hlen,) = struct.unpack_from(_HEADER_LEN_FMT, raw, len(MAGIC))
-    if len(raw) < _PREFIX_LEN + hlen:
-        raise HeaderError(f"{path}: declared header length {hlen} overruns the file")
-    dims, kind = _parse_header(raw[_PREFIX_LEN : _PREFIX_LEN + hlen], path)
+    """Parse and validate an SVOL file into a VolumeGrid.
 
-    expected = dims.n * 8
-    got = len(raw) - _PREFIX_LEN - hlen
-    if got < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {got} bytes, expected {expected}"
-        )
-    if got > expected:
-        raise TrailingDataError(
-            f"{path}: {got - expected} trailing byte(s) after the payload"
-        )
-    # VolumeGrid keeps its own copy, so the read-only view is passed as is.
-    data = np.frombuffer(raw, dtype="<f8", count=dims.n, offset=_PREFIX_LEN + hlen)
-    return VolumeGrid(dims, data, kind)
+    The payload size is checked against the file size before anything is
+    allocated for it; the payload is then read straight into one aligned
+    float64 array, block by block, and each block's values are checked
+    while it is still in cache. A pipe, whose size is known only once it
+    has been read, is read whole first."""
+    with open(path, "rb") as raw:
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        prefix = fh.read(_PREFIX_LEN)
+        if len(prefix) < len(MAGIC) or prefix[: len(MAGIC)] != MAGIC:
+            raise BadMagicError(f"{path}: not an SVOL file (bad magic)")
+        if len(prefix) < _PREFIX_LEN:
+            raise HeaderError(f"{path}: file ends before the header length field")
+        (hlen,) = struct.unpack_from(_HEADER_LEN_FMT, prefix, len(MAGIC))
+        got = size - _PREFIX_LEN - hlen
+        if got < 0:
+            raise HeaderError(f"{path}: declared header length {hlen} overruns the file")
+        dims, kind = _parse_header(fh.read(hlen), path)
+
+        expected = dims.n * 8
+        if got < expected:
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {got} bytes, expected {expected}"
+            )
+        if got > expected:
+            raise TrailingDataError(
+                f"{path}: {got - expected} trailing byte(s) after the payload"
+            )
+        data = np.empty(dims.n, dtype="<f8")
+        for lo in range(0, dims.n, _CHECK_BLOCK):
+            block = data[lo : lo + _CHECK_BLOCK]
+            if fh.readinto(block) != block.nbytes:
+                raise TruncatedPayloadError(f"{path}: file shrank while it was read")
+            _check_values(block, kind)
+    return VolumeGrid._owned(dims, data, kind)
 
 
 def _parse_header(blob: bytes, path) -> tuple[Dim3, GridKind]:

@@ -49,6 +49,8 @@ class Dim3:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ShapeError(f"{name} must be a positive integer, got {v!r}")
+            # Python ints: the product below cannot wrap, and JSON takes them.
+            object.__setattr__(self, name, int(v))
         if self.nx * self.ny * self.nz >= 2**62:
             raise ShapeError("voxel count exceeds the addressable size")
 
@@ -73,7 +75,23 @@ def linear_index(ix: int, iy: int, iz: int, dims: Dim3) -> int:
     return ix + dims.nx * (iy + dims.ny * iz)
 
 
+def _check_size(data: np.ndarray, dims: Dim3) -> None:
+    if data.size != dims.n:
+        raise ShapeError(f"data length {data.size} does not match dims product {dims.n}")
+
+
+# Values are checked in blocks of this many voxels (512 KiB of float64), so
+# that the check's temporaries, or a block just read from a file, stay in a
+# core's L2 cache.
+_CHECK_BLOCK = 1 << 16
+
+
 def _check_values(data: np.ndarray, kind: GridKind) -> None:
+    for lo in range(0, data.size, _CHECK_BLOCK):
+        _check_block(data[lo : lo + _CHECK_BLOCK], kind)
+
+
+def _check_block(data: np.ndarray, kind: GridKind) -> None:
     if kind is GridKind.BINARY:
         if not np.all((data == 0.0) | (data == 1.0)):
             raise ValueRangeError("binary grid holds a value other than 0.0/1.0")
@@ -105,6 +123,19 @@ class VolumeGrid:
         self.validate()
 
     @classmethod
+    def _owned(cls, dims: Dim3, data: np.ndarray, kind: GridKind) -> "VolumeGrid":
+        """Wrap a flat float64 array that the package has just built and
+        that nothing else holds, without a copy and without a value scan:
+        the caller checks the values where they can fail. The size is
+        checked here."""
+        _check_size(data, dims)
+        data.flags.writeable = False
+        grid = object.__new__(cls)
+        for name, value in (("dims", dims), ("data", data), ("kind", kind)):
+            object.__setattr__(grid, name, value)
+        return grid
+
+    @classmethod
     def from_3d(cls, arr, kind: GridKind) -> "VolumeGrid":
         """Build a grid from an array indexed ``[iz, iy, ix]``."""
         arr = np.asarray(arr, dtype=np.float64)
@@ -122,11 +153,8 @@ class VolumeGrid:
         return self.dims.n
 
     def validate(self) -> None:
-        """Check the invariants; the constructor runs this on its copy."""
-        if self.data.size != self.dims.n:
-            raise ShapeError(
-                f"data length {self.data.size} does not match dims product {self.dims.n}"
-            )
+        """Check the invariants; the public constructor runs this on its copy."""
+        _check_size(self.data, self.dims)
         _check_values(self.data, self.kind)
 
     def with_kind(self, kind: GridKind) -> "VolumeGrid":

@@ -280,6 +280,21 @@ def majority_vote(votes_matrix):
     return (votes_matrix.sum(axis=0) > m / 2.0).astype(float)
 
 
+def precision_recall_float(truth, pred, threshold=0.5, binarize_truth=False):
+    """Confusion counts as float sums of 0/1 products: (dice, precision,
+    recall, tp, fp, fn), with the package's 1e-7 Dice smoothing."""
+    eps = 1e-7
+    t = (truth > threshold).astype(np.float64) if binarize_truth else truth
+    p = (pred > threshold).astype(np.float64)
+    tp = float(np.sum(t * p))
+    fp = float(np.sum((1.0 - t) * p))
+    fn = float(np.sum(t * (1.0 - p)))
+    dice = (tp + eps) / (tp + 0.5 * fp + 0.5 * fn + eps)
+    precision = tp / (tp + fp) if tp + fp > 0 else None
+    recall = tp / (tp + fn) if tp + fn > 0 else None
+    return dice, precision, recall, tp, fp, fn
+
+
 def dice_hard(truth, pred):
     """Plain hard Dice on 0/1 arrays; empty-vs-empty scores 1."""
     tp = float(np.sum(truth * pred))

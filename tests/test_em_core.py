@@ -31,8 +31,15 @@ from fuselab import (
     soft_m_step,
 )
 from fuselab.errors import DegeneratePosteriorError
-from fuselab.staple import CLAMP_HI, CLAMP_LO, vote_patterns
-from helpers import assert_monotone, stack_from_rows
+from fuselab.staple import (
+    AUTO_PRIOR,
+    CLAMP_HI,
+    CLAMP_LO,
+    _run_inputs,
+    resolve_prior,
+    vote_patterns,
+)
+from helpers import assert_monotone, random_binary_stack, stack_from_rows
 from oracles import (
     loglik_brute,
     plugin_mstep_brute,
@@ -159,6 +166,38 @@ class TestVotePatterns:
             simple_loglik_brute(rows, p.sens, p.spec, 0.3), rel=1e-10)
         _assert_update(simple_m_step(stack, p, 0.3),
                        simple_expected_count_mstep_brute(rows, p.sens, p.spec, 0.3))
+
+    @pytest.mark.parametrize("m", [1, 8, 9, 16, 17, 32, 33, 63, 64])
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_code_dtype_edges(self, m, binary):
+        """Codes change dtype at 2^8, 2^16 and 2^32, and three soft levels
+        pass 2^64 from 41 experts on, where the codes are compacted."""
+        rng = np.random.default_rng(m)
+        rows = (rng.random((m, 150)) < 0.3).astype(float)
+        if binary:
+            rows[(rows == 0.0) & (rng.random(rows.shape) < 0.5)] = -0.0
+        else:
+            rows[rng.random(rows.shape) < 0.2] = 0.3
+        rows = np.concatenate([rows, rows[:, ::3]], axis=1)
+        kind = GridKind.BINARY if binary else GridKind.SOFT
+        ids = tuple(f"e{i:02d}" for i in range(m))   # ids sort in row order
+        pats = vote_patterns(stack_from_rows(rows, kind, ids=ids))
+        cols, inverse, counts = np.unique(rows, axis=1, return_inverse=True,
+                                          return_counts=True)
+        np.testing.assert_array_equal(pats.columns, cols)
+        np.testing.assert_array_equal(pats.inverse, inverse.reshape(-1))
+        np.testing.assert_array_equal(pats.counts, counts)
+        if binary:
+            assert not np.any(np.signbit(pats.columns))
+
+    def test_pattern_prior_equals_resolve_prior(self):
+        rng = np.random.default_rng(12)
+        config = FusionConfig()
+        for _ in range(40):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 3000))
+            stack = random_binary_stack(rng, m, n, p=rng.choice([0.0, 0.02, 0.4, 1.0]))
+            _, prior = _run_inputs(stack, config, GridKind.BINARY)
+            assert prior == resolve_prior(stack, AUTO_PRIOR)
 
 
 class TestStepsAgainstOracles:

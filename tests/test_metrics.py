@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fuselab import (
+    EvalReport,
     GridKind,
     RaterParams,
     param_recovery_error,
@@ -15,6 +16,7 @@ from fuselab import (
 )
 from fuselab.errors import ConfigError, DimensionMismatchError
 from helpers import grid
+from oracles import precision_recall_float
 
 
 class TestSoftDice:
@@ -122,6 +124,34 @@ class TestPrecisionRecall:
         t = grid([1.0])
         with pytest.raises(ConfigError):
             precision_recall(t, t, threshold=1.0)
+
+
+class TestCountsAgainstFloatSums:
+    """Counting the masks gives exactly the float sums of 0/1 products."""
+
+    def _cases(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 2000))
+            thr = float(rng.choice([0.5, 0.25, 0.9]))
+            exact = rng.choice([0.0, thr, 1.0], n)   # ties at the threshold go to 0
+            pred = np.where(rng.random(n) < 0.3, exact, rng.random(n))
+            yield n, pred, thr
+
+    def test_binary_truth(self):
+        rng = np.random.default_rng(21)
+        for n, pred, thr in self._cases(rng):
+            truth = (rng.random(n) < rng.random()).astype(float)
+            rep = precision_recall(grid(truth), grid(pred, GridKind.POSTERIOR), thr)
+            assert rep == EvalReport(*precision_recall_float(truth, pred, thr))
+
+    def test_soft_truth_binarized(self):
+        rng = np.random.default_rng(22)
+        for n, pred, thr in self._cases(rng):
+            truth = rng.choice([0.0, 0.3, thr, 1.0, rng.random()], n)
+            rep = precision_recall(grid(truth, GridKind.SOFT),
+                                   grid(pred, GridKind.POSTERIOR), thr,
+                                   binarize_truth=True)
+            assert rep == EvalReport(*precision_recall_float(truth, pred, thr, True))
 
 
 class TestParamRecovery:

@@ -2,6 +2,7 @@
 oracles, loop contracts, and the model's symmetry properties."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from fuselab import (
     resolve_prior,
     run_em,
 )
-from fuselab.errors import ConfigError, DegeneratePosteriorError
-from fuselab.staple import CLAMP_LO
+from fuselab.errors import ConfigError, DegeneratePosteriorError, ValueRangeError
+from fuselab.staple import CLAMP_LO, _posterior_grid, vote_patterns
 from helpers import assert_monotone, grid, random_binary_stack, stack_from_rows
 from oracles import loglik_brute, posterior_brute
 
@@ -338,3 +339,27 @@ class TestBinarize:
     def test_requires_posterior_kind(self):
         with pytest.raises(ConfigError):
             binarize(grid([0.0, 1.0], GridKind.BINARY))
+
+    def test_output_is_a_read_only_float_grid(self):
+        out = binarize(grid([0.7, 0.1, 0.5], GridKind.POSTERIOR))
+        assert out.data.dtype == np.float64 and not out.data.flags.writeable
+        out.validate()
+
+
+class TestPosteriorGrid:
+    @staticmethod
+    def _model(w1):
+        """A model whose posterior map is ``w1``, over two binary voxels' patterns."""
+        patterns = vote_patterns(stack_from_rows([[0.0, 1.0]]))
+        return SimpleNamespace(patterns=patterns, voxel_posterior=lambda params: w1)
+
+    def test_nan_posterior_is_refused(self):
+        """The clip lets NaN through, so the range check stays."""
+        with pytest.raises(ValueRangeError):
+            _posterior_grid(self._model(np.array([1.5, np.nan])), params(0.9, 0.9))
+
+    def test_clipped_in_place(self):
+        w1 = np.array([-1e-17, 1.0 + 2e-16])
+        g = _posterior_grid(self._model(w1), params(0.9, 0.9))
+        assert g.data is w1
+        np.testing.assert_array_equal(g.data, [0.0, 1.0])

@@ -1,6 +1,7 @@
 """SVOL format: bit-exact round trips and malformed-file rejection."""
 
 import json
+import os
 import struct
 import tracemalloc
 
@@ -170,6 +171,20 @@ class TestFaultInjection:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_lying_header_allocates_no_payload(self, tmp_path):
+        """The payload size is checked against the file before the array
+        for 2^30 voxels would be allocated."""
+        path = _raw_file(tmp_path, {"dims": [2**10] * 3, "kind": "soft"},
+                         struct.pack("<2d", 0.5, 0.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayloadError, match="holds 16 bytes"):
+                read_svol(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_dims_product_overflow_is_a_header_error(self, tmp_path):
         path = _raw_file(tmp_path, {"dims": [2**21] * 3, "kind": "soft"},
                          struct.pack("<d", 0.5))
@@ -183,6 +198,63 @@ class TestFaultInjection:
                          struct.pack("<d", 0.5))
         assert main(["eval", str(path), str(path)]) == 3
         assert str(path) in capsys.readouterr().err
+
+
+class TestReadAllocation:
+    def test_one_read_allocates_one_payload(self, tmp_path):
+        """The payload is read straight into the grid's array: no copy of
+        the file bytes, no second copy in the grid."""
+        dims = Dim3(64, 64, 64)
+        data = np.random.default_rng(5).random(dims.n)
+        path = tmp_path / "big.svol"
+        write_svol(VolumeGrid(dims, data, GridKind.SOFT), path)
+        tracemalloc.start()
+        try:
+            g = read_svol(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dims.n * 8 + 2**20
+        np.testing.assert_array_equal(g.data, data)
+        flags = g.data.flags
+        assert flags.aligned and flags.c_contiguous and not flags.writeable
+        with pytest.raises(ValueError):
+            g.data[0] = 0.0
+
+    def test_values_are_checked_on_read(self, tmp_path):
+        path = _raw_file(tmp_path, {"dims": [2, 1, 1], "kind": "soft"},
+                         struct.pack("<2d", 0.5, np.nan))
+        with pytest.raises(ValueRangeError):
+            read_svol(path)
+
+    @pytest.mark.parametrize("where", ["first", "block end", "block start", "last"])
+    def test_bad_value_in_any_read_block(self, tmp_path, where):
+        from fuselab.volume import _CHECK_BLOCK as B
+
+        data = np.zeros(2 * B + 3)
+        data[{"first": 0, "block end": B - 1, "block start": B, "last": 2 * B + 2}[where]] = 0.5
+        path = _raw_file(tmp_path, {"dims": [data.size, 1, 1], "kind": "binary"},
+                         data.astype("<f8").tobytes())
+        with pytest.raises(ValueRangeError):
+            read_svol(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_from_a_pipe(self, tmp_path):
+        g = VolumeGrid(Dim3(3, 2, 1), np.linspace(0.0, 1.0, 6), GridKind.SOFT)
+        write_svol(g, tmp_path / "g.svol")
+        r, w = os.pipe()
+        try:
+            os.write(w, (tmp_path / "g.svol").read_bytes())
+            os.close(w)
+            assert read_svol(f"/dev/fd/{r}") == g
+        finally:
+            os.close(r)
+
+    def test_numpy_int_dims_write(self, tmp_path):
+        dims = Dim3(np.int64(2), np.int64(1), np.int64(3))
+        g = VolumeGrid(dims, np.linspace(0.0, 1.0, 6), GridKind.SOFT)
+        write_svol(g, tmp_path / "np.svol")
+        assert read_svol(tmp_path / "np.svol") == g
 
 
 class TestWriteValidation:

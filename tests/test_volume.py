@@ -154,3 +154,33 @@ class TestValidateStack:
         a = grid([0.0, 1.0])
         with pytest.raises(DuplicateExpertIdError):
             validate_stack(ExpertStack((a,), ("e0", "e1")))
+
+
+class TestDim3NumpyInts:
+    """numpy integer dims are stored as Python ints."""
+
+    def test_wrapping_product_is_refused(self):
+        # As int64 the product 2^64 wraps to 0 and would pass the guard.
+        with pytest.raises(ShapeError, match="addressable"):
+            Dim3(np.int64(2**21), np.int64(2**21), np.int64(2**22))
+
+    def test_numpy_dims_are_python_ints(self):
+        dims = Dim3(np.int64(2), np.uint8(3), np.int32(4))
+        assert all(type(v) is int for v in dims.as_tuple())
+        assert dims == Dim3(2, 3, 4) and type(dims.n) is int
+
+
+class TestBlockedValueCheck:
+    """Values are checked block by block; a bad value in any block, at
+    either edge of one, is found."""
+
+    @pytest.mark.parametrize("kind", list(GridKind))
+    @pytest.mark.parametrize("where", ["first", "block end", "block start", "last"])
+    def test_bad_value_anywhere(self, kind, where):
+        from fuselab.volume import _CHECK_BLOCK as B
+
+        data = np.zeros(2 * B + 3)
+        at = {"first": 0, "block end": B - 1, "block start": B, "last": 2 * B + 2}[where]
+        data[at] = {GridKind.BINARY: 0.5, GridKind.INTENSITY: np.inf}.get(kind, np.nan)
+        with pytest.raises(ValueRangeError):
+            VolumeGrid(Dim3(data.size, 1, 1), data, kind)
