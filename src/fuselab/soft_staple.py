@@ -59,6 +59,11 @@ MC_DRAW_LIMIT = 2**23
 # benchmark case at the default 10,000 samples keeps at most 6,709 x 128.
 MC_ENTRY_LIMIT = 2**23
 
+# Most draws (soft voxels x samples x m) one Monte Carlo run may make. At
+# about 10 ns per draw, a run refused here would have drawn for over a minute;
+# the 40^3 protocol-m7 benchmark case at the default 10,000 samples draws 0.47 G.
+_MC_RUN_DRAW_LIMIT = 2**33
+
 # Most draws one block of Monte Carlo voxels holds, unless one voxel needs more.
 # On 40^3 voxels and 7 experts, 2^18 ran fastest of 2^14 ... 2^20.
 _DRAW_BLOCK = 2**18
@@ -164,10 +169,9 @@ class _ExactModel(_PatternModel):
         self.codes = np.flatnonzero(s)
         super().__init__(patterns, prior, _code_bits(self.codes, m), s[self.codes])
 
-    def posteriors(self, params: RaterParams, labels=(0, 1)):
-        arrays = self.arrays(params)
+    def posteriors(self, ev, labels=(0, 1)):
         tables = np.zeros((len(labels), 1 << self.bits.shape[0]))
-        tables[:, self.codes] = [arrays[a] for a in labels]
+        tables[:, self.codes] = [ev[a] for a in labels]
         w = np.empty((len(labels), self.patterns.counts.size))
         for cols, codes, weights in _joint_votes(self.patterns.columns):
             for row, table in zip(w, tables):
@@ -188,13 +192,13 @@ def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
 def soft_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Exact soft posterior map over the whole grid."""
     model = _ExactModel(vote_patterns(stack), prior)
-    return _posterior_grid(model, params.reordered(model.patterns.order))
+    return _posterior_grid(model, model.arrays(params.reordered(model.patterns.order)))
 
 
 def soft_log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
     """Expected log-likelihood of the exact soft model."""
     model = _ExactModel(vote_patterns(stack), prior)
-    return model.objective(params.reordered(model.patterns.order))
+    return model.objective(model.arrays(params.reordered(model.patterns.order)))
 
 
 def soft_m_step(
@@ -211,8 +215,8 @@ def soft_m_step(
     posterior taken from the exact soft E-step.
     """
     model = _ExactModel(vote_patterns(stack), prior)
-    sens, spec = model.mstep(params.reordered(model.patterns.order), mode)
-    return model.patterns.restore(sens, spec)
+    params = params.reordered(model.patterns.order)
+    return model.patterns.restore(*model.mstep(params, model.arrays(params), mode))
 
 
 def check_mc_request(samples: int, m: int) -> None:
@@ -372,8 +376,8 @@ def simple_m_step(
 ) -> RaterParams:
     """Parameter update for the noisy-channel model (modes as in soft_m_step)."""
     model = _PatternModel(vote_patterns(stack), prior)
-    sens, spec = model.mstep(params.reordered(model.patterns.order), mode)
-    return model.patterns.restore(sens, spec)
+    params = params.reordered(model.patterns.order)
+    return model.patterns.restore(*model.mstep(params, model.arrays(params), mode))
 
 
 class _McModel(_PatternModel):
@@ -394,9 +398,9 @@ class _McModel(_PatternModel):
     exact one. Only the final posterior needs each voxel's own samples:
     the set-up pass also tallies each block per voxel (``tallies``, see
     ``_voxel_tally``), so every stream is drawn once per run. A voxel with
-    k fractional votes keeps at most min(samples, 2^k) tallies and entries;
-    a run whose sum of those exceeds :data:`MC_ENTRY_LIMIT` is refused
-    before the first draw.
+    k fractional votes keeps at most min(samples, 2^k) tallies and entries.
+    A run whose sum of those exceeds :data:`MC_ENTRY_LIMIT`, or whose draws
+    exceed ``_MC_RUN_DRAW_LIMIT``, is refused before the first draw.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
@@ -413,6 +417,12 @@ class _McModel(_PatternModel):
                 f"(soft voxels x min(samples, 2^k)), over the limit of {MC_ENTRY_LIMIT}; "
                 "lower the sample count"
             )
+        draws = int(patterns.counts[~hard].sum()) * samples * m
+        if draws > _MC_RUN_DRAW_LIMIT:
+            raise CapacityError(
+                f"Monte Carlo request would make {draws} draws (soft voxels x samples x "
+                f"experts), over the limit of {_MC_RUN_DRAW_LIMIT}; lower the sample count"
+            )
         # Column by column, so that a block spans few columns.
         soft = np.flatnonzero(~hard[patterns.inverse])
         self.soft_voxels = soft[np.argsort(patterns.inverse[soft], kind="stable")]
@@ -422,7 +432,7 @@ class _McModel(_PatternModel):
         step = max(1, _DRAW_BLOCK // (samples * m))  # _DRAW_BLOCK draws, or one voxel
         for lo in range(0, self.soft_voxels.size, step):
             voxels = self.soft_voxels[lo : lo + step]
-            ids = patterns.inverse[voxels]
+            ids = patterns.inverse[voxels].astype(np.intp, copy=False)
             codes = _mc_codes(cols[:, ids], voxels, samples, seed)
             group, code, counts = _tally(
                 np.repeat(ids - ids[0], samples), ids[-1] - ids[0] + 1, codes, m)
@@ -434,18 +444,16 @@ class _McModel(_PatternModel):
                          np.bincount(self.code, self.weight))
         self.ll_is_approximate = self.soft_voxels.size > 0
 
-    def posteriors(self, params: RaterParams, labels=(0, 1)):
-        arrays = self.arrays(params)
+    def posteriors(self, ev, labels=(0, 1)):
         counts = self.patterns.counts
-        return [np.bincount(self.col, self.weight * arrays[a][self.code], minlength=counts.size)
+        return [np.bincount(self.col, self.weight * ev[a][self.code], minlength=counts.size)
                 / counts for a in labels]
 
-    def voxel_posterior(self, params: RaterParams) -> np.ndarray:
-        p1 = self.arrays(params)[1]
-        w1 = self.posteriors(params, (1,))[0][self.patterns.inverse]
+    def voxel_posterior(self, ev) -> np.ndarray:
+        w1 = self.posteriors(ev, (1,))[0][self.patterns.inverse]
         for voxels, sizes, code, counts in self.tallies:
             unit = np.searchsorted(self.table, code.astype(self.table.dtype))
-            w1[voxels] = _voxel_means(sizes, counts, p1[unit], self.samples)
+            w1[voxels] = _voxel_means(sizes, counts, ev[1][unit], self.samples)
         return w1
 
 

@@ -21,6 +21,7 @@ in which experts are supplied.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,10 @@ class FusionConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
+        for name in ("max_iters", "mc_samples", "mc_seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0.0:
@@ -313,23 +318,23 @@ def posterior_voxel(votes, params: RaterParams, prior: float) -> float:
     return float(_binary_posterior_arrays(y[:, None], params, prior)[1][0])
 
 
-def _mstep_ratio(num_sens, num_spec, n1, n0, ll_trace=()):
+def _mstep_ratio(num_sens, num_spec, n1, n0):
     """Normalize M-step numerators by the expected label masses sum(n1) and
     sum(n0). Sensitivity is undetermined at a zero label-1 mass, specificity
     at a label-0 mass too small to change their sum (1 - w(1) would be 0)."""
     mass1 = float(np.sum(n1))
     mass0 = float(np.sum(n0))
     if mass1 == 0.0:
-        raise DegeneratePosteriorError("sensitivity", ll_trace)
+        raise DegeneratePosteriorError("sensitivity")
     if mass0 + mass1 == mass1:
-        raise DegeneratePosteriorError("specificity", ll_trace)
+        raise DegeneratePosteriorError("specificity")
     return clamp_params(num_sens / mass1, num_spec / mass0)
 
 
-def _plugin_mstep(columns: np.ndarray, n1: np.ndarray, n0: np.ndarray, ll_trace=()):
+def _plugin_mstep(columns: np.ndarray, n1: np.ndarray, n0: np.ndarray):
     """Binary update with the votes plugged in, from per-column label
     counts; exact EM for hard votes."""
-    return _mstep_ratio(columns @ n1, (1.0 - columns) @ n0, n1, n0, ll_trace)
+    return _mstep_ratio(columns @ n1, (1.0 - columns) @ n0, n1, n0)
 
 
 class _PatternModel:
@@ -341,14 +346,15 @@ class _PatternModel:
     chosen once, from the units: hard units take the log-linear binary
     form, and units with any fractional vote read each vote through the
     noisy channel (the simplified variant), which equals the binary form
-    at votes 0 and 1 but costs more. ``arrays`` gives w(0), w(1) and
-    log p(votes) per unit, ``posteriors`` w(a) per distinct vote column
-    for each requested label a (the final posterior asks for w(1) only,
-    the plug-in M-step for both); the objective (``s`` @ log p) and the
-    expected-count M-step sum over the units, the plug-in M-step over the
-    columns. ``_em_loop`` drives any model through ``mstep``,
-    ``objective`` and ``voxel_posterior`` (plus ``patterns``, ``prior``
-    and ``ll_is_approximate``), always with canonical-order parameters.
+    at votes 0 and 1 but costs 3 to 5 times as much per evaluation on 12
+    experts. ``arrays`` is the one evaluation per parameter set (``ev``):
+    w(0), w(1) and log p(votes) per unit. The other methods read it:
+    ``posteriors`` gives w(a) per distinct vote column for each requested
+    label a; the objective (``s`` @ log p) and the expected-count M-step
+    sum over the units, the plug-in M-step over the columns. ``_em_loop``
+    drives any model through ``arrays``, ``mstep``, ``objective`` and
+    ``voxel_posterior`` (plus ``patterns``, ``prior`` and
+    ``ll_is_approximate``), always with canonical-order parameters.
     """
 
     ll_is_approximate = False
@@ -364,20 +370,27 @@ class _PatternModel:
         form = _binary_posterior_arrays if self.hard else _channel_posterior_arrays
         return form(self.bits, params, self.prior)
 
-    def posteriors(self, params: RaterParams, labels=(0, 1)):
-        arrays = self.arrays(params)
-        return [arrays[a] for a in labels]
+    def posteriors(self, ev, labels=(0, 1)):
+        return [ev[a] for a in labels]
 
-    def objective(self, params: RaterParams) -> float:
-        return float(self.s @ self.arrays(params)[2])
+    def objective(self, ev) -> float:
+        return float(self.s @ ev[2])
 
-    def expected_count_mstep(self, params: RaterParams, ll_trace=()):
-        """Exact EM update: the counts are expectations over the true label
-        and, for soft units, over the hidden hard vote behind each soft
-        vote, which is the vote itself when the units are hard."""
-        p0, p1, _ = self.arrays(params)
-        n1 = p1 * self.s
-        n0 = p0 * self.s
+    def voxel_posterior(self, ev) -> np.ndarray:
+        return self.posteriors(ev, (1,))[0].take(self.patterns.inverse)
+
+    def mstep(self, params: RaterParams, ev, mode: str):
+        """The update from ``params`` and the evaluation ``ev`` there. Expected
+        counts run over the true label and, for soft units, the hidden hard
+        vote behind each soft vote (the vote itself for hard units)."""
+        if mode not in MSTEP_MODES:
+            raise ConfigError(f"unknown mstep mode {mode!r}")
+        if mode == "plugin-mean":
+            w0, w1 = self.posteriors(ev)
+            counts = self.patterns.counts
+            return _plugin_mstep(self.patterns.columns, counts * w1, counts * w0)
+        n1 = ev[1] * self.s
+        n0 = ev[0] * self.s
         if self.hard:
             h1, h0 = self.bits, 1.0 - self.bits
         else:
@@ -385,25 +398,13 @@ class _PatternModel:
             l0, l1 = _channel_likelihoods(self.bits, params)
             h1 = self.bits * sens[:, None] / l1
             h0 = (1.0 - self.bits) * spec[:, None] / l0
-        return _mstep_ratio(h1 @ n1, h0 @ n0, n1, n0, ll_trace)
-
-    def voxel_posterior(self, params: RaterParams) -> np.ndarray:
-        return self.posteriors(params, (1,))[0].take(self.patterns.inverse)
-
-    def mstep(self, params: RaterParams, mode: str, ll_trace=()):
-        if mode not in MSTEP_MODES:
-            raise ConfigError(f"unknown mstep mode {mode!r}")
-        if mode == "expected-count":
-            return self.expected_count_mstep(params, ll_trace)
-        w0, w1 = self.posteriors(params)
-        counts = self.patterns.counts
-        return _plugin_mstep(self.patterns.columns, counts * w1, counts * w0, ll_trace)
+        return _mstep_ratio(h1 @ n1, h0 @ n0, n1, n0)
 
 
-def _posterior_grid(model, params: RaterParams) -> VolumeGrid:
-    """A model's posterior map at canonical-order ``params``; the range is
+def _posterior_grid(model, ev) -> VolumeGrid:
+    """A model's posterior map from its evaluation ``ev``; the range is
     still checked after the clip, which lets NaN through."""
-    w1 = model.voxel_posterior(params)
+    w1 = model.voxel_posterior(ev)
     np.clip(w1, 0.0, 1.0, out=w1)
     grid = VolumeGrid._owned(model.patterns.dims, w1, GridKind.POSTERIOR)
     grid.validate()
@@ -413,37 +414,40 @@ def _posterior_grid(model, params: RaterParams) -> VolumeGrid:
 def _em_loop(model, config: FusionConfig) -> FusionResult:
     """The EM iterations every variant shares.
 
-    Starts from the config's initial sensitivity/specificity, alternates
-    the model's M-step (its E-step included) with the objective until
-    every parameter moves less than ``tol`` or ``max_iters`` is hit, and
-    returns the posterior of a final E-step at the last parameters.
+    Evaluates the model once per parameter set: at the config's initial
+    sensitivity/specificity and after each M-step. Each evaluation feeds
+    the next M-step (its E-step), the objective and the final posterior.
+    Stops once every parameter moves less than ``tol`` or after
+    ``max_iters``; a collapsed M-step raises with the trace so far.
     """
     m = model.patterns.order.size
-    sens, spec = clamp_params(np.full(m, config.init_sens), np.full(m, config.init_spec))
+    params = RaterParams(*clamp_params(np.full(m, config.init_sens), np.full(m, config.init_spec)))
+    ev = model.arrays(params)
     trace: list[float] = []
     converged = False
     iters = 0
     for iters in range(1, config.max_iters + 1):
-        new_sens, new_spec = model.mstep(RaterParams(sens, spec), config.mstep_mode, trace)
-        trace.append(model.objective(RaterParams(new_sens, new_spec)))
-        delta = max(
-            float(np.max(np.abs(new_sens - sens))),
-            float(np.max(np.abs(new_spec - spec))),
-        )
-        sens, spec = new_sens, new_spec
-        if delta < config.tol:
+        try:
+            new = RaterParams(*model.mstep(params, ev, config.mstep_mode))
+        except DegeneratePosteriorError as err:
+            raise DegeneratePosteriorError(err.side, trace) from None
+        ev = model.arrays(new)
+        trace.append(model.objective(ev))
+        step = np.abs(np.concatenate([new.sens - params.sens, new.spec - params.spec]))
+        params = new
+        if step.max() < config.tol:
             converged = True
             break
-    posterior = _posterior_grid(model, RaterParams(sens, spec))
-    return FusionResult(posterior, model.patterns.restore(sens, spec), tuple(trace), iters,
-                        converged, model.prior, model.ll_is_approximate)
+    posterior = _posterior_grid(model, ev)
+    return FusionResult(posterior, model.patterns.restore(params.sens, params.spec), tuple(trace),
+                        iters, converged, model.prior, model.ll_is_approximate)
 
 
 def e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Posterior map w(1) over the whole grid; w(0) is its complement. On
     a soft stack it is the simplified (noisy-channel) model's."""
     model = _PatternModel(vote_patterns(stack), prior)
-    return _posterior_grid(model, params.reordered(model.patterns.order))
+    return _posterior_grid(model, model.arrays(params.reordered(model.patterns.order)))
 
 
 def m_step(stack: ExpertStack, w: VolumeGrid) -> RaterParams:
@@ -461,7 +465,7 @@ def log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> flo
     """Observed-data log-likelihood of the binary model; on a soft stack,
     of the simplified (noisy-channel) model."""
     model = _PatternModel(vote_patterns(stack), prior)
-    return model.objective(params.reordered(model.patterns.order))
+    return model.objective(model.arrays(params.reordered(model.patterns.order)))
 
 
 def binarize(posterior: VolumeGrid) -> VolumeGrid:

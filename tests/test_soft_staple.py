@@ -457,13 +457,13 @@ class TestMonteCarloSweep:
         small = ss._McModel(patterns, 0.3, 256, 3)
         model = ss._McModel(patterns, 0.3, 4096, 3)
         assert kept(model) < 2 * kept(small)
-        want = model.voxel_posterior(p).tobytes()
+        want = model.voxel_posterior(model.arrays(p)).tobytes()
 
         def refuse(*_):
             raise AssertionError("the final posterior drew again")
 
         monkeypatch.setattr(ss, "_mc_codes", refuse)
-        assert model.voxel_posterior(p).tobytes() == want
+        assert model.voxel_posterior(model.arrays(p)).tobytes() == want
 
 
     def test_entry_bound_refuses_before_any_draw(self, monkeypatch):
@@ -483,6 +483,47 @@ class TestMonteCarloSweep:
         monkeypatch.setattr(ss, "MC_ENTRY_LIMIT", 330)
         run_soft_em(stack, cfg)
         assert calls
+
+    def test_draw_bound_refuses_before_any_draw(self, monkeypatch):
+        """5 experts x 30 soft voxels x 11 samples = 1,650 draws."""
+        import fuselab.soft_staple as ss
+
+        stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
+        calls = []
+        draw = ss._mc_codes
+        monkeypatch.setattr(ss, "_mc_codes", lambda *a: calls.append(a) or draw(*a))
+        cfg = FusionConfig(variant="soft-mc", mc_samples=11, max_iters=1)
+        monkeypatch.setattr(ss, "_MC_RUN_DRAW_LIMIT", 1649)
+        with pytest.raises(CapacityError, match="1650 draws .* limit of 1649"):
+            run_soft_em(stack, cfg)
+        assert calls == []
+        monkeypatch.setattr(ss, "_MC_RUN_DRAW_LIMIT", 1650)
+        run_soft_em(stack, cfg)
+        assert calls
+
+    def test_narrow_inverse_builds_the_same_model(self):
+        """The block arithmetic on voxel-to-column indices runs in intp, so
+        a uint8 inverse (227 columns here) gives the intp inverse's bytes."""
+        import dataclasses
+        import warnings
+
+        import fuselab.soft_staple as ss
+        from fuselab.staple import vote_patterns
+
+        q = np.random.default_rng(1).choice([0.0, 0.4, 1.0], size=(5, 600))
+        patterns = vote_patterns(stack_from_rows(q, GridKind.SOFT))
+        assert patterns.counts.size < 256
+        narrow = dataclasses.replace(patterns, inverse=patterns.inverse.astype(np.uint8))
+        p = params(np.full(5, 0.9), np.full(5, 0.85))
+        got = []
+        for pats in (patterns, narrow):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                model = ss._McModel(pats, 0.3, 64, 1)
+            ev = model.arrays(p)
+            got.append([model.s, *model.mstep(p, ev, "plugin-mean"), model.voxel_posterior(ev)])
+        for want, have in zip(*got):
+            assert have.tobytes() == want.tobytes()
 
 
 class TestNoisyChannel:

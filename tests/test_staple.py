@@ -241,6 +241,20 @@ class TestRunEm:
         assert rec.error <= 0.03
         assert not rec.swapped
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 2.5), ("max_iters", True), ("max_iters", "3"),
+        ("mc_samples", 100.0), ("mc_samples", True), ("mc_seed", 1.5), ("mc_seed", False),
+    ])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            FusionConfig(**{field: value}).validate()
+
+    def test_integer_fields_take_numpy_integers(self):
+        stack = random_binary_stack(np.random.default_rng(6), m=3, n=20)
+        res = run_em(stack, FusionConfig(max_iters=np.int64(3), tol=1e-300,
+                                         mc_samples=np.int32(5), mc_seed=np.uint8(2)))
+        assert res.iters_run == 3
+
     def test_soft_stack_rejected(self):
         stack = stack_from_rows([[0.5, 0.5]], GridKind.SOFT)
         with pytest.raises(ConfigError):
