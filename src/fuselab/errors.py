@@ -2,8 +2,11 @@
 
 Every failure mode a caller may want to branch on gets its own class; the
 CLI maps them onto exit codes (2 = bad arguments/config, 3 = bad input
-data, 4 = numerical failure).
+data, 4 = numerical failure). ``check_number`` is the type check the
+config validators share.
 """
+
+import numbers
 
 
 class FuselabError(Exception):
@@ -90,3 +93,11 @@ class DegeneratePosteriorError(FuselabError):
             f"posterior mass collapsed on the {side} side; "
             f"{len(self.ll_trace)} iteration(s) completed before failure"
         )
+
+
+def check_number(name: str, value, integral: bool = False) -> None:
+    """Refuse a config value that is not a real number (an integer when
+    ``integral``) with a ConfigError; a bool is neither."""
+    kind, noun = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")

@@ -32,6 +32,7 @@ from .staple import (
     _PatternModel,
     _binary_posterior_arrays,
     _channel_posterior_arrays,
+    _check_prior,
     _em_loop,
     _group_keys,
     _posterior_grid,
@@ -110,14 +111,17 @@ def joint_soft_prob(soft_votes, combo: VoteCombination) -> float:
     return float(np.prod(np.where(bits == 1.0, q, 1.0 - q)))
 
 
+def _refuse_over(count: int, limit: int, what: str, advice: str) -> None:
+    """Refuse ``count`` ``what`` over ``limit``: a CapacityError naming both."""
+    if count > limit:
+        raise CapacityError(f"{count} {what} exceed the limit of {limit}"
+                            + (f"; {advice}" if advice else ""))
+
+
 def check_enumeration(m: int, alternative: str = "") -> None:
     """Refuse exact enumeration over more than :data:`ENUMERATION_GUARD`
     experts; ``alternative`` names what to use instead."""
-    if m > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"exact enumeration needs m <= {ENUMERATION_GUARD}, got m={m}"
-            + (f"; {alternative}" if alternative else "")
-        )
+    _refuse_over(m, ENUMERATION_GUARD, "experts for exact enumeration", alternative)
 
 
 def _joint_votes(q_cols: np.ndarray):
@@ -184,6 +188,7 @@ def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     over the joint hard votes the soft votes allow, weighted by them."""
     q = _votes(soft_votes, params.m)
     check_enumeration(q.size, "use mc_soft_e_step_voxel instead")
+    prior = _check_prior(prior)
     _, codes, w = next(_joint_votes(q[:, None]))
     p1 = _binary_posterior_arrays(_code_bits(codes[0], q.size), params, prior)[1]
     return float(np.clip(w[0] @ p1, 0.0, 1.0))
@@ -223,12 +228,8 @@ def check_mc_request(samples: int, m: int) -> None:
     """Refuse a Monte Carlo request whose per-voxel draw matrix of
     ``samples`` x ``m`` values exceeds :data:`MC_DRAW_LIMIT`, which thus
     also bounds every block of draws."""
-    if samples * m > MC_DRAW_LIMIT:
-        raise CapacityError(
-            f"Monte Carlo request of {samples} samples x {m} experts = "
-            f"{samples * m} draws per voxel exceeds the limit of {MC_DRAW_LIMIT}; "
-            "lower the sample count"
-        )
+    _refuse_over(samples * m, MC_DRAW_LIMIT, f"Monte Carlo draws per voxel ({samples} "
+                 f"samples x {m} experts)", "lower the sample count")
 
 
 def _mc_codes(q: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.ndarray:
@@ -335,6 +336,7 @@ def mc_soft_e_step_voxel(
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+    prior = _check_prior(prior)
     q = _votes(soft_votes, params.m)
     if np.all((q == 0.0) | (q == 1.0)):
         return float(_binary_posterior_arrays(q[:, None], params, prior)[1][0])
@@ -355,7 +357,7 @@ def noisy_channel_likelihood(q1: float, a: int, sens: float, spec: float) -> flo
 def simple_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     """Noisy-channel posterior for one voxel; linear in the expert count."""
     q = _votes(soft_votes, params.m)
-    return float(_channel_posterior_arrays(q[:, None], params, prior)[1][0])
+    return float(_channel_posterior_arrays(q[:, None], params, _check_prior(prior))[1][0])
 
 
 def simple_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
@@ -411,18 +413,11 @@ class _McModel(_PatternModel):
         k = np.count_nonzero((cols > 0.0) & (cols < 1.0), axis=0)
         hard = k == 0
         kept = int(patterns.counts[~hard] @ np.minimum(samples, np.exp2(k[~hard])))
-        if kept > MC_ENTRY_LIMIT:
-            raise CapacityError(
-                f"Monte Carlo request may keep {kept} sampled (voxel, code) entries "
-                f"(soft voxels x min(samples, 2^k)), over the limit of {MC_ENTRY_LIMIT}; "
-                "lower the sample count"
-            )
+        _refuse_over(kept, MC_ENTRY_LIMIT, "sampled (voxel, code) entries (soft voxels "
+                     "x min(samples, 2^k))", "lower the sample count")
         draws = int(patterns.counts[~hard].sum()) * samples * m
-        if draws > _MC_RUN_DRAW_LIMIT:
-            raise CapacityError(
-                f"Monte Carlo request would make {draws} draws (soft voxels x samples x "
-                f"experts), over the limit of {_MC_RUN_DRAW_LIMIT}; lower the sample count"
-            )
+        _refuse_over(draws, _MC_RUN_DRAW_LIMIT, "draws (soft voxels x samples x experts)",
+                     "lower the sample count")
         # Column by column, so that a block spans few columns.
         soft = np.flatnonzero(~hard[patterns.inverse])
         self.soft_voxels = soft[np.argsort(patterns.inverse[soft], kind="stable")]

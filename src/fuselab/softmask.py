@@ -16,8 +16,8 @@ from math import ceil, isnan
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, DimensionMismatchError
-from .volume import ExpertStack, GridKind, VolumeGrid, validate_stack
+from .errors import ConfigError, DimensionMismatchError, check_number
+from .volume import ExpertStack, GridKind, VolumeGrid
 
 CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
 
@@ -39,6 +39,10 @@ class SoftMaskConfig:
     max_dilation_iters: int = 10
 
     def validate(self) -> None:
+        for name in ("gamma", "target_volume_ratio", "threshold_value"):
+            check_number(name, getattr(self, name))
+        for name in ("connectivity", "max_dilation_iters"):
+            check_number(name, getattr(self, name), integral=True)
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must lie strictly in (0, 1), got {self.gamma}")
         if not self.target_volume_ratio >= 1.0:
@@ -204,7 +208,6 @@ def build_soft_stack(
     stack: ExpertStack, flair: VolumeGrid, cfg: SoftMaskConfig | None = None
 ) -> ExpertStack:
     """Apply the protocol independently to every expert in a binary stack."""
-    validate_stack(stack)
     if stack.kind is not GridKind.BINARY:
         raise ConfigError("build_soft_stack expects a binary stack")
     cfg, structure = _protocol(cfg)

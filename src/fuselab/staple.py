@@ -21,13 +21,12 @@ in which experts are supplied.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePosteriorError
-from .volume import Dim3, ExpertStack, GridKind, VolumeGrid, validate_stack
+from .errors import ConfigError, DegeneratePosteriorError, check_number
+from .volume import Dim3, ExpertStack, GridKind, VolumeGrid
 
 # Parameters are clipped here after every update; keeps log() finite and
 # stops sensitivity/specificity from freezing at an absorbing 0 or 1.
@@ -76,6 +75,8 @@ class RaterParams:
 
     def reordered(self, order) -> "RaterParams":
         order = np.asarray(order)
+        if order.size != self.m:
+            raise ConfigError(f"parameters for {self.m} experts given for {order.size} experts")
         return RaterParams(self.sens[order], self.spec[order])
 
 
@@ -104,14 +105,14 @@ class FusionConfig:
             p = self.prior
             if not isinstance(p, (int, float)) or not 0.0 < float(p) < 1.0:
                 raise ConfigError(f"prior must be in (0, 1) or 'auto', got {p!r}")
+        for name in ("init_sens", "init_spec", "tol"):
+            check_number(name, getattr(self, name))
+        for name in ("max_iters", "mc_samples", "mc_seed"):
+            check_number(name, getattr(self, name), integral=True)
         for name in ("init_sens", "init_spec"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("max_iters", "mc_samples", "mc_seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0.0:
@@ -156,9 +157,17 @@ def resolve_prior(stack: ExpertStack, prior: float | str) -> float:
     if prior == AUTO_PRIOR:
         votes = sum(float(np.sum(stack.experts[i].data)) for i in canonical_order(stack))
         return _mean_vote_prior(votes, stack)
-    p = float(prior)
+    return _check_prior(prior)
+
+
+def _check_prior(prior) -> float:
+    """A fixed prior as a float; refused unless it lies in (0, 1)."""
+    try:
+        p = float(prior)
+    except (TypeError, ValueError):
+        p = np.nan
     if not 0.0 < p < 1.0:
-        raise ConfigError(f"prior must be in (0, 1), got {p}")
+        raise ConfigError(f"prior must be in (0, 1), got {prior}")
     return p
 
 
@@ -201,7 +210,6 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
     the columns sorted. The codes are grouped by ``_group_keys``; binary
     columns are decoded from the code bits.
     """
-    validate_stack(stack)
     order = canonical_order(stack)
     binary = stack.kind is GridKind.BINARY
     code = np.zeros(stack.dims.n, dtype=np.uint8)
@@ -296,11 +304,12 @@ def _channel_likelihoods(q: np.ndarray, params: RaterParams):
 
 
 def _channel_posterior_arrays(q: np.ndarray, params: RaterParams, prior: float):
-    """Per-column w(0), w(1) and log p(votes) of the noisy-channel model;
+    """Per-column w(0), w(1) and log p(votes) of the noisy-channel model,
+    then its per-vote likelihoods l0 and l1 (see ``_channel_likelihoods``);
     at votes 0 and 1 it is the binary model."""
     l0, l1 = _channel_likelihoods(q, params)
-    return _label_posteriors(np.log1p(-prior) + np.log(l0).sum(axis=0),
-                             np.log(prior) + np.log(l1).sum(axis=0))
+    return (*_label_posteriors(np.log1p(-prior) + np.log(l0).sum(axis=0),
+                               np.log(prior) + np.log(l1).sum(axis=0)), l0, l1)
 
 
 def annotation_likelihood(votes, a: int, params: RaterParams) -> float:
@@ -312,10 +321,8 @@ def annotation_likelihood(votes, a: int, params: RaterParams) -> float:
 
 def posterior_voxel(votes, params: RaterParams, prior: float) -> float:
     """Bayes posterior that the voxel's true label is 1 given hard votes."""
-    if not 0.0 < prior < 1.0:
-        raise ConfigError(f"prior must be in (0, 1), got {prior}")
     y = _votes(votes, params.m)
-    return float(_binary_posterior_arrays(y[:, None], params, prior)[1][0])
+    return float(_binary_posterior_arrays(y[:, None], params, _check_prior(prior))[1][0])
 
 
 def _mstep_ratio(num_sens, num_spec, n1, n0):
@@ -348,7 +355,8 @@ class _PatternModel:
     noisy channel (the simplified variant), which equals the binary form
     at votes 0 and 1 but costs 3 to 5 times as much per evaluation on 12
     experts. ``arrays`` is the one evaluation per parameter set (``ev``):
-    w(0), w(1) and log p(votes) per unit. The other methods read it:
+    w(0), w(1) and log p(votes) per unit, and through the channel also each
+    vote's likelihoods l0 and l1. The other methods read it:
     ``posteriors`` gives w(a) per distinct vote column for each requested
     label a; the objective (``s`` @ log p) and the expected-count M-step
     sum over the units, the plug-in M-step over the columns. ``_em_loop``
@@ -361,7 +369,7 @@ class _PatternModel:
 
     def __init__(self, patterns: VotePatterns, prior: float, bits=None, s=None):
         self.patterns = patterns
-        self.prior = prior
+        self.prior = _check_prior(prior)
         self.bits = patterns.columns if bits is None else bits
         self.s = patterns.counts if s is None else s
         self.hard = bool(np.all((self.bits == 0.0) | (self.bits == 1.0)))
@@ -395,7 +403,7 @@ class _PatternModel:
             h1, h0 = self.bits, 1.0 - self.bits
         else:
             sens, spec = clamp_params(params.sens, params.spec)
-            l0, l1 = _channel_likelihoods(self.bits, params)
+            l0, l1 = ev[3:]
             h1 = self.bits * sens[:, None] / l1
             h0 = (1.0 - self.bits) * spec[:, None] / l0
         return _mstep_ratio(h1 @ n1, h0 @ n0, n1, n0)
@@ -487,7 +495,6 @@ def _run_inputs(stack: ExpertStack, config: FusionConfig, kind: GridKind):
     variants = ("binary",) if binary else SOFT_VARIANTS
     if config.variant not in variants:
         raise ConfigError(f"{runner} handles variants {variants}, got {config.variant!r}")
-    validate_stack(stack)
     if stack.kind is not kind:
         raise ConfigError(f"{runner} needs a {kind.value} stack; use {other} instead")
     patterns = vote_patterns(stack)

@@ -176,7 +176,7 @@ class ExpertStack:
 
     All member grids must share dims and kind (all binary or all soft);
     soft values are read as the probability the expert assigns to label 1.
-    Construction does not validate; call :func:`validate_stack`.
+    Construction runs :func:`validate_stack`.
     """
 
     experts: tuple[VolumeGrid, ...]
@@ -185,6 +185,7 @@ class ExpertStack:
     def __post_init__(self):
         object.__setattr__(self, "experts", tuple(self.experts))
         object.__setattr__(self, "expert_ids", tuple(self.expert_ids))
+        validate_stack(self)
 
     @property
     def m(self) -> int:

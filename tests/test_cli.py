@@ -357,9 +357,35 @@ class TestResolvedDefaults:
             "threshold_mode": "percentile:10",
             "connectivity": 26,
             "max_dilation_iters": 10,
+            "seed": None,
             "threads": 1,
             "force": False,
         }
+
+
+class TestSeedOnEveryCommand:
+    """``softmask`` and ``eval`` take --seed from the flag or from --config,
+    and the manifest records it (fuse's default, 0, is pinned above)."""
+
+    def _argv(self, tmp_path, command):
+        mask = tmp_path / "expert.svol"
+        write_svol(grid([0.0, 1.0, 1.0, 0.0], dims=Dim3(2, 2, 1)), mask)
+        if command == "eval":
+            return ["eval", str(mask), str(mask)]
+        flair = tmp_path / "flair.svol"
+        write_svol(VolumeGrid(Dim3(2, 2, 1), np.full(4, 50.0), GridKind.INTENSITY), flair)
+        return ["softmask", str(mask), "--flair", str(flair)]
+
+    @pytest.mark.parametrize("command", ["softmask", "eval"])
+    def test_seed_from_flag_and_config_is_recorded(self, tmp_path, command):
+        argv = self._argv(tmp_path, command)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5}))
+        for out, extra, want in (("default", [], None), ("flag", ["--seed", "7"], 7),
+                                 ("config", ["--config", str(config)], 5)):
+            assert main([*argv, "-o", str(tmp_path / out), *extra]) == 0
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert manifest["config"]["seed"] == want
 
 
 class TestSoftmaskCommand:

@@ -436,6 +436,22 @@ class TestOneEvaluationPerParameterSet:
         _run(self._stack("soft-exact"), "soft-exact", max_iters=5, tol=1e-300)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("mode", MSTEP_MODES)
+    def test_simplified_reads_channel_likelihoods_from_its_evaluation(self, monkeypatch,
+                                                                      mode):
+        """The expected-count M-step reuses the evaluation's l0 and l1."""
+        import fuselab.staple as staple
+
+        calls = []
+        channel = staple._channel_likelihoods
+        monkeypatch.setattr(staple, "_channel_likelihoods",
+                            lambda q, p: calls.append(p) or channel(q, p))
+        stack = self._stack("simplified")
+        for iters in (1, 4):
+            calls.clear()
+            _run(stack, "simplified", mstep_mode=mode, max_iters=iters, tol=1e-300)
+            assert len(calls) == iters + 1
+
     @pytest.mark.parametrize("variant", ("binary", *SOFT_VARIANTS))
     def test_collapse_carries_the_completed_trace(self, monkeypatch, variant):
         import fuselab.staple as staple

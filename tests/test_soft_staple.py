@@ -526,6 +526,66 @@ class TestMonteCarloSweep:
             assert have.tobytes() == want.tobytes()
 
 
+class TestCapacityRefusals:
+    """Every size refusal is one ``_refuse_over`` call: a CapacityError that
+    names the count and the limit, raised before any enumeration or draw."""
+
+    @pytest.mark.parametrize("variant, limit, value, count", [
+        ("soft-exact", "ENUMERATION_GUARD", 4, 5),   # 5 experts
+        ("soft-mc", "MC_DRAW_LIMIT", 54, 55),        # 11 samples x 5 experts
+        ("soft-mc", "MC_ENTRY_LIMIT", 329, 330),     # 30 voxels x min(11, 2^5)
+        ("soft-mc", "_MC_RUN_DRAW_LIMIT", 1649, 1650),  # 30 voxels x 11 x 5
+    ])
+    def test_refusal_names_count_and_limit_before_any_work(self, monkeypatch, variant,
+                                                          limit, value, count):
+        import fuselab.soft_staple as ss
+
+        calls = []
+        for name in ("_joint_votes", "_mc_codes"):
+            monkeypatch.setattr(ss, name, lambda *a, name=name: calls.append(name))
+        monkeypatch.setattr(ss, limit, value)
+        stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
+        cfg = FusionConfig(variant=variant, mc_samples=11, max_iters=1)
+        with pytest.raises(CapacityError, match=rf"^{count} .* the limit of {value}\b"):
+            run_soft_em(stack, cfg)
+        assert calls == []
+
+
+class TestPublicInputChecks:
+    """Every public step function refuses a prior outside (0, 1) and
+    parameters for another number of experts with a ConfigError."""
+
+    STACK_STEPS = [e_step, log_likelihood, soft_e_step, soft_log_likelihood, soft_m_step,
+                   simple_e_step, simple_log_likelihood, simple_m_step]
+
+    @staticmethod
+    def _stack():
+        return stack_from_rows([[0.0, 0.3, 1.0, 1.0], [1.0, 1.0, 0.0, 0.3],
+                                [0.0, 1.0, 0.3, 0.0]], GridKind.SOFT)
+
+    @pytest.mark.parametrize("step", STACK_STEPS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_stack_steps_refuse_another_expert_count(self, step, m):
+        with pytest.raises(ConfigError, match=f"parameters for {m} experts given for 3"):
+            step(self._stack(), params(np.full(m, 0.9), np.full(m, 0.8)), 0.3)
+
+    @pytest.mark.parametrize("step", STACK_STEPS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("prior", [0.0, 1.5, math.nan, "0.3x", None])
+    def test_stack_steps_refuse_a_bad_prior(self, step, prior):
+        with pytest.raises(ConfigError, match="prior must be in"):
+            step(self._stack(), params(np.full(3, 0.9), np.full(3, 0.8)), prior)
+
+    @pytest.mark.parametrize("step", [
+        posterior_voxel, soft_e_step_voxel, simple_e_step_voxel,
+        lambda q, p, prior: mc_soft_e_step_voxel(q, p, prior, 50, seed=1),
+    ], ids=["posterior_voxel", "soft_e_step_voxel", "simple_e_step_voxel",
+            "mc_soft_e_step_voxel"])
+    @pytest.mark.parametrize("prior", [0.0, 1.0, 1.5, -0.2, math.nan])
+    def test_voxel_steps_refuse_a_bad_prior(self, step, prior):
+        with pytest.raises(ConfigError, match="prior must be in"):
+            step([0.3, 1.0, 0.6], params(np.full(3, 0.9), np.full(3, 0.8)), prior)
+
+
 class TestNoisyChannel:
     def test_degenerate_input(self):
         assert noisy_channel_likelihood(1.0, 1, 0.8, 0.9) == pytest.approx(0.8)

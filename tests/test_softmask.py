@@ -306,6 +306,30 @@ class TestBuildSoftMask:
             with pytest.raises(ConfigError):
                 bad.validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_dilation_iters", 2.5), ("max_dilation_iters", True), ("max_dilation_iters", "3"),
+        ("connectivity", 26.0), ("connectivity", True), ("connectivity", "26"),
+    ])
+    def test_integer_fields_refuse_other_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SoftMaskConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", "0.3"), ("gamma", None), ("target_volume_ratio", "1.2"),
+        ("threshold_value", "10"), ("threshold_value", [10.0]),
+    ])
+    def test_number_fields_refuse_other_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            SoftMaskConfig(**{field: value}).validate()
+
+    def test_numeric_fields_take_numpy_scalars(self):
+        binary, flair = cube_fixture()
+        want = build_soft_mask(binary, flair, SoftMaskConfig(connectivity=6,
+                                                             max_dilation_iters=2))
+        cfg = SoftMaskConfig(gamma=np.float64(0.3), connectivity=np.int64(6),
+                             max_dilation_iters=np.uint8(2), threshold_value=np.float64(10))
+        assert build_soft_mask(binary, flair, cfg) == want
+
 
 @st.composite
 def protocol_inputs(draw):

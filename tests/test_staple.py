@@ -249,6 +249,13 @@ class TestRunEm:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             FusionConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", "1e-6"), ("tol", True), ("init_sens", "0.9"), ("init_spec", None),
+    ])
+    def test_number_fields_refuse_other_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            FusionConfig(**{field: value}).validate()
+
     def test_integer_fields_take_numpy_integers(self):
         stack = random_binary_stack(np.random.default_rng(6), m=3, n=20)
         res = run_em(stack, FusionConfig(max_iters=np.int64(3), tol=1e-300,

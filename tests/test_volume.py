@@ -156,6 +156,24 @@ class TestValidateStack:
             validate_stack(ExpertStack((a,), ("e0", "e1")))
 
 
+class TestStackChecksItself:
+    """Building an invalid stack raises the error ``validate_stack`` raises."""
+
+    @pytest.mark.parametrize("experts, ids, error", [
+        ((VolumeGrid(Dim3(4, 4, 4), np.zeros(64), GridKind.BINARY),
+          VolumeGrid(Dim3(4, 4, 5), np.zeros(80), GridKind.BINARY)),
+         ("e0", "e1"), DimensionMismatchError),
+        ((grid([0.0, 1.0]), grid([0.5, 0.5], GridKind.SOFT)), ("e0", "e1"), MixedKindError),
+        ((grid([0.0, 1.0]),) * 2, ("e1", "e1"), DuplicateExpertIdError),
+        ((), (), EmptyStackError),
+        ((grid([1.0, 2.0], GridKind.INTENSITY),), ("e0",), MixedKindError),
+        ((grid([0.0, 1.0]),), ("e0", "e1"), DuplicateExpertIdError),
+    ], ids=["dims", "kinds", "duplicate-ids", "empty", "intensity", "id-count"])
+    def test_invalid_stack_fails_at_construction(self, experts, ids, error):
+        with pytest.raises(error):
+            ExpertStack(experts, ids)
+
+
 class TestDim3NumpyInts:
     """numpy integer dims are stored as Python ints."""
 
