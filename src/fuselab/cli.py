@@ -32,6 +32,7 @@ from .errors import (
     InputReadError,
     StackError,
     SvolError,
+    check_number,
 )
 from .metrics import precision_recall
 from .soft_staple import check_enumeration, check_mc_request, run_soft_em
@@ -92,8 +93,7 @@ def main(argv=None) -> int:
             flags = _config_flags(args.config, args.options)
             args = parser.parse_args(argv[:at] + flags + argv[at:])
         resolved = {key: getattr(args, key) for key in args.options}
-        if resolved["threads"] < 1:
-            raise ConfigError(f"--threads must be >= 1, got {resolved['threads']}")
+        check_number("--threads", resolved["threads"], integral=True, ge=1)
         return args.handler(args, resolved, started)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

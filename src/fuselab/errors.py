@@ -2,8 +2,8 @@
 
 Every failure mode a caller may want to branch on gets its own class; the
 CLI maps them onto exit codes (2 = bad arguments/config, 3 = bad input
-data, 4 = numerical failure). ``check_number`` is the type check the
-config validators share.
+data, 4 = numerical failure). ``check_number`` is the one check of a
+numeric config field or argument, and ``_refuse_over`` the one size refusal.
 """
 
 import numbers
@@ -95,9 +95,24 @@ class DegeneratePosteriorError(FuselabError):
         )
 
 
-def check_number(name: str, value, integral: bool = False) -> None:
-    """Refuse a config value that is not a real number (an integer when
-    ``integral``) with a ConfigError; a bool is neither."""
+def check_number(name: str, value, integral: bool = False, *,
+                 ge=None, gt=None, le=None, lt=None) -> None:
+    """Refuse a value that is not a real number (an integer when
+    ``integral``), or that breaks a bound, with a ConfigError naming
+    ``name``, the value and the whole allowed range. A bool is never a
+    number, and NaN fails every bound."""
     kind, noun = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if not ((ge is None or value >= ge) and (gt is None or value > gt)
+            and (le is None or value <= le) and (lt is None or value < lt)):
+        low = f"[{ge}" if ge is not None else f"({gt}" if gt is not None else "[-inf"
+        high = f"{le}]" if le is not None else f"{lt})" if lt is not None else "inf]"
+        raise ConfigError(f"{name} must lie in {low}, {high}, got {value}")
+
+
+def _refuse_over(count: int, limit: int, what: str, advice: str) -> None:
+    """Refuse ``count`` ``what`` over ``limit``: a CapacityError naming both."""
+    if count > limit:
+        raise CapacityError(f"{count} {what} exceed the limit of {limit}"
+                            + (f"; {advice}" if advice else ""))

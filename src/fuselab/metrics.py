@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, check_number
 from .staple import RaterParams
 from .volume import GridKind, LABEL_KINDS, VolumeGrid
 
@@ -76,8 +76,7 @@ def precision_recall(
     masks hold 0/1 only, so the counts are exact integers.
     """
     _check_pair(truth, pred)
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
+    check_number("threshold", threshold, gt=0, lt=1)
     if truth.kind is GridKind.BINARY:
         t = truth.data != 0.0
     elif binarize_truth:

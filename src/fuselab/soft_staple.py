@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import _refuse_over, check_number
 from .staple import (
     FusionConfig,
     FusionResult,
@@ -85,11 +85,8 @@ class VoteCombination:
     code: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ConfigError(f"need at least one expert, got m={self.m}")
         check_enumeration(self.m)
-        if not 0 <= self.code < 2**self.m:
-            raise ConfigError(f"code {self.code} outside [0, 2^{self.m})")
+        check_number("code", self.code, integral=True, ge=0, lt=2**self.m)
 
     def bit(self, i: int) -> int:
         return (self.code >> i) & 1
@@ -111,16 +108,11 @@ def joint_soft_prob(soft_votes, combo: VoteCombination) -> float:
     return float(np.prod(np.where(bits == 1.0, q, 1.0 - q)))
 
 
-def _refuse_over(count: int, limit: int, what: str, advice: str) -> None:
-    """Refuse ``count`` ``what`` over ``limit``: a CapacityError naming both."""
-    if count > limit:
-        raise CapacityError(f"{count} {what} exceed the limit of {limit}"
-                            + (f"; {advice}" if advice else ""))
-
-
 def check_enumeration(m: int, alternative: str = "") -> None:
-    """Refuse exact enumeration over more than :data:`ENUMERATION_GUARD`
-    experts; ``alternative`` names what to use instead."""
+    """Refuse an expert count ``m`` that is not a positive integer, or exact
+    enumeration over more than :data:`ENUMERATION_GUARD` experts;
+    ``alternative`` names what to use instead."""
+    check_number("m", m, integral=True, ge=1)
     _refuse_over(m, ENUMERATION_GUARD, "experts for exact enumeration", alternative)
 
 
@@ -334,8 +326,9 @@ def mc_soft_e_step_voxel(
     votes short-circuit to the exact posterior (the estimator has zero
     variance there).
     """
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
+    check_number("samples", samples, integral=True, ge=1)
+    check_number("seed", seed, integral=True)
+    check_number("voxel_index", voxel_index, integral=True, ge=0)
     prior = _check_prior(prior)
     q = _votes(soft_votes, params.m)
     if np.all((q == 0.0) | (q == 1.0)):

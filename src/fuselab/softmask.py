@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import ceil, isnan
+from math import ceil, inf
 
 import numpy as np
 from scipy import ndimage
@@ -39,32 +39,21 @@ class SoftMaskConfig:
     max_dilation_iters: int = 10
 
     def validate(self) -> None:
-        for name in ("gamma", "target_volume_ratio", "threshold_value"):
-            check_number(name, getattr(self, name))
-        for name in ("connectivity", "max_dilation_iters"):
-            check_number(name, getattr(self, name), integral=True)
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"gamma must lie strictly in (0, 1), got {self.gamma}")
-        if not self.target_volume_ratio >= 1.0:
-            raise ConfigError(
-                f"target_volume_ratio must be >= 1, got {self.target_volume_ratio}"
-            )
+        check_number("gamma", self.gamma, gt=0, lt=1)
+        check_number("target_volume_ratio", self.target_volume_ratio, ge=1)
         if self.threshold_mode not in ("percentile", "fixed"):
             raise ConfigError(f"unknown threshold_mode {self.threshold_mode!r}")
-        if isnan(self.threshold_value):
-            raise ConfigError("threshold_value must be a number, got nan")
-        if self.threshold_mode == "percentile" and not 0.0 <= self.threshold_value <= 100.0:
-            raise ConfigError(
-                f"percentile must lie in [0, 100], got {self.threshold_value}"
-            )
-        if self.connectivity not in CONNECTIVITY_RANK:
-            raise ConfigError(
-                f"connectivity must be 6, 18 or 26, got {self.connectivity}"
-            )
-        if self.max_dilation_iters < 1:
-            raise ConfigError(
-                f"max_dilation_iters must be >= 1, got {self.max_dilation_iters}"
-            )
+        # A fixed threshold may be infinite, which gates every grown voxel out or in.
+        lo, hi = (0, 100) if self.threshold_mode == "percentile" else (-inf, inf)
+        check_number("threshold_value", self.threshold_value, ge=lo, le=hi)
+        _check_connectivity(self.connectivity)
+        check_number("max_dilation_iters", self.max_dilation_iters, integral=True, ge=1)
+
+
+def _check_connectivity(connectivity) -> None:
+    check_number("connectivity", connectivity, integral=True)
+    if connectivity not in CONNECTIVITY_RANK:
+        raise ConfigError(f"connectivity must be 6, 18 or 26, got {connectivity}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +73,7 @@ class StructuringElement:
 
     @classmethod
     def from_connectivity(cls, connectivity: int) -> "StructuringElement":
-        if connectivity not in CONNECTIVITY_RANK:
-            raise ConfigError(
-                f"connectivity must be 6, 18 or 26, got {connectivity}"
-            )
+        _check_connectivity(connectivity)
         rank = CONNECTIVITY_RANK[connectivity]
         offsets = tuple(
             (dx, dy, dz)
@@ -126,8 +112,7 @@ def dilate(mask: VolumeGrid, se: StructuringElement, iters: int) -> VolumeGrid:
     """Iterated Minkowski dilation, clipped at the grid bounds."""
     if mask.kind is not GridKind.BINARY:
         raise ConfigError(f"dilate expects a binary mask, got {mask.kind.value}")
-    if iters < 0:
-        raise ConfigError(f"iters must be >= 0, got {iters}")
+    check_number("iters", iters, integral=True, ge=0)
     grown = mask.as_3d() > 0.5
     if iters > 0:
         grown = ndimage.binary_dilation(grown, structure=se.as_array(), iterations=iters)

@@ -22,11 +22,12 @@ in which experts are supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError, DegeneratePosteriorError, check_number
-from .volume import Dim3, ExpertStack, GridKind, VolumeGrid
+from .volume import LABEL_KINDS, Dim3, ExpertStack, GridKind, VolumeGrid
 
 # Parameters are clipped here after every update; keeps log() finite and
 # stops sensitivity/specificity from freezing at an absorbing 0 or 1.
@@ -102,21 +103,13 @@ class FusionConfig:
 
     def validate(self) -> None:
         if self.prior != AUTO_PRIOR:
-            p = self.prior
-            if not isinstance(p, (int, float)) or not 0.0 < float(p) < 1.0:
-                raise ConfigError(f"prior must be in (0, 1) or 'auto', got {p!r}")
-        for name in ("init_sens", "init_spec", "tol"):
-            check_number(name, getattr(self, name))
-        for name in ("max_iters", "mc_samples", "mc_seed"):
-            check_number(name, getattr(self, name), integral=True)
-        for name in ("init_sens", "init_spec"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+            _check_prior(self.prior)
+        check_number("init_sens", self.init_sens, ge=0, le=1)
+        check_number("init_spec", self.init_spec, ge=0, le=1)
+        check_number("tol", self.tol, gt=0)
+        check_number("max_iters", self.max_iters, integral=True, ge=1)
+        check_number("mc_samples", self.mc_samples, integral=True, ge=1)
+        check_number("mc_seed", self.mc_seed, integral=True)
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"
@@ -125,8 +118,6 @@ class FusionConfig:
             raise ConfigError(
                 f"mstep_mode must be one of {MSTEP_MODES}, got {self.mstep_mode!r}"
             )
-        if self.mc_samples < 1:
-            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
 
 
 @dataclass(frozen=True)
@@ -161,13 +152,11 @@ def resolve_prior(stack: ExpertStack, prior: float | str) -> float:
 
 
 def _check_prior(prior) -> float:
-    """A fixed prior as a float; refused unless it lies in (0, 1)."""
-    try:
-        p = float(prior)
-    except (TypeError, ValueError):
-        p = np.nan
+    """A fixed prior as a float; refused unless it is a number in (0, 1)
+    (a bool or a numeric string is not)."""
+    p = np.nan if isinstance(prior, bool) or not isinstance(prior, Real) else float(prior)
     if not 0.0 < p < 1.0:
-        raise ConfigError(f"prior must be in (0, 1), got {prior}")
+        raise ConfigError(f"prior must be in (0, 1), got {prior!r}")
     return p
 
 
@@ -460,6 +449,8 @@ def e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
 
 def m_step(stack: ExpertStack, w: VolumeGrid) -> RaterParams:
     """Reliability updates from expected true-label counts."""
+    if w.kind not in LABEL_KINDS:
+        raise ConfigError(f"m_step expects a label grid, got {w.kind.value}")
     if w.dims != stack.dims:
         raise ConfigError("posterior dims do not match the stack")
     patterns = vote_patterns(stack)

@@ -15,11 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError
+from .errors import ConfigError, _refuse_over, check_number
 from .volume import Dim3, ExpertStack, GridKind, VolumeGrid
 
 # Stream id of the intensity noise; expert i uses stream i.
 _NOISE_STREAM = 0xF1A1
+
+# Most bytes a simulation config may ask of generate_phantom + simulate_raters,
+# estimated as voxels x (44 + 8 x raters). Their measured peak (tracemalloc,
+# 64^3 and 96^3) is 50, 85 and 125 bytes per voxel at 1, 7 and 12 raters.
+SIMULATE_BYTE_LIMIT = 2**32
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -48,17 +53,14 @@ class PhantomSpec:
         object.__setattr__(
             self,
             "lesions",
-            tuple((tuple(center), float(radius)) for center, radius in self.lesions),
+            tuple((tuple(center), radius) for center, radius in self.lesions),
         )
 
     def validate(self) -> None:
-        for name in ("background_intensity", "lesion_intensity", "intensity_noise_sd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.intensity_noise_sd < 0.0:
-            raise ConfigError(
-                f"intensity_noise_sd must be >= 0, got {self.intensity_noise_sd}"
-            )
+        for name in ("background_intensity", "lesion_intensity"):
+            check_number(name, getattr(self, name), gt=-math.inf, lt=math.inf)
+        check_number("intensity_noise_sd", self.intensity_noise_sd, ge=0, lt=math.inf)
+        check_number("seed", self.seed, integral=True)
         if not self.lesion_intensity > self.background_intensity:
             raise ConfigError(
                 "lesion_intensity must exceed background_intensity "
@@ -68,10 +70,9 @@ class PhantomSpec:
         for center, radius in self.lesions:
             if len(center) != 3:
                 raise ConfigError(f"lesion center must have 3 coordinates, got {center}")
-            if not all(map(math.isfinite, center)):
-                raise ConfigError(f"lesion center must be finite, got {center}")
-            if not math.isfinite(radius) or radius < 0.0:
-                raise ConfigError(f"lesion radius must be finite and >= 0, got {radius}")
+            for c in center:
+                check_number("lesion center coordinate", c, gt=-math.inf, lt=math.inf)
+            check_number("lesion radius", radius, ge=0, lt=math.inf)
             for c, naxis in zip(center, bounds):
                 if c - radius < 0 or c + radius > naxis - 1:
                     raise ConfigError(
@@ -98,17 +99,12 @@ class RaterSpec:
     boundary_softening: float | None = None
 
     def validate(self) -> None:
-        for name in ("sens", "spec"):
-            v = getattr(self, name)
-            if not 0.5 < v < 1.0:
-                raise ConfigError(
-                    f"rater {self.rater_id!r}: {name} must lie in (0.5, 1), got {v}"
-                )
-        if self.boundary_softening is not None and not 0.0 <= self.boundary_softening < 1.0:
-            raise ConfigError(
-                f"rater {self.rater_id!r}: boundary_softening must lie in [0, 1), "
-                f"got {self.boundary_softening}"
-            )
+        rater = f"rater {self.rater_id!r}"
+        check_number(f"{rater}: sens", self.sens, gt=0.5, lt=1)
+        check_number(f"{rater}: spec", self.spec, gt=0.5, lt=1)
+        check_number(f"{rater}: seed", self.seed, integral=True)
+        if self.boundary_softening is not None:
+            check_number(f"{rater}: boundary_softening", self.boundary_softening, ge=0, lt=1)
 
 
 def generate_phantom(spec: PhantomSpec) -> tuple[VolumeGrid, VolumeGrid]:
@@ -163,8 +159,7 @@ def simulate_raters(truth: VolumeGrid, raters: list[RaterSpec]) -> ExpertStack:
 def soften_votes(stack: ExpertStack, blur: float) -> ExpertStack:
     """Soft stack with each hard vote shrunk toward the opposite label:
     a vote y becomes (1 - blur) * y + blur * (1 - y)."""
-    if not 0.0 <= blur < 0.5:
-        raise ConfigError(f"blur must lie in [0, 0.5), got {blur}")
+    check_number("blur", blur, ge=0, lt=0.5)
     if stack.kind is not GridKind.BINARY:
         raise ConfigError(f"soften_votes expects a binary stack, got {stack.kind.value}")
     soft = tuple(
@@ -199,11 +194,10 @@ def parse_simulation_config(doc: dict) -> tuple[PhantomSpec, list[RaterSpec]]:
         if key not in where:
             raise ConfigError(f"{ctx}: missing required key {key!r}")
         value = where[key]
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{ctx}: key {key!r} must be a number")
-            return float(value)
-        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        if kind in (int, float):
+            check_number(f"{ctx}: key {key!r}", value, integral=kind is int)
+            return kind(value)
+        if not isinstance(value, kind):
             raise ConfigError(f"{ctx}: key {key!r} must be a {kind.__name__}")
         return value
 
@@ -246,14 +240,11 @@ def parse_simulation_config(doc: dict) -> tuple[PhantomSpec, list[RaterSpec]]:
         softening = entry.get("boundary_softening")
         if softening is not None:
             softening = need("boundary_softening", float, entry, ctx)
-        seed_val = entry.get("seed", phantom.seed)
-        if isinstance(seed_val, bool) or not isinstance(seed_val, int):
-            raise ConfigError(f"{ctx}: key 'seed' must be an integer")
         rater = RaterSpec(
             rater_id=need("id", str, entry, ctx),
             sens=need("sens", float, entry, ctx),
             spec=need("spec", float, entry, ctx),
-            seed=seed_val,
+            seed=need("seed", int, entry, ctx) if "seed" in entry else phantom.seed,
             boundary_softening=softening,
         )
         rater.validate()
@@ -261,4 +252,7 @@ def parse_simulation_config(doc: dict) -> tuple[PhantomSpec, list[RaterSpec]]:
     ids = [r.rater_id for r in raters]
     if len(set(ids)) != len(ids):
         raise ConfigError("config: rater 'id' values must be distinct")
+    _refuse_over(phantom.dims.n * (44 + 8 * len(raters)), SIMULATE_BYTE_LIMIT,
+                 "estimated bytes to simulate (voxels x (44 + 8 x raters))",
+                 "shrink 'dims' or simulate fewer raters")
     return phantom, raters

@@ -613,3 +613,59 @@ class TestParserSurface:
     def test_choices(self, command, choices):
         actions = subcommands()[command]._actions
         assert {a.dest: list(a.choices) for a in actions if a.choices} == choices
+
+
+class TestNumberChecksOnTheCommandLine:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_names_the_flag(self, sim_config, tmp_path, capsys, threads):
+        out = tmp_path / "o"
+        assert main(["simulate", str(sim_config), "-o", str(out), "--threads", threads]) == 2
+        assert f"--threads must lie in [1, inf], got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--gamma", "1"], "gamma"),
+        (["--ratio", "nan"], "target_volume_ratio"),
+        (["--threshold-mode", "percentile:101"], "threshold_value"),
+        (["--threshold-mode", "fixed:nan"], "threshold_value"),
+        (["--max-dilation-iters", "0"], "max_dilation_iters"),
+        (["--init-sens", "1.5"], "init_sens"),
+        (["--tol", "0"], "tol"),
+        (["--mc-samples", "0"], "mc_samples"),
+    ])
+    def test_out_of_range_option_exits_2_naming_it(self, tmp_path, capsys, flags, field):
+        paths = _write_experts(tmp_path, np.tile([1.0, 1.0, 0.0, 0.0], (2, 1)))
+        out = tmp_path / "cons"
+        assert main(["fuse", *paths, "-o", str(out), *flags]) == 2
+        assert f"{field} must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSimulateSizeBound:
+    """simulate refuses a spec whose estimated bytes exceed the bound before
+    it makes the output directory or generates anything."""
+
+    NEED = 12**3 * (44 + 8 * 3)  # the fixture's voxels x (44 + 8 x raters)
+
+    def _run(self, sim_config, tmp_path, monkeypatch, limit):
+        import fuselab.synth
+
+        calls = []
+        monkeypatch.setattr(fuselab.synth, "SIMULATE_BYTE_LIMIT", limit)
+        real = fuselab.cli.generate_phantom
+        monkeypatch.setattr(fuselab.cli, "generate_phantom",
+                            lambda spec: calls.append(spec) or real(spec))
+        return main(["simulate", str(sim_config), "-o", str(tmp_path / "o")]), calls
+
+    def test_over_the_bound_exits_2_and_writes_nothing(self, sim_config, tmp_path,
+                                                       monkeypatch, capsys):
+        code, calls = self._run(sim_config, tmp_path, monkeypatch, self.NEED - 1)
+        assert code == 2
+        assert f"{self.NEED} estimated bytes" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
+
+    def test_at_the_bound_runs(self, sim_config, tmp_path, monkeypatch):
+        code, calls = self._run(sim_config, tmp_path, monkeypatch, self.NEED)
+        assert code == 0
+        assert len(calls) == 1

@@ -1,4 +1,4 @@
-"""README documents every command-line option."""
+"""README documents every command-line option and states each size limit as the code sets it."""
 
 import argparse
 import re
@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fuselab import soft_staple, synth
 from helpers import subcommands
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -24,3 +25,24 @@ def test_readme_names_option(strings):
     assert any(re.search(rf"(?<![\w-]){re.escape(s)}(?![\w-])", README) for s in strings), (
         f"README.md documents none of {strings}"
     )
+
+
+# Each limit, and where README states it: the group is a decimal or 2^k.
+LIMITS = [
+    ("ENUMERATION_GUARD", soft_staple.ENUMERATION_GUARD,
+     r"With more than (\d+) inputs the exact variant refuses"),
+    ("MC_DRAW_LIMIT", soft_staple.MC_DRAW_LIMIT, r"larger than (2\^\d+) values per voxel"),
+    ("MC_ENTRY_LIMIT", soft_staple.MC_ENTRY_LIMIT, r"could keep more than (2\^\d+) entries"),
+    ("_MC_RUN_DRAW_LIMIT", soft_staple._MC_RUN_DRAW_LIMIT,
+     r"more than (2\^\d+) (?:values in all|draws)"),
+    ("SIMULATE_BYTE_LIMIT", synth.SIMULATE_BYTE_LIMIT, r"is more than (2\^\d+) bytes"),
+]
+
+
+@pytest.mark.parametrize("name, value, pattern", LIMITS, ids=[row[0] for row in LIMITS])
+def test_readme_states_limit(name, value, pattern):
+    """Every statement of the limit in README gives the constant's value."""
+    text = " ".join(README.split())
+    stated = {2 ** int(v[2:]) if v.startswith("2^") else int(v)
+              for v in re.findall(pattern, text)}
+    assert stated == {value}, f"README states {name} as {stated}, the code as {value}"

@@ -13,8 +13,8 @@ from fuselab import (
     simulate_raters,
     soften_votes,
 )
-from fuselab.errors import ConfigError
-from fuselab.synth import parse_simulation_config
+from fuselab.errors import CapacityError, ConfigError
+from fuselab.synth import SIMULATE_BYTE_LIMIT, parse_simulation_config
 from helpers import stack_from_rows
 from oracles import sphere_count_brute
 
@@ -192,3 +192,17 @@ class TestConfigParsing:
         del doc["raters"][0]["seed"]
         _, raters = parse_simulation_config(doc)
         assert raters[0].seed == 3
+
+    def test_spec_too_large_for_memory_is_refused(self):
+        doc = self._doc()
+        doc["dims"] = [100000, 100000, 100000]
+        doc["lesions"][0]["center"] = [50000, 50000, 50000]
+        with pytest.raises(CapacityError, match=f"the limit of {SIMULATE_BYTE_LIMIT}"):
+            parse_simulation_config(doc)
+
+    @pytest.mark.parametrize("value", [1.5, True, "3"])
+    def test_rater_seed_must_be_an_integer(self, value):
+        doc = self._doc()
+        doc["raters"][0]["seed"] = value
+        with pytest.raises(ConfigError, match=r"raters\[0\]: key 'seed' must be an integer"):
+            parse_simulation_config(doc)
