@@ -22,6 +22,7 @@ from .soft_staple import (
     joint_soft_prob,
     mc_soft_e_step_voxel,
     noisy_channel_likelihood,
+    run_em,
     run_soft_em,
     simple_e_step,
     simple_e_step_voxel,
@@ -51,7 +52,6 @@ from .staple import (
     m_step,
     posterior_voxel,
     resolve_prior,
-    run_em,
 )
 from .svol_io import read_svol, write_svol
 from .synth import (

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
+    SEED_SPAN,
     CapacityError,
     ConfigError,
     DegeneratePosteriorError,
@@ -35,9 +36,9 @@ from .errors import (
     check_number,
 )
 from .metrics import precision_recall
-from .soft_staple import check_enumeration, check_mc_request, run_soft_em
+from .soft_staple import check_enumeration, check_mc_request, run_em, run_soft_em
 from .softmask import CONNECTIVITY_RANK, SoftMaskConfig, build_soft_stack
-from .staple import MSTEP_MODES, VARIANTS, FusionConfig, binarize, run_em
+from .staple import MSTEP_MODES, VARIANTS, FusionConfig, binarize
 from .svol_io import read_svol, write_svol
 from .synth import generate_phantom, load_simulation_config, simulate_raters
 from .volume import ExpertStack, GridKind
@@ -94,6 +95,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + flags + argv[at:])
         resolved = {key: getattr(args, key) for key in args.options}
         check_number("--threads", resolved["threads"], integral=True, ge=1)
+        if resolved["seed"] is not None:
+            check_number("--seed", resolved["seed"], integral=True, ge=0, lt=SEED_SPAN)
         return args.handler(args, resolved, started)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
@@ -321,14 +324,13 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
         flair = _read(read_svol, args.flair)
         stack = build_soft_stack(stack, flair, softmask)
         used_softmask = True
-    elif stack.kind is GridKind.SOFT and config.variant == "binary":
-        raise ConfigError("soft inputs cannot feed --variant binary; pick a soft variant")
 
     inputs = list(args.inputs) + ([args.flair] if args.flair and used_softmask else [])
     filenames = ["posterior.svol", "params.json"]
     if resolved["binarize"]:
         filenames.insert(1, "consensus.svol")
     with _outputs(args, filenames, inputs, resolved, started) as temps:
+        # One runner under two names: perfbench's traced pass labels its spans by the name.
         result = (run_em(stack, config) if config.variant == "binary"
                   else run_soft_em(stack, config))
         by_name = dict(zip(filenames, temps))
@@ -375,7 +377,7 @@ def _cmd_simulate(args, resolved: dict, started: float) -> int:
     if resolved["seed"] is not None:
         shift = resolved["seed"] - phantom_spec.seed
         phantom_spec = replace(phantom_spec, seed=resolved["seed"])
-        rater_specs = [replace(r, seed=r.seed + shift) for r in rater_specs]
+        rater_specs = [replace(r, seed=(r.seed + shift) % SEED_SPAN) for r in rater_specs]
     resolved["seed"] = phantom_spec.seed
 
     filenames = ["truth.svol", "flair.svol"] + [

@@ -8,6 +8,9 @@ numeric config field or argument, and ``_refuse_over`` the one size refusal.
 
 import numbers
 
+# Seeds and stream indices lie in [0, SEED_SPAN): each is one 64-bit Philox key word.
+SEED_SPAN = 1 << 64
+
 
 class FuselabError(Exception):
     """Base class for all package-specific errors."""

@@ -7,9 +7,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, check_number
+from .errors import ConfigError, check_number
 from .staple import RaterParams
-from .volume import GridKind, LABEL_KINDS, VolumeGrid
+from .volume import GridKind, LABEL_KINDS, VolumeGrid, check_grid
 
 DICE_EPS = 1e-7
 
@@ -35,13 +35,8 @@ class EvalReport:
 
 def _check_pair(truth: VolumeGrid, pred: VolumeGrid) -> None:
     """Both grids must hold labels, on the same dims."""
-    for name, grid in (("truth", truth), ("pred", pred)):
-        if grid.kind not in LABEL_KINDS:
-            raise ConfigError(f"{name} must be a label grid, got {grid.kind.value}")
-    if truth.dims != pred.dims:
-        raise DimensionMismatchError(
-            f"truth dims {truth.dims.as_tuple()} != pred dims {pred.dims.as_tuple()}"
-        )
+    check_grid("truth", truth, LABEL_KINDS)
+    check_grid("pred", pred, LABEL_KINDS, like=truth)
 
 
 def soft_dice(truth: VolumeGrid, pred: VolumeGrid) -> float:

@@ -13,7 +13,7 @@ parameters:
   linear in m. It is the binary model (``staple._PatternModel``) over the
   soft vote columns, which reads such votes through the noisy channel.
 
-Both reduce exactly to the binary algorithm when every vote is hard.
+Both reduce exactly to the binary algorithm on hard votes; ``run_em`` runs all four variants.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _refuse_over, check_number
+from .errors import SEED_SPAN, ConfigError, _refuse_over, check_number
 from .staple import (
+    AUTO_PRIOR,
     FusionConfig,
     FusionResult,
     RaterParams,
@@ -35,17 +36,23 @@ from .staple import (
     _check_prior,
     _em_loop,
     _group_keys,
+    _mean_vote_prior,
     _posterior_grid,
-    _run_inputs,
     _votes,
     e_step,
     log_likelihood,
+    resolve_prior,
     vote_patterns,
 )
 from .volume import ExpertStack, GridKind, VolumeGrid
 
 # Most experts exact enumeration takes (it sums into a 2^m array); beyond, use "soft-mc".
 ENUMERATION_GUARD = 20
+
+# Most joint-vote terms (distinct columns x 2^k) one exact run may enumerate. Each
+# pass over them takes 8 to 100 ns per term on a 2-core Xeon (least at large k), and
+# a run makes at least two, so a run refused here would have taken over a minute.
+EXACT_TERM_LIMIT = 2**32
 
 # Most joint-vote terms (columns x 2^k) per enumeration chunk; 2^18 measured fastest.
 _CELL_BUDGET = 2**18
@@ -152,12 +159,16 @@ class _ExactModel(_PatternModel):
     ``bits``), with masses ``s``, their count-weighted joint-vote weights,
     accumulated once per run; the binary posterior is evaluated at those
     codes only, and the per-column posterior enumerates the terms again,
-    once for all requested labels.
+    once for all requested labels. A run of more than :data:`EXACT_TERM_LIMIT`
+    terms is refused before the first pass.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float):
         m = patterns.order.size
         check_enumeration(m, "select variant 'soft-mc' instead")
+        k = np.count_nonzero((patterns.columns > 0.0) & (patterns.columns < 1.0), axis=0)
+        _refuse_over(int(np.exp2(k).sum()), EXACT_TERM_LIMIT, "joint-vote terms "
+                     "(distinct columns x 2^k)", "select variant 'soft-mc' instead")
         s = np.zeros(1 << m)
         for cols, codes, w in _joint_votes(patterns.columns):
             w *= patterns.counts[cols, None]
@@ -237,8 +248,7 @@ def _mc_codes(q: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.
     thresholds = np.ceil(q.T * 2.0**53).astype(np.uint64)
     width = -(-m // 8) * 8
     bits = np.zeros((voxels.size, samples, width), dtype=bool)
-    mask = (1 << 64) - 1
-    keys = np.array([(int(seed) & mask, int(t) & mask) for t in voxels], dtype=np.uint64)
+    keys = np.array([(int(seed), int(t)) for t in voxels], dtype=np.uint64)
     bitgen = np.random.Philox(key=keys[0])
     fresh = bitgen.state
     for j, key in enumerate(keys):
@@ -327,8 +337,8 @@ def mc_soft_e_step_voxel(
     variance there).
     """
     check_number("samples", samples, integral=True, ge=1)
-    check_number("seed", seed, integral=True)
-    check_number("voxel_index", voxel_index, integral=True, ge=0)
+    check_number("seed", seed, integral=True, ge=0, lt=SEED_SPAN)
+    check_number("voxel_index", voxel_index, integral=True, ge=0, lt=SEED_SPAN)
     prior = _check_prior(prior)
     q = _votes(soft_votes, params.m)
     if np.all((q == 0.0) | (q == 1.0)):
@@ -445,19 +455,30 @@ class _McModel(_PatternModel):
         return w1
 
 
-def run_soft_em(stack: ExpertStack, config: FusionConfig) -> FusionResult:
-    """Full EM fusion of a soft stack under the configured variant.
-
-    The loop is the binary runner's (``_em_loop``); the prior resolves to
-    the fractional grand mean when "auto". The trace records the objective
-    the variant's EM ascends: the exact model's ("soft-exact"), the sampled
-    model's, which estimates it ("soft-mc"), or the noisy-channel one.
-    """
-    patterns, prior = _run_inputs(stack, config, GridKind.SOFT)
+def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResult:
+    """Full EM fusion under the configured variant (see ``_em_loop``): the
+    "binary" variant takes a binary stack, the soft variants a soft one. The
+    trace records the objective the variant's EM ascends: the binary model's,
+    the exact model's, the sampled model's (which estimates it) or the
+    noisy-channel one. A binary stack's "auto" prior is summed over its
+    patterns, an exact integer, so it equals ``resolve_prior``'s."""
+    config = config or FusionConfig()
+    config.validate()
+    kind = GridKind.BINARY if config.variant == "binary" else GridKind.SOFT
+    if stack.kind is not kind:
+        raise ConfigError(f"variant {config.variant!r} needs a {kind.value} stack")
+    patterns = vote_patterns(stack)
+    if kind is GridKind.BINARY and config.prior == AUTO_PRIOR:
+        prior = _mean_vote_prior(float(patterns.columns.sum(axis=0) @ patterns.counts), stack)
+    else:
+        prior = resolve_prior(stack, config.prior)
     if config.variant == "soft-exact":
         model = _ExactModel(patterns, prior)
-    elif config.variant == "simplified":
-        model = _PatternModel(patterns, prior)
-    else:
+    elif config.variant == "soft-mc":
         model = _McModel(patterns, prior, config.mc_samples, config.mc_seed)
+    else:
+        model = _PatternModel(patterns, prior)
     return _em_loop(model, config)
+
+
+run_soft_em = run_em

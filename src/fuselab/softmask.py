@@ -16,8 +16,8 @@ from math import ceil, inf
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, DimensionMismatchError, check_number
-from .volume import ExpertStack, GridKind, VolumeGrid
+from .errors import ConfigError, check_number
+from .volume import ExpertStack, GridKind, VolumeGrid, check_grid
 
 CONNECTIVITY_RANK = {6: 1, 18: 2, 26: 3}
 
@@ -97,8 +97,7 @@ def connected_components(mask: VolumeGrid, connectivity: int = 26):
     (0 = background) and the list of flat voxel-index arrays, one per
     component, ordered by id.
     """
-    if mask.kind is not GridKind.BINARY:
-        raise ConfigError(f"connected_components expects a binary mask, got {mask.kind.value}")
+    check_grid("mask", mask, GridKind.BINARY)
     structure = StructuringElement.from_connectivity(connectivity).as_array()
     labels3, count = ndimage.label(mask.as_3d() > 0.5, structure=structure)
     labels = labels3.reshape(-1)
@@ -110,8 +109,7 @@ def connected_components(mask: VolumeGrid, connectivity: int = 26):
 
 def dilate(mask: VolumeGrid, se: StructuringElement, iters: int) -> VolumeGrid:
     """Iterated Minkowski dilation, clipped at the grid bounds."""
-    if mask.kind is not GridKind.BINARY:
-        raise ConfigError(f"dilate expects a binary mask, got {mask.kind.value}")
+    check_grid("mask", mask, GridKind.BINARY)
     check_number("iters", iters, integral=True, ge=0)
     grown = mask.as_3d() > 0.5
     if iters > 0:
@@ -149,14 +147,8 @@ def build_soft_mask(
 def _soft_mask(
     binary: VolumeGrid, flair: VolumeGrid, cfg: SoftMaskConfig, structure: np.ndarray
 ) -> VolumeGrid:
-    if binary.kind is not GridKind.BINARY:
-        raise ConfigError(f"expected a binary mask, got {binary.kind.value}")
-    if flair.kind is not GridKind.INTENSITY:
-        raise ConfigError(f"expected an intensity volume, got {flair.kind.value}")
-    if binary.dims != flair.dims:
-        raise DimensionMismatchError(
-            f"mask dims {binary.dims.as_tuple()} != intensity dims {flair.dims.as_tuple()}"
-        )
+    check_grid("binary", binary, GridKind.BINARY)
+    check_grid("flair", flair, GridKind.INTENSITY, like=binary)
 
     original = binary.as_3d() > 0.5
     flair3 = flair.as_3d()
@@ -193,8 +185,7 @@ def build_soft_stack(
     stack: ExpertStack, flair: VolumeGrid, cfg: SoftMaskConfig | None = None
 ) -> ExpertStack:
     """Apply the protocol independently to every expert in a binary stack."""
-    if stack.kind is not GridKind.BINARY:
-        raise ConfigError("build_soft_stack expects a binary stack")
+    check_grid("stack", stack, GridKind.BINARY)
     cfg, structure = _protocol(cfg)
     soft = tuple(_soft_mask(g, flair, cfg, structure) for g in stack.experts)
     return ExpertStack(soft, stack.expert_ids)

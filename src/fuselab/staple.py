@@ -26,8 +26,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePosteriorError, check_number
-from .volume import LABEL_KINDS, Dim3, ExpertStack, GridKind, VolumeGrid
+from .errors import SEED_SPAN, ConfigError, DegeneratePosteriorError, check_number
+from .volume import LABEL_KINDS, Dim3, ExpertStack, GridKind, VolumeGrid, check_grid
 
 # Parameters are clipped here after every update; keeps log() finite and
 # stops sensitivity/specificity from freezing at an absorbing 0 or 1.
@@ -37,7 +37,6 @@ CLAMP_HI = 1.0 - 1e-7
 AUTO_PRIOR = "auto"
 
 VARIANTS = ("binary", "soft-exact", "soft-mc", "simplified")
-SOFT_VARIANTS = ("soft-exact", "soft-mc", "simplified")
 MSTEP_MODES = ("expected-count", "plugin-mean")
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -109,7 +108,7 @@ class FusionConfig:
         check_number("tol", self.tol, gt=0)
         check_number("max_iters", self.max_iters, integral=True, ge=1)
         check_number("mc_samples", self.mc_samples, integral=True, ge=1)
-        check_number("mc_seed", self.mc_seed, integral=True)
+        check_number("mc_seed", self.mc_seed, integral=True, ge=0, lt=SEED_SPAN)
         if self.variant not in VARIANTS:
             raise ConfigError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"
@@ -449,10 +448,7 @@ def e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
 
 def m_step(stack: ExpertStack, w: VolumeGrid) -> RaterParams:
     """Reliability updates from expected true-label counts."""
-    if w.kind not in LABEL_KINDS:
-        raise ConfigError(f"m_step expects a label grid, got {w.kind.value}")
-    if w.dims != stack.dims:
-        raise ConfigError("posterior dims do not match the stack")
+    check_grid("w", w, LABEL_KINDS, like=stack)
     patterns = vote_patterns(stack)
     u = patterns.counts.size
     n1 = np.bincount(patterns.inverse, weights=w.data, minlength=u)
@@ -469,34 +465,6 @@ def log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> flo
 
 def binarize(posterior: VolumeGrid) -> VolumeGrid:
     """Hard consensus: label 1 where w(1) > 0.5; the 0.5 tie goes to 0."""
-    if posterior.kind is not GridKind.POSTERIOR:
-        raise ConfigError(f"binarize expects a posterior grid, got {posterior.kind.value}")
+    check_grid("posterior", posterior, GridKind.POSTERIOR)
     consensus = np.greater(posterior.data, 0.5, out=np.empty(posterior.n))
     return VolumeGrid._owned(posterior.dims, consensus, GridKind.BINARY)
-
-
-def _run_inputs(stack: ExpertStack, config: FusionConfig, kind: GridKind):
-    """Check a run's config and stack; return its vote patterns and prior.
-
-    A binary stack's auto prior comes from the patterns: its vote total is
-    an exact integer either way, so it equals ``resolve_prior``'s."""
-    config.validate()
-    binary = kind is GridKind.BINARY
-    runner, other = ("run_em", "run_soft_em") if binary else ("run_soft_em", "run_em")
-    variants = ("binary",) if binary else SOFT_VARIANTS
-    if config.variant not in variants:
-        raise ConfigError(f"{runner} handles variants {variants}, got {config.variant!r}")
-    if stack.kind is not kind:
-        raise ConfigError(f"{runner} needs a {kind.value} stack; use {other} instead")
-    patterns = vote_patterns(stack)
-    if binary and config.prior == AUTO_PRIOR:
-        votes = float(patterns.columns.sum(axis=0) @ patterns.counts)
-        return patterns, _mean_vote_prior(votes, stack)
-    return patterns, resolve_prior(stack, config.prior)
-
-
-def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResult:
-    """Full EM fusion of a binary stack (see ``_em_loop``)."""
-    config = config or FusionConfig()
-    patterns, prior = _run_inputs(stack, config, GridKind.BINARY)
-    return _em_loop(_PatternModel(patterns, prior), config)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, _refuse_over, check_number
-from .volume import Dim3, ExpertStack, GridKind, VolumeGrid
+from .errors import SEED_SPAN, ConfigError, _refuse_over, check_number
+from .volume import Dim3, ExpertStack, GridKind, VolumeGrid, check_grid
 
 # Stream id of the intensity noise; expert i uses stream i.
 _NOISE_STREAM = 0xF1A1
@@ -28,8 +28,7 @@ SIMULATE_BYTE_LIMIT = 2**32
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
-    mask = (1 << 64) - 1
-    key = np.array([int(seed) & mask, int(stream) & mask], dtype=np.uint64)
+    key = np.array([int(seed), int(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -60,7 +59,7 @@ class PhantomSpec:
         for name in ("background_intensity", "lesion_intensity"):
             check_number(name, getattr(self, name), gt=-math.inf, lt=math.inf)
         check_number("intensity_noise_sd", self.intensity_noise_sd, ge=0, lt=math.inf)
-        check_number("seed", self.seed, integral=True)
+        check_number("seed", self.seed, integral=True, ge=0, lt=SEED_SPAN)
         if not self.lesion_intensity > self.background_intensity:
             raise ConfigError(
                 "lesion_intensity must exceed background_intensity "
@@ -102,7 +101,7 @@ class RaterSpec:
         rater = f"rater {self.rater_id!r}"
         check_number(f"{rater}: sens", self.sens, gt=0.5, lt=1)
         check_number(f"{rater}: spec", self.spec, gt=0.5, lt=1)
-        check_number(f"{rater}: seed", self.seed, integral=True)
+        check_number(f"{rater}: seed", self.seed, integral=True, ge=0, lt=SEED_SPAN)
         if self.boundary_softening is not None:
             check_number(f"{rater}: boundary_softening", self.boundary_softening, ge=0, lt=1)
 
@@ -136,8 +135,7 @@ def _boundary_shell(truth3: np.ndarray) -> np.ndarray:
 
 def simulate_raters(truth: VolumeGrid, raters: list[RaterSpec]) -> ExpertStack:
     """Draw one binary annotation per rater from the truth."""
-    if truth.kind is not GridKind.BINARY:
-        raise ConfigError(f"truth must be binary, got {truth.kind.value}")
+    check_grid("truth", truth, GridKind.BINARY)
     for r in raters:
         r.validate()
     truth_flat = truth.data > 0.5
@@ -160,8 +158,7 @@ def soften_votes(stack: ExpertStack, blur: float) -> ExpertStack:
     """Soft stack with each hard vote shrunk toward the opposite label:
     a vote y becomes (1 - blur) * y + blur * (1 - y)."""
     check_number("blur", blur, ge=0, lt=0.5)
-    if stack.kind is not GridKind.BINARY:
-        raise ConfigError(f"soften_votes expects a binary stack, got {stack.kind.value}")
+    check_grid("stack", stack, GridKind.BINARY)
     soft = tuple(
         VolumeGrid(
             g.dims,

@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     DuplicateExpertIdError,
     EmptyStackError,
@@ -208,6 +209,21 @@ class ExpertStack:
             tuple(self.experts[i] for i in order),
             tuple(self.expert_ids[i] for i in order),
         )
+
+
+def check_grid(name: str, grid, kinds, like=None) -> None:
+    """Refuse the argument ``name``, a grid or a stack, if its kind is not
+    one of ``kinds`` (ConfigError) or its dims are not ``like``'s
+    (DimensionMismatchError)."""
+    kinds = (kinds,) if isinstance(kinds, GridKind) else kinds
+    if grid.kind not in kinds:
+        what = "label" if kinds == LABEL_KINDS else " or ".join(k.value for k in kinds)
+        noun = "stack" if isinstance(grid, ExpertStack) else "grid"
+        article = "an" if what[0] in "aeiou" else "a"
+        raise ConfigError(f"{name} must be {article} {what} {noun}, got {grid.kind.value}")
+    if like is not None and grid.dims != like.dims:
+        raise DimensionMismatchError(
+            f"{name} has dims {grid.dims.as_tuple()}, expected {like.dims.as_tuple()}")
 
 
 def validate_stack(stack: ExpertStack) -> None:

@@ -95,6 +95,33 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [20, 5, 2**64 - 1])  # 5 wraps every rater seed below 0
+    def test_seed_flag_equals_a_config_with_those_seeds(self, sim_config, tmp_path, seed):
+        """--seed S sets the phantom seed to S and shifts each rater seed by
+        S minus the config's phantom seed, modulo 2^64."""
+        doc = json.loads(sim_config.read_text())
+        shift = seed - doc["seed"]
+        doc["seed"] = seed
+        for rater in doc["raters"]:
+            rater["seed"] = (rater["seed"] + shift) % 2**64
+        written = tmp_path / "written.json"
+        written.write_text(json.dumps(doc))
+        flag, config = tmp_path / "flag", tmp_path / "config"
+        assert main(["simulate", str(sim_config), "-o", str(flag), "--seed", str(seed)]) == 0
+        assert main(["simulate", str(written), "-o", str(config)]) == 0
+        names = sorted(p.name for p in config.glob("*.svol"))
+        assert len(names) == 5
+        for name in names:
+            assert (flag / name).read_bytes() == (config / name).read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2_and_writes_nothing(self, sim_config, tmp_path, capsys,
+                                                          seed):
+        out = tmp_path / "o"
+        assert main(["simulate", str(sim_config), "-o", str(out), "--seed", seed]) == 2
+        assert f"--seed must lie in [0, {2**64}), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_refuses_overwrite_without_force(self, sim_config, tmp_path):
         out = tmp_path / "out"
         assert main(["simulate", str(sim_config), "-o", str(out)]) == 0
@@ -191,6 +218,16 @@ class TestFuse:
         assert main(["fuse", "--variant", "soft-exact", *paths, "--flair", str(flair),
                      "-o", str(tmp_path / "o")]) == 0
 
+    def test_inputs_with_one_stem_are_named_by_path(self, tmp_path):
+        rows = [[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]]
+        paths = []
+        for sub, row in zip(("a", "b"), rows):
+            (tmp_path / sub).mkdir()
+            paths += _write_experts(tmp_path / sub, [row])
+        out = tmp_path / "o"
+        assert main(["fuse", "--variant", "binary", *paths, "-o", str(out)]) == 0
+        assert json.loads((out / "params.json").read_text())["expert_ids"] == paths
+
     def test_missing_input_file(self, tmp_path):
         assert main(["fuse", "--variant", "binary", str(tmp_path / "nope.svol"),
                      "-o", str(tmp_path / "o")]) == 3
@@ -213,6 +250,7 @@ class TestFuse:
     @pytest.mark.parametrize("bad", [
         ["--gamma", "5"],
         ["--threshold-mode", "bogus"],
+        ["--threshold-mode", "percentile:x"],
         ["--max-dilation-iters", "0"],
     ])
     def test_bad_protocol_options_fail_without_flair(self, tmp_path, bad):
@@ -440,6 +478,17 @@ class TestSoftmaskCommand:
                          "--threshold-mode", "fixed:nan"]) == 2
             assert not out.exists()
 
+    def test_basename_collision_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        mask, flair = self._cube_files(tmp_path)
+        (tmp_path / "again").mkdir()
+        twin = tmp_path / "again" / mask.name
+        twin.write_bytes(mask.read_bytes())
+        out = tmp_path / "o"
+        assert main(["softmask", str(mask), str(twin), "--flair", str(flair),
+                     "-o", str(out)]) == 2
+        assert "input basenames collide" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_never_overwrites_inputs(self, tmp_path):
         mask, flair = self._cube_files(tmp_path)
         assert main(["softmask", str(mask), "--flair", str(flair),
@@ -502,6 +551,74 @@ class TestEval:
         assert (out / "manifest.json").exists()
 
 
+def _mismatched_dims(tmp_path):
+    write_svol(grid([1.0, 0.0]), tmp_path / "a.svol")
+    write_svol(grid([1.0, 0.0, 1.0]), tmp_path / "b.svol")
+    return [str(tmp_path / "a.svol"), str(tmp_path / "b.svol")]
+
+
+class TestStderrNamesTheFailure:
+    """Each exit code's stderr line starts with the prefix of its failure class."""
+
+    @pytest.mark.parametrize("inputs, flags, code, prefix", [
+        pytest.param(_mismatched_dims, [], 3, "fuselab: invalid input: expert ",
+                     id="invalid-input"),
+        pytest.param(lambda p: _write_experts(p, np.ones((20, 2))), [], 4,
+                     "fuselab: numerical failure: posterior mass collapsed",
+                     id="numerical-failure"),
+        pytest.param(lambda p: [str(p / "nope.svol")], [], 3, "fuselab: missing input: ",
+                     id="missing-input"),
+        pytest.param(lambda p: _write_experts(p, [[1.0, 0.0], [1.0, 1.0]]), ["--prior", "abc"],
+                     2, "fuselab: prior must be a number or 'auto', got 'abc'", id="bad-prior"),
+    ])
+    def test_prefix(self, tmp_path, capsys, inputs, flags, code, prefix):
+        out = tmp_path / "o"
+        assert main(["fuse", "--variant", "binary", *inputs(tmp_path), "-o", str(out),
+                     *flags]) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestTracedPassNames:
+    """perfbench's traced pass wraps names in ``fuselab.cli`` and labels its
+    spans by them; the pass must still find every name and see both runners."""
+
+    @staticmethod
+    def _tracer(monkeypatch):
+        """A Tracer from perfbench/spans.py, loaded by path (it is not a package)."""
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+        spec.loader.exec_module(spans)
+        return spans.Tracer()
+
+    def test_binary_and_soft_fuse_record_their_runner_spans(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(91)
+        binary = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))
+        (tmp_path / "soft").mkdir()
+        soft = _write_experts(tmp_path / "soft", rng.choice([0.0, 0.3, 1.0], (3, 20)),
+                              GridKind.SOFT)
+        run_em, run_soft_em = fuselab.cli.run_em, fuselab.cli.run_soft_em
+        tracer = self._tracer(monkeypatch)
+        tracer.install()
+        try:
+            assert main(["fuse", "--variant", "binary", *binary, "-o",
+                         str(tmp_path / "b")]) == 0
+            assert main(["fuse", "--variant", "simplified", *soft, "-o",
+                         str(tmp_path / "s")]) == 0
+        finally:
+            tracer.uninstall()
+        names = [span.name for span in tracer.spans]
+        assert names.count("run_em") == 1
+        assert names.count("run_soft_em.simplified") == 1
+        assert (fuselab.cli.run_em, fuselab.cli.run_soft_em) == (run_em, run_soft_em)
+
+
 class TestArgumentErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
@@ -558,6 +675,7 @@ class TestConfigValuesParsedLikeFlags:
         {"init_sens": [0.9]},
         {"binarize": "yes"},
         {"seed": "abc"},
+        [{"max_iters": 2}],
     ])
     def test_bad_value_exits_2_and_writes_nothing(self, tmp_path, doc):
         assert self._fuse(tmp_path, "cons", doc) == 2

@@ -36,6 +36,8 @@ LIMITS = [
     ("_MC_RUN_DRAW_LIMIT", soft_staple._MC_RUN_DRAW_LIMIT,
      r"more than (2\^\d+) (?:values in all|draws)"),
     ("SIMULATE_BYTE_LIMIT", synth.SIMULATE_BYTE_LIMIT, r"is more than (2\^\d+) bytes"),
+    ("EXACT_TERM_LIMIT", soft_staple.EXACT_TERM_LIMIT,
+     r"more than (2\^\d+) joint-vote terms"),
 ]
 
 

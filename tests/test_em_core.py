@@ -31,13 +31,13 @@ from fuselab import (
     soft_log_likelihood,
     soft_m_step,
 )
-from fuselab.errors import DegeneratePosteriorError
+from fuselab.errors import ConfigError, DegeneratePosteriorError
 from fuselab.staple import (
     AUTO_PRIOR,
     CLAMP_HI,
     CLAMP_LO,
     MSTEP_MODES,
-    _run_inputs,
+    VARIANTS,
     resolve_prior,
     vote_patterns,
 )
@@ -192,14 +192,21 @@ class TestVotePatterns:
         if binary:
             assert not np.any(np.signbit(pats.columns))
 
-    def test_pattern_prior_equals_resolve_prior(self):
+    def test_pattern_prior_equals_resolve_prior(self, monkeypatch):
+        """The prior the runner hands its model; the spy stops the run there,
+        since the all-0 and all-1 stacks would collapse in EM."""
+        import fuselab.soft_staple as ss
+
+        priors = []
+        monkeypatch.setattr(ss, "_em_loop", lambda model, config: priors.append(model.prior))
         rng = np.random.default_rng(12)
         config = FusionConfig()
         for _ in range(40):
             m, n = int(rng.integers(1, 12)), int(rng.integers(1, 3000))
             stack = random_binary_stack(rng, m, n, p=rng.choice([0.0, 0.02, 0.4, 1.0]))
-            _, prior = _run_inputs(stack, config, GridKind.BINARY)
-            assert prior == resolve_prior(stack, AUTO_PRIOR)
+            run_em(stack, config)
+            assert priors[-1] == resolve_prior(stack, AUTO_PRIOR)
+        assert len(priors) == 40
 
 
 class TestStepsAgainstOracles:
@@ -472,3 +479,23 @@ class TestOneEvaluationPerParameterSet:
             _run(stack, variant, max_iters=10, tol=1e-300)
         assert err.value.side == "sensitivity"
         assert err.value.ll_trace == want and len(want) == 3
+
+
+class TestOneRunner:
+    """``run_em`` runs every variant, ``run_soft_em`` is the same function,
+    and each variant takes only its own stack kind."""
+
+    def test_run_soft_em_is_run_em(self):
+        assert run_soft_em is run_em
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_variant_runs_on_its_own_kind_only(self, variant):
+        rng = np.random.default_rng(81)
+        rows = rng.choice([0.0, 0.3, 1.0], size=(4, 60))
+        binary = stack_from_rows((rows > 0.5).astype(float))
+        soft = stack_from_rows(rows, GridKind.SOFT)
+        own, other = (binary, soft) if variant == "binary" else (soft, binary)
+        cfg = FusionConfig(variant=variant, mc_samples=9, max_iters=3)
+        assert run_em(own, cfg).iters_run >= 1
+        with pytest.raises(ConfigError, match=f"variant '{variant}' needs a {own.kind.value} stack"):
+            run_em(other, cfg)

@@ -62,13 +62,16 @@ def _mc(**kw):
                          **{"samples": 4, "seed": 0, **kw})
 
 
+# Seeds and stream indices: one 64-bit Philox key word each.
+SEEDS = "[0, 18446744073709551616)"
+
 ARGS = [
     Arg("init_sens", lambda v: FusionConfig(init_sens=v).validate(), "[0, 1]"),
     Arg("init_spec", lambda v: FusionConfig(init_spec=v).validate(), "[0, 1]"),
     Arg("tol", lambda v: FusionConfig(tol=v).validate(), "(0, inf]"),
     Arg("max_iters", lambda v: FusionConfig(max_iters=v).validate(), "[1, inf]", True),
     Arg("mc_samples", lambda v: FusionConfig(mc_samples=v).validate(), "[1, inf]", True),
-    Arg("mc_seed", lambda v: FusionConfig(mc_seed=v).validate(), None, True),
+    Arg("mc_seed", lambda v: FusionConfig(mc_seed=v).validate(), SEEDS, True),
     Arg("gamma", lambda v: SoftMaskConfig(gamma=v).validate(), "(0, 1)"),
     Arg("target_volume_ratio", lambda v: SoftMaskConfig(target_volume_ratio=v).validate(),
         "[1, inf]"),
@@ -84,19 +87,19 @@ ARGS = [
     Arg("background_intensity", lambda v: _phantom(background_intensity=v), "(-inf, inf)"),
     Arg("lesion_intensity", lambda v: _phantom(lesion_intensity=v), "(-inf, inf)"),
     Arg("intensity_noise_sd", lambda v: _phantom(intensity_noise_sd=v), "[0, inf)"),
-    Arg("seed", lambda v: _phantom(seed=v), None, True),
+    Arg("seed", lambda v: _phantom(seed=v), SEEDS, True),
     Arg("lesion center coordinate", lambda v: _phantom(lesions=(((4, v, 4), 2.0),)),
         "(-inf, inf)"),
     Arg("lesion radius", lambda v: _phantom(lesions=(((4, 4, 4), v),)), "[0, inf)"),
     Arg("rater 'r': sens", lambda v: _rater(sens=v), "(0.5, 1)"),
     Arg("rater 'r': spec", lambda v: _rater(spec=v), "(0.5, 1)"),
-    Arg("rater 'r': seed", lambda v: _rater(seed=v), None, True),
+    Arg("rater 'r': seed", lambda v: _rater(seed=v), SEEDS, True),
     Arg("rater 'r': boundary_softening", lambda v: _rater(boundary_softening=v), "[0, 1)"),
     Arg("blur", lambda v: soften_votes(stack_from_rows([[1.0, 0.0]]), v), "[0, 0.5)"),
     Arg("threshold", lambda v: precision_recall(_mask(), _mask(), v), "(0, 1)"),
     Arg("samples", lambda v: _mc(samples=v), "[1, inf]", True),
-    Arg("seed", lambda v: _mc(seed=v), None, True),
-    Arg("voxel_index", lambda v: _mc(voxel_index=v), "[0, inf]", True),
+    Arg("seed", lambda v: _mc(seed=v), SEEDS, True),
+    Arg("voxel_index", lambda v: _mc(voxel_index=v), SEEDS, True),
     Arg("m", lambda v: VoteCombination(v, 0), "[1, inf]", True),
     Arg("code", lambda v: VoteCombination(3, v), "[0, 8)", True),
     Arg("m", combination_matrix, "[1, inf]", True),
@@ -227,10 +230,17 @@ class TestIntegersWhereIntegersAreMeant:
     def test_mc_seed_and_index(self):
         with pytest.raises(ConfigError, match="seed must be an integer"):
             _mc(seed=1.5)
-        with pytest.raises(ConfigError, match=r"voxel_index must lie in \[0, inf\], got -1"):
+        with pytest.raises(ConfigError, match=r"voxel_index must lie in \[0, 18446744073709551616\), got -1"):
             _mc(voxel_index=-1)
         with pytest.raises(ConfigError, match="samples must be an integer"):
             _mc(samples=2.5)
+
+    def test_the_top_seed_and_index_are_taken(self):
+        top = 2**64 - 1
+        FusionConfig(mc_seed=top).validate()
+        _phantom(seed=top)
+        _rater(seed=top)
+        _mc(seed=top, voxel_index=top)
 
     def test_phantom_and_rater_seeds(self):
         with pytest.raises(ConfigError, match="seed must be an integer"):

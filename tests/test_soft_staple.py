@@ -202,6 +202,11 @@ class TestSoftMStep:
             assert got.sens[0] == pytest.approx(1.0, abs=1e-6)
             assert got.spec[0] == pytest.approx(1.0, abs=1e-6)
 
+    def test_unknown_mode_is_refused(self):
+        stack = stack_from_rows([[0.3, 1.0], [0.0, 0.6]], GridKind.SOFT)
+        with pytest.raises(ConfigError, match="unknown mstep mode 'x'"):
+            soft_m_step(stack, params([0.9, 0.8], [0.9, 0.8]), 0.3, mode="x")
+
     def test_expected_count_matches_brute_force(self):
         rng = np.random.default_rng(7)
         q = rng.random((2, 7))
@@ -535,6 +540,7 @@ class TestCapacityRefusals:
         ("soft-mc", "MC_DRAW_LIMIT", 54, 55),        # 11 samples x 5 experts
         ("soft-mc", "MC_ENTRY_LIMIT", 329, 330),     # 30 voxels x min(11, 2^5)
         ("soft-mc", "_MC_RUN_DRAW_LIMIT", 1649, 1650),  # 30 voxels x 11 x 5
+        ("soft-exact", "EXACT_TERM_LIMIT", 31, 32),  # 1 distinct column x 2^5
     ])
     def test_refusal_names_count_and_limit_before_any_work(self, monkeypatch, variant,
                                                           limit, value, count):

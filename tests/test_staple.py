@@ -384,3 +384,22 @@ class TestPosteriorGrid:
         g = _posterior_grid(self._model(w1), params(0.9, 0.9))
         assert g.data is w1
         np.testing.assert_array_equal(g.data, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: RaterParams([0.9, 0.8], [0.9]), "sens has 2 entries but spec has 1",
+                 id="length-mismatch"),
+    pytest.param(lambda: RaterParams([1.1], [0.9]), r"sens values must lie in \[0, 1\]",
+                 id="sens-above-1"),
+    pytest.param(lambda: RaterParams([0.9], [-0.1]), r"spec values must lie in \[0, 1\]",
+                 id="spec-below-0"),
+    pytest.param(lambda: RaterParams([math.nan], [0.9]), r"sens values must lie in \[0, 1\]",
+                 id="sens-nan"),
+    pytest.param(lambda: FusionConfig(variant="hard").validate(),
+                 r"variant must be one of .*, got 'hard'", id="unknown-variant"),
+    pytest.param(lambda: FusionConfig(mstep_mode="mean").validate(),
+                 r"mstep_mode must be one of .*, got 'mean'", id="unknown-mstep-mode"),
+])
+def test_parameter_and_config_refusals(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()

@@ -89,6 +89,11 @@ class TestMalformedFiles:
         with pytest.raises(HeaderError):
             read_svol(path)
 
+    def test_header_not_an_object(self, tmp_path):
+        path = _raw_file(tmp_path, [[1, 1, 1], "soft"], struct.pack("<d", 0.5))
+        with pytest.raises(HeaderError, match="header must be a JSON object"):
+            read_svol(path)
+
     def test_header_missing_key(self, tmp_path):
         path = _raw_file(tmp_path, {"dims": [1, 1, 1]}, struct.pack("<d", 0.5))
         with pytest.raises(HeaderError):

@@ -174,6 +174,40 @@ class TestConfigParsing:
             parse_simulation_config(doc)
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: [d], "config root must be a JSON object", id="root-list"),
+        pytest.param(lambda d: {**d, "lesions": [5]}, r"lesions\[0\]: must be an object",
+                     id="lesion-not-object"),
+        pytest.param(lambda d: {**d, "raters": ["e1"]}, r"raters\[0\]: must be an object",
+                     id="rater-not-object"),
+        pytest.param(lambda d: {**d, "raters": []}, "'raters' must list at least one rater",
+                     id="no-raters"),
+        pytest.param(lambda d: {**d, "dims": [8, 8]}, "'dims' must be 3 positive integers",
+                     id="dims-two"),
+        pytest.param(lambda d: {**d, "dims": [8, 0, 8]}, "'dims' must be 3 positive integers",
+                     id="dims-zero"),
+        pytest.param(lambda d: {**d, "dims": [8, 8.5, 8]}, "'dims' must be 3 positive integers",
+                     id="dims-fraction"),
+        pytest.param(lambda d: {**d, "dims": [8, True, 8]},
+                     "'dims' must be 3 positive integers", id="dims-bool"),
+        pytest.param(lambda d: {**d, "raters": [{**d["raters"][0], "id": 7}]},
+                     r"raters\[0\]: key 'id' must be a str", id="id-not-string"),
+        pytest.param(lambda d: {**d, "raters": [{**d["raters"][0], "boundary_softening": "x"}]},
+                     r"raters\[0\]: key 'boundary_softening' must be a number",
+                     id="softening-not-number"),
+    ])
+    def test_schema_violation_is_named(self, edit, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_simulation_config(edit(self._doc()))
+
+    def test_boundary_softening_is_read(self):
+        doc = self._doc()
+        doc["raters"][0]["boundary_softening"] = 0.25
+        _, raters = parse_simulation_config(doc)
+        assert raters[0].boundary_softening == 0.25
+        doc["raters"][0]["boundary_softening"] = None
+        assert parse_simulation_config(doc)[1][0].boundary_softening is None
+
     def test_bad_lesion_center(self):
         doc = self._doc()
         doc["lesions"][0]["center"] = [4, 4]

@@ -3,8 +3,28 @@
 import numpy as np
 import pytest
 
-from fuselab import Dim3, ExpertStack, GridKind, VolumeGrid, linear_index, validate_stack
+from fuselab import (
+    Dim3,
+    ExpertStack,
+    GridKind,
+    RaterSpec,
+    StructuringElement,
+    VolumeGrid,
+    binarize,
+    build_soft_mask,
+    build_soft_stack,
+    connected_components,
+    dilate,
+    linear_index,
+    m_step,
+    precision_recall,
+    simulate_raters,
+    soft_dice,
+    soften_votes,
+    validate_stack,
+)
 from fuselab.errors import (
+    ConfigError,
     DimensionMismatchError,
     DuplicateExpertIdError,
     EmptyStackError,
@@ -89,6 +109,10 @@ class TestVolumeGrid:
         g = VolumeGrid.from_3d(arr, GridKind.SOFT)
         assert g.dims == Dim3(2, 3, 4)
         np.testing.assert_array_equal(g.as_3d(), arr)
+
+    def test_from_3d_refuses_other_ranks(self):
+        with pytest.raises(ShapeError, match="expected a 3D array, got ndim=2"):
+            VolumeGrid.from_3d(np.zeros((3, 2)), GridKind.SOFT)
 
     def test_bad_dims(self):
         with pytest.raises(ShapeError):
@@ -202,3 +226,64 @@ class TestBlockedValueCheck:
         data[at] = {GridKind.BINARY: 0.5, GridKind.INTENSITY: np.inf}.get(kind, np.nan)
         with pytest.raises(ValueRangeError):
             VolumeGrid(Dim3(data.size, 1, 1), data, kind)
+
+
+_LABELS = grid([1.0, 0.0, 1.0, 0.0])
+_SOFT = grid([0.5, 0.0, 1.0, 0.2], GridKind.SOFT)
+_INTENSITY = grid([5.0, 1.0, 2.0, 3.0], GridKind.INTENSITY)
+_SOFT_STACK = stack_from_rows([[0.5, 0.0, 1.0, 0.2]], GridKind.SOFT)
+_STACK = stack_from_rows([[1.0, 0.0, 1.0, 1.0]])
+
+
+def _short(kind=GridKind.BINARY):
+    return grid([1.0, 0.0], kind)
+
+
+class TestGridArgumentChecks:
+    """Every grid or stack argument goes through ``check_grid``: a wrong
+    kind is a ConfigError and a dims mismatch a DimensionMismatchError,
+    both naming the argument."""
+
+    KIND = [
+        ("soft_dice truth", lambda: soft_dice(_INTENSITY, _LABELS), "truth", "a label grid"),
+        ("soft_dice pred", lambda: soft_dice(_LABELS, _INTENSITY), "pred", "a label grid"),
+        ("precision_recall truth", lambda: precision_recall(_INTENSITY, _LABELS), "truth",
+         "a label grid"),
+        ("precision_recall pred", lambda: precision_recall(_LABELS, _INTENSITY), "pred",
+         "a label grid"),
+        ("connected_components", lambda: connected_components(_SOFT), "mask",
+         "a binary grid"),
+        ("dilate", lambda: dilate(_SOFT, StructuringElement.from_connectivity(6), 1), "mask",
+         "a binary grid"),
+        ("build_soft_mask binary", lambda: build_soft_mask(_SOFT, _INTENSITY), "binary",
+         "a binary grid"),
+        ("build_soft_mask flair", lambda: build_soft_mask(_LABELS, _SOFT), "flair",
+         "an intensity grid"),
+        ("build_soft_stack", lambda: build_soft_stack(_SOFT_STACK, _INTENSITY), "stack",
+         "a binary stack"),
+        ("m_step", lambda: m_step(_STACK, _INTENSITY), "w", "a label grid"),
+        ("binarize", lambda: binarize(_SOFT), "posterior", "a posterior grid"),
+        ("simulate_raters", lambda: simulate_raters(_SOFT, [RaterSpec("r", 0.9, 0.9)]),
+         "truth", "a binary grid"),
+        ("soften_votes", lambda: soften_votes(_SOFT_STACK, 0.1), "stack", "a binary stack"),
+    ]
+    DIMS = [
+        ("soft_dice", lambda: soft_dice(_LABELS, _short()), "pred"),
+        ("precision_recall", lambda: precision_recall(_LABELS, _short()), "pred"),
+        ("build_soft_mask", lambda: build_soft_mask(_LABELS, _short(GridKind.INTENSITY)),
+         "flair"),
+        ("m_step", lambda: m_step(_STACK, _short(GridKind.POSTERIOR)), "w"),
+    ]
+
+    @pytest.mark.parametrize("call, name, want", [pytest.param(*row[1:], id=row[0])
+                                                   for row in KIND])
+    def test_wrong_kind(self, call, name, want):
+        with pytest.raises(ConfigError, match=rf"^{name} must be {want}, got (soft|intensity)$"):
+            call()
+
+    @pytest.mark.parametrize("call, name", [pytest.param(*row[1:], id=row[0]) for row in DIMS])
+    def test_dims_mismatch(self, call, name):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^{name} has dims \(2, 1, 1\), expected \(4, 1, 1\)$"):
+            call()
+
