@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import sys
@@ -57,11 +58,9 @@ def _field_defaults(config, renames: dict) -> dict:
 
 
 def _from_options(config_cls, renames: dict, resolved: dict, **fixed):
-    """A validated config dataclass: ``fixed`` fields as given, the rest from options."""
-    cfg = config_cls(**fixed, **{f.name: resolved[renames.get(f.name, f.name)]
-                                 for f in fields(config_cls) if f.name not in fixed})
-    cfg.validate()
-    return cfg
+    """A config dataclass: ``fixed`` fields as given, the rest from options."""
+    return config_cls(**fixed, **{f.name: resolved[renames.get(f.name, f.name)]
+                                  for f in fields(config_cls) if f.name not in fixed})
 
 
 _RUN_DEFAULTS = {"seed": None, "threads": 1, "force": False}
@@ -80,19 +79,21 @@ _FUSE_DEFAULTS = {
     "binarize": False,
 }
 
-_EVAL_DEFAULTS = {"threshold": 0.5, "binarize_truth": False, **_RUN_DEFAULTS}
+# precision_recall's keyword defaults: its parameter names are eval's option names.
+_EVAL_PARAMS = inspect.signature(precision_recall).parameters.values()
+_EVAL_DEFAULTS = {p.name: p.default for p in _EVAL_PARAMS if p.default is not p.empty}
+_EVAL_DEFAULTS |= _RUN_DEFAULTS
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config:
             at = argv.index(args.command) + 1
             flags = _config_flags(args.config, args.options)
-            args = parser.parse_args(argv[:at] + flags + argv[at:])
+            args = _PARSER.parse_args(argv[:at] + flags + argv[at:])
         resolved = {key: getattr(args, key) for key in args.options}
         check_number("--threads", resolved["threads"], integral=True, ge=1)
         if resolved["seed"] is not None:
@@ -406,6 +407,10 @@ def _cmd_eval(args, resolved: dict, started: float) -> int:
                       started) as temps:
             _write_json(temps[0], report.to_dict())
     return 0
+
+
+# Built once per process: parsing leaves it unchanged, and handlers look names up as they run.
+_PARSER = _build_parser()
 
 
 if __name__ == "__main__":

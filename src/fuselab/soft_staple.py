@@ -213,7 +213,7 @@ def soft_m_step(
     stack: ExpertStack,
     params: RaterParams,
     prior: float,
-    mode: str = "expected-count",
+    mode: str = FusionConfig.mstep_mode,
 ) -> RaterParams:
     """Parameter update for the exact soft model.
 
@@ -377,7 +377,7 @@ def simple_m_step(
     stack: ExpertStack,
     params: RaterParams,
     prior: float,
-    mode: str = "expected-count",
+    mode: str = FusionConfig.mstep_mode,
 ) -> RaterParams:
     """Parameter update for the noisy-channel model (modes as in soft_m_step)."""
     model = _PatternModel(vote_patterns(stack), prior)
@@ -463,7 +463,6 @@ def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResu
     noisy-channel one. A binary stack's "auto" prior is summed over its
     patterns, an exact integer, so it equals ``resolve_prior``'s."""
     config = config or FusionConfig()
-    config.validate()
     kind = GridKind.BINARY if config.variant == "binary" else GridKind.SOFT
     if stack.kind is not kind:
         raise ConfigError(f"variant {config.variant!r} needs a {kind.value} stack")

@@ -38,7 +38,7 @@ class SoftMaskConfig:
     connectivity: int = 26
     max_dilation_iters: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_number("gamma", self.gamma, gt=0, lt=1)
         check_number("target_volume_ratio", self.target_volume_ratio, ge=1)
         if self.threshold_mode not in ("percentile", "fixed"):
@@ -90,7 +90,7 @@ class StructuringElement:
         return arr
 
 
-def connected_components(mask: VolumeGrid, connectivity: int = 26):
+def connected_components(mask: VolumeGrid, connectivity: int = SoftMaskConfig.connectivity):
     """Label foreground under the chosen adjacency.
 
     Returns ``(labels, components)``: a flat int array of component ids
@@ -123,9 +123,8 @@ def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
 
 
 def _protocol(cfg: SoftMaskConfig | None) -> tuple[SoftMaskConfig, np.ndarray]:
-    """The validated config and its dilation footprint."""
+    """The config and its dilation footprint."""
     cfg = cfg or SoftMaskConfig()
-    cfg.validate()
     return cfg, StructuringElement.from_connectivity(cfg.connectivity).as_array()
 
 

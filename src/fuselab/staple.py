@@ -100,7 +100,7 @@ class FusionConfig:
     mc_samples: int = 10000
     mc_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.prior != AUTO_PRIOR:
             _check_prior(self.prior)
         check_number("init_sens", self.init_sens, ge=0, le=1)

@@ -49,13 +49,8 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "lesions",
-            tuple((tuple(center), radius) for center, radius in self.lesions),
-        )
-
-    def validate(self) -> None:
+        lesions = tuple((tuple(center), radius) for center, radius in self.lesions)
+        object.__setattr__(self, "lesions", lesions)
         for name in ("background_intensity", "lesion_intensity"):
             check_number(name, getattr(self, name), gt=-math.inf, lt=math.inf)
         check_number("intensity_noise_sd", self.intensity_noise_sd, ge=0, lt=math.inf)
@@ -97,7 +92,7 @@ class RaterSpec:
     seed: int = 0
     boundary_softening: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         rater = f"rater {self.rater_id!r}"
         check_number(f"{rater}: sens", self.sens, gt=0.5, lt=1)
         check_number(f"{rater}: spec", self.spec, gt=0.5, lt=1)
@@ -108,7 +103,6 @@ class RaterSpec:
 
 def generate_phantom(spec: PhantomSpec) -> tuple[VolumeGrid, VolumeGrid]:
     """Voxelize the lesion spheres and synthesize the intensity volume."""
-    spec.validate()
     nx, ny, nz = spec.dims.as_tuple()
     zz, yy, xx = np.ogrid[:nz, :ny, :nx]
     truth3 = np.zeros((nz, ny, nx), dtype=bool)
@@ -136,8 +130,6 @@ def _boundary_shell(truth3: np.ndarray) -> np.ndarray:
 def simulate_raters(truth: VolumeGrid, raters: list[RaterSpec]) -> ExpertStack:
     """Draw one binary annotation per rater from the truth."""
     check_grid("truth", truth, GridKind.BINARY)
-    for r in raters:
-        r.validate()
     truth_flat = truth.data > 0.5
     shell = None
     experts = []
@@ -224,7 +216,6 @@ def parse_simulation_config(doc: dict) -> tuple[PhantomSpec, list[RaterSpec]]:
         intensity_noise_sd=need("intensity_noise_sd", float),
         seed=need("seed", int),
     )
-    phantom.validate()
 
     raters_raw = need("raters", list)
     if not raters_raw:
@@ -237,15 +228,13 @@ def parse_simulation_config(doc: dict) -> tuple[PhantomSpec, list[RaterSpec]]:
         softening = entry.get("boundary_softening")
         if softening is not None:
             softening = need("boundary_softening", float, entry, ctx)
-        rater = RaterSpec(
+        raters.append(RaterSpec(
             rater_id=need("id", str, entry, ctx),
             sens=need("sens", float, entry, ctx),
             spec=need("spec", float, entry, ctx),
             seed=need("seed", int, entry, ctx) if "seed" in entry else phantom.seed,
             boundary_softening=softening,
-        )
-        rater.validate()
-        raters.append(rater)
+        ))
     ids = [r.rater_id for r in raters]
     if len(set(ids)) != len(ids):
         raise ConfigError("config: rater 'id' values must be distinct")

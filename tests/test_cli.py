@@ -8,6 +8,7 @@ import pytest
 import fuselab.cli
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
 from fuselab.cli import main
+from fuselab.errors import FuselabError
 from helpers import grid, subcommands
 
 
@@ -577,6 +578,39 @@ class TestStderrNamesTheFailure:
                      *flags]) == code
         assert capsys.readouterr().err.startswith(prefix)
         assert not out.exists() or not any(out.iterdir())
+
+    def test_any_other_fuselab_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        """The fallback clause: a FuselabError no narrower clause catches."""
+        def fail(*args):
+            raise FuselabError("no clause names this")
+
+        monkeypatch.setattr(fuselab.cli, "run_em", fail)
+        out = tmp_path / "o"
+        inputs = _write_experts(tmp_path, [[1.0, 0.0], [1.0, 1.0]])
+        assert main(["fuse", "--variant", "binary", *inputs, "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "fuselab: no clause names this\n"
+        assert not any(out.iterdir())
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    """The parser is built once, at import; main only parses with it."""
+    calls = []
+
+    def spy():
+        calls.append(1)
+        return build()
+
+    build = fuselab.cli._build_parser
+    monkeypatch.setattr(fuselab.cli, "_build_parser", spy)
+    truth, pred = tmp_path / "t.svol", tmp_path / "p.svol"
+    write_svol(grid([1.0, 0.0]), truth)
+    write_svol(grid([0.4, 0.0], GridKind.SOFT), pred)
+    # The flag of the first call must not carry over to the second.
+    assert main(["eval", str(truth), str(pred), "--threshold", "0.25"]) == 0
+    assert main(["eval", str(truth), str(pred)]) == 0
+    assert calls == []
+    low, default = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert (low["tp"], default["tp"]) == (1.0, 0.0)
 
 
 class TestTracedPassNames:

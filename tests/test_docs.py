@@ -1,12 +1,14 @@
-"""README documents every command-line option and states each size limit as the code sets it."""
+"""README documents every command-line option and states each size limit and default
+as the code sets it."""
 
 import argparse
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from fuselab import soft_staple, synth
+from fuselab import FusionConfig, SoftMaskConfig, precision_recall, soft_staple, synth
 from helpers import subcommands
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -47,4 +49,27 @@ def test_readme_states_limit(name, value, pattern):
     text = " ".join(README.split())
     stated = {2 ** int(v[2:]) if v.startswith("2^") else int(v)
               for v in re.findall(pattern, text)}
+    assert stated == {value}, f"README states {name} as {stated}, the code as {value}"
+
+
+# Each default README states: its owner's value, where README states it, how to read it.
+DEFAULTS = [
+    ("SoftMaskConfig.gamma", SoftMaskConfig.gamma, r"soft label γ \(default ([\d.]+)\)", float),
+    ("SoftMaskConfig.target_volume_ratio", SoftMaskConfig.target_volume_ratio,
+     r"target volume ratio \(default (\d+)%\)", lambda v: int(v) / 100),
+    ("FusionConfig.tol", FusionConfig.tol, r"`tol` \(default ([\d.e-]+)\)", float),
+    ("FusionConfig.max_iters", FusionConfig.max_iters, r"`max_iters` \(default (\d+)\)", int),
+    ("FusionConfig.mc_seed", FusionConfig.mc_seed,
+     r"`fuse` seeds `soft-mc` with it, default (\d+)", int),
+    ("precision_recall threshold", inspect.signature(precision_recall).parameters["threshold"]
+     .default, r"`--threshold` \(default ([\d.]+)\)", float),
+]
+
+
+@pytest.mark.parametrize("name, value, pattern, read", DEFAULTS,
+                         ids=[row[0] for row in DEFAULTS])
+def test_readme_states_default(name, value, pattern, read):
+    """README states the default at least once, and every statement gives the owner's value."""
+    text = " ".join(README.split())
+    stated = {read(v) for v in re.findall(pattern, text)}
     assert stated == {value}, f"README states {name} as {stated}, the code as {value}"

@@ -50,11 +50,11 @@ def _mask():
 
 
 def _phantom(**kw):
-    PhantomSpec(**{"dims": Dim3(8, 8, 8), "lesions": (((4, 4, 4), 2.0),), **kw}).validate()
+    PhantomSpec(**{"dims": Dim3(8, 8, 8), "lesions": (((4, 4, 4), 2.0),), **kw})
 
 
 def _rater(**kw):
-    RaterSpec("r", **{"sens": 0.9, "spec": 0.9, **kw}).validate()
+    RaterSpec("r", **{"sens": 0.9, "spec": 0.9, **kw})
 
 
 def _mc(**kw):
@@ -66,22 +66,19 @@ def _mc(**kw):
 SEEDS = "[0, 18446744073709551616)"
 
 ARGS = [
-    Arg("init_sens", lambda v: FusionConfig(init_sens=v).validate(), "[0, 1]"),
-    Arg("init_spec", lambda v: FusionConfig(init_spec=v).validate(), "[0, 1]"),
-    Arg("tol", lambda v: FusionConfig(tol=v).validate(), "(0, inf]"),
-    Arg("max_iters", lambda v: FusionConfig(max_iters=v).validate(), "[1, inf]", True),
-    Arg("mc_samples", lambda v: FusionConfig(mc_samples=v).validate(), "[1, inf]", True),
-    Arg("mc_seed", lambda v: FusionConfig(mc_seed=v).validate(), SEEDS, True),
-    Arg("gamma", lambda v: SoftMaskConfig(gamma=v).validate(), "(0, 1)"),
-    Arg("target_volume_ratio", lambda v: SoftMaskConfig(target_volume_ratio=v).validate(),
-        "[1, inf]"),
-    Arg("threshold_value", lambda v: SoftMaskConfig(threshold_value=v).validate(),
-        "[0, 100]"),
+    Arg("init_sens", lambda v: FusionConfig(init_sens=v), "[0, 1]"),
+    Arg("init_spec", lambda v: FusionConfig(init_spec=v), "[0, 1]"),
+    Arg("tol", lambda v: FusionConfig(tol=v), "(0, inf]"),
+    Arg("max_iters", lambda v: FusionConfig(max_iters=v), "[1, inf]", True),
+    Arg("mc_samples", lambda v: FusionConfig(mc_samples=v), "[1, inf]", True),
+    Arg("mc_seed", lambda v: FusionConfig(mc_seed=v), SEEDS, True),
+    Arg("gamma", lambda v: SoftMaskConfig(gamma=v), "(0, 1)"),
+    Arg("target_volume_ratio", lambda v: SoftMaskConfig(target_volume_ratio=v), "[1, inf]"),
+    Arg("threshold_value", lambda v: SoftMaskConfig(threshold_value=v), "[0, 100]"),
     Arg("threshold_value",
-        lambda v: SoftMaskConfig(threshold_mode="fixed", threshold_value=v).validate(),
+        lambda v: SoftMaskConfig(threshold_mode="fixed", threshold_value=v),
         "[-inf, inf]"),
-    Arg("max_dilation_iters", lambda v: SoftMaskConfig(max_dilation_iters=v).validate(),
-        "[1, inf]", True),
+    Arg("max_dilation_iters", lambda v: SoftMaskConfig(max_dilation_iters=v), "[1, inf]", True),
     Arg("iters", lambda v: dilate(_mask(), StructuringElement.from_connectivity(6), v),
         "[0, inf]", True),
     Arg("background_intensity", lambda v: _phantom(background_intensity=v), "(-inf, inf)"),
@@ -180,7 +177,7 @@ class TestConnectivity:
     """One check serves the config, the structuring element and the labeller."""
 
     CALLS = [
-        pytest.param(lambda v: SoftMaskConfig(connectivity=v).validate(), id="config"),
+        pytest.param(lambda v: SoftMaskConfig(connectivity=v), id="config"),
         pytest.param(StructuringElement.from_connectivity, id="from_connectivity"),
         pytest.param(lambda v: connected_components(_mask(), v), id="connected_components"),
     ]
@@ -212,14 +209,13 @@ def test_dilate_refuses_a_non_integer_count(value):
 def test_numpy_prior_is_taken():
     stack = random_binary_stack(np.random.default_rng(4), m=3, n=30)
     cfg = FusionConfig(prior=np.float32(0.3), max_iters=2)
-    cfg.validate()
     assert run_em(stack, cfg).prior == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("prior", ["0.3", True])
 def test_prior_is_never_a_string_or_a_bool(prior):
     with pytest.raises(ConfigError, match="prior must be in"):
-        FusionConfig(prior=prior).validate()
+        FusionConfig(prior=prior)
     with pytest.raises(ConfigError, match="prior must be in"):
         posterior_voxel([1.0], RaterParams([0.9], [0.9]), prior)
 
@@ -237,7 +233,7 @@ class TestIntegersWhereIntegersAreMeant:
 
     def test_the_top_seed_and_index_are_taken(self):
         top = 2**64 - 1
-        FusionConfig(mc_seed=top).validate()
+        FusionConfig(mc_seed=top)
         _phantom(seed=top)
         _rater(seed=top)
         _mc(seed=top, voxel_index=top)

@@ -296,15 +296,15 @@ class TestBuildSoftMask:
 
     def test_config_validation(self):
         for bad in (
-            SoftMaskConfig(gamma=0.0),
-            SoftMaskConfig(gamma=1.0),
-            SoftMaskConfig(target_volume_ratio=0.9),
-            SoftMaskConfig(threshold_mode="median"),
-            SoftMaskConfig(connectivity=4),
-            SoftMaskConfig(max_dilation_iters=0),
+            {"gamma": 0.0},
+            {"gamma": 1.0},
+            {"target_volume_ratio": 0.9},
+            {"threshold_mode": "median"},
+            {"connectivity": 4},
+            {"max_dilation_iters": 0},
         ):
             with pytest.raises(ConfigError):
-                bad.validate()
+                SoftMaskConfig(**bad)
 
     @pytest.mark.parametrize("field, value", [
         ("max_dilation_iters", 2.5), ("max_dilation_iters", True), ("max_dilation_iters", "3"),
@@ -312,7 +312,7 @@ class TestBuildSoftMask:
     ])
     def test_integer_fields_refuse_other_types(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
-            SoftMaskConfig(**{field: value}).validate()
+            SoftMaskConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("gamma", "0.3"), ("gamma", None), ("target_volume_ratio", "1.2"),
@@ -320,7 +320,7 @@ class TestBuildSoftMask:
     ])
     def test_number_fields_refuse_other_types(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
-            SoftMaskConfig(**{field: value}).validate()
+            SoftMaskConfig(**{field: value})
 
     def test_numeric_fields_take_numpy_scalars(self):
         binary, flair = cube_fixture()
@@ -377,7 +377,7 @@ class TestBuildSoftStack:
                                 GridKind.BINARY, dims=Dim3(6, 6, 6))
         flair = VolumeGrid.from_3d(np.full((6, 6, 6), 5.0), GridKind.INTENSITY)
         calls = []
-        validate = SoftMaskConfig.validate
+        post_init = SoftMaskConfig.__post_init__
         footprint = StructuringElement.as_array
 
         def counted(original, name):
@@ -386,10 +386,11 @@ class TestBuildSoftStack:
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(SoftMaskConfig, "validate", counted(validate, "validate"))
+        monkeypatch.setattr(SoftMaskConfig, "__post_init__",
+                            counted(post_init, "__post_init__"))
         monkeypatch.setattr(StructuringElement, "as_array", counted(footprint, "as_array"))
         soft = build_soft_stack(stack, flair)
-        assert sorted(calls) == ["as_array", "validate"]
+        assert sorted(calls) == ["__post_init__", "as_array"]
         for g, s in zip(stack.experts, soft.experts):
             assert s == build_soft_mask(g, flair)
 

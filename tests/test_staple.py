@@ -247,14 +247,14 @@ class TestRunEm:
     ])
     def test_integer_fields_refuse_other_types(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
-            FusionConfig(**{field: value}).validate()
+            FusionConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("tol", "1e-6"), ("tol", True), ("init_sens", "0.9"), ("init_spec", None),
     ])
     def test_number_fields_refuse_other_types(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
-            FusionConfig(**{field: value}).validate()
+            FusionConfig(**{field: value})
 
     def test_integer_fields_take_numpy_integers(self):
         stack = random_binary_stack(np.random.default_rng(6), m=3, n=20)
@@ -395,11 +395,20 @@ class TestPosteriorGrid:
                  id="spec-below-0"),
     pytest.param(lambda: RaterParams([math.nan], [0.9]), r"sens values must lie in \[0, 1\]",
                  id="sens-nan"),
-    pytest.param(lambda: FusionConfig(variant="hard").validate(),
+    pytest.param(lambda: RaterParams.uniform(2, 0.9, 1.5), r"spec values must lie in \[0, 1\]",
+                 id="uniform-spec-above-1"),
+    pytest.param(lambda: FusionConfig(variant="hard"),
                  r"variant must be one of .*, got 'hard'", id="unknown-variant"),
-    pytest.param(lambda: FusionConfig(mstep_mode="mean").validate(),
+    pytest.param(lambda: FusionConfig(mstep_mode="mean"),
                  r"mstep_mode must be one of .*, got 'mean'", id="unknown-mstep-mode"),
 ])
 def test_parameter_and_config_refusals(build, message):
     with pytest.raises(ConfigError, match=message):
         build()
+
+
+def test_uniform_params_repeat_one_pair():
+    p = RaterParams.uniform(3, 0.8, 0.7)
+    assert p.m == 3
+    np.testing.assert_array_equal(p.sens, [0.8, 0.8, 0.8])
+    np.testing.assert_array_equal(p.spec, [0.7, 0.7, 0.7])

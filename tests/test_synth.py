@@ -70,6 +70,11 @@ class TestGeneratePhantom:
         with pytest.raises(ConfigError):
             generate_phantom(spec_with(lesion_intensity=30.0))
 
+    def test_lesion_center_needs_three_coordinates(self):
+        message = r"lesion center must have 3 coordinates, got \(8, 8\)"
+        with pytest.raises(ConfigError, match=message):
+            spec_with(lesions=(((8, 8), 3.0),))
+
 
 class TestSimulateRaters:
     def test_near_perfect_rater_tracks_truth(self):
@@ -122,12 +127,12 @@ class TestSimulateRaters:
 
     def test_rater_spec_validation(self):
         for bad in (
-            RaterSpec("x", 0.5, 0.9),
-            RaterSpec("x", 0.9, 1.0),
-            RaterSpec("x", 0.9, 0.9, boundary_softening=1.0),
+            {"sens": 0.5, "spec": 0.9},
+            {"sens": 0.9, "spec": 1.0},
+            {"sens": 0.9, "spec": 0.9, "boundary_softening": 1.0},
         ):
             with pytest.raises(ConfigError):
-                bad.validate()
+                RaterSpec("x", **bad)
 
 
 class TestSoftenVotes:
