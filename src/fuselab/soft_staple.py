@@ -67,9 +67,11 @@ MC_DRAW_LIMIT = 2**23
 # benchmark case at the default 10,000 samples keeps at most 6,709 x 128.
 MC_ENTRY_LIMIT = 2**23
 
-# Most draws (soft voxels x samples x m) one Monte Carlo run may make. At
-# about 10 ns per draw, a run refused here would have drawn for over a minute;
-# the 40^3 protocol-m7 benchmark case at the default 10,000 samples draws 0.47 G.
+# Most draws one Monte Carlo run may make: samples x m per soft voxel on the
+# per-sample path, 2^k (about one binomial per joint vote) per voxel on the
+# tally path. At about 10 ns per draw, a run refused here would have drawn for
+# over a minute; the 40^3 protocol-m7 benchmark case at the default 10,000
+# samples tallies every soft voxel and draws about 0.3 M.
 _MC_RUN_DRAW_LIMIT = 2**33
 
 # Most draws one block of Monte Carlo voxels holds, unless one voxel needs more.
@@ -127,20 +129,23 @@ def _joint_votes(q_cols: np.ndarray):
     """Yield (column indices, hard-vote codes, weights) per chunk of columns.
 
     A vote of exactly 0 or 1 fixes its bit, so a column with k fractional
-    votes has 2^k joint hard votes (code bit i = expert i). Columns are
-    grouped by k, chunked to at most ``_CELL_BUDGET`` terms (or one column),
-    and their (columns, 2^k) terms built by doubling over the fractional votes.
+    votes has 2^k joint hard votes (code bit i = expert i), in ascending
+    code order: int32 up to 31 experts (soft-exact takes at most 20), int64
+    up to :data:`_CODE_BITS`. Columns are grouped by k, chunked to at most
+    ``_CELL_BUDGET`` terms (or one column), and their (columns, 2^k) terms
+    built by doubling over the fractional votes.
     """
     frac = (q_cols > 0.0) & (q_cols < 1.0)
     k_cols = frac.sum(axis=0)
     base = (1 << np.arange(q_cols.shape[0])) @ (q_cols == 1.0)
+    dtype = np.int32 if q_cols.shape[0] < 32 else np.int64
     for k in np.unique(k_cols):
         group = np.flatnonzero(k_cols == k)
         step = max(1, _CELL_BUDGET >> k)
         for lo in range(0, group.size, step):
             cols = group[lo : lo + step]
             experts = np.nonzero(frac[:, cols].T)[1].reshape(cols.size, k)
-            codes = np.empty((cols.size, 1 << k), dtype=np.int32)
+            codes = np.empty((cols.size, 1 << k), dtype=dtype)
             weights = np.ones((cols.size, 1 << k))
             codes[:, 0] = base[cols]
             for j, e in enumerate(experts.T):
@@ -235,8 +240,29 @@ def check_mc_request(samples: int, m: int) -> None:
                  f"samples x {m} experts)", "lower the sample count")
 
 
+def _streams(voxels: np.ndarray, seed: int):
+    """Yield, for each voxel t in turn, a Generator on the Philox stream
+    keyed by (seed, t): one Generator, its bit generator re-keyed and reset
+    each time, which draws what a new ``Generator(Philox(key=(seed, t)))``
+    would (it caches nothing that its draws depend on)."""
+    keys = np.array([(int(seed), int(t)) for t in voxels], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=keys[0]))
+    fresh = gen.bit_generator.state
+    for key in keys:
+        fresh["state"]["key"] = key
+        gen.bit_generator.state = fresh
+        yield gen
+
+
+def _tallied(k, samples: int, m: int):
+    """Whether soft voxels with k fractional votes (of m experts) draw their
+    tally, not their samples: where 2^k <= ``samples`` and codes fit int64."""
+    return (k > 0) & (np.exp2(k) <= samples) & (m <= _CODE_BITS)
+
+
 def _mc_codes(q: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.ndarray:
-    """Sampled hard-vote codes of a block of voxels, ``samples`` per voxel.
+    """Sampled hard-vote codes of a block of voxels on the per-sample path,
+    ``samples`` per voxel.
 
     ``q`` (m, voxels) holds their soft votes. Voxel t draws from the
     Philox stream keyed by (seed, t), as ``Generator.random((samples, m))
@@ -248,15 +274,25 @@ def _mc_codes(q: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.
     thresholds = np.ceil(q.T * 2.0**53).astype(np.uint64)
     width = -(-m // 8) * 8
     bits = np.zeros((voxels.size, samples, width), dtype=bool)
-    keys = np.array([(int(seed), int(t)) for t in voxels], dtype=np.uint64)
-    bitgen = np.random.Philox(key=keys[0])
-    fresh = bitgen.state
-    for j, key in enumerate(keys):
-        fresh["state"]["key"] = key
-        bitgen.state = fresh
-        raw = bitgen.random_raw(samples * m).reshape(samples, m)
+    for j, gen in enumerate(_streams(voxels, seed)):
+        raw = gen.bit_generator.random_raw(samples * m).reshape(samples, m)
         np.less(np.right_shift(raw, 11, out=raw), thresholds[j], out=bits[j, :, :m])
     return _pack_codes(bits.reshape(-1, width), m)
+
+
+def _mc_tallies(w: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """Sample counts of a block of voxels on the tally path, (voxels, 2^k).
+
+    Row j of ``w`` holds voxel t = ``voxels[j]``'s 2^k joint-vote weights
+    in ascending code order (as ``_joint_votes`` gives them); its counts
+    are ``multinomial(samples, w[j])`` on the Philox stream keyed by
+    (seed, t): the tally of ``samples`` independent joint votes, drawn at
+    about 2^k binomials instead of ``samples`` x m uniforms.
+    """
+    counts = np.empty(w.shape, dtype=np.int64)
+    for j, gen in enumerate(_streams(voxels, seed)):
+        counts[j] = gen.multinomial(samples, w[j])
+    return counts
 
 
 def _pack_codes(bits: np.ndarray, m: int) -> np.ndarray:
@@ -307,10 +343,24 @@ def _voxel_tally(codes: np.ndarray, voxels: int, samples: int, m: int):
     fractional votes has at most min(samples, 2^k) entries. Counts and
     int64 codes come in the narrowest unsigned types that hold them."""
     group, code, counts = _tally(np.repeat(np.arange(voxels), samples), voxels, codes, m)
+    return _narrow_tally(np.bincount(group, minlength=voxels), code, counts, samples, m)
+
+
+def _nonzero_tally(codes: np.ndarray, counts: np.ndarray, samples: int, m: int):
+    """Per-voxel tallies, as ``_voxel_tally`` gives them, of a block on the
+    tally path: row j of ``codes`` holds voxel j's 2^k codes, ascending, and
+    row j of ``counts`` (see ``_mc_tallies``) their sample counts."""
+    voxel, j = np.nonzero(counts)
+    sizes = np.bincount(voxel, minlength=counts.shape[0])
+    return _narrow_tally(sizes, codes[voxel, j], counts[voxel, j], samples, m)
+
+
+def _narrow_tally(sizes, code, counts, samples: int, m: int):
+    """Tally sizes and counts, and int64 codes, in the narrowest unsigned types."""
     narrow = np.min_scalar_type(samples)
     if m <= _CODE_BITS:
         code = code.astype(np.min_scalar_type((1 << m) - 1))
-    return np.bincount(group, minlength=voxels).astype(narrow), code, counts.astype(narrow)
+    return sizes.astype(narrow), code, counts.astype(narrow)
 
 
 def _voxel_means(sizes: np.ndarray, counts: np.ndarray, p1: np.ndarray, samples: int):
@@ -328,13 +378,17 @@ def mc_soft_e_step_voxel(
     seed: int,
     voxel_index: int = 0,
 ) -> float:
-    """Unbiased Monte Carlo estimate of the exact soft posterior.
+    """Unbiased Monte Carlo estimate of the exact soft posterior: the mean
+    binary posterior over ``samples`` independent joint hard votes.
 
-    Each sample draws one hard vote per expert from the soft votes; the
-    stream is keyed by (seed, voxel_index), so estimates are reproducible
-    voxel by voxel regardless of evaluation order. Works for any m; hard
-    votes short-circuit to the exact posterior (the estimator has zero
-    variance there).
+    The draws come from the Philox stream keyed by (seed, voxel_index), so
+    estimates are reproducible voxel by voxel regardless of evaluation
+    order, and equal soft-mc's fused posterior there. With k fractional
+    votes, where 2^k <= ``samples`` (and m <= 62) the stream draws the
+    tally of the 2^k joint votes at once (see ``_mc_tallies``), else
+    each sample's votes (see ``_mc_codes``); both tallies have the same
+    distribution. Works for any m; hard votes short-circuit to the exact
+    posterior (the estimator has zero variance there).
     """
     check_number("samples", samples, integral=True, ge=1)
     check_number("seed", seed, integral=True, ge=0, lt=SEED_SPAN)
@@ -344,8 +398,14 @@ def mc_soft_e_step_voxel(
     if np.all((q == 0.0) | (q == 1.0)):
         return float(_binary_posterior_arrays(q[:, None], params, prior)[1][0])
     check_mc_request(samples, q.size)
-    codes = _mc_codes(q[:, None], np.array([voxel_index]), samples, seed)
-    sizes, code, counts = _voxel_tally(codes, 1, samples, q.size)
+    voxel = np.array([voxel_index])
+    if _tallied(np.count_nonzero((q > 0.0) & (q < 1.0)), samples, q.size):
+        _, codes, w = next(_joint_votes(q[:, None]))
+        counts = _mc_tallies(w, voxel, samples, seed)
+        sizes, code, counts = _nonzero_tally(codes, counts, samples, q.size)
+    else:
+        codes = _mc_codes(q[:, None], voxel, samples, seed)
+        sizes, code, counts = _voxel_tally(codes, 1, samples, q.size)
     p1 = _binary_posterior_arrays(_code_bits(code, q.size), params, prior)[1]
     return float(np.clip(_voxel_means(sizes, counts, p1, samples)[0], 0.0, 1.0))
 
@@ -385,62 +445,108 @@ def simple_m_step(
     return model.patterns.restore(*model.mstep(params, model.arrays(params), mode))
 
 
+def _sample_blocks(patterns: VotePatterns, voxels: np.ndarray, samples: int, seed: int):
+    """Draw the per-sample path's soft voxels (in column order) block by
+    block: yield each block's (column, code, weight) entries and its
+    per-voxel tallies (see ``_McModel``)."""
+    cols = patterns.columns
+    m = cols.shape[0]
+    step = max(1, _DRAW_BLOCK // (samples * m))  # _DRAW_BLOCK draws, or one voxel
+    for lo in range(0, voxels.size, step):
+        block = voxels[lo : lo + step]
+        ids = patterns.inverse[block].astype(np.intp, copy=False)
+        codes = _mc_codes(cols[:, ids], block, samples, seed)
+        group, code, counts = _tally(
+            np.repeat(ids - ids[0], samples), ids[-1] - ids[0] + 1, codes, m)
+        yield ((group + ids[0], code, counts / samples),
+               (block, *_voxel_tally(codes, block.size, samples, m)))
+
+
+def _tally_blocks(patterns: VotePatterns, voxels: np.ndarray, tallied: np.ndarray,
+                  samples: int, seed: int):
+    """Draw the tally path's soft voxels (in column order) block by block,
+    as ``_sample_blocks`` does: ``_joint_votes`` enumerates their columns
+    ``tallied`` once, chunk by chunk, and each block holds at most
+    ``_DRAW_BLOCK`` counts (or one voxel's) of one chunk's voxels."""
+    if not voxels.size:
+        return  # enumerates nothing
+    m = patterns.order.size
+    ids = patterns.inverse[voxels]
+    for at, codes, w in _joint_votes(patterns.columns[:, tallied]):
+        col = tallied[at]
+        # The voxels of each column are a run of ``voxels``; row = their column's row.
+        n = patterns.counts[col].astype(np.intp)
+        row = np.repeat(np.arange(col.size), n)
+        chunk = voxels[np.arange(row.size)
+                       + np.repeat(np.searchsorted(ids, col) - np.cumsum(n) + n, n)]
+        step = max(1, _DRAW_BLOCK // w.shape[1])
+        for lo in range(0, row.size, step):
+            r, block = row[lo : lo + step], chunk[lo : lo + step]
+            drawn = _mc_tallies(w[r], block, samples, seed)
+            first = np.flatnonzero(np.diff(r, prepend=-1))  # each column's first voxel
+            sums = np.add.reduceat(drawn, first, axis=0)
+            i, j = np.nonzero(sums)
+            yield ((col[r[first[i]]], codes[r[first[i]], j], sums[i, j] / samples),
+                   (block, *_nonzero_tally(codes[r], drawn, samples, m)))
+
+
 class _McModel(_PatternModel):
     """The Monte Carlo soft variant over (column, code, weight) entries.
 
-    Each soft voxel keeps its own keyed stream (see ``_mc_codes``); its
-    samples are drawn once at set-up, block by block, and each block is
-    reduced at once to entries: a distinct column, a sampled hard-vote
-    code and its sample count over the block's voxels of that column,
-    divided by the sample count. A (column, code) pair drawn in two blocks
-    gets two entries, which the weighted sums add; the model's units are
-    the distinct sampled codes (``table``), massed by their entries'
-    summed weights. A hard column is one entry weighted by its voxel count
-    (the estimator has zero variance there), which makes the all-hard case
-    agree with the binary algorithm to machine precision. Nothing builds a
-    2^m table, so any expert count works. With the draws fixed, the run is
-    exact EM on the sampled model, whose inherited objective estimates the
-    exact one. Only the final posterior needs each voxel's own samples:
-    the set-up pass also tallies each block per voxel (``tallies``, see
-    ``_voxel_tally``), so every stream is drawn once per run. A voxel with
-    k fractional votes keeps at most min(samples, 2^k) tallies and entries.
-    A run whose sum of those exceeds :data:`MC_ENTRY_LIMIT`, or whose draws
-    exceed ``_MC_RUN_DRAW_LIMIT``, is refused before the first draw.
+    Each soft voxel keeps its own keyed stream (see ``_streams``), drawn
+    once at set-up, block by block. A voxel with k fractional votes draws
+    its tally of the 2^k joint votes where 2^k <= samples (``_mc_tallies``,
+    blocks of voxels whose columns ``_joint_votes`` enumerates once), else
+    its samples (``_mc_codes``, blocks of columns in order, each block's
+    codes counted by ``_tally``). Both reduce each block to entries: a
+    distinct column, a sampled hard-vote code and its sample count over
+    the voxels of that column, divided by the sample count. A (column,
+    code) pair drawn in two blocks gets two entries, which the weighted
+    sums add; the model's units are the distinct sampled codes (``table``),
+    massed by their entries' summed weights. A hard column is one entry
+    weighted by its voxel count (the estimator has zero variance there),
+    which makes the all-hard case agree with the binary algorithm to
+    machine precision. Nothing builds a 2^m table, so any expert count
+    works. With the draws fixed, the run is exact EM on the sampled model,
+    whose inherited objective estimates the exact one. Only the final
+    posterior needs each voxel's own draws: the set-up pass also keeps each
+    block's tallies per voxel (``tallies``, see ``_voxel_tally``), so every
+    stream is drawn once per run. A voxel keeps at most min(samples, 2^k)
+    tallies and entries. A run whose sum of those exceeds
+    :data:`MC_ENTRY_LIMIT`, or whose draws (samples x m per sampled voxel,
+    2^k per tallied one) exceed ``_MC_RUN_DRAW_LIMIT``, is refused before
+    the first draw.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
         m = patterns.order.size
         check_mc_request(samples, m)
         self.samples = samples
-        cols = patterns.columns
+        cols, counts = patterns.columns, patterns.counts
         k = np.count_nonzero((cols > 0.0) & (cols < 1.0), axis=0)
         hard = k == 0
-        kept = int(patterns.counts[~hard] @ np.minimum(samples, np.exp2(k[~hard])))
+        tallied = _tallied(k, samples, m)
+        kept = int(counts[~hard] @ np.minimum(samples, np.exp2(k[~hard])))
         _refuse_over(kept, MC_ENTRY_LIMIT, "sampled (voxel, code) entries (soft voxels "
                      "x min(samples, 2^k))", "lower the sample count")
-        draws = int(patterns.counts[~hard].sum()) * samples * m
-        _refuse_over(draws, _MC_RUN_DRAW_LIMIT, "draws (soft voxels x samples x experts)",
-                     "lower the sample count")
+        draws = (int(counts[~hard & ~tallied].sum()) * samples * m
+                 + int(counts[tallied] @ np.exp2(k[tallied])))
+        _refuse_over(draws, _MC_RUN_DRAW_LIMIT, "draws (samples x experts per sampled soft "
+                     "voxel, 2^k per tallied one)", "lower the sample count")
         # Column by column, so that a block spans few columns.
         soft = np.flatnonzero(~hard[patterns.inverse])
-        self.soft_voxels = soft[np.argsort(patterns.inverse[soft], kind="stable")]
-        entries = [(np.flatnonzero(hard), _pack_codes(cols[:, hard].T == 1.0, m),
-                    patterns.counts[hard])]
-        self.tallies = []
-        step = max(1, _DRAW_BLOCK // (samples * m))  # _DRAW_BLOCK draws, or one voxel
-        for lo in range(0, self.soft_voxels.size, step):
-            voxels = self.soft_voxels[lo : lo + step]
-            ids = patterns.inverse[voxels].astype(np.intp, copy=False)
-            codes = _mc_codes(cols[:, ids], voxels, samples, seed)
-            group, code, counts = _tally(
-                np.repeat(ids - ids[0], samples), ids[-1] - ids[0] + 1, codes, m)
-            entries.append((group + ids[0], code, counts / samples))
-            self.tallies.append((voxels, *_voxel_tally(codes, voxels.size, samples, m)))
+        soft = soft[np.argsort(patterns.inverse[soft], kind="stable")]
+        on_tally = tallied[patterns.inverse[soft]]
+        blocks = [*_sample_blocks(patterns, soft[~on_tally], samples, seed),
+                  *_tally_blocks(patterns, soft[on_tally], np.flatnonzero(tallied), samples, seed)]
+        self.tallies = [tally for _, tally in blocks]
+        entries = [(np.flatnonzero(hard), _pack_codes(cols[:, hard].T == 1.0, m), counts[hard]),
+                   *(entry for entry, _ in blocks)]
         self.col, code, self.weight = map(np.concatenate, zip(*entries))
         self.table, self.code = np.unique(code, return_inverse=True)
         super().__init__(patterns, prior, _code_bits(self.table, m),
                          np.bincount(self.code, self.weight))
-        self.ll_is_approximate = self.soft_voxels.size > 0
+        self.ll_is_approximate = soft.size > 0
 
     def posteriors(self, ev, labels=(0, 1)):
         counts = self.patterns.counts

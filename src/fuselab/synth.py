@@ -32,6 +32,16 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _lesion(i: int, entry) -> tuple:
+    """Lesion entry ``i`` as a (center tuple, radius) pair."""
+    try:
+        center, radius = entry
+        return tuple(center), radius
+    except (TypeError, ValueError):
+        raise ConfigError(f"lesions[{i}] must be a ((x, y, z), radius) pair, "
+                          f"got {entry!r}") from None
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     """Ground-truth layout: spherical lesions over a flat background.
@@ -49,7 +59,7 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        lesions = tuple((tuple(center), radius) for center, radius in self.lesions)
+        lesions = tuple(_lesion(i, entry) for i, entry in enumerate(self.lesions))
         object.__setattr__(self, "lesions", lesions)
         for name in ("background_intensity", "lesion_intensity"):
             check_number(name, getattr(self, name), gt=-math.inf, lt=math.inf)

@@ -204,12 +204,16 @@ def simple_expected_count_mstep_brute(q_matrix, sens, spec, prior):
     )
 
 
-def mc_uniforms_brute(m, samples, seed, voxel_index):
-    """One voxel's (samples, m) Monte Carlo uniforms, drawn by numpy's own
-    Generator from the Philox stream keyed by (seed, voxel index)."""
+def _mc_generator(seed, voxel_index):
+    """numpy's own Generator on the Philox stream keyed by (seed, voxel index)."""
     mask = (1 << 64) - 1
     key = np.array([seed & mask, voxel_index & mask], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random((samples, m))
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def mc_uniforms_brute(m, samples, seed, voxel_index):
+    """One voxel's (samples, m) Monte Carlo uniforms on its keyed stream."""
+    return _mc_generator(seed, voxel_index).random((samples, m))
 
 
 def mc_draws_brute(q, samples, seed, voxel_index):
@@ -218,17 +222,44 @@ def mc_draws_brute(q, samples, seed, voxel_index):
     return mc_uniforms_brute(q.size, samples, seed, voxel_index) < q
 
 
+def mc_tally_brute(q, samples, seed, voxel_index):
+    """One voxel's Monte Carlo draws as (hard votes, sample count) pairs.
+
+    With k fractional votes, where 2^k <= samples and m <= 62, the counts
+    are one multinomial draw on the keyed stream over the 2^k joint votes,
+    in ascending code order (expert 0 the lowest bit), each weighted by
+    the product of its votes' probabilities; pairs drawn 0 times are left
+    out. Otherwise each sample is its own pair, counted once."""
+    q = [float(v) for v in q]
+    frac = [i for i, v in enumerate(q) if 0.0 < v < 1.0]
+    if 2 ** len(frac) > samples or len(q) > 62:
+        return [(bits, 1) for bits in mc_draws_brute(q, samples, seed, voxel_index)]
+    combos = []
+    weights = []
+    for j in range(2 ** len(frac)):
+        bits = [v == 1.0 for v in q]
+        weight = 1.0
+        for b, i in enumerate(frac):
+            bits[i] = (j >> b) & 1 == 1
+            weight *= q[i] if bits[i] else 1.0 - q[i]
+        combos.append(bits)
+        weights.append(weight)
+    counts = _mc_generator(seed, voxel_index).multinomial(samples, weights)
+    return [(bits, int(c)) for bits, c in zip(combos, counts) if c > 0]
+
+
 def _mc_voxel_draws(q, samples, seed, voxel_index):
-    """A voxel's samples; hard votes are their own single sample."""
+    """A voxel's (hard votes, weight) pairs, weights summing to one; hard
+    votes are their own single sample."""
     if all(v in (0.0, 1.0) for v in q):
-        return [q == 1.0]
-    return mc_draws_brute(q, samples, seed, voxel_index)
+        return [([v == 1.0 for v in q], 1.0)]
+    return [(bits, c / samples) for bits, c in mc_tally_brute(q, samples, seed, voxel_index)]
 
 
 def mc_posterior_brute(q, sens, spec, prior, samples, seed, voxel_index):
     """Monte Carlo posterior of one voxel: the mean over its samples."""
     draws = _mc_voxel_draws(q, samples, seed, voxel_index)
-    return sum(posterior_brute(bits, sens, spec, prior) for bits in draws) / len(draws)
+    return sum(w * posterior_brute(bits, sens, spec, prior) for bits, w in draws)
 
 
 def mc_loglik_brute(q_matrix, sens, spec, prior, samples, seed):
@@ -237,16 +268,13 @@ def mc_loglik_brute(q_matrix, sens, spec, prior, samples, seed):
     m, n = q_matrix.shape
     total = 0.0
     for t in range(n):
-        draws = _mc_voxel_draws(q_matrix[:, t], samples, seed, t)
-        voxel = 0.0
-        for bits in draws:
+        for bits, w in _mc_voxel_draws(q_matrix[:, t], samples, seed, t):
             l1 = 1.0
             l0 = 1.0
             for i in range(m):
                 l1 *= sens[i] if bits[i] else 1.0 - sens[i]
                 l0 *= (1.0 - spec[i]) if bits[i] else spec[i]
-            voxel += math.log((1.0 - prior) * l0 + prior * l1)
-        total += voxel / len(draws)
+            total += w * math.log((1.0 - prior) * l0 + prior * l1)
     return total
 
 
@@ -259,10 +287,9 @@ def mc_expected_count_mstep_brute(q_matrix, sens, spec, prior, samples, seed):
     den1 = 0.0
     den0 = 0.0
     for t in range(n):
-        draws = _mc_voxel_draws(q_matrix[:, t], samples, seed, t)
-        for bits in draws:
-            p1 = posterior_brute(bits, sens, spec, prior) / len(draws)
-            p0 = posterior_brute(bits, sens, spec, prior, 0) / len(draws)
+        for bits, w in _mc_voxel_draws(q_matrix[:, t], samples, seed, t):
+            p1 = w * posterior_brute(bits, sens, spec, prior)
+            p0 = w * posterior_brute(bits, sens, spec, prior, 0)
             den1 += p1
             den0 += p0
             for i in range(m):

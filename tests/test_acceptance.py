@@ -260,7 +260,6 @@ def test_criterion_08_exact_variant_keeps_more_surrounding_support():
     assert wins >= 8, f"exact variant kept at least as much support in {wins}/10"
 
 
-@pytest.mark.slow  # most of the suite's time; `pytest -m "not slow"` skips it
 def test_criterion_09_mc_estimator_accuracy():
     rng = np.random.default_rng(909)
     params = RaterParams(rng.uniform(0.65, 0.95, 7), rng.uniform(0.65, 0.95, 7))

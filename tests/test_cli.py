@@ -314,13 +314,13 @@ class TestFuse:
     def test_mc_draw_bound_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         import fuselab.soft_staple as ss
 
-        monkeypatch.setattr(ss, "_MC_RUN_DRAW_LIMIT", 3839)
+        monkeypatch.setattr(ss, "_MC_RUN_DRAW_LIMIT", 159)
         paths = _write_experts(tmp_path, np.full((3, 20), 0.5), GridKind.SOFT)
         out = tmp_path / "o"
         code = main(["fuse", "--variant", "soft-mc", "--mc-samples", "64", *paths,
                      "-o", str(out)])
         assert code == 2
-        assert "3840 draws" in capsys.readouterr().err
+        assert "160 draws" in capsys.readouterr().err  # 20 tallied voxels x 2^3
         assert not out.exists() or not any(out.iterdir())
 
     def test_crash_mid_write_leaves_no_outputs(self, tmp_path, monkeypatch):

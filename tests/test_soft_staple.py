@@ -57,6 +57,42 @@ def random_soft_stack(rng, m, n):
     return stack_from_rows(rng.random((m, n)), GridKind.SOFT)
 
 
+def _spy(monkeypatch, *names):
+    """The arguments of each call to the named ``soft_staple`` functions
+    (by default its two Monte Carlo draws), listed by name; calls still run."""
+    import fuselab.soft_staple as ss
+
+    calls = {}
+    for name in names or ("_mc_codes", "_mc_tallies"):
+        seen = calls[name] = []
+        run = getattr(ss, name)
+        monkeypatch.setattr(ss, name, lambda *a, run=run, seen=seen: seen.append(a) or run(*a))
+    return calls
+
+
+# At this sample count a soft voxel with k <= 4 fractional votes draws its
+# tally, one with k = 5 or 6 its samples.
+MIXED_SAMPLES = 20
+
+
+def _mixed_stack(seed):
+    """6 experts: three columns of each k = 0 ... 6, each on four voxels."""
+    rng = np.random.default_rng(seed)
+    q = (rng.random((6, 21)) < 0.5).astype(float)
+    for t in range(21):
+        frac = rng.choice(6, size=t % 7, replace=False)
+        q[frac, t] = rng.choice([0.3, 0.55, 0.8], size=frac.size)
+    return stack_from_rows(np.tile(q, 4), GridKind.SOFT, ids=("f", "c", "a", "e", "d", "b"))
+
+
+def _run_mixed(monkeypatch, stack, **cfg):
+    """A soft-mc run at ``MIXED_SAMPLES`` that draws on both paths."""
+    calls = _spy(monkeypatch)
+    res = run_soft_em(stack, FusionConfig(variant="soft-mc", mc_samples=MIXED_SAMPLES, **cfg))
+    assert calls["_mc_codes"] and calls["_mc_tallies"]
+    return res
+
+
 class TestVoteCombination:
     def test_bits_roundtrip(self):
         combo = VoteCombination(m=3, code=5)
@@ -321,44 +357,38 @@ class TestMonteCarloSweep:
         q = np.stack([stack.experts[i].data for i in order])
         return q, res.params.reordered(order)
 
-    @pytest.mark.parametrize("block", [100, 2**18])  # many blocks / one block
+    # Many blocks (at 100 draws, one k = 4 column's voxels fall in two) / one block.
+    @pytest.mark.parametrize("block", [100, 2**18])
     @pytest.mark.parametrize("mode", ["expected-count", "plugin-mean"])
     def test_final_posterior_matches_voxel_function(self, monkeypatch, mode, block):
         import fuselab.soft_staple as ss
 
-        rng = np.random.default_rng(41)
-        q = rng.choice([0.0, 0.3, 1.0], size=(4, 60))
-        q[:, ::7] = rng.random((4, 9))
-        stack = stack_from_rows(q, GridKind.SOFT, ids=("c", "a", "d", "b"))
+        stack = _mixed_stack(41)
         monkeypatch.setattr(ss, "_DRAW_BLOCK", block)
-        res = run_soft_em(stack, FusionConfig(
-            variant="soft-mc", mstep_mode=mode, mc_samples=37, mc_seed=5, max_iters=3))
+        res = _run_mixed(monkeypatch, stack, mstep_mode=mode, mc_seed=5, max_iters=3)
         qc, pc = self._canonical(stack, res)
-        want = [mc_soft_e_step_voxel(qc[:, t], pc, res.prior, 37, 5, t) for t in range(60)]
+        n, samples = qc.shape[1], MIXED_SAMPLES
+        want = [mc_soft_e_step_voxel(qc[:, t], pc, res.prior, samples, 5, t) for t in range(n)]
         np.testing.assert_allclose(res.posterior.data, want, rtol=0, atol=1e-12)
-        brute = [mc_posterior_brute(qc[:, t], pc.sens, pc.spec, res.prior, 37, 5, t)
-                 for t in range(60)]
+        brute = [mc_posterior_brute(qc[:, t], pc.sens, pc.spec, res.prior, samples, 5, t)
+                 for t in range(n)]
         np.testing.assert_allclose(want, brute, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("block", [100, 2**18])  # many blocks / one block
+    @pytest.mark.parametrize("block", [100, 2**18])
     @pytest.mark.parametrize("mode", ["expected-count", "plugin-mean"])
     def test_first_mstep_matches_brute(self, monkeypatch, mode, block):
         import fuselab.soft_staple as ss
 
-        rng = np.random.default_rng(45)
-        q = rng.choice([0.0, 0.3, 1.0], size=(4, 50))
-        q[:, 40:] = q[:, :10]  # repeated columns, some soft
-        stack = stack_from_rows(q, GridKind.SOFT, ids=("c", "a", "d", "b"))
+        stack = _mixed_stack(45)
         monkeypatch.setattr(ss, "_DRAW_BLOCK", block)
-        res = run_soft_em(stack, FusionConfig(
-            variant="soft-mc", mstep_mode=mode, mc_samples=23, mc_seed=6, max_iters=1))
+        res = _run_mixed(monkeypatch, stack, mstep_mode=mode, mc_seed=6, max_iters=1)
         qc, pc = self._canonical(stack, res)
-        start = np.full(4, 0.9)
+        start, samples = np.full(6, 0.9), MIXED_SAMPLES
         if mode == "expected-count":
-            want = mc_expected_count_mstep_brute(qc, start, start, res.prior, 23, 6)
+            want = mc_expected_count_mstep_brute(qc, start, start, res.prior, samples, 6)
         else:
-            w1 = [mc_posterior_brute(qc[:, t], start, start, res.prior, 23, 6, t)
-                  for t in range(50)]
+            w1 = [mc_posterior_brute(qc[:, t], start, start, res.prior, samples, 6, t)
+                  for t in range(qc.shape[1])]
             want = plugin_mstep_brute(qc, w1)
         np.testing.assert_allclose(pc.sens, want[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(pc.spec, want[1], rtol=0, atol=1e-12)
@@ -375,23 +405,19 @@ class TestMonteCarloSweep:
         want = mc_loglik_brute(qc, pc.sens, pc.spec, res.prior, 30, 9)
         assert res.ll_trace[-1] == pytest.approx(want, rel=1e-12)
 
-    def test_objective_is_the_sampled_models(self):
+    def test_objective_is_the_sampled_models(self, monkeypatch):
         """Within the guard too, the trace is the objective soft-mc's EM
         ascends; it is the exact binary one only when every vote is hard."""
-        rng = np.random.default_rng(46)
-        q = rng.choice([0.0, 0.3, 1.0], size=(4, 40))
-        q[:, :5] = (q[:, :5] > 0.5).astype(float)  # hard columns
-        stack = stack_from_rows(q, GridKind.SOFT, ids=("c", "a", "d", "b"))
+        stack = _mixed_stack(46)
         cfg = dict(max_iters=4, tol=1e-300)
-        res = run_soft_em(stack, FusionConfig(
-            variant="soft-mc", mc_samples=17, mc_seed=4, **cfg))
+        res = _run_mixed(monkeypatch, stack, mc_seed=4, **cfg)
         assert res.ll_is_approximate
         assert_monotone(res.ll_trace)
         qc, pc = self._canonical(stack, res)
-        want = mc_loglik_brute(qc, pc.sens, pc.spec, res.prior, 17, 4)
+        want = mc_loglik_brute(qc, pc.sens, pc.spec, res.prior, MIXED_SAMPLES, 4)
         assert res.ll_trace[-1] == pytest.approx(want, rel=1e-12)
 
-        hard = random_binary_stack(rng, m=4, n=40)
+        hard = random_binary_stack(np.random.default_rng(46), m=4, n=40)
         res = run_soft_em(stack_from_rows(hard.as_matrix(), GridKind.SOFT),
                           FusionConfig(variant="soft-mc", mc_samples=9, **cfg))
         assert not res.ll_is_approximate
@@ -426,20 +452,25 @@ class TestMonteCarloSweep:
         np.testing.assert_allclose(res.posterior.data, want, rtol=0, atol=1e-12)
 
     def test_draw_passes_do_not_grow_with_iterations(self, monkeypatch):
+        """Half the voxels have 2 fractional votes (2^2 <= 11 samples: one
+        tally block), half 5 (per-sample: four voxels per block)."""
         import fuselab.soft_staple as ss
 
-        stack = random_soft_stack(np.random.default_rng(44), m=5, n=30)
-        monkeypatch.setattr(ss, "_DRAW_BLOCK", 5 * 11 * 4)  # four voxels per block
-        draw = ss._mc_codes
+        q = np.random.default_rng(44).random((5, 30))
+        q[:3, ::2] = q[:3, ::2] > 0.5
+        stack = stack_from_rows(q, GridKind.SOFT)
+        monkeypatch.setattr(ss, "_DRAW_BLOCK", 5 * 11 * 4)
         passes = []
         for iters in (1, 6):
-            calls = []
-            monkeypatch.setattr(ss, "_mc_codes", lambda *a: calls.append(a) or draw(*a))
+            calls = _spy(monkeypatch)
             res = run_soft_em(stack, FusionConfig(
                 variant="soft-mc", mc_samples=11, max_iters=iters, tol=1e-300))
             assert res.iters_run == iters
-            passes.append(len(calls))
-        assert passes[0] == passes[1] == 8  # one pass: the final posterior draws nothing
+            drawn = np.concatenate([a[1] for blocks in calls.values() for a in blocks])
+            np.testing.assert_array_equal(np.sort(drawn), np.arange(30))  # each stream once
+            passes.append({name: len(blocks) for name, blocks in calls.items()})
+        # one pass: the final posterior draws nothing
+        assert passes[0] == passes[1] == {"_mc_codes": 4, "_mc_tallies": 1}
 
     def test_store_follows_distinct_codes_not_samples(self, monkeypatch):
         """Per-voxel tallies hold at most 2^k entries per voxel, so on votes
@@ -468,6 +499,7 @@ class TestMonteCarloSweep:
             raise AssertionError("the final posterior drew again")
 
         monkeypatch.setattr(ss, "_mc_codes", refuse)
+        monkeypatch.setattr(ss, "_mc_tallies", refuse)
         assert model.voxel_posterior(model.arrays(p)).tobytes() == want
 
 
@@ -477,38 +509,35 @@ class TestMonteCarloSweep:
         import fuselab.soft_staple as ss
 
         stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
-        calls = []
-        draw = ss._mc_codes
-        monkeypatch.setattr(ss, "_mc_codes", lambda *a: calls.append(a) or draw(*a))
+        calls = _spy(monkeypatch)
         cfg = FusionConfig(variant="soft-mc", mc_samples=11, max_iters=1)
         monkeypatch.setattr(ss, "MC_ENTRY_LIMIT", 329)
         with pytest.raises(CapacityError, match="330 .* limit of 329"):
             run_soft_em(stack, cfg)
-        assert calls == []
+        assert not any(calls.values())
         monkeypatch.setattr(ss, "MC_ENTRY_LIMIT", 330)
         run_soft_em(stack, cfg)
-        assert calls
+        assert calls["_mc_codes"]
 
     def test_draw_bound_refuses_before_any_draw(self, monkeypatch):
         """5 experts x 30 soft voxels x 11 samples = 1,650 draws."""
         import fuselab.soft_staple as ss
 
         stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
-        calls = []
-        draw = ss._mc_codes
-        monkeypatch.setattr(ss, "_mc_codes", lambda *a: calls.append(a) or draw(*a))
+        calls = _spy(monkeypatch)
         cfg = FusionConfig(variant="soft-mc", mc_samples=11, max_iters=1)
         monkeypatch.setattr(ss, "_MC_RUN_DRAW_LIMIT", 1649)
         with pytest.raises(CapacityError, match="1650 draws .* limit of 1649"):
             run_soft_em(stack, cfg)
-        assert calls == []
+        assert not any(calls.values())
         monkeypatch.setattr(ss, "_MC_RUN_DRAW_LIMIT", 1650)
         run_soft_em(stack, cfg)
-        assert calls
+        assert calls["_mc_codes"]
 
     def test_narrow_inverse_builds_the_same_model(self):
         """The block arithmetic on voxel-to-column indices runs in intp, so
-        a uint8 inverse (227 columns here) gives the intp inverse's bytes."""
+        a uint8 inverse (227 columns here) gives the intp inverse's bytes, on
+        both paths (at 8 samples, k <= 3 tallies and k = 4, 5 samples)."""
         import dataclasses
         import warnings
 
@@ -524,11 +553,89 @@ class TestMonteCarloSweep:
         for pats in (patterns, narrow):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                model = ss._McModel(pats, 0.3, 64, 1)
+                model = ss._McModel(pats, 0.3, 8, 1)
             ev = model.arrays(p)
             got.append([model.s, *model.mstep(p, ev, "plugin-mean"), model.voxel_posterior(ev)])
         for want, have in zip(*got):
             assert have.tobytes() == want.tobytes()
+
+
+class TestMonteCarloPaths:
+    """A soft voxel with k fractional votes draws its tally with one
+    multinomial where 2^k <= samples, else its samples. ``TestMonteCarloSweep``
+    checks runs that mix both paths against the oracles."""
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_tally_draws_match_generator_multinomial(self, m):
+        import fuselab.soft_staple as ss
+
+        rng = np.random.default_rng(m)
+        voxels = np.array([0, 5, 2**40 + 5, 2**64 - 1], dtype=np.uint64)
+        w = rng.random((voxels.size, 2**m))
+        w /= w.sum(axis=1, keepdims=True)
+        got = ss._mc_tallies(w, voxels, 9, seed=2024)
+        for j, t in enumerate(voxels):
+            key = np.array([2024, int(t)], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            np.testing.assert_array_equal(got[j], gen.multinomial(9, w[j]))
+
+    def test_tally_estimator_keeps_the_per_sample_distribution(self, monkeypatch):
+        """On a k = 3 voxel over 3,000 seeds at 16 samples, the tally path's
+        estimates have the exact posterior as mean and the variance sigma^2 /
+        16 of a mean of 16 independent joint votes, as the per-sample path's
+        do: within 4 standard errors for the mean, and 12% for the variance
+        (the sample variance's standard error is about 2.6% here)."""
+        import fuselab.soft_staple as ss
+
+        q = np.array([0.3, 1.0, 0.55, 0.0, 0.8])
+        p = params([0.9, 0.7, 0.8, 0.85, 0.6], [0.8, 0.9, 0.75, 0.7, 0.95])
+        prior, samples, seeds = 0.3, 16, 3000
+        frac = [0, 2, 4]
+        p1 = []
+        w = []
+        for code in range(8):
+            bits = q.copy()
+            bits[frac] = [(code >> b) & 1 for b in range(3)]
+            p1.append(posterior_voxel(bits, p, prior))
+            w.append(np.prod(np.where(bits[frac] == 1.0, q[frac], 1.0 - q[frac])))
+        exact = float(np.dot(w, p1))
+        assert exact == pytest.approx(soft_e_step_voxel(q, p, prior), abs=1e-12)
+        variance = (float(np.dot(w, np.square(p1))) - exact**2) / samples
+
+        def estimates():
+            return np.array([mc_soft_e_step_voxel(q, p, prior, samples, seed=s, voxel_index=3)
+                             for s in range(seeds)])
+
+        calls = _spy(monkeypatch)
+        tallied = estimates()
+        assert len(calls["_mc_tallies"]) == seeds and not calls["_mc_codes"]
+        monkeypatch.setattr(ss, "_tallied", lambda *_: False)
+        sampled = estimates()
+        assert len(calls["_mc_codes"]) == seeds
+        for est in (tallied, sampled):
+            assert abs(est.mean() - exact) < 4 * math.sqrt(variance / seeds)
+            assert est.var(ddof=1) == pytest.approx(variance, rel=0.12)
+
+    def test_forty_experts_run_the_tally_path(self, monkeypatch):
+        """Codes above bit 31 need int64: the fractional votes sit at experts
+        30 ... 39, at most three per voxel."""
+        rng = np.random.default_rng(53)
+        q = (rng.random((40, 24)) < 0.5).astype(float)
+        for t in range(24):
+            q[30 + rng.choice(10, size=1 + t % 3, replace=False), t] = 0.35
+        stack = stack_from_rows(q, GridKind.SOFT)
+        calls = _spy(monkeypatch)
+        res = run_soft_em(stack, FusionConfig(variant="soft-mc", mc_samples=8, mc_seed=3,
+                                              max_iters=2))
+        assert calls["_mc_tallies"] and not calls["_mc_codes"]
+        qc, pc = TestMonteCarloSweep._canonical(stack, res)
+        want = [mc_soft_e_step_voxel(qc[:, t], pc, res.prior, 8, 3, t) for t in range(24)]
+        np.testing.assert_allclose(res.posterior.data, want, rtol=0, atol=1e-12)
+        brute = [mc_posterior_brute(qc[:, t], pc.sens, pc.spec, res.prior, 8, 3, t)
+                 for t in range(24)]
+        np.testing.assert_allclose(want, brute, rtol=0, atol=1e-12)
+        assert res.ll_trace[-1] == pytest.approx(
+            mc_loglik_brute(qc, pc.sens, pc.spec, res.prior, 8, 3), rel=1e-12)
 
 
 class TestCapacityRefusals:
@@ -547,7 +654,7 @@ class TestCapacityRefusals:
         import fuselab.soft_staple as ss
 
         calls = []
-        for name in ("_joint_votes", "_mc_codes"):
+        for name in ("_joint_votes", "_mc_codes", "_mc_tallies"):
             monkeypatch.setattr(ss, name, lambda *a, name=name: calls.append(name))
         monkeypatch.setattr(ss, limit, value)
         stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
@@ -556,8 +663,27 @@ class TestCapacityRefusals:
             run_soft_em(stack, cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("limit, count", [
+        ("MC_ENTRY_LIMIT", 960),      # 30 voxels x min(40, 2^5)
+        ("_MC_RUN_DRAW_LIMIT", 960),  # 30 voxels x 2^5, not 30 x 40 x 5
+    ])
+    def test_tally_path_counts_its_work(self, monkeypatch, limit, count):
+        """At 40 samples, 5 fractional votes take the tally path: its count is
+        refused one under the limit before any enumeration or draw, and at the
+        limit the run draws tallies only."""
+        import fuselab.soft_staple as ss
 
-class TestPublicInputChecks:
+        calls = _spy(monkeypatch, "_joint_votes", "_mc_codes", "_mc_tallies")
+        stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
+        cfg = FusionConfig(variant="soft-mc", mc_samples=40, max_iters=1)
+        monkeypatch.setattr(ss, limit, count - 1)
+        with pytest.raises(CapacityError, match=rf"^{count} .* the limit of {count - 1}\b"):
+            run_soft_em(stack, cfg)
+        assert not any(calls.values())
+        monkeypatch.setattr(ss, limit, count)
+        run_soft_em(stack, cfg)
+        assert [len(calls[name]) for name in calls] == [1, 0, 1]
+
     """Every public step function refuses a prior outside (0, 1) and
     parameters for another number of experts with a ConfigError."""
 

@@ -12,6 +12,7 @@ from fuselab import (
     ExpertStack,
     FusionConfig,
     GridKind,
+    PhantomSpec,
     RaterParams,
     VolumeGrid,
     annotation_likelihood,
@@ -220,7 +221,7 @@ class TestRunEm:
         assert res.prior == 0.125
 
     def test_recovers_simulator_parameters(self):
-        from fuselab import PhantomSpec, RaterSpec, generate_phantom, simulate_raters
+        from fuselab import RaterSpec, generate_phantom, simulate_raters
         from fuselab.metrics import param_recovery_error
 
         spec = PhantomSpec(
@@ -401,6 +402,12 @@ class TestPosteriorGrid:
                  r"variant must be one of .*, got 'hard'", id="unknown-variant"),
     pytest.param(lambda: FusionConfig(mstep_mode="mean"),
                  r"mstep_mode must be one of .*, got 'mean'", id="unknown-mstep-mode"),
+    pytest.param(lambda: PhantomSpec(Dim3(8, 8, 8), [5]),
+                 r"lesions\[0\] must be a \(\(x, y, z\), radius\) pair, got 5$",
+                 id="lesion-not-a-pair"),
+    pytest.param(lambda: PhantomSpec(Dim3(8, 8, 8), [((4, 4, 4), 2.0), ((1, 2, 3),)]),
+                 r"lesions\[1\] must be a \(\(x, y, z\), radius\) pair, got \(\(1, 2, 3\),\)$",
+                 id="lesion-without-radius"),
 ])
 def test_parameter_and_config_refusals(build, message):
     with pytest.raises(ConfigError, match=message):
