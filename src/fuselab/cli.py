@@ -23,6 +23,8 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy
+
 from . import __version__
 from .errors import (
     SEED_SPAN,
@@ -290,6 +292,7 @@ def _outputs(args, filenames, inputs, resolved: dict, started: float):
             "inputs": [str(p) for p in inputs],
             "outputs": [str(p) for p in targets[:-1]],
             "version": __version__,
+            "numpy_version": numpy.__version__,
             "duration_s": time.perf_counter() - started,
         })
         for tmp, target in zip(temps, targets):

@@ -129,23 +129,21 @@ def _joint_votes(q_cols: np.ndarray):
     """Yield (column indices, hard-vote codes, weights) per chunk of columns.
 
     A vote of exactly 0 or 1 fixes its bit, so a column with k fractional
-    votes has 2^k joint hard votes (code bit i = expert i), in ascending
-    code order: int32 up to 31 experts (soft-exact takes at most 20), int64
-    up to :data:`_CODE_BITS`. Columns are grouped by k, chunked to at most
+    votes has 2^k joint hard votes (int64 code, bit i = expert i), in
+    ascending code order. Columns are grouped by k, chunked to at most
     ``_CELL_BUDGET`` terms (or one column), and their (columns, 2^k) terms
     built by doubling over the fractional votes.
     """
     frac = (q_cols > 0.0) & (q_cols < 1.0)
     k_cols = frac.sum(axis=0)
     base = (1 << np.arange(q_cols.shape[0])) @ (q_cols == 1.0)
-    dtype = np.int32 if q_cols.shape[0] < 32 else np.int64
     for k in np.unique(k_cols):
         group = np.flatnonzero(k_cols == k)
         step = max(1, _CELL_BUDGET >> k)
         for lo in range(0, group.size, step):
             cols = group[lo : lo + step]
             experts = np.nonzero(frac[:, cols].T)[1].reshape(cols.size, k)
-            codes = np.empty((cols.size, 1 << k), dtype=dtype)
+            codes = np.empty((cols.size, 1 << k), dtype=np.int64)
             weights = np.ones((cols.size, 1 << k))
             codes[:, 0] = base[cols]
             for j, e in enumerate(experts.T):

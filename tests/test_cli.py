@@ -145,6 +145,7 @@ class TestFuse:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "fuse"
         assert manifest["config"]["variant"] == "binary"
+        assert manifest["numpy_version"] == np.__version__
 
     def test_binarize_flag(self, tmp_path):
         rows = np.tile([1.0, 1.0, 0.0, 0.0], (3, 1))

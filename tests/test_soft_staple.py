@@ -684,6 +684,8 @@ class TestCapacityRefusals:
         run_soft_em(stack, cfg)
         assert [len(calls[name]) for name in calls] == [1, 0, 1]
 
+
+class TestPublicInputChecks:
     """Every public step function refuses a prior outside (0, 1) and
     parameters for another number of experts with a ConfigError."""
 
