@@ -57,13 +57,14 @@ EXACT_TERM_LIMIT = 2**32
 # Most joint-vote terms (columns x 2^k) per enumeration chunk; 2^18 measured fastest.
 _CELL_BUDGET = 2**18
 
-# Largest samples x m draw matrix one Monte Carlo voxel may allocate; it
-# also bounds every block of draws.
+# Largest samples x m draw matrix one Monte Carlo voxel may allocate; with
+# ``_DRAW_BLOCK`` it also bounds every block of draws.
 MC_DRAW_LIMIT = 2**23
 
-# Most (voxel, code) tallies and (column, code) entries a Monte Carlo run
-# may keep. They peak at about 30 bytes each (250 MiB at the limit, on
-# 64,000 continuous-vote voxels of 7 experts); the 40^3 protocol-m7
+# Most (voxel, code) tallies a Monte Carlo run may keep. With their
+# (column, code) entries they take about 27 bytes each once built, and peak
+# at about 52 during set-up (410 MiB at the limit, on 64,000 continuous-vote
+# voxels of 7 experts, each its own column); the 40^3 protocol-m7
 # benchmark case at the default 10,000 samples keeps at most 6,709 x 128.
 MC_ENTRY_LIMIT = 2**23
 
@@ -74,8 +75,9 @@ MC_ENTRY_LIMIT = 2**23
 # samples tallies every soft voxel and draws about 0.3 M.
 _MC_RUN_DRAW_LIMIT = 2**33
 
-# Most draws one block of Monte Carlo voxels holds, unless one voxel needs more.
-# On 40^3 voxels and 7 experts, 2^18 ran fastest of 2^14 ... 2^20.
+# About how many draws one block of Monte Carlo voxels holds (see ``_McModel``);
+# it bounds the block's memory, not its outputs. On 40^3 voxels and 7 experts,
+# 2^18 ran fastest of 2^14 ... 2^20.
 _DRAW_BLOCK = 2**18
 
 # Most experts whose sampled hard-vote codes are int64; beyond, packed bit rows.
@@ -314,50 +316,40 @@ def _code_bits(codes: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=m, bitorder="little").T.astype(np.float64)
 
 
-def _tally(group: np.ndarray, groups: int, codes: np.ndarray, m: int):
-    """Count equal (group, code) pairs, with groups in [0, ``groups``) and
-    codes of m experts. Monte Carlo draws are tallied one block per call;
-    counts of a pair drawn in two blocks are summed by their users.
-
-    Returns the distinct pairs, sorted by group then code, and their
-    counts. Keys group x 2^m + code are grouped by ``_group_keys``; codes
-    are ranked first when the keys would not fit in int64.
+def _voxel_tally(codes: np.ndarray, voxels: int, samples: int, m: int):
+    """Tally a block of draws on the per-sample path (``samples`` codes per
+    voxel, voxel by voxel) per voxel: each voxel's number of entries, then
+    its distinct codes and their sample counts, sorted by voxel then code.
+    A voxel with k fractional votes has at most min(samples, 2^k) entries.
+    Sizes and counts come in the narrowest unsigned type that holds them.
+    Keys voxel x 2^m + code are grouped by ``_group_keys``; codes are
+    ranked first when the keys would not fit in int64.
     """
     table = None
-    if m > _CODE_BITS or groups > _INT64_MAX >> m:
+    if m > _CODE_BITS or voxels > _INT64_MAX >> m:
         table, codes = np.unique(codes, return_inverse=True)
         span = table.size
     else:
         span = 1 << m
-    key, counts, _ = _group_keys(group * span + codes, groups * span)
-    group, codes = np.divmod(key, span)
-    return group, (codes if table is None else table[codes]), counts
+    key, counts, _ = _group_keys(np.repeat(np.arange(voxels), samples) * span + codes,
+                                 voxels * span)
+    voxel, code = np.divmod(key, span)
+    code = code if table is None else table[code]
+    return _narrow_tally(np.bincount(voxel, minlength=voxels), code, counts, samples)
 
 
-def _voxel_tally(codes: np.ndarray, voxels: int, samples: int, m: int):
-    """Tally a block of draws (``samples`` codes per voxel, voxel by voxel)
-    per voxel: each voxel's number of entries, then its distinct codes and
-    their sample counts, sorted by voxel then code. A voxel with k
-    fractional votes has at most min(samples, 2^k) entries. Counts and
-    int64 codes come in the narrowest unsigned types that hold them."""
-    group, code, counts = _tally(np.repeat(np.arange(voxels), samples), voxels, codes, m)
-    return _narrow_tally(np.bincount(group, minlength=voxels), code, counts, samples, m)
-
-
-def _nonzero_tally(codes: np.ndarray, counts: np.ndarray, samples: int, m: int):
+def _nonzero_tally(codes: np.ndarray, counts: np.ndarray, samples: int):
     """Per-voxel tallies, as ``_voxel_tally`` gives them, of a block on the
     tally path: row j of ``codes`` holds voxel j's 2^k codes, ascending, and
     row j of ``counts`` (see ``_mc_tallies``) their sample counts."""
     voxel, j = np.nonzero(counts)
     sizes = np.bincount(voxel, minlength=counts.shape[0])
-    return _narrow_tally(sizes, codes[voxel, j], counts[voxel, j], samples, m)
+    return _narrow_tally(sizes, codes[voxel, j], counts[voxel, j], samples)
 
 
-def _narrow_tally(sizes, code, counts, samples: int, m: int):
-    """Tally sizes and counts, and int64 codes, in the narrowest unsigned types."""
+def _narrow_tally(sizes, code, counts, samples: int):
+    """Tally sizes and counts in the narrowest unsigned type that holds them."""
     narrow = np.min_scalar_type(samples)
-    if m <= _CODE_BITS:
-        code = code.astype(np.min_scalar_type((1 << m) - 1))
     return sizes.astype(narrow), code, counts.astype(narrow)
 
 
@@ -366,6 +358,33 @@ def _voxel_means(sizes: np.ndarray, counts: np.ndarray, p1: np.ndarray, samples:
     (see ``_voxel_tally``): count-weighted sums over each voxel's entries."""
     group = np.repeat(np.arange(sizes.size), sizes)
     return np.bincount(group, counts * p1, minlength=sizes.size) / samples
+
+
+def _draw(cols: np.ndarray, ids: np.ndarray, voxels: np.ndarray, samples: int, seed: int):
+    """Draw one block of soft voxels: voxel t = ``voxels[j]``, whose votes are
+    column ``ids[j]`` of ``cols``, on the Philox stream keyed by (seed, t).
+
+    Yields per-voxel tallies, a group of the block's voxels at a time: their
+    indices, then their sizes, codes and counts as ``_voxel_tally`` gives
+    them. ``_tallied`` picks each voxel's path. A tallied voxel draws its
+    column's 2^k joint votes' counts (``_mc_tallies``), which ``_joint_votes``
+    enumerates once per distinct column of the block; any other draws its
+    samples (``_mc_codes``).
+    """
+    m = cols.shape[0]
+    q = cols[:, ids]
+    on = _tallied(np.count_nonzero((q > 0.0) & (q < 1.0), axis=0), samples, m)
+    if on.any():
+        distinct, row = np.unique(ids[on], return_inverse=True)
+        tallied = voxels[on]
+        for at, codes, w in _joint_votes(cols[:, distinct]):
+            sel = np.isin(row, at)
+            r = np.searchsorted(at, row[sel])  # each voxel's row of the chunk
+            drawn = _mc_tallies(w[r], tallied[sel], samples, seed)
+            yield tallied[sel], *_nonzero_tally(codes[r], drawn, samples)
+    if not on.all():
+        codes = _mc_codes(q[:, ~on], voxels[~on], samples, seed)
+        yield voxels[~on], *_voxel_tally(codes, np.count_nonzero(~on), samples, m)
 
 
 def mc_soft_e_step_voxel(
@@ -379,14 +398,15 @@ def mc_soft_e_step_voxel(
     """Unbiased Monte Carlo estimate of the exact soft posterior: the mean
     binary posterior over ``samples`` independent joint hard votes.
 
-    The draws come from the Philox stream keyed by (seed, voxel_index), so
-    estimates are reproducible voxel by voxel regardless of evaluation
-    order, and equal soft-mc's fused posterior there. With k fractional
-    votes, where 2^k <= ``samples`` (and m <= 62) the stream draws the
-    tally of the 2^k joint votes at once (see ``_mc_tallies``), else
-    each sample's votes (see ``_mc_codes``); both tallies have the same
-    distribution. Works for any m; hard votes short-circuit to the exact
-    posterior (the estimator has zero variance there).
+    The voxel is a block of one for ``_draw``, soft-mc's one draw function,
+    on the Philox stream keyed by (seed, voxel_index). So estimates are
+    reproducible voxel by voxel regardless of evaluation order, and equal
+    soft-mc's fused posterior there. With k fractional votes, where 2^k <=
+    ``samples`` (and m <= 62) the stream draws the tally of the 2^k joint
+    votes at once (see ``_mc_tallies``), else each sample's votes (see
+    ``_mc_codes``); both tallies have the same distribution. Works for any
+    m; hard votes short-circuit to the exact posterior (the estimator has
+    zero variance there).
     """
     check_number("samples", samples, integral=True, ge=1)
     check_number("seed", seed, integral=True, ge=0, lt=SEED_SPAN)
@@ -396,14 +416,8 @@ def mc_soft_e_step_voxel(
     if np.all((q == 0.0) | (q == 1.0)):
         return float(_binary_posterior_arrays(q[:, None], params, prior)[1][0])
     check_mc_request(samples, q.size)
-    voxel = np.array([voxel_index])
-    if _tallied(np.count_nonzero((q > 0.0) & (q < 1.0)), samples, q.size):
-        _, codes, w = next(_joint_votes(q[:, None]))
-        counts = _mc_tallies(w, voxel, samples, seed)
-        sizes, code, counts = _nonzero_tally(codes, counts, samples, q.size)
-    else:
-        codes = _mc_codes(q[:, None], voxel, samples, seed)
-        sizes, code, counts = _voxel_tally(codes, 1, samples, q.size)
+    (_, sizes, code, counts), = _draw(q[:, None], np.zeros(1, np.intp), np.array([voxel_index]),
+                                      samples, seed)
     p1 = _binary_posterior_arrays(_code_bits(code, q.size), params, prior)[1]
     return float(np.clip(_voxel_means(sizes, counts, p1, samples)[0], 0.0, 1.0))
 
@@ -443,77 +457,29 @@ def simple_m_step(
     return model.patterns.restore(*model.mstep(params, model.arrays(params), mode))
 
 
-def _sample_blocks(patterns: VotePatterns, voxels: np.ndarray, samples: int, seed: int):
-    """Draw the per-sample path's soft voxels (in column order) block by
-    block: yield each block's (column, code, weight) entries and its
-    per-voxel tallies (see ``_McModel``)."""
-    cols = patterns.columns
-    m = cols.shape[0]
-    step = max(1, _DRAW_BLOCK // (samples * m))  # _DRAW_BLOCK draws, or one voxel
-    for lo in range(0, voxels.size, step):
-        block = voxels[lo : lo + step]
-        ids = patterns.inverse[block].astype(np.intp, copy=False)
-        codes = _mc_codes(cols[:, ids], block, samples, seed)
-        group, code, counts = _tally(
-            np.repeat(ids - ids[0], samples), ids[-1] - ids[0] + 1, codes, m)
-        yield ((group + ids[0], code, counts / samples),
-               (block, *_voxel_tally(codes, block.size, samples, m)))
-
-
-def _tally_blocks(patterns: VotePatterns, voxels: np.ndarray, tallied: np.ndarray,
-                  samples: int, seed: int):
-    """Draw the tally path's soft voxels (in column order) block by block,
-    as ``_sample_blocks`` does: ``_joint_votes`` enumerates their columns
-    ``tallied`` once, chunk by chunk, and each block holds at most
-    ``_DRAW_BLOCK`` counts (or one voxel's) of one chunk's voxels."""
-    if not voxels.size:
-        return  # enumerates nothing
-    m = patterns.order.size
-    ids = patterns.inverse[voxels]
-    for at, codes, w in _joint_votes(patterns.columns[:, tallied]):
-        col = tallied[at]
-        # The voxels of each column are a run of ``voxels``; row = their column's row.
-        n = patterns.counts[col].astype(np.intp)
-        row = np.repeat(np.arange(col.size), n)
-        chunk = voxels[np.arange(row.size)
-                       + np.repeat(np.searchsorted(ids, col) - np.cumsum(n) + n, n)]
-        step = max(1, _DRAW_BLOCK // w.shape[1])
-        for lo in range(0, row.size, step):
-            r, block = row[lo : lo + step], chunk[lo : lo + step]
-            drawn = _mc_tallies(w[r], block, samples, seed)
-            first = np.flatnonzero(np.diff(r, prepend=-1))  # each column's first voxel
-            sums = np.add.reduceat(drawn, first, axis=0)
-            i, j = np.nonzero(sums)
-            yield ((col[r[first[i]]], codes[r[first[i]], j], sums[i, j] / samples),
-                   (block, *_nonzero_tally(codes[r], drawn, samples, m)))
-
-
 class _McModel(_PatternModel):
-    """The Monte Carlo soft variant over (column, code, weight) entries.
+    """The Monte Carlo soft variant over (column, unit, weight) entries.
 
     Each soft voxel keeps its own keyed stream (see ``_streams``), drawn
-    once at set-up, block by block. A voxel with k fractional votes draws
-    its tally of the 2^k joint votes where 2^k <= samples (``_mc_tallies``,
-    blocks of voxels whose columns ``_joint_votes`` enumerates once), else
-    its samples (``_mc_codes``, blocks of columns in order, each block's
-    codes counted by ``_tally``). Both reduce each block to entries: a
-    distinct column, a sampled hard-vote code and its sample count over
-    the voxels of that column, divided by the sample count. A (column,
-    code) pair drawn in two blocks gets two entries, which the weighted
-    sums add; the model's units are the distinct sampled codes (``table``),
-    massed by their entries' summed weights. A hard column is one entry
-    weighted by its voxel count (the estimator has zero variance there),
-    which makes the all-hard case agree with the binary algorithm to
-    machine precision. Nothing builds a 2^m table, so any expert count
-    works. With the draws fixed, the run is exact EM on the sampled model,
-    whose inherited objective estimates the exact one. Only the final
-    posterior needs each voxel's own draws: the set-up pass also keeps each
-    block's tallies per voxel (``tallies``, see ``_voxel_tally``), so every
-    stream is drawn once per run. A voxel keeps at most min(samples, 2^k)
-    tallies and entries. A run whose sum of those exceeds
-    :data:`MC_ENTRY_LIMIT`, or whose draws (samples x m per sampled voxel,
-    2^k per tallied one) exceed ``_MC_RUN_DRAW_LIMIT``, is refused before
-    the first draw.
+    once per run, at set-up: the soft voxels, in voxel order, are cut into
+    blocks of about ``_DRAW_BLOCK`` draws (2^k per tallied voxel, samples x
+    m per sampled one), and ``_draw`` draws each block. Their per-voxel
+    tallies are kept as one record, ``tally``: flat arrays of each soft
+    voxel's index and number of entries, and of each entry's unit and sample
+    count. The units are the distinct hard-vote codes (``table``). A soft
+    column's entries sum its voxels' integer counts per unit, divided by the
+    sample count; a hard column is one entry weighted by its voxel count (the
+    estimator has zero variance there), which makes the all-hard case agree
+    with the binary algorithm to machine precision. The units are massed by
+    their entries' summed weights. Blocks bound memory only: neither the
+    tallies nor the sums depend on them, so the outputs do not either.
+    Nothing builds a 2^m table, so any expert count works. With the draws
+    fixed, the run is exact EM on the sampled model, whose inherited
+    objective estimates the exact one; the final posterior reads each soft
+    voxel's own tally. A voxel with k fractional votes keeps at most
+    min(samples, 2^k) entries. A run whose sum of those exceeds
+    :data:`MC_ENTRY_LIMIT`, or whose draws exceed ``_MC_RUN_DRAW_LIMIT``,
+    is refused before the first draw.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
@@ -531,31 +497,45 @@ class _McModel(_PatternModel):
                  + int(counts[tallied] @ np.exp2(k[tallied])))
         _refuse_over(draws, _MC_RUN_DRAW_LIMIT, "draws (samples x experts per sampled soft "
                      "voxel, 2^k per tallied one)", "lower the sample count")
-        # Column by column, so that a block spans few columns.
         soft = np.flatnonzero(~hard[patterns.inverse])
-        soft = soft[np.argsort(patterns.inverse[soft], kind="stable")]
-        on_tally = tallied[patterns.inverse[soft]]
-        blocks = [*_sample_blocks(patterns, soft[~on_tally], samples, seed),
-                  *_tally_blocks(patterns, soft[on_tally], np.flatnonzero(tallied), samples, seed)]
-        self.tallies = [tally for _, tally in blocks]
-        entries = [(np.flatnonzero(hard), _pack_codes(cols[:, hard].T == 1.0, m), counts[hard]),
-                   *(entry for entry, _ in blocks)]
-        self.col, code, self.weight = map(np.concatenate, zip(*entries))
-        self.table, self.code = np.unique(code, return_inverse=True)
+        ids = patterns.inverse[soft].astype(np.intp, copy=False)
+        per = np.where(tallied, np.exp2(k), samples * m)[ids]
+        cut = np.flatnonzero(np.diff((np.cumsum(per) - per) // _DRAW_BLOCK)) + 1
+        # The hard columns' codes lead the codes; they are in no voxel's tally.
+        empty = np.empty(0, np.uint8)
+        voxel, size, code, count = (np.concatenate(a) for a in zip(
+            (soft[:0], empty, _pack_codes(cols[:, hard].T == 1.0, m), empty),
+            *(tally for block in zip(np.split(ids, cut), np.split(soft, cut))
+              for tally in _draw(cols, *block, samples, seed))))
+        if m > _CODE_BITS:
+            self.table, unit = np.unique(code, return_inverse=True)
+        else:
+            self.table, _, unit = _group_keys(code, 1 << m, inverse=True)
+        del code
+        n, units = np.count_nonzero(hard), self.table.size
+        unit = unit.astype(np.min_scalar_type(units - 1))
+        soft_unit = unit[n:]
+        self.tally = (voxel, size, soft_unit, count)
+        # A soft column's entries: its voxels' integer counts, summed per unit.
+        key, sums, _ = _group_keys(
+            np.repeat(patterns.inverse[voxel].astype(np.intp), size) * units + soft_unit,
+            counts.size * units, weights=count)
+        self.col = np.concatenate([np.flatnonzero(hard), key // units])
+        self.unit = np.concatenate([unit[:n], key % units])
+        self.weight = np.concatenate([counts[hard], sums / samples])
         super().__init__(patterns, prior, _code_bits(self.table, m),
-                         np.bincount(self.code, self.weight))
+                         np.bincount(self.unit, self.weight))
         self.ll_is_approximate = soft.size > 0
 
     def posteriors(self, ev, labels=(0, 1)):
         counts = self.patterns.counts
-        return [np.bincount(self.col, self.weight * ev[a][self.code], minlength=counts.size)
+        return [np.bincount(self.col, self.weight * ev[a][self.unit], minlength=counts.size)
                 / counts for a in labels]
 
     def voxel_posterior(self, ev) -> np.ndarray:
         w1 = self.posteriors(ev, (1,))[0][self.patterns.inverse]
-        for voxels, sizes, code, counts in self.tallies:
-            unit = np.searchsorted(self.table, code.astype(self.table.dtype))
-            w1[voxels] = _voxel_means(sizes, counts, ev[1][unit], self.samples)
+        voxel, size, unit, count = self.tally
+        w1[voxel] = _voxel_means(size, count, ev[1][unit], self.samples)
         return w1
 
 

@@ -229,20 +229,20 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
     return VotePatterns(order, columns, counts.astype(np.float64), inverse, stack.dims)
 
 
-def _group_keys(key: np.ndarray, span: int, inverse: bool = False):
+def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None):
     """The distinct values, ascending, of the integer ``key`` (all in [0, ``span``)),
-    how often each occurs, and if ``inverse`` each key's value index (else
-    None). Keys are counted with bincount while ``span`` is at most twice
-    the key count (there it beats a sort, which wins from about four times
-    the key count on), else sorted.
+    how often each occurs (or the sum of its positive ``weights``), and if
+    ``inverse`` each key's value index (else None). Keys are counted with
+    bincount while ``span`` is at most twice the key count (there it beats a
+    sort, which wins from about four times the key count on), else sorted.
     """
     if span <= 2 * key.size:
-        counts = np.bincount(key, minlength=span)
+        counts = np.bincount(key, weights, minlength=span)
         values = np.flatnonzero(counts)
         index = (np.cumsum(counts > 0) - 1).take(key) if inverse else None
         return values, counts[values], index
     values, index = np.unique(key, return_inverse=True)
-    return values, np.bincount(index), index if inverse else None
+    return values, np.bincount(index, weights), index if inverse else None
 
 
 def _votes(votes, m: int) -> np.ndarray:

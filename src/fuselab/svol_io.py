@@ -103,7 +103,7 @@ def _parse_header(blob: bytes, path) -> tuple[Dim3, GridKind]:
         if key not in header:
             raise HeaderError(f"{path}: header misses required key {key!r}")
     dims = header["dims"]
-    if not isinstance(dims, list) or len(dims) != 3 or any(isinstance(d, bool) for d in dims):
+    if not isinstance(dims, list) or len(dims) != 3:
         raise HeaderError(f"{path}: dims must be a list of 3 positive integers, got {dims!r}")
     try:
         shape = Dim3(*dims)

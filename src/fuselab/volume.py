@@ -48,7 +48,7 @@ class Dim3:
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ShapeError(f"{name} must be a positive integer, got {v!r}")
             # Python ints: the product below cannot wrap, and JSON takes them.
             object.__setattr__(self, name, int(v))

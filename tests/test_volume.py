@@ -119,6 +119,8 @@ class TestVolumeGrid:
             Dim3(0, 2, 2)
         with pytest.raises(ShapeError):
             Dim3(2, -1, 2)
+        with pytest.raises(ShapeError):
+            Dim3(True, 2, 2)
 
 
 class TestMutationRejection:
