@@ -335,21 +335,24 @@ def _voxel_tally(codes: np.ndarray, voxels: int, samples: int, m: int):
                                  voxels * span)
     voxel, code = np.divmod(key, span)
     code = code if table is None else table[code]
-    return _narrow_tally(np.bincount(voxel, minlength=voxels), code, counts, samples)
+    return _narrow_tally(np.bincount(voxel, minlength=voxels), code, counts, samples, m)
 
 
-def _nonzero_tally(codes: np.ndarray, counts: np.ndarray, samples: int):
+def _nonzero_tally(codes: np.ndarray, row: np.ndarray, counts: np.ndarray, samples: int, m: int):
     """Per-voxel tallies, as ``_voxel_tally`` gives them, of a block on the
-    tally path: row j of ``codes`` holds voxel j's 2^k codes, ascending, and
-    row j of ``counts`` (see ``_mc_tallies``) their sample counts."""
+    tally path: row ``row[j]`` of ``codes`` holds voxel j's 2^k codes,
+    ascending, and row j of ``counts`` (see ``_mc_tallies``) their sample
+    counts."""
     voxel, j = np.nonzero(counts)
     sizes = np.bincount(voxel, minlength=counts.shape[0])
-    return _narrow_tally(sizes, codes[voxel, j], counts[voxel, j], samples)
+    return _narrow_tally(sizes, codes[row[voxel], j], counts[voxel, j], samples, m)
 
 
-def _narrow_tally(sizes, code, counts, samples: int):
-    """Tally sizes and counts in the narrowest unsigned type that holds them."""
+def _narrow_tally(sizes, code, counts, samples: int, m: int):
+    """Tally sizes and counts, and int64 codes, in the narrowest unsigned types."""
     narrow = np.min_scalar_type(samples)
+    if m <= _CODE_BITS:
+        code = code.astype(np.min_scalar_type((1 << m) - 1))
     return sizes.astype(narrow), code, counts.astype(narrow)
 
 
@@ -381,7 +384,7 @@ def _draw(cols: np.ndarray, ids: np.ndarray, voxels: np.ndarray, samples: int, s
             sel = np.isin(row, at)
             r = np.searchsorted(at, row[sel])  # each voxel's row of the chunk
             drawn = _mc_tallies(w[r], tallied[sel], samples, seed)
-            yield tallied[sel], *_nonzero_tally(codes[r], drawn, samples)
+            yield tallied[sel], *_nonzero_tally(codes, r, drawn, samples, m)
     if not on.all():
         codes = _mc_codes(q[:, ~on], voxels[~on], samples, seed)
         yield voxels[~on], *_voxel_tally(codes, np.count_nonzero(~on), samples, m)
@@ -502,16 +505,16 @@ class _McModel(_PatternModel):
         per = np.where(tallied, np.exp2(k), samples * m)[ids]
         cut = np.flatnonzero(np.diff((np.cumsum(per) - per) // _DRAW_BLOCK)) + 1
         # The hard columns' codes lead the codes; they are in no voxel's tally.
-        empty = np.empty(0, np.uint8)
+        none = np.empty(0, np.intp)
         voxel, size, code, count = (np.concatenate(a) for a in zip(
-            (soft[:0], empty, _pack_codes(cols[:, hard].T == 1.0, m), empty),
+            (none, *_narrow_tally(none, _pack_codes(cols[:, hard].T == 1.0, m), none, samples, m)),
             *(tally for block in zip(np.split(ids, cut), np.split(soft, cut))
               for tally in _draw(cols, *block, samples, seed))))
         if m > _CODE_BITS:
             self.table, unit = np.unique(code, return_inverse=True)
         else:
             self.table, _, unit = _group_keys(code, 1 << m, inverse=True)
-        del code
+        del code  # the units replace the codes; free them before the sums
         n, units = np.count_nonzero(hard), self.table.size
         unit = unit.astype(np.min_scalar_type(units - 1))
         soft_unit = unit[n:]

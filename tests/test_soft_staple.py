@@ -470,8 +470,8 @@ class TestMonteCarloSweep:
 
     def test_draw_passes_do_not_grow_with_iterations(self, monkeypatch):
         """Half the voxels have 2 fractional votes (2^2 <= 11 samples: tally
-        path), half 5 (per-sample path), in blocks of four sampled voxels'
-        draws."""
+        path), half 5 (per-sample path); a block holds about four sampled
+        voxels' draws, so the run draws in several blocks."""
         import fuselab.soft_staple as ss
 
         q = np.random.default_rng(44).random((5, 30))
