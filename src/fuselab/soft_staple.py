@@ -378,13 +378,15 @@ def _draw(cols: np.ndarray, ids: np.ndarray, voxels: np.ndarray, samples: int, s
     q = cols[:, ids]
     on = _tallied(np.count_nonzero((q > 0.0) & (q < 1.0), axis=0), samples, m)
     if on.any():
-        distinct, row = np.unique(ids[on], return_inverse=True)
+        distinct, _, row = _group_keys(ids[on], cols.shape[1], inverse=True)
         tallied = voxels[on]
         for at, codes, w in _joint_votes(cols[:, distinct]):
-            sel = np.isin(row, at)
-            r = np.searchsorted(at, row[sel])  # each voxel's row of the chunk
-            drawn = _mc_tallies(w[r], tallied[sel], samples, seed)
-            yield tallied[sel], *_nonzero_tally(codes, r, drawn, samples, m)
+            r = np.full(distinct.size, -1)
+            r[at] = np.arange(at.size)
+            r = r[row]  # each voxel's row of the chunk, or -1
+            sel = r >= 0
+            drawn = _mc_tallies(w[r[sel]], tallied[sel], samples, seed)
+            yield tallied[sel], *_nonzero_tally(codes, r[sel], drawn, samples, m)
     if not on.all():
         codes = _mc_codes(q[:, ~on], voxels[~on], samples, seed)
         yield voxels[~on], *_voxel_tally(codes, np.count_nonzero(~on), samples, m)
@@ -521,7 +523,7 @@ class _McModel(_PatternModel):
         self.tally = (voxel, size, soft_unit, count)
         # A soft column's entries: its voxels' integer counts, summed per unit.
         key, sums, _ = _group_keys(
-            np.repeat(patterns.inverse[voxel].astype(np.intp), size) * units + soft_unit,
+            np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size) + soft_unit,
             counts.size * units, weights=count)
         self.col = np.concatenate([np.flatnonzero(hard), key // units])
         self.unit = np.concatenate([unit[:n], key % units])
