@@ -522,9 +522,9 @@ class _McModel(_PatternModel):
         soft_unit = unit[n:]
         self.tally = (voxel, size, soft_unit, count)
         # A soft column's entries: its voxels' integer counts, summed per unit.
-        key, sums, _ = _group_keys(
-            np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size) + soft_unit,
-            counts.size * units, weights=count)
+        key = np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size)
+        key += soft_unit
+        key, sums, _ = _group_keys(key, counts.size * units, weights=count)
         self.col = np.concatenate([np.flatnonzero(hard), key // units])
         self.unit = np.concatenate([unit[:n], key % units])
         self.weight = np.concatenate([counts[hard], sums / samples])
