@@ -512,13 +512,16 @@ class _McModel(_PatternModel):
             (none, *_narrow_tally(none, _pack_codes(cols[:, hard].T == 1.0, m), none, samples, m)),
             *(tally for block in zip(np.split(ids, cut), np.split(soft, cut))
               for tally in _draw(cols, *block, samples, seed))))
-        if m > _CODE_BITS:
+        if m > _CODE_BITS or 1 << m > 2 * code.size:
             self.table, unit = np.unique(code, return_inverse=True)
-        else:
-            self.table, _, unit = _group_keys(code, 1 << m, inverse=True)
+        else:  # a table of the codes seen; indexing it builds no code-sized temporary
+            seen = np.zeros(1 << m, bool)
+            seen[code] = True
+            self.table = np.flatnonzero(seen)
+            unit = (np.cumsum(seen) - 1).astype(np.min_scalar_type(self.table.size - 1))[code]
         del code  # the units replace the codes; free them before the sums
         n, units = np.count_nonzero(hard), self.table.size
-        unit = unit.astype(np.min_scalar_type(units - 1))
+        unit = unit.astype(np.min_scalar_type(units - 1), copy=False)
         soft_unit = unit[n:]
         self.tally = (voxel, size, soft_unit, count)
         # A soft column's entries: its voxels' integer counts, summed per unit.
