@@ -381,9 +381,9 @@ def _draw(cols: np.ndarray, ids: np.ndarray, voxels: np.ndarray, samples: int, s
         distinct, _, row = _group_keys(ids[on], cols.shape[1], inverse=True)
         tallied = voxels[on]
         for at, codes, w in _joint_votes(cols[:, distinct]):
-            r = np.full(distinct.size, -1)
-            r[at] = np.arange(at.size)
-            r = r[row]  # each voxel's row of the chunk, or -1
+            where = np.full(distinct.size, -1)
+            where[at] = np.arange(at.size)
+            r = where[row]  # each voxel's row of the chunk, or -1
             sel = r >= 0
             drawn = _mc_tallies(w[r[sel]], tallied[sel], samples, seed)
             yield tallied[sel], *_nonzero_tally(codes, r[sel], drawn, samples, m)
@@ -478,10 +478,11 @@ class _McModel(_PatternModel):
     with the binary algorithm to machine precision. The units are massed by
     their entries' summed weights. Blocks bound memory only: neither the
     tallies nor the sums depend on them, so the outputs do not either.
-    Nothing builds a 2^m table, so any expert count works. With the draws
-    fixed, the run is exact EM on the sampled model, whose inherited
-    objective estimates the exact one; the final posterior reads each soft
-    voxel's own tally. A voxel with k fractional votes keeps at most
+    A table of 2^m codes is built only where 2^m is at most twice the
+    number of entries, so any expert count works. With the draws fixed,
+    the run is exact EM on the sampled model, whose inherited objective
+    estimates the exact one; the final posterior reads each soft voxel's
+    own tally. A voxel with k fractional votes keeps at most
     min(samples, 2^k) entries. A run whose sum of those exceeds
     :data:`MC_ENTRY_LIMIT`, or whose draws exceed ``_MC_RUN_DRAW_LIMIT``,
     is refused before the first draw.
