@@ -553,9 +553,15 @@ def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResu
     "binary" variant takes a binary stack, the soft variants a soft one. The
     trace records the objective the variant's EM ascends: the binary model's,
     the exact model's, the sampled model's (which estimates it) or the
-    noisy-channel one. A binary stack's "auto" prior is summed over its
-    patterns, an exact integer, so it equals ``resolve_prior``'s."""
+    noisy-channel one."""
     config = config or FusionConfig()
+    return _em_loop(_fusion_model(stack, config), config)
+
+
+def _fusion_model(stack: ExpertStack, config: FusionConfig):
+    """The model ``run_em`` iterates under ``config``'s variant. A binary
+    stack's "auto" prior is summed over its patterns, an exact integer, so
+    it equals ``resolve_prior``'s."""
     kind = GridKind.BINARY if config.variant == "binary" else GridKind.SOFT
     if stack.kind is not kind:
         raise ConfigError(f"variant {config.variant!r} needs a {kind.value} stack")
@@ -565,12 +571,10 @@ def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResu
     else:
         prior = resolve_prior(stack, config.prior)
     if config.variant == "soft-exact":
-        model = _ExactModel(patterns, prior)
-    elif config.variant == "soft-mc":
-        model = _McModel(patterns, prior, config.mc_samples, config.mc_seed)
-    else:
-        model = _PatternModel(patterns, prior)
-    return _em_loop(model, config)
+        return _ExactModel(patterns, prior)
+    if config.variant == "soft-mc":
+        return _McModel(patterns, prior, config.mc_samples, config.mc_seed)
+    return _PatternModel(patterns, prior)
 
 
 run_soft_em = run_em
