@@ -62,8 +62,8 @@ _CELL_BUDGET = 2**18
 MC_DRAW_LIMIT = 2**23
 
 # Most (voxel, code) tallies a Monte Carlo run may keep. With their
-# (column, code) entries they take about 27 bytes each once built, and peak
-# at about 52 during set-up (410 MiB at the limit, on 64,000 continuous-vote
+# (column, code) entries they take about 34 bytes each once built, and peak
+# at about 64 during set-up (510 MiB at the limit, on 64,000 continuous-vote
 # voxels of 7 experts, each its own column); the 40^3 protocol-m7
 # benchmark case at the default 10,000 samples keeps at most 6,709 x 128.
 MC_ENTRY_LIMIT = 2**23
@@ -478,11 +478,10 @@ class _McModel(_PatternModel):
     with the binary algorithm to machine precision. The units are massed by
     their entries' summed weights. Blocks bound memory only: neither the
     tallies nor the sums depend on them, so the outputs do not either.
-    A table of 2^m codes is built only where 2^m is at most twice the
-    number of entries, so any expert count works. With the draws fixed,
-    the run is exact EM on the sampled model, whose inherited objective
-    estimates the exact one; the final posterior reads each soft voxel's
-    own tally. A voxel with k fractional votes keeps at most
+    Nothing builds a 2^m table, so any expert count works. With the draws
+    fixed, the run is exact EM on the sampled model, whose inherited
+    objective estimates the exact one; the final posterior reads each soft
+    voxel's own tally. A voxel with k fractional votes keeps at most
     min(samples, 2^k) entries. A run whose sum of those exceeds
     :data:`MC_ENTRY_LIMIT`, or whose draws exceed ``_MC_RUN_DRAW_LIMIT``,
     is refused before the first draw.
@@ -507,27 +506,21 @@ class _McModel(_PatternModel):
         ids = patterns.inverse[soft].astype(np.intp, copy=False)
         per = np.where(tallied, np.exp2(k), samples * m)[ids]
         cut = np.flatnonzero(np.diff((np.cumsum(per) - per) // _DRAW_BLOCK)) + 1
-        # The hard columns' codes lead the codes; they are in no voxel's tally.
-        none = np.empty(0, np.intp)
-        voxel, size, code, count = (np.concatenate(a) for a in zip(
-            (none, *_narrow_tally(none, _pack_codes(cols[:, hard].T == 1.0, m), none, samples, m)),
-            *(tally for block in zip(np.split(ids, cut), np.split(soft, cut))
-              for tally in _draw(cols, *block, samples, seed))))
-        if m > _CODE_BITS or 1 << m > 2 * code.size:
-            self.table, unit = np.unique(code, return_inverse=True)
-        else:  # a table of the codes seen; indexing it builds no code-sized temporary
-            seen = np.zeros(1 << m, bool)
-            seen[code] = True
-            self.table = np.flatnonzero(seen)
-            unit = (np.cumsum(seen) - 1).astype(np.min_scalar_type(self.table.size - 1))[code]
-        del code  # the units replace the codes; free them before the sums
-        n, units = np.count_nonzero(hard), self.table.size
-        unit = unit.astype(np.min_scalar_type(units - 1), copy=False)
-        soft_unit = unit[n:]
-        self.tally = (voxel, size, soft_unit, count)
+        tallies = []
+        for block in zip(np.split(ids, cut), np.split(soft, cut)):
+            tallies.extend(_draw(cols, *block, samples, seed))
+        hard_codes = _pack_codes(cols[:, hard].T == 1.0, m)
+        if tallies:
+            voxel, size, code, count = map(np.concatenate, zip(*tallies))
+        else:  # no soft voxel, so nothing drawn
+            voxel, size, code, count = soft, soft, hard_codes[:0], soft
+        # The hard columns' codes lead; they are in no voxel's tally.
+        codes = np.concatenate([hard_codes.astype(code.dtype), code])
+        self.table, unit = np.unique(codes, return_inverse=True)
+        n, units = hard_codes.size, self.table.size
+        self.tally = (voxel, size, unit[n:], count)
         # A soft column's entries: its voxels' integer counts, summed per unit.
-        key = np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size)
-        key += soft_unit
+        key = np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size) + unit[n:]
         key, sums, _ = _group_keys(key, counts.size * units, weights=count)
         self.col = np.concatenate([np.flatnonzero(hard), key // units])
         self.unit = np.concatenate([unit[:n], key % units])
@@ -553,15 +546,9 @@ def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResu
     "binary" variant takes a binary stack, the soft variants a soft one. The
     trace records the objective the variant's EM ascends: the binary model's,
     the exact model's, the sampled model's (which estimates it) or the
-    noisy-channel one."""
+    noisy-channel one. A binary stack's "auto" prior is summed over its
+    patterns, an exact integer, so it equals ``resolve_prior``'s."""
     config = config or FusionConfig()
-    return _em_loop(_fusion_model(stack, config), config)
-
-
-def _fusion_model(stack: ExpertStack, config: FusionConfig):
-    """The model ``run_em`` iterates under ``config``'s variant. A binary
-    stack's "auto" prior is summed over its patterns, an exact integer, so
-    it equals ``resolve_prior``'s."""
     kind = GridKind.BINARY if config.variant == "binary" else GridKind.SOFT
     if stack.kind is not kind:
         raise ConfigError(f"variant {config.variant!r} needs a {kind.value} stack")
@@ -571,10 +558,12 @@ def _fusion_model(stack: ExpertStack, config: FusionConfig):
     else:
         prior = resolve_prior(stack, config.prior)
     if config.variant == "soft-exact":
-        return _ExactModel(patterns, prior)
-    if config.variant == "soft-mc":
-        return _McModel(patterns, prior, config.mc_samples, config.mc_seed)
-    return _PatternModel(patterns, prior)
+        model = _ExactModel(patterns, prior)
+    elif config.variant == "soft-mc":
+        model = _McModel(patterns, prior, config.mc_samples, config.mc_seed)
+    else:
+        model = _PatternModel(patterns, prior)
+    return _em_loop(model, config)
 
 
 run_soft_em = run_em

@@ -32,16 +32,17 @@ from fuselab import (
     soft_m_step,
 )
 from fuselab.errors import ConfigError, DegeneratePosteriorError
+from fuselab.soft_staple import _ExactModel
 from fuselab.staple import (
     AUTO_PRIOR,
     CLAMP_HI,
     CLAMP_LO,
     MSTEP_MODES,
     VARIANTS,
+    _PatternModel,
     resolve_prior,
     vote_patterns,
 )
-from fuselab.soft_staple import _fusion_model
 from helpers import assert_monotone, random_binary_stack, stack_from_rows
 from oracles import (
     loglik_brute,
@@ -388,15 +389,28 @@ class TestInvariants:
         prior becomes 1 - prior, and each EM step of one side, from (sens,
         spec), gives what the other side's step gives from (spec, sens),
         sens and spec traded, with posterior 1 - w. Checked at every step
-        of a 30-iteration run, not on where two runs end: a run can pass a
-        saddle that grows a rounding difference between the sides each
-        step (see the next test). soft-mc's draws are not mirrored, so it
-        is left out; so is a run where either side collapses, since the
-        degeneracy test is not symmetric."""
+        of a 30-iteration run, and on where two 8-iteration runs end: a
+        longer run can pass a saddle that grows a rounding difference
+        between the sides each step (see the next test). soft-mc's draws are
+        not mirrored, so it is left out; so is a run where either side
+        collapses, since the degeneracy test is not symmetric."""
         rows = data.draw(vote_rows(binary))
         prior = data.draw(st.one_of(st.just(AUTO_PRIOR), PRIORS))
+        swapped = prior if prior == AUTO_PRIOR else 1.0 - prior
+        kind = GridKind.BINARY if binary else GridKind.SOFT
+        kw = dict(mstep_mode=mode, max_iters=8, tol=1e-12)
         for variant in ("binary",) if binary else ("soft-exact", "simplified"):
-            assume(_label_swap_steps(rows, binary, variant, prior, mode))
+            assume(_label_swap_steps(rows, kind, variant, prior, mode))
+            try:
+                a = _run(stack_from_rows(rows, kind), variant, prior=prior, **kw)
+                b = _run(stack_from_rows(1.0 - rows, kind), variant, prior=swapped, **kw)
+            except DegeneratePosteriorError:
+                assume(False)
+            np.testing.assert_allclose(b.params.sens, a.params.spec, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(b.params.spec, a.params.sens, rtol=0, atol=1e-10)
+            assert abs(b.prior - (1.0 - a.prior)) <= 1e-10
+            np.testing.assert_allclose(b.posterior.data, 1.0 - a.posterior.data,
+                                       rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("mode", MSTEP_MODES)
     def test_label_swap_symmetry_at_a_saddle(self, mode):
@@ -407,17 +421,17 @@ class TestInvariants:
         while every step maps onto its swap."""
         rows = np.array([[0, 1, 1, 0, 1, 1], [1, 1, 1, 1, 1, 1], [1, 0, 0, 1, 1, 1],
                          [1, 1, 1, 1, 1, 1], [0, 0, 1, 1, 1, 1]], dtype=float)
-        assert _label_swap_steps(rows, True, "binary", 0.999, mode)
+        assert _label_swap_steps(rows, GridKind.BINARY, "binary", 0.999, mode)
 
 
-def _label_swap_steps(rows, binary, variant, prior, mode, steps=30) -> bool:
+def _label_swap_steps(rows, kind, variant, prior, mode, steps=30) -> bool:
     """Check that the run on ``rows`` and the run on ``1 - rows`` map onto
     each other under the label swap at each of ``steps`` EM steps, along
     the first run's path; False if either side collapses."""
-    kind = GridKind.BINARY if binary else GridKind.SOFT
     swapped = prior if prior == AUTO_PRIOR else 1.0 - prior
-    a, b = (_fusion_model(stack_from_rows(r, kind), FusionConfig(variant=variant, prior=p))
-            for r, p in ((rows, prior), (1.0 - rows, swapped)))
+    model = _ExactModel if variant == "soft-exact" else _PatternModel
+    stacks = stack_from_rows(rows, kind), stack_from_rows(1.0 - rows, kind)
+    a, b = (model(vote_patterns(s), resolve_prior(s, p)) for s, p in zip(stacks, (prior, swapped)))
     assert abs(b.prior - (1.0 - a.prior)) <= 1e-10
     init = FusionConfig()
     m = rows.shape[0]
