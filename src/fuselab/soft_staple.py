@@ -62,8 +62,8 @@ _CELL_BUDGET = 2**18
 MC_DRAW_LIMIT = 2**23
 
 # Most (voxel, code) tallies a Monte Carlo run may keep. With their
-# (column, code) entries they take about 34 bytes each once built, and peak
-# at about 64 during set-up (510 MiB at the limit, on 64,000 continuous-vote
+# (column, code) entries they take about 27 bytes each once built, and peak
+# at about 57 during set-up (450 MiB at the limit, on 64,000 continuous-vote
 # voxels of 7 experts, each its own column); the 40^3 protocol-m7
 # benchmark case at the default 10,000 samples keeps at most 6,709 x 128.
 MC_ENTRY_LIMIT = 2**23
@@ -517,8 +517,10 @@ class _McModel(_PatternModel):
         # The hard columns' codes lead; they are in no voxel's tally.
         codes = np.concatenate([hard_codes.astype(code.dtype), code])
         self.table = np.unique(codes)
-        unit = np.searchsorted(self.table, codes)  # a third of return_inverse's time
         n, units = hard_codes.size, self.table.size
+        # A search of the table takes a third of return_inverse's time; the
+        # units are kept as narrow as the tallies' codes.
+        unit = np.searchsorted(self.table, codes).astype(np.min_scalar_type(units - 1))
         self.tally = (voxel, size, unit[n:], count)
         # A soft column's entries: its voxels' integer counts, summed per unit.
         key = np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size) + unit[n:]
