@@ -49,9 +49,11 @@ from .volume import ExpertStack, GridKind, VolumeGrid
 # Most experts exact enumeration takes (it sums into a 2^m array); beyond, use "soft-mc".
 ENUMERATION_GUARD = 20
 
-# Most joint-vote terms (distinct columns x 2^k) one exact run may enumerate. Each
-# pass over them takes 8 to 100 ns per term on a 2-core Xeon (least at large k), and
-# a run makes at least two, so a run refused here would have taken over a minute.
+# Most joint-vote terms (distinct columns x 2^k) one exact run may enumerate in two
+# passes over them, as an "expected-count" run makes; a "plugin-mean" run makes
+# max_iters + 2, and passes x terms may not exceed twice this. Each pass takes 8 to
+# 100 ns per term on a 2-core Xeon (least at large k), so a refused run would have
+# taken over a minute.
 EXACT_TERM_LIMIT = 2**32
 
 # Most joint-vote terms (columns x 2^k) per enumeration chunk; 2^18 measured fastest.
@@ -164,16 +166,19 @@ class _ExactModel(_PatternModel):
     ``bits``), with masses ``s``, their count-weighted joint-vote weights,
     accumulated once per run; the binary posterior is evaluated at those
     codes only, and the per-column posterior enumerates the terms again,
-    once for all requested labels. A run of more than :data:`EXACT_TERM_LIMIT`
-    terms is refused before the first pass.
+    once for all requested labels. A run of ``passes`` over its terms is
+    refused before the first where passes x terms exceed twice
+    :data:`EXACT_TERM_LIMIT`.
     """
 
-    def __init__(self, patterns: VotePatterns, prior: float):
+    def __init__(self, patterns: VotePatterns, prior: float, passes: int = 2):
         m = patterns.order.size
         check_enumeration(m, "select variant 'soft-mc' instead")
         k = np.count_nonzero((patterns.columns > 0.0) & (patterns.columns < 1.0), axis=0)
-        _refuse_over(int(np.exp2(k).sum()), EXACT_TERM_LIMIT, "joint-vote terms "
-                     "(distinct columns x 2^k)", "select variant 'soft-mc' instead")
+        fewer = "" if passes == 2 else ", the 'expected-count' M-step or fewer iterations"
+        _refuse_over(int(np.exp2(k).sum()), 2 * EXACT_TERM_LIMIT // passes,
+                     f"joint-vote terms (distinct columns x 2^k) in {passes} passes",
+                     f"select variant 'soft-mc'{fewer} instead")
         s = np.zeros(1 << m)
         for cols, codes, w in _joint_votes(patterns.columns):
             w *= patterns.counts[cols, None]
@@ -561,7 +566,10 @@ def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResu
     else:
         prior = resolve_prior(stack, config.prior)
     if config.variant == "soft-exact":
-        model = _ExactModel(patterns, prior)
+        # One pass builds the model and one gives the final posterior; the plug-in
+        # M-step takes one more per iteration.
+        plugin = config.mstep_mode == "plugin-mean"
+        model = _ExactModel(patterns, prior, 2 + config.max_iters * plugin)
     elif config.variant == "soft-mc":
         model = _McModel(patterns, prior, config.mc_samples, config.mc_seed)
     else:

@@ -5,6 +5,9 @@ candidate region reaches a target volume ratio; grown voxels that are
 bright enough in the intensity volume (lesions are hyper-intense) receive
 the soft label gamma, the rest of the ring drops back to 0, and the
 original annotation stays exactly 1.
+
+Only this module loads SciPy, inside the functions that call ``ndimage``, so
+a process that fuses, scores or simulates never pays its import.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from itertools import product
 from math import ceil, inf
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, check_number
 from .volume import ExpertStack, GridKind, VolumeGrid, check_grid
@@ -97,6 +99,8 @@ def connected_components(mask: VolumeGrid, connectivity: int = SoftMaskConfig.co
     (0 = background) and the list of flat voxel-index arrays, one per
     component, ordered by id.
     """
+    from scipy import ndimage
+
     check_grid("mask", mask, GridKind.BINARY)
     structure = StructuringElement.from_connectivity(connectivity).as_array()
     labels3, count = ndimage.label(mask.as_3d() > 0.5, structure=structure)
@@ -109,6 +113,8 @@ def connected_components(mask: VolumeGrid, connectivity: int = SoftMaskConfig.co
 
 def dilate(mask: VolumeGrid, se: StructuringElement, iters: int) -> VolumeGrid:
     """Iterated Minkowski dilation, clipped at the grid bounds."""
+    from scipy import ndimage
+
     check_grid("mask", mask, GridKind.BINARY)
     check_number("iters", iters, integral=True, ge=0)
     grown = mask.as_3d() > 0.5
@@ -146,6 +152,8 @@ def build_soft_mask(
 def _soft_mask(
     binary: VolumeGrid, flair: VolumeGrid, cfg: SoftMaskConfig, structure: np.ndarray
 ) -> VolumeGrid:
+    from scipy import ndimage
+
     check_grid("binary", binary, GridKind.BINARY)
     check_grid("flair", flair, GridKind.INTENSITY, like=binary)
 

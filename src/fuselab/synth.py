@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import SEED_SPAN, ConfigError, _refuse_over, check_number
 from .volume import Dim3, ExpertStack, GridKind, VolumeGrid, check_grid
@@ -129,12 +128,20 @@ def generate_phantom(spec: PhantomSpec) -> tuple[VolumeGrid, VolumeGrid]:
     return truth, VolumeGrid(spec.dims, flair, GridKind.INTENSITY)
 
 
+def _box(mask3: np.ndarray, op) -> np.ndarray:
+    """``op`` (OR or AND) over each voxel's 3x3x3 box, outside the grid False:
+    one three-wide pass per axis over the grid padded with False."""
+    out = np.pad(mask3, 1)
+    for axis in range(3):
+        out = np.moveaxis(out, axis, 0)
+        out = np.moveaxis(op(op(out[:-2], out[1:-1]), out[2:]), 0, axis)
+    return out
+
+
 def _boundary_shell(truth3: np.ndarray) -> np.ndarray:
-    """One-voxel shell on both sides of the truth boundary (26-adjacency)."""
-    structure = np.ones((3, 3, 3), dtype=bool)
-    grown = ndimage.binary_dilation(truth3, structure=structure)
-    core = ndimage.binary_erosion(truth3, structure=structure)
-    return grown & ~core
+    """One-voxel shell on both sides of the truth boundary (26-adjacency):
+    the box dilation of the truth less its box erosion."""
+    return _box(truth3, np.logical_or) & ~_box(truth3, np.logical_and)
 
 
 def simulate_raters(truth: VolumeGrid, raters: list[RaterSpec]) -> ExpertStack:

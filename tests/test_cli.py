@@ -1,9 +1,16 @@
 """Command-line contract: files produced, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fuselab.cli
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
@@ -822,3 +829,109 @@ class TestSimulateSizeBound:
         code, calls = self._run(sim_config, tmp_path, monkeypatch, self.NEED)
         assert code == 0
         assert len(calls) == 1
+
+
+# Values each grid kind may hold, for the random CLI runs below.
+_KIND_VALUES = {
+    GridKind.BINARY: st.sampled_from([0.0, 1.0]),
+    GridKind.SOFT: st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
+    GridKind.POSTERIOR: st.floats(0.0, 1.0),
+    GridKind.INTENSITY: st.floats(-10.0, 200.0),
+}
+# The dims of most grids, then two others: one with as many voxels, one with fewer.
+_DIMS = [Dim3(4, 3, 2), Dim3(24, 1, 1), Dim3(2, 2, 2)]
+# Each option's usual values (None for a switch), and values no option takes.
+_OPTIONS = {
+    "fuse": {
+        "--variant": ["binary", "soft-exact", "soft-mc", "simplified"],
+        "--prior": ["auto", "0.5", "1e-12", "0.999999999999"],
+        "--init-sens": ["0.6", "0.999", "1e-12"],
+        "--init-spec": ["0.6", "0.999", "1e-12"],
+        "--max-iters": ["1", "3"],
+        "--tol": ["1e-12", "0.5"],
+        "--mstep-mode": ["expected-count", "plugin-mean"],
+        "--mc-samples": ["1", "16"],
+        "--binarize": None,
+    },
+    "softmask": {
+        "--gamma": ["0.3", "0.999"],
+        "--ratio": ["1", "1.5", "100"],
+        "--threshold-mode": ["percentile:0", "percentile:50", "percentile:100", "fixed:3",
+                             "fixed:inf", "fixed:-inf"],
+        "--connectivity": ["6", "18", "26"],
+        "--max-dilation-iters": ["1", "3"],
+    },
+    "eval": {
+        "--threshold": ["0.5", "0", "1"],
+        "--binarize-truth": None,
+    },
+}
+_BAD_VALUES = ["0", "-1", "0.5", "nan", "inf", "x", "fixed:nan", "percentile:101"]
+
+
+@st.composite
+def _cli_runs(draw):
+    """A command, its input grids as (dims, kind, values), and its options:
+    1-8 experts of one kind and dims, now and then one grid of another kind
+    or dims, and each option left out, given a usual value or a bad one."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    kinds = [draw(st.sampled_from([GridKind.BINARY, GridKind.SOFT] * 2 + list(GridKind)))]
+    kinds *= draw(st.integers(1, 8))
+    if command == "softmask":
+        kinds.append(GridKind.INTENSITY)  # --flair
+    elif command == "eval":
+        kinds = [GridKind.BINARY, kinds[0]]  # truth, prediction
+    dims = [_DIMS[0]] * len(kinds)
+    # Hypothesis favours the first of sampled values: put the usual case first.
+    odd = draw(st.sampled_from([None] * 3 * len(kinds) + list(range(len(kinds)))))
+    if odd is not None:
+        kinds[odd] = draw(st.sampled_from(list(GridKind)))
+        dims[odd] = draw(st.sampled_from(_DIMS))
+    grids = [(d, k, draw(hnp.arrays(np.float64, d.n, elements=_KIND_VALUES[k])))
+             for d, k in zip(dims, kinds)]
+    options = []
+    for flag, values in _OPTIONS[command].items():
+        if values is None:
+            options += [flag] * draw(st.booleans())
+        elif draw(st.booleans()):
+            bad = draw(st.sampled_from([False] * 5 + [True]))
+            options += [flag, draw(st.sampled_from(_BAD_VALUES if bad else values))]
+    return command, grids, options
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=_cli_runs())
+def test_cli_contract(run):
+    """Random fuse, softmask and eval runs: each exits 0, 2, 3 or 4 with no
+    exception escaping main; a failed run leaves no file behind; a
+    successful one reruns byte-identically, manifest aside from its timing."""
+    command, grids, options = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = []
+        for i, (dims, kind, values) in enumerate(grids):
+            paths.append(str(tmp / f"g{i}.svol"))
+            write_svol(VolumeGrid(dims, values, kind), paths[-1])
+        # softmask's last grid is its --flair; eval's two are truth and prediction.
+        args = ([command, *paths[:-1], "--flair", paths[-1]] if command == "softmask"
+                else [command, *paths])
+        inputs = _files(tmp)
+        outputs = []
+        for out in ("run1", "run2"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([*args, *options, "-o", str(tmp / out)])
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert _files(tmp) == inputs
+                return
+            outputs.append(_files(tmp / out))
+        manifests = [json.loads(files.pop(Path("manifest.json")).decode()
+                                .replace("run2", "run1")) for files in outputs]
+        for manifest in manifests:
+            del manifest["duration_s"]
+        assert outputs[0] == outputs[1] and manifests[0] == manifests[1]

@@ -4,6 +4,10 @@ module's ``__all__`` counts as used; an import line marked ``# noqa: F401``
 is kept on purpose and says why."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,52 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert _unused_imports(path) == []
+
+
+# Runs in a fresh interpreter, since the test process itself imports SciPy (oracles.py).
+_CLI_RUN = """
+import json, sys
+from pathlib import Path
+
+import fuselab.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+tmp = Path(sys.argv[1])
+sim = tmp / "sim.json"
+sim.write_text(json.dumps({
+    "dims": [10, 9, 8], "lesions": [{"center": [4, 4, 4], "radius": 2.5}],
+    "background_intensity": 40.0, "lesion_intensity": 120.0,
+    "intensity_noise_sd": 2.0, "seed": 3,
+    "raters": [{"id": "a", "sens": 0.9, "spec": 0.95},
+               {"id": "b", "sens": 0.8, "spec": 0.9, "boundary_softening": 0.4}]}))
+experts = [str(tmp / "sim" / f"expert_{i}.svol") for i in "ab"]
+steps = {
+    "import fuselab.cli": None,
+    "simulate": ["simulate", str(sim), "-o", str(tmp / "sim")],
+    "fuse": ["fuse", "--variant", "binary", *experts, "-o", str(tmp / "cons")],
+    "eval": ["eval", str(tmp / "sim" / "truth.svol"), str(tmp / "cons" / "posterior.svol")],
+    "softmask": ["softmask", *experts, "--flair", str(tmp / "sim" / "flair.svol"),
+                 "-o", str(tmp / "soft")],
+}
+report = {}
+for step, argv in steps.items():
+    rc = 0 if argv is None else fuselab.cli.main(argv)
+    report[step] = [rc, scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+def test_only_softmask_loads_scipy(tmp_path):
+    """``simulate``, a binary ``fuse`` and ``eval`` run without SciPy;
+    ``softmask`` loads ``scipy.ndimage`` on first use."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", _CLI_RUN, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    softmask = report.pop("softmask")
+    assert report == {step: [0, []] for step in report}
+    assert softmask[0] == 0 and "scipy.ndimage" in softmask[1]

@@ -682,6 +682,25 @@ class TestCapacityRefusals:
             run_soft_em(stack, cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("iters, limit", [(1, 21), (30, 2)])  # 2 x 32 // (iters + 2)
+    def test_plugin_mean_term_bound_counts_passes(self, monkeypatch, iters, limit):
+        """A plug-in run passes over its terms max_iters + 2 times, not 2. With
+        the limit at the stack's 32 terms, the plug-in run is refused before any
+        enumeration (passes x terms exceed twice the limit), while the
+        "expected-count" run is accepted and makes its two passes."""
+        import fuselab.soft_staple as ss
+
+        calls = _spy(monkeypatch, "_joint_votes")
+        monkeypatch.setattr(ss, "EXACT_TERM_LIMIT", 32)
+        stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
+        cfg = FusionConfig(variant="soft-exact", max_iters=iters, mstep_mode="plugin-mean")
+        with pytest.raises(CapacityError, match=rf"^32 .* in {iters + 2} passes exceed "
+                                                rf"the limit of {limit};.*'expected-count'"):
+            run_soft_em(stack, cfg)
+        assert not calls["_joint_votes"]
+        run_soft_em(stack, FusionConfig(variant="soft-exact", max_iters=iters))
+        assert len(calls["_joint_votes"]) == 2
+
     @pytest.mark.parametrize("limit, count", [
         ("MC_ENTRY_LIMIT", 960),      # 30 voxels x min(40, 2^5)
         ("_MC_RUN_DRAW_LIMIT", 960),  # 30 voxels x 2^5, not 30 x 40 x 5

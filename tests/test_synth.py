@@ -3,6 +3,8 @@ agreement between configured and empirical reliabilities."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuselab import (
     Dim3,
@@ -14,7 +16,7 @@ from fuselab import (
     soften_votes,
 )
 from fuselab.errors import CapacityError, ConfigError
-from fuselab.synth import SIMULATE_BYTE_LIMIT, parse_simulation_config
+from fuselab.synth import SIMULATE_BYTE_LIMIT, _boundary_shell, parse_simulation_config
 from helpers import stack_from_rows
 from oracles import sphere_count_brute
 
@@ -124,6 +126,27 @@ class TestSimulateRaters:
         flipped = votes != truth3.astype(float)
         assert flipped.any()
         assert np.all(shell[flipped])
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 8)] * 3), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(1, 1, 1), density=1.0, seed=0)
+    @example(shape=(8, 1, 8), density=0.0, seed=0)
+    @example(shape=(8, 8, 8), density=1.0, seed=0)
+    def test_boundary_shell_matches_scipy(self, shape, density, seed):
+        """The numpy box shell equals SciPy's 26-adjacency dilation less its
+        erosion, whose border is False: on single-voxel axes, empty and full
+        volumes, and truth that touches the grid edge."""
+        from scipy import ndimage
+
+        truth3 = np.random.default_rng(seed).random(shape) < density
+        structure = np.ones((3, 3, 3), dtype=bool)
+        want = ndimage.binary_dilation(truth3, structure) & ~ndimage.binary_erosion(
+            truth3, structure
+        )
+        got = _boundary_shell(truth3)
+        assert got.dtype == bool and got.shape == shape
+        np.testing.assert_array_equal(got, want)
 
     def test_rater_spec_validation(self):
         for bad in (
