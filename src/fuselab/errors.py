@@ -77,7 +77,8 @@ class ConfigError(FuselabError):
 
 
 class CapacityError(FuselabError):
-    """A request exceeds the enumeration guard or the Monte Carlo draw budget."""
+    """A request exceeds a size bound: ``ENUMERATION_GUARD``, ``EXACT_TERM_LIMIT``,
+    ``MC_DRAW_LIMIT``, ``MC_ENTRY_LIMIT``, ``_MC_RUN_DRAW_LIMIT`` or ``SIMULATE_BYTE_LIMIT``."""
 
 
 class DegeneratePosteriorError(FuselabError):

@@ -3,11 +3,11 @@
 Two EM families share the binary model's sensitivity/specificity
 parameters:
 
-* the exact variant treats each voxel's soft votes as a distribution over
-  the 2^m joint hard-vote combinations and averages the binary posterior
-  over them; its objective is the expected log-likelihood under that
-  distribution. It refuses m above the enumeration guard; "soft-mc", a
-  variant of its own, estimates the same average by sampling for any m.
+* the exact variant averages the binary posterior over the 2^m joint
+  hard-vote combinations that each voxel's soft votes weight, enumerated
+  once per run; its objective is the expected log-likelihood under those
+  weights. It refuses m or terms over its bounds; "soft-mc", a variant of
+  its own, estimates the same average by sampling for any m.
 * the simplified variant treats each soft vote as a noisy observation of
   a latent hard vote, which factorizes per expert and keeps the E-step
   linear in m. It is the binary model (``staple._PatternModel``) over the
@@ -49,12 +49,12 @@ from .volume import ExpertStack, GridKind, VolumeGrid
 # Most experts exact enumeration takes (it sums into a 2^m array); beyond, use "soft-mc".
 ENUMERATION_GUARD = 20
 
-# Most joint-vote terms (distinct columns x 2^k) one exact run may enumerate in two
-# passes over them, as an "expected-count" run makes; a "plugin-mean" run makes
-# max_iters + 2, and passes x terms may not exceed twice this. Each pass takes 8 to
-# 100 ns per term on a 2-core Xeon (least at large k), so a refused run would have
-# taken over a minute.
-EXACT_TERM_LIMIT = 2**32
+# Most joint-vote terms (distinct columns x 2^k) one exact run may keep: each
+# keeps its code, in at most 4 bytes, and its weight, in 8, so at most 384 MiB
+# at the limit (MC_ENTRY_LIMIT's set-up peak is about 450 MiB); each chunk also
+# keeps its columns' 8-byte indices. The one pass over the terms takes 8 to
+# 100 ns per term on a 2-core Xeon, so at most 3.4 s at the limit.
+EXACT_TERM_LIMIT = 2**25
 
 # Most joint-vote terms (columns x 2^k) per enumeration chunk; 2^18 measured fastest.
 _CELL_BUDGET = 2**18
@@ -101,11 +101,8 @@ class VoteCombination:
         check_enumeration(self.m)
         check_number("code", self.code, integral=True, ge=0, lt=2**self.m)
 
-    def bit(self, i: int) -> int:
-        return (self.code >> i) & 1
-
     def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(self.m))
+        return tuple((self.code >> i) & 1 for i in range(self.m))
 
 
 def combination_matrix(m: int) -> np.ndarray:
@@ -162,27 +159,25 @@ def _joint_votes(q_cols: np.ndarray):
 class _ExactModel(_PatternModel):
     """The exact soft variant over distinct vote columns.
 
-    Its units are the hard-vote codes that occur (``codes``, votes in
-    ``bits``), with masses ``s``, their count-weighted joint-vote weights,
-    accumulated once per run; the binary posterior is evaluated at those
-    codes only, and the per-column posterior enumerates the terms again,
-    once for all requested labels. A run of ``passes`` over its terms is
-    refused before the first where passes x terms exceed twice
-    :data:`EXACT_TERM_LIMIT`.
+    Its one ``_joint_votes`` pass keeps each chunk's columns, codes (in the
+    narrowest unsigned type that holds 2^m - 1) and weights (``chunks``).
+    Its units are the codes that occur (``codes``, votes in ``bits``), with
+    masses ``s``, their count-weighted weights; the per-column posterior
+    sums the binary one over the kept chunks, once for all requested labels.
+    A run of over :data:`EXACT_TERM_LIMIT` terms is refused before the pass.
     """
 
-    def __init__(self, patterns: VotePatterns, prior: float, passes: int = 2):
+    def __init__(self, patterns: VotePatterns, prior: float):
         m = patterns.order.size
         check_enumeration(m, "select variant 'soft-mc' instead")
         k = np.count_nonzero((patterns.columns > 0.0) & (patterns.columns < 1.0), axis=0)
-        fewer = "" if passes == 2 else ", the 'expected-count' M-step or fewer iterations"
-        _refuse_over(int(np.exp2(k).sum()), 2 * EXACT_TERM_LIMIT // passes,
-                     f"joint-vote terms (distinct columns x 2^k) in {passes} passes",
-                     f"select variant 'soft-mc'{fewer} instead")
+        _refuse_over(int(np.exp2(k).sum()), EXACT_TERM_LIMIT, "joint-vote terms (distinct "
+                     "columns x 2^k)", "select variant 'soft-mc' instead")
         s = np.zeros(1 << m)
-        for cols, codes, w in _joint_votes(patterns.columns):
-            w *= patterns.counts[cols, None]
-            s += np.bincount(codes.ravel(), weights=w.ravel(), minlength=s.size)
+        self.chunks = [(cols, codes.astype(np.min_scalar_type(s.size - 1)), w)
+                       for cols, codes, w in _joint_votes(patterns.columns)]
+        for cols, codes, w in self.chunks:
+            s += np.bincount(codes.ravel(), (w * patterns.counts[cols, None]).ravel(), s.size)
         self.codes = np.flatnonzero(s)
         super().__init__(patterns, prior, _code_bits(self.codes, m), s[self.codes])
 
@@ -190,7 +185,7 @@ class _ExactModel(_PatternModel):
         tables = np.zeros((len(labels), 1 << self.bits.shape[0]))
         tables[:, self.codes] = [ev[a] for a in labels]
         w = np.empty((len(labels), self.patterns.counts.size))
-        for cols, codes, weights in _joint_votes(self.patterns.columns):
+        for cols, codes, weights in self.chunks:
             for row, table in zip(w, tables):
                 row[cols] = (weights * table[codes]).sum(axis=1)
         return w
@@ -566,10 +561,7 @@ def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResu
     else:
         prior = resolve_prior(stack, config.prior)
     if config.variant == "soft-exact":
-        # One pass builds the model and one gives the final posterior; the plug-in
-        # M-step takes one more per iteration.
-        plugin = config.mstep_mode == "plugin-mean"
-        model = _ExactModel(patterns, prior, 2 + config.max_iters * plugin)
+        model = _ExactModel(patterns, prior)
     elif config.variant == "soft-mc":
         model = _McModel(patterns, prior, config.mc_samples, config.mc_seed)
     else:

@@ -57,6 +57,7 @@ class RaterParams:
             raise ConfigError(
                 f"sens has {sens.size} entries but spec has {spec.size}"
             )
+        check_number("experts", sens.size, integral=True, ge=1)
         for name, arr in (("sens", sens), ("spec", spec)):
             if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ConfigError(f"{name} values must lie in [0, 1]")
@@ -246,10 +247,12 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None)
 
 
 def _votes(votes, m: int) -> np.ndarray:
-    """One voxel's votes as a flat float64 array, checked to number m."""
+    """One voxel's votes as a flat float64 array, checked to number m and lie in [0, 1]."""
     y = np.ascontiguousarray(votes, dtype=np.float64).reshape(-1)
     if y.size != m:
         raise ConfigError(f"{y.size} votes for {m} experts")
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise ConfigError(f"votes must lie in [0, 1], got {y}")
     return y
 
 

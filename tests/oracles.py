@@ -3,7 +3,9 @@
 Everything in this module is transcribed directly from the probability
 model with plain Python loops (the soft-mask protocol with scipy's
 whole-grid morphology) and shares no code with the package, so agreement
-between the two paths is evidence rather than tautology.
+between the two paths is evidence rather than tautology. The one exception,
+``exact_posteriors_enumerated``, is a reference for bit-for-bit checks: it
+runs the package's joint-vote enumeration afresh.
 """
 
 import math
@@ -202,6 +204,22 @@ def simple_expected_count_mstep_brute(q_matrix, sens, spec, prior):
         np.array([v / den1 for v in num_sens]),
         np.array([v / den0 for v in num_spec]),
     )
+
+
+def exact_posteriors_enumerated(model, ev, labels=(0, 1)):
+    """soft-exact's per-column posteriors w(a) from the evaluation ``ev`` of
+    its ``model``, with the model's joint votes enumerated afresh by
+    ``soft_staple._joint_votes`` rather than read from its kept chunks: the
+    same sums in the same order, so it must match them bit for bit."""
+    from fuselab.soft_staple import _joint_votes
+
+    tables = np.zeros((len(labels), 1 << model.bits.shape[0]))
+    tables[:, model.codes] = [ev[a] for a in labels]
+    w = np.empty((len(labels), model.patterns.counts.size))
+    for cols, codes, weights in _joint_votes(model.patterns.columns):
+        for row, table in zip(w, tables):
+            row[cols] = (weights * table[codes]).sum(axis=1)
+    return w
 
 
 def _mc_generator(seed, voxel_index):

@@ -331,6 +331,24 @@ class TestFuse:
         assert "160 draws" in capsys.readouterr().err  # 20 tallied voxels x 2^3
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("mode", ["expected-count", "plugin-mean"])
+    def test_exact_term_bound_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                         capsys, mode):
+        """The same refusal under either M-step mode, before any enumeration."""
+        import fuselab.soft_staple as ss
+
+        monkeypatch.setattr(ss, "EXACT_TERM_LIMIT", 7)
+        monkeypatch.setattr(ss, "_joint_votes", lambda q: pytest.fail("enumerated"))
+        paths = _write_experts(tmp_path, np.full((3, 20), 0.5), GridKind.SOFT)
+        out = tmp_path / "o"
+        code = main(["fuse", "--variant", "soft-exact", "--mstep-mode", mode, *paths,
+                     "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "fuselab: 8 joint-vote terms (distinct columns x 2^k) exceed the limit of 7; "
+            "select variant 'soft-mc' instead\n")  # 1 distinct column x 2^3
+        assert not out.exists() or not any(out.iterdir())
+
     def test_crash_mid_write_leaves_no_outputs(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(7)
         paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))

@@ -478,15 +478,20 @@ class TestOneEvaluationPerParameterSet:
             assert res.iters_run == iters
             assert len(calls) == iters + 1
 
-    def test_expected_count_soft_exact_enumerates_twice(self, monkeypatch):
-        """Once to mass the codes, once for the final posterior."""
+    @pytest.mark.parametrize("iters", [1, 5])
+    @pytest.mark.parametrize("mode", MSTEP_MODES)
+    def test_soft_exact_enumerates_once_per_run(self, monkeypatch, mode, iters):
+        """The one pass masses the codes; each plug-in M-step and the final
+        posterior read the kept chunks."""
         import fuselab.soft_staple as ss
 
         calls = []
         joint = ss._joint_votes
         monkeypatch.setattr(ss, "_joint_votes", lambda q: calls.append(q) or joint(q))
-        _run(self._stack("soft-exact"), "soft-exact", max_iters=5, tol=1e-300)
-        assert len(calls) == 2
+        res = _run(self._stack("soft-exact"), "soft-exact", mstep_mode=mode, max_iters=iters,
+                   tol=1e-300)
+        assert res.iters_run == iters
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", MSTEP_MODES)
     def test_simplified_reads_channel_likelihoods_from_its_evaluation(self, monkeypatch,

@@ -178,3 +178,8 @@ class TestParamRecovery:
     def test_size_mismatch(self):
         with pytest.raises(ConfigError):
             param_recovery_error(RaterParams([0.8], [0.8]), RaterParams([0.8, 0.8], [0.8, 0.8]))
+
+    def test_zero_experts_refused(self):
+        """Refused as a ConfigError, not numpy's zero-size reduction error."""
+        with pytest.raises(ConfigError, match=r"experts must lie in \[1, inf\], got 0"):
+            param_recovery_error(RaterParams([], []), RaterParams([], []))

@@ -13,6 +13,7 @@ from fuselab import (
     GridKind,
     RaterParams,
     VoteCombination,
+    annotation_likelihood,
     combination_matrix,
     e_step,
     joint_soft_prob,
@@ -33,8 +34,10 @@ from fuselab import (
     soft_m_step,
 )
 from fuselab.errors import CapacityError, ConfigError
+from fuselab.staple import MSTEP_MODES, vote_patterns
 from helpers import assert_monotone, random_binary_stack, stack_from_rows
 from oracles import (
+    exact_posteriors_enumerated,
     mc_draws_brute,
     mc_expected_count_mstep_brute,
     mc_loglik_brute,
@@ -682,24 +685,55 @@ class TestCapacityRefusals:
             run_soft_em(stack, cfg)
         assert calls == []
 
-    @pytest.mark.parametrize("iters, limit", [(1, 21), (30, 2)])  # 2 x 32 // (iters + 2)
-    def test_plugin_mean_term_bound_counts_passes(self, monkeypatch, iters, limit):
-        """A plug-in run passes over its terms max_iters + 2 times, not 2. With
-        the limit at the stack's 32 terms, the plug-in run is refused before any
-        enumeration (passes x terms exceed twice the limit), while the
-        "expected-count" run is accepted and makes its two passes."""
+    @pytest.mark.parametrize("iters", [1, 30])
+    @pytest.mark.parametrize("mode", MSTEP_MODES)
+    def test_one_term_bound_for_both_modes(self, monkeypatch, mode, iters):
+        """One bound, whatever the M-step mode and iteration count: with the
+        limit one under the stack's 32 terms, the run is refused before any
+        enumeration; at 32 it is accepted and enumerates once."""
         import fuselab.soft_staple as ss
 
         calls = _spy(monkeypatch, "_joint_votes")
-        monkeypatch.setattr(ss, "EXACT_TERM_LIMIT", 32)
         stack = stack_from_rows(np.full((5, 30), 0.4), GridKind.SOFT)
-        cfg = FusionConfig(variant="soft-exact", max_iters=iters, mstep_mode="plugin-mean")
-        with pytest.raises(CapacityError, match=rf"^32 .* in {iters + 2} passes exceed "
-                                                rf"the limit of {limit};.*'expected-count'"):
+        cfg = FusionConfig(variant="soft-exact", max_iters=iters, mstep_mode=mode)
+        monkeypatch.setattr(ss, "EXACT_TERM_LIMIT", 31)
+        with pytest.raises(CapacityError, match=r"^32 joint-vote terms \(distinct columns x "
+                           r"2\^k\) exceed the limit of 31; select variant 'soft-mc' instead$"):
             run_soft_em(stack, cfg)
         assert not calls["_joint_votes"]
-        run_soft_em(stack, FusionConfig(variant="soft-exact", max_iters=iters))
-        assert len(calls["_joint_votes"]) == 2
+        monkeypatch.setattr(ss, "EXACT_TERM_LIMIT", 32)
+        run_soft_em(stack, cfg)
+        assert len(calls["_joint_votes"]) == 1
+
+    @pytest.mark.parametrize("m, p_frac", [(12, 0.5), (20, 0.25)])
+    def test_kept_terms_take_at_most_the_stated_bytes(self, m, p_frac):
+        """What the kept chunks hold, measured by tracemalloc as the memory
+        freed when they are dropped, is at most the ``EXACT_TERM_LIMIT``
+        comment's 12 bytes per term and 8 per distinct column (plus each
+        chunk's few hundred bytes of array and tuple headers)."""
+        import tracemalloc
+
+        import fuselab.soft_staple as ss
+
+        rng = np.random.default_rng(80 + m)
+        u = rng.random((m, 3000))
+        q = np.where(u < p_frac, rng.choice([0.2, 0.7], size=u.shape),
+                     (u < (1.0 + p_frac) / 2).astype(float))
+        patterns = vote_patterns(stack_from_rows(q, GridKind.SOFT))
+        cols = patterns.counts.size
+        terms = int(np.exp2(((patterns.columns > 0) & (patterns.columns < 1)).sum(0)).sum())
+        tracemalloc.start()
+        try:
+            model = ss._ExactModel(patterns, 0.3)
+            chunks = len(model.chunks)
+            built = tracemalloc.get_traced_memory()[0]
+            del model.chunks
+            kept = built - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert terms > 50 * cols  # the terms, not the columns, dominate
+        assert kept <= 12 * terms + 8 * cols + 512 * chunks
+        assert kept >= (8 + (2 if m <= 16 else 4)) * terms  # all kept, nothing missed
 
     @pytest.mark.parametrize("limit, count", [
         ("MC_ENTRY_LIMIT", 960),      # 30 voxels x min(40, 2^5)
@@ -756,6 +790,24 @@ class TestPublicInputChecks:
     def test_voxel_steps_refuse_a_bad_prior(self, step, prior):
         with pytest.raises(ConfigError, match="prior must be in"):
             step([0.3, 1.0, 0.6], params(np.full(3, 0.9), np.full(3, 0.8)), prior)
+
+    @pytest.mark.parametrize("step", [
+        lambda q, p: annotation_likelihood(q, 1, p),
+        lambda q, p: posterior_voxel(q, p, 0.3),
+        lambda q, p: soft_e_step_voxel(q, p, 0.3),
+        lambda q, p: simple_e_step_voxel(q, p, 0.3),
+        lambda q, p: mc_soft_e_step_voxel(q, p, 0.3, 50, seed=1),
+        lambda q, p: joint_soft_prob(q, VoteCombination(3, 1)),
+    ], ids=["annotation_likelihood", "posterior_voxel", "soft_e_step_voxel",
+            "simple_e_step_voxel", "mc_soft_e_step_voxel", "joint_soft_prob"])
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_voxel_steps_refuse_a_vote_outside_0_1(self, step, bad, at):
+        """A vote above 1, below 0 or NaN is refused, not read as 0 or 1."""
+        q = [0.0, 0.2, 1.0]
+        q[at] = bad
+        with pytest.raises(ConfigError, match=r"votes must lie in \[0, 1\]"):
+            step(q, params(np.full(3, 0.9), np.full(3, 0.8)))
 
 
 class TestNoisyChannel:
@@ -888,6 +940,36 @@ class TestEnumerationPaths:
             got = soft_m_step(soft, p, 0.3, mode)
             np.testing.assert_allclose(got.sens, want_sens, atol=1e-12)
             np.testing.assert_allclose(got.spec, want_spec, atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [8, 2**18])
+    @pytest.mark.parametrize("mode", MSTEP_MODES)
+    def test_kept_chunks_match_a_fresh_enumeration(self, monkeypatch, mode, budget):
+        """Every per-column posterior a run reads from its kept chunks (each
+        plug-in M-step's and the final one) is bit-equal to a fresh
+        enumeration's, on random soft stacks of mixed fractional counts."""
+        import fuselab.soft_staple as ss
+
+        monkeypatch.setattr(ss, "_CELL_BUDGET", budget)
+        posteriors = ss._ExactModel.posteriors
+        checked = []
+
+        def checking(model, ev, labels=(0, 1)):
+            got = posteriors(model, ev, labels)
+            want = exact_posteriors_enumerated(model, ev, labels)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            checked.append(labels)
+            return got
+
+        monkeypatch.setattr(ss._ExactModel, "posteriors", checking)
+        rng = np.random.default_rng(33)
+        for m in (3, 7, 10):
+            u = rng.random((m, 400))
+            q = np.where(u < 0.4, rng.random(u.shape), (u < 0.7).astype(float))
+            checked.clear()
+            run_soft_em(stack_from_rows(q, GridKind.SOFT),
+                        FusionConfig(variant="soft-exact", mstep_mode=mode, max_iters=4,
+                                     tol=1e-300))
+            assert len(checked) == (5 if mode == "plugin-mean" else 1)
 
     def test_many_experts_few_fractional_votes_stay_small(self):
         """m=20 with about two fractional votes per column: the posterior is

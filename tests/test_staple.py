@@ -390,6 +390,10 @@ class TestPosteriorGrid:
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: RaterParams([0.9, 0.8], [0.9]), "sens has 2 entries but spec has 1",
                  id="length-mismatch"),
+    pytest.param(lambda: RaterParams([], []), r"experts must lie in \[1, inf\], got 0",
+                 id="no-experts"),
+    pytest.param(lambda: RaterParams.uniform(0, 0.9, 0.9), r"experts must lie in \[1, inf\]",
+                 id="uniform-no-experts"),
     pytest.param(lambda: RaterParams([1.1], [0.9]), r"sens values must lie in \[0, 1\]",
                  id="sens-above-1"),
     pytest.param(lambda: RaterParams([0.9], [-0.1]), r"spec values must lie in \[0, 1\]",
