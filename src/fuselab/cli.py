@@ -39,7 +39,7 @@ from .errors import (
     check_number,
 )
 from .metrics import precision_recall
-from .soft_staple import check_enumeration, check_mc_request, run_em, run_soft_em
+from .soft_staple import run_em, run_soft_em
 from .softmask import CONNECTIVITY_RANK, SoftMaskConfig, build_soft_stack
 from .staple import MSTEP_MODES, VARIANTS, FusionConfig, binarize
 from .svol_io import read_svol, write_svol
@@ -312,10 +312,6 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
     resolved["prior"] = _parse_prior(resolved["prior"])
     config = _from_options(FusionConfig, _FUSION_OPTIONS, resolved)
     softmask = _softmask_config(resolved)
-    if config.variant == "soft-exact":
-        check_enumeration(len(args.inputs), "use --variant soft-mc")
-    if config.variant == "soft-mc":
-        check_mc_request(config.mc_samples, len(args.inputs))
 
     stack = _load_stack(args.inputs)
     used_softmask = False

@@ -53,21 +53,25 @@ ENUMERATION_GUARD = 20
 # keeps its code, in at most 4 bytes, and its weight, in 8, so at most 384 MiB
 # at the limit (MC_ENTRY_LIMIT's set-up peak is about 450 MiB); each chunk also
 # keeps its columns' 8-byte indices. The one pass over the terms takes 8 to
-# 100 ns per term on a 2-core Xeon, so at most 3.4 s at the limit.
+# 100 ns per term on a 2-core Xeon, so at most 3.4 s at the limit. The units'
+# (m, units <= min(2^m, terms)) float64 votes, and an evaluation's temporaries
+# of their size, take at most 160 MiB each at ENUMERATION_GUARD's m = 20.
 EXACT_TERM_LIMIT = 2**25
 
 # Most joint-vote terms (columns x 2^k) per enumeration chunk; 2^18 measured fastest.
 _CELL_BUDGET = 2**18
 
-# Largest samples x m draw matrix one Monte Carlo voxel may allocate; with
-# ``_DRAW_BLOCK`` it also bounds every block of draws.
+# Largest samples x m draw matrix one Monte Carlo voxel drawn sample by sample
+# may allocate; a tallied voxel draws at most its entries (MC_ENTRY_LIMIT).
 MC_DRAW_LIMIT = 2**23
 
-# Most (voxel, code) tallies a Monte Carlo run may keep. With their
-# (column, code) entries they take about 27 bytes each once built, and peak
-# at about 57 during set-up (450 MiB at the limit, on 64,000 continuous-vote
-# voxels of 7 experts, each its own column); the 40^3 protocol-m7
-# benchmark case at the default 10,000 samples keeps at most 6,709 x 128.
+# Most (voxel, code) tallies a Monte Carlo run may keep, and most float64 unit
+# votes (m x min(2^m, hard columns + tallies)). With their (column, code)
+# entries tallies take about 27 bytes each once built, and peak at about 57
+# during set-up (450 MiB at the limit, on 64,000 continuous-vote voxels of 7
+# experts, each its own column); a unit vote and an evaluation's copy take
+# about 16. The 40^3 protocol-m7 benchmark case at the default 10,000 samples
+# keeps at most 6,709 x 128 tallies and 128 x 7 unit votes.
 MC_ENTRY_LIMIT = 2**23
 
 # Most draws one Monte Carlo run may make: samples x m per soft voxel on the
@@ -77,9 +81,9 @@ MC_ENTRY_LIMIT = 2**23
 # samples tallies every soft voxel and draws about 0.3 M.
 _MC_RUN_DRAW_LIMIT = 2**33
 
-# About how many draws one block of Monte Carlo voxels holds (see ``_McModel``);
-# it bounds the block's memory, not its outputs. On 40^3 voxels and 7 experts,
-# 2^18 ran fastest of 2^14 ... 2^20.
+# About how many draws one block of Monte Carlo voxels holds (see ``_McModel``),
+# plus one voxel's; it bounds the block's memory, not its outputs. On 40^3
+# voxels and 7 experts, 2^18 ran fastest of 2^14 ... 2^20.
 _DRAW_BLOCK = 2**18
 
 # Most experts whose sampled hard-vote codes are int64; beyond, packed bit rows.
@@ -232,14 +236,6 @@ def soft_m_step(
     return model.patterns.restore(*model.mstep(params, model.arrays(params), mode))
 
 
-def check_mc_request(samples: int, m: int) -> None:
-    """Refuse a Monte Carlo request whose per-voxel draw matrix of
-    ``samples`` x ``m`` values exceeds :data:`MC_DRAW_LIMIT`, which thus
-    also bounds every block of draws."""
-    _refuse_over(samples * m, MC_DRAW_LIMIT, f"Monte Carlo draws per voxel ({samples} "
-                 f"samples x {m} experts)", "lower the sample count")
-
-
 def _streams(voxels: np.ndarray, seed: int):
     """Yield, for each voxel t in turn, a Generator on the Philox stream
     keyed by (seed, t): one Generator, its bit generator re-keyed and reset
@@ -258,6 +254,29 @@ def _tallied(k, samples: int, m: int):
     """Whether soft voxels with k fractional votes (of m experts) draw their
     tally, not their samples: where 2^k <= ``samples`` and codes fit int64."""
     return (k > 0) & (np.exp2(k) <= samples) & (m <= _CODE_BITS)
+
+
+def _mc_plan(cols: np.ndarray, counts: np.ndarray, samples: int):
+    """Each soft-mc column's draws per voxel (0 if hard, 2^k if ``_tallied``
+    picks its tally, else samples x m) and path (True if tallied), for
+    ``counts`` voxels per column of votes ``cols``. Refuses, in order, a
+    sampled voxel's samples x m, the kept entries, the unit votes and the
+    draws over their limits."""
+    m = cols.shape[0]
+    k = np.count_nonzero((cols > 0.0) & (cols < 1.0), axis=0)
+    tallied = _tallied(k, samples, m)
+    per = np.where(tallied, np.exp2(k), (k > 0) * float(samples * m))
+    if np.any(per[~tallied]):
+        _refuse_over(samples * m, MC_DRAW_LIMIT, f"Monte Carlo draws per voxel ({samples} "
+                     f"samples x {m} experts)", "lower the sample count")
+    kept = int(counts[k > 0] @ np.minimum(samples, np.exp2(k[k > 0])))
+    _refuse_over(kept, MC_ENTRY_LIMIT, "sampled (voxel, code) entries (soft voxels "
+                 "x min(samples, 2^k))", "lower the sample count")
+    _refuse_over(m * min(1 << m, np.count_nonzero(k == 0) + kept), MC_ENTRY_LIMIT, "unit "
+                 "votes (experts x min(2^m, hard columns + entries))", "lower the sample count")
+    _refuse_over(int(counts @ per), _MC_RUN_DRAW_LIMIT, "draws (samples x experts per "
+                 "sampled soft voxel, 2^k per tallied one)", "lower the sample count")
+    return per, tallied
 
 
 def _mc_codes(q: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.ndarray:
@@ -338,22 +357,13 @@ def _voxel_tally(codes: np.ndarray, voxels: int, samples: int, m: int):
     return _narrow_tally(np.bincount(voxel, minlength=voxels), code, counts, samples, m)
 
 
-def _nonzero_tally(codes: np.ndarray, row: np.ndarray, counts: np.ndarray, samples: int, m: int):
-    """Per-voxel tallies, as ``_voxel_tally`` gives them, of a block on the
-    tally path: row ``row[j]`` of ``codes`` holds voxel j's 2^k codes,
-    ascending, and row j of ``counts`` (see ``_mc_tallies``) their sample
-    counts."""
-    voxel, j = np.nonzero(counts)
-    sizes = np.bincount(voxel, minlength=counts.shape[0])
-    return _narrow_tally(sizes, codes[row[voxel], j], counts[voxel, j], samples, m)
-
-
 def _narrow_tally(sizes, code, counts, samples: int, m: int):
-    """Tally sizes and counts, and int64 codes, in the narrowest unsigned types."""
-    narrow = np.min_scalar_type(samples)
+    """Tally sizes and counts, and int64 codes, in the narrowest unsigned types;
+    a size is at most the run's entries, so it fits int64 (``np.repeat``)."""
     if m <= _CODE_BITS:
         code = code.astype(np.min_scalar_type((1 << m) - 1))
-    return sizes.astype(narrow), code, counts.astype(narrow)
+    size = np.min_scalar_type(min(samples, MC_ENTRY_LIMIT))
+    return sizes.astype(size), code, counts.astype(np.min_scalar_type(samples))
 
 
 def _voxel_means(sizes: np.ndarray, counts: np.ndarray, p1: np.ndarray, samples: int):
@@ -363,32 +373,34 @@ def _voxel_means(sizes: np.ndarray, counts: np.ndarray, p1: np.ndarray, samples:
     return np.bincount(group, counts * p1, minlength=sizes.size) / samples
 
 
-def _draw(cols: np.ndarray, ids: np.ndarray, voxels: np.ndarray, samples: int, seed: int):
+def _draw(cols: np.ndarray, tallied: np.ndarray, ids: np.ndarray, voxels: np.ndarray,
+          samples: int, seed: int):
     """Draw one block of soft voxels: voxel t = ``voxels[j]``, whose votes are
     column ``ids[j]`` of ``cols``, on the Philox stream keyed by (seed, t).
 
     Yields per-voxel tallies, a group of the block's voxels at a time: their
     indices, then their sizes, codes and counts as ``_voxel_tally`` gives
-    them. ``_tallied`` picks each voxel's path. A tallied voxel draws its
-    column's 2^k joint votes' counts (``_mc_tallies``), which ``_joint_votes``
-    enumerates once per distinct column of the block; any other draws its
+    them. ``tallied`` (per column, from ``_mc_plan``) picks each voxel's
+    path. A tallied voxel draws its column's 2^k joint votes' counts
+    (``_mc_tallies``), which ``_joint_votes`` enumerates once per distinct
+    column of the block, and keeps those that are not 0; any other draws its
     samples (``_mc_codes``).
     """
     m = cols.shape[0]
-    q = cols[:, ids]
-    on = _tallied(np.count_nonzero((q > 0.0) & (q < 1.0), axis=0), samples, m)
+    on = tallied[ids]
     if on.any():
         distinct, _, row = _group_keys(ids[on], cols.shape[1], inverse=True)
-        tallied = voxels[on]
         for at, codes, w in _joint_votes(cols[:, distinct]):
             where = np.full(distinct.size, -1)
             where[at] = np.arange(at.size)
             r = where[row]  # each voxel's row of the chunk, or -1
-            sel = r >= 0
-            drawn = _mc_tallies(w[r[sel]], tallied[sel], samples, seed)
-            yield tallied[sel], *_nonzero_tally(codes, r[sel], drawn, samples, m)
+            t, r = voxels[on][r >= 0], r[r >= 0]
+            drawn = _mc_tallies(w[r], t, samples, seed)
+            voxel, j = np.nonzero(drawn)
+            sizes = np.bincount(voxel, minlength=t.size)
+            yield t, *_narrow_tally(sizes, codes[r[voxel], j], drawn[voxel, j], samples, m)
     if not on.all():
-        codes = _mc_codes(q[:, ~on], voxels[~on], samples, seed)
+        codes = _mc_codes(cols[:, ids[~on]], voxels[~on], samples, seed)
         yield voxels[~on], *_voxel_tally(codes, np.count_nonzero(~on), samples, m)
 
 
@@ -413,16 +425,16 @@ def mc_soft_e_step_voxel(
     m; hard votes short-circuit to the exact posterior (the estimator has
     zero variance there).
     """
-    check_number("samples", samples, integral=True, ge=1)
+    check_number("samples", samples, integral=True, ge=1, lt=2**63)
     check_number("seed", seed, integral=True, ge=0, lt=SEED_SPAN)
     check_number("voxel_index", voxel_index, integral=True, ge=0, lt=SEED_SPAN)
     prior = _check_prior(prior)
     q = _votes(soft_votes, params.m)
     if np.all((q == 0.0) | (q == 1.0)):
         return float(_binary_posterior_arrays(q[:, None], params, prior)[1][0])
-    check_mc_request(samples, q.size)
-    (_, sizes, code, counts), = _draw(q[:, None], np.zeros(1, np.intp), np.array([voxel_index]),
-                                      samples, seed)
+    _, tallied = _mc_plan(q[:, None], np.ones(1), samples)
+    (_, sizes, code, counts), = _draw(q[:, None], tallied, np.zeros(1, np.intp),
+                                      np.array([voxel_index]), samples, seed)
     p1 = _binary_posterior_arrays(_code_bits(code, q.size), params, prior)[1]
     return float(np.clip(_voxel_means(sizes, counts, p1, samples)[0], 0.0, 1.0))
 
@@ -482,33 +494,23 @@ class _McModel(_PatternModel):
     fixed, the run is exact EM on the sampled model, whose inherited
     objective estimates the exact one; the final posterior reads each soft
     voxel's own tally. A voxel with k fractional votes keeps at most
-    min(samples, 2^k) entries. A run whose sum of those exceeds
-    :data:`MC_ENTRY_LIMIT`, or whose draws exceed ``_MC_RUN_DRAW_LIMIT``,
-    is refused before the first draw.
+    min(samples, 2^k) entries. ``_mc_plan`` picks each column's path and
+    refuses a run over any bound before the first draw.
     """
 
     def __init__(self, patterns: VotePatterns, prior: float, samples: int, seed: int):
         m = patterns.order.size
-        check_mc_request(samples, m)
         self.samples = samples
         cols, counts = patterns.columns, patterns.counts
-        k = np.count_nonzero((cols > 0.0) & (cols < 1.0), axis=0)
-        hard = k == 0
-        tallied = _tallied(k, samples, m)
-        kept = int(counts[~hard] @ np.minimum(samples, np.exp2(k[~hard])))
-        _refuse_over(kept, MC_ENTRY_LIMIT, "sampled (voxel, code) entries (soft voxels "
-                     "x min(samples, 2^k))", "lower the sample count")
-        draws = (int(counts[~hard & ~tallied].sum()) * samples * m
-                 + int(counts[tallied] @ np.exp2(k[tallied])))
-        _refuse_over(draws, _MC_RUN_DRAW_LIMIT, "draws (samples x experts per sampled soft "
-                     "voxel, 2^k per tallied one)", "lower the sample count")
+        per, tallied = _mc_plan(cols, counts, samples)
+        hard = per == 0
         soft = np.flatnonzero(~hard[patterns.inverse])
         ids = patterns.inverse[soft].astype(np.intp, copy=False)
-        per = np.where(tallied, np.exp2(k), samples * m)[ids]
+        per = per[ids]
         cut = np.flatnonzero(np.diff((np.cumsum(per) - per) // _DRAW_BLOCK)) + 1
         tallies = []
         for block in zip(np.split(ids, cut), np.split(soft, cut)):
-            tallies.extend(_draw(cols, *block, samples, seed))
+            tallies.extend(_draw(cols, tallied, *block, samples, seed))
         hard_codes = _pack_codes(cols[:, hard].T == 1.0, m)
         if tallies:
             voxel, size, code, count = map(np.concatenate, zip(*tallies))
@@ -516,11 +518,9 @@ class _McModel(_PatternModel):
             voxel, size, code, count = soft, soft, hard_codes[:0], soft
         # The hard columns' codes lead; they are in no voxel's tally.
         codes = np.concatenate([hard_codes.astype(code.dtype), code])
-        self.table = np.unique(codes)
+        self.table, _, unit = _group_keys(codes, 1 << m, inverse=True)
         n, units = hard_codes.size, self.table.size
-        # A search of the table takes a third of return_inverse's time; the
-        # units are kept as narrow as the tallies' codes.
-        unit = np.searchsorted(self.table, codes).astype(np.min_scalar_type(units - 1))
+        unit = unit.astype(np.min_scalar_type(units - 1))
         self.tally = (voxel, size, unit[n:], count)
         # A soft column's entries: its voxels' integer counts, summed per unit.
         key = np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size) + unit[n:]

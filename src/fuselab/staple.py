@@ -108,7 +108,7 @@ class FusionConfig:
         check_number("init_spec", self.init_spec, ge=0, le=1)
         check_number("tol", self.tol, gt=0)
         check_number("max_iters", self.max_iters, integral=True, ge=1)
-        check_number("mc_samples", self.mc_samples, integral=True, ge=1)
+        check_number("mc_samples", self.mc_samples, integral=True, ge=1, lt=2**63)
         check_number("mc_seed", self.mc_seed, integral=True, ge=0, lt=SEED_SPAN)
         if self.variant not in VARIANTS:
             raise ConfigError(

@@ -292,20 +292,44 @@ class TestFuse:
                      "--config", str(cfg)]) == 2
 
 
-    def test_mc_memory_guard_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+    def test_tallied_run_takes_any_sample_count(self, tmp_path):
+        """Every voxel of 7 continuous experts is tallied at 10^9 samples
+        (2^7 <= 10^9), so no samples x m bound applies: the run succeeds and
+        reruns byte for byte."""
         rng = np.random.default_rng(6)
         paths = _write_experts(tmp_path, rng.random((7, 10)), GridKind.SOFT)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["fuse", "--variant", "soft-mc", "--mc-samples", "1000000000",
+                         *paths, "-o", str(out)]) == 0
+        for name in ("posterior.svol", "params.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-        def no_reads(path):
-            raise AssertionError(f"read {path} before the guard")
-
-        monkeypatch.setattr(fuselab.cli, "read_svol", no_reads)
+    def test_mc_draw_guard_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        """30 continuous experts at 300,000 samples are drawn sample by sample
+        (2^30 > 300,000), over the per-voxel bound."""
+        rng = np.random.default_rng(6)
+        paths = _write_experts(tmp_path, rng.random((30, 10)), GridKind.SOFT)
         out = tmp_path / "o"
-        code = main(["fuse", "--variant", "soft-mc", "--mc-samples", "1000000000",
+        code = main(["fuse", "--variant", "soft-mc", "--mc-samples", "300000",
                      *paths, "-o", str(out)])
         assert code == 2
-        assert "1000000000 samples x 7 experts" in capsys.readouterr().err
-        assert not out.exists()
+        assert "9000000 Monte Carlo draws per voxel (300000 samples x 30 experts) exceed " \
+            "the limit of 8388608; lower the sample count" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_exact_expert_bound_refuses_after_reading(self, tmp_path, capsys):
+        """soft-exact refuses 21 experts in the model, once the inputs are
+        read: exit 2 and nothing written, or exit 3 if an input is unreadable."""
+        paths = _write_experts(tmp_path, np.full((21, 4), 0.5), GridKind.SOFT)
+        out = tmp_path / "o"
+        assert main(["fuse", "--variant", "soft-exact", *paths, "-o", str(out)]) == 2
+        assert "21 experts for exact enumeration exceed the limit of 20; select variant " \
+            "'soft-mc' instead" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+        Path(paths[-1]).write_bytes(b"not an svol")
+        assert main(["fuse", "--variant", "soft-exact", *paths, "-o", str(out)]) == 3
+        assert not out.exists() or not any(out.iterdir())
 
     def test_mc_entry_bound_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         import fuselab.soft_staple as ss

@@ -64,13 +64,15 @@ def _mc(**kw):
 
 # Seeds and stream indices: one 64-bit Philox key word each.
 SEEDS = "[0, 18446744073709551616)"
+# Monte Carlo sample counts: numpy's multinomial takes an int64 count.
+SAMPLES = "[1, 9223372036854775808)"
 
 ARGS = [
     Arg("init_sens", lambda v: FusionConfig(init_sens=v), "[0, 1]"),
     Arg("init_spec", lambda v: FusionConfig(init_spec=v), "[0, 1]"),
     Arg("tol", lambda v: FusionConfig(tol=v), "(0, inf]"),
     Arg("max_iters", lambda v: FusionConfig(max_iters=v), "[1, inf]", True),
-    Arg("mc_samples", lambda v: FusionConfig(mc_samples=v), "[1, inf]", True),
+    Arg("mc_samples", lambda v: FusionConfig(mc_samples=v), SAMPLES, True),
     Arg("mc_seed", lambda v: FusionConfig(mc_seed=v), SEEDS, True),
     Arg("gamma", lambda v: SoftMaskConfig(gamma=v), "(0, 1)"),
     Arg("target_volume_ratio", lambda v: SoftMaskConfig(target_volume_ratio=v), "[1, inf]"),
@@ -94,7 +96,7 @@ ARGS = [
     Arg("rater 'r': boundary_softening", lambda v: _rater(boundary_softening=v), "[0, 1)"),
     Arg("blur", lambda v: soften_votes(stack_from_rows([[1.0, 0.0]]), v), "[0, 0.5)"),
     Arg("threshold", lambda v: precision_recall(_mask(), _mask(), v), "(0, 1)"),
-    Arg("samples", lambda v: _mc(samples=v), "[1, inf]", True),
+    Arg("samples", lambda v: _mc(samples=v), SAMPLES, True),
     Arg("seed", lambda v: _mc(seed=v), SEEDS, True),
     Arg("voxel_index", lambda v: _mc(voxel_index=v), SEEDS, True),
     Arg("m", lambda v: VoteCombination(v, 0), "[1, inf]", True),

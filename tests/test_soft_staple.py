@@ -298,10 +298,32 @@ class TestMonteCarloEStep:
         with pytest.raises(ConfigError):
             mc_soft_e_step_voxel([0.5], params(0.9, 0.9), 0.5, 0, seed=0)
 
-    def test_draw_budget_checked_before_drawing(self):
-        p = params(np.full(7, 0.9), np.full(7, 0.9))
-        with pytest.raises(CapacityError, match="1000000000 samples x 7 experts"):
-            mc_soft_e_step_voxel(np.full(7, 0.5), p, 0.5, 10**9, seed=0)
+    def test_draw_budget_checked_before_drawing(self, monkeypatch):
+        """A voxel drawn sample by sample (2^30 > 300,000) over the per-voxel bound."""
+        calls = _spy(monkeypatch)
+        p = params(np.full(30, 0.9), np.full(30, 0.9))
+        with pytest.raises(CapacityError, match="300000 samples x 30 experts"):
+            mc_soft_e_step_voxel(np.full(30, 0.5), p, 0.5, 300_000, seed=0)
+        assert not any(calls.values())
+
+    @pytest.mark.parametrize("samples", [10**9, 2**63 - 1])
+    def test_tallied_voxel_takes_any_sample_count(self, monkeypatch, samples):
+        """A tallied voxel draws no samples x m matrix, so samples x 7 experts
+        over ``MC_DRAW_LIMIT``, up to numpy's int64 count, run and give
+        soft-mc's fused posterior."""
+        import fuselab.soft_staple as ss
+
+        calls = _spy(monkeypatch)
+        assert samples * 7 > ss.MC_DRAW_LIMIT
+        rng = np.random.default_rng(23)
+        stack = stack_from_rows(np.where(rng.random((7, 12)) < 0.6, rng.random((7, 12)),
+                                         rng.random((7, 12)) < 0.5), GridKind.SOFT)
+        res = run_soft_em(stack, FusionConfig(variant="soft-mc", mc_samples=samples,
+                                              mc_seed=4, max_iters=2))
+        qc, pc = TestMonteCarloSweep._canonical(stack, res)
+        want = [mc_soft_e_step_voxel(qc[:, t], pc, res.prior, samples, 4, t) for t in range(12)]
+        np.testing.assert_allclose(res.posterior.data, want, rtol=0, atol=1e-12)
+        assert calls["_mc_tallies"] and not calls["_mc_codes"]
 
     def test_square_root_convergence_rate(self):
         # 100x the samples should cut the error ~10x; allow a 3x margin
@@ -734,6 +756,34 @@ class TestCapacityRefusals:
         assert terms > 50 * cols  # the terms, not the columns, dominate
         assert kept <= 12 * terms + 8 * cols + 512 * chunks
         assert kept >= (8 + (2 if m <= 16 else 4)) * terms  # all kept, nothing missed
+
+    def test_unit_votes_take_at_most_the_stated_bytes(self, monkeypatch):
+        """On continuous votes nearly every entry is its own unit, so at 40
+        experts the unit votes bind before the entries do. One voxel more
+        than the limit accepts is refused. The largest accepted run, 2
+        iterations, peaks by tracemalloc within README's 57 bytes per entry
+        plus 24 per unit vote, and above the 8 bytes per unit vote it keeps."""
+        import tracemalloc
+
+        import fuselab.soft_staple as ss
+
+        monkeypatch.setattr(ss, "MC_ENTRY_LIMIT", 2**20)
+        m, samples = 40, 64
+        n = 2**20 // (m * samples)
+        q = np.random.default_rng(7).random((m, n + 1))
+        cfg = FusionConfig(variant="soft-mc", mc_samples=samples, max_iters=2, tol=1e-300)
+        with pytest.raises(CapacityError, match=rf"^{(n + 1) * samples * m} unit votes "
+                           r"\(experts x min\(2\^m, hard columns \+ entries\)\) exceed"):
+            run_soft_em(stack_from_rows(q, GridKind.SOFT), cfg)
+        stack = stack_from_rows(q[:, :n], GridKind.SOFT)
+        entries = n * samples
+        tracemalloc.start()
+        try:
+            run_soft_em(stack, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * m * entries < peak <= 57 * entries + 24 * m * entries
 
     @pytest.mark.parametrize("limit, count", [
         ("MC_ENTRY_LIMIT", 960),      # 30 voxels x min(40, 2^5)
