@@ -314,7 +314,7 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
     softmask = _softmask_config(resolved)
 
     stack = _load_stack(args.inputs)
-    used_softmask = False
+    inputs = list(args.inputs)
     if stack.kind is GridKind.BINARY and config.variant != "binary":
         if not args.flair:
             raise ConfigError(
@@ -323,9 +323,8 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
             )
         flair = _read(read_svol, args.flair)
         stack = build_soft_stack(stack, flair, softmask)
-        used_softmask = True
+        inputs.append(args.flair)
 
-    inputs = list(args.inputs) + ([args.flair] if args.flair and used_softmask else [])
     filenames = ["posterior.svol", "params.json"]
     if resolved["binarize"]:
         filenames.insert(1, "consensus.svol")

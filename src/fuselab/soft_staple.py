@@ -250,10 +250,10 @@ def _streams(voxels: np.ndarray, seed: int):
         yield gen
 
 
-def _tallied(k, samples: int, m: int):
+def _tallied(k, joint, samples: int, m: int):
     """Whether soft voxels with k fractional votes (of m experts) draw their
-    tally, not their samples: where 2^k <= ``samples`` and codes fit int64."""
-    return (k > 0) & (np.exp2(k) <= samples) & (m <= _CODE_BITS)
+    tally, not their samples: where ``joint`` (2^k) <= ``samples`` and codes fit int64."""
+    return (k > 0) & (joint <= samples) & (m <= _CODE_BITS)
 
 
 def _mc_plan(cols: np.ndarray, counts: np.ndarray, samples: int):
@@ -264,12 +264,14 @@ def _mc_plan(cols: np.ndarray, counts: np.ndarray, samples: int):
     draws over their limits."""
     m = cols.shape[0]
     k = np.count_nonzero((cols > 0.0) & (cols < 1.0), axis=0)
-    tallied = _tallied(k, samples, m)
-    per = np.where(tallied, np.exp2(k), (k > 0) * float(samples * m))
+    # 2^k with k capped at 63: every sample count is below 2^63, so no comparison changes.
+    joint = np.exp2(np.minimum(k, 63))
+    tallied = _tallied(k, joint, samples, m)
+    per = np.where(tallied, joint, (k > 0) * float(samples * m))
     if np.any(per[~tallied]):
         _refuse_over(samples * m, MC_DRAW_LIMIT, f"Monte Carlo draws per voxel ({samples} "
                      f"samples x {m} experts)", "lower the sample count")
-    kept = int(counts[k > 0] @ np.minimum(samples, np.exp2(k[k > 0])))
+    kept = int(counts[k > 0] @ np.minimum(samples, joint[k > 0]))
     _refuse_over(kept, MC_ENTRY_LIMIT, "sampled (voxel, code) entries (soft voxels "
                  "x min(samples, 2^k))", "lower the sample count")
     _refuse_over(m * min(1 << m, np.count_nonzero(k == 0) + kept), MC_ENTRY_LIMIT, "unit "
@@ -452,14 +454,8 @@ def simple_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     return float(_channel_posterior_arrays(q[:, None], params, _check_prior(prior))[1][0])
 
 
-def simple_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
-    """Noisy-channel posterior map over the whole grid."""
-    return e_step(stack, params, prior)
-
-
-def simple_log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
-    """Observed-data log-likelihood of the noisy-channel model."""
-    return log_likelihood(stack, params, prior)
+simple_e_step = e_step
+simple_log_likelihood = log_likelihood
 
 
 def simple_m_step(

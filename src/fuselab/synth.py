@@ -70,9 +70,10 @@ class PhantomSpec:
                 f"({self.lesion_intensity} <= {self.background_intensity})"
             )
         bounds = self.dims.as_tuple()
-        for center, radius in self.lesions:
+        for i, (center, radius) in enumerate(self.lesions):
             if len(center) != 3:
-                raise ConfigError(f"lesion center must have 3 coordinates, got {center}")
+                raise ConfigError(f"lesions[{i}]: lesion center must have 3 coordinates, "
+                                  f"got {center}")
             for c in center:
                 check_number("lesion center coordinate", c, gt=-math.inf, lt=math.inf)
             check_number("lesion radius", radius, ge=0, lt=math.inf)
@@ -218,12 +219,7 @@ def parse_simulation_config(doc: dict) -> tuple[PhantomSpec, list[RaterSpec]]:
         ctx = f"lesions[{i}]"
         if not isinstance(lesion, dict):
             raise ConfigError(f"{ctx}: must be an object")
-        center = need("center", list, lesion, ctx)
-        if len(center) != 3 or not all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in center
-        ):
-            raise ConfigError(f"{ctx}: key 'center' must be 3 numbers")
-        lesions.append((tuple(float(c) for c in center), need("radius", float, lesion, ctx)))
+        lesions.append((need("center", list, lesion, ctx), need("radius", float, lesion, ctx)))
 
     phantom = PhantomSpec(
         dims=Dim3(*dims_raw),

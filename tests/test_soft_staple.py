@@ -4,6 +4,7 @@ binary algorithm on hard votes."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -623,6 +624,20 @@ class TestMonteCarloPaths:
             gen = np.random.Generator(np.random.Philox(key=key))
             np.testing.assert_array_equal(got[j], gen.multinomial(9, w[j]))
 
+    def test_joint_votes_past_float_range_warn_nothing(self):
+        """2^1100 overflows float64. A 1,100-expert continuous stack at 8
+        samples draws every voxel sample by sample, with no warning on the way."""
+        rng = np.random.default_rng(61)
+        q = rng.random((1100, 3))
+        p = params(np.full(1100, 0.9), np.full(1100, 0.8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_em(stack_from_rows(q, GridKind.SOFT),
+                         FusionConfig(variant="soft-mc", mc_samples=8, max_iters=2))
+            got = mc_soft_e_step_voxel(q[:, 0], p, 0.3, 8, seed=5)
+        assert res.iters_run == 2 and res.ll_is_approximate
+        assert 0.0 <= got <= 1.0
+
     def test_tally_estimator_keeps_the_per_sample_distribution(self, monkeypatch):
         """On a k = 3 voxel over 3,000 seeds at 16 samples, the tally path's
         estimates have the exact posterior as mean and the variance sigma^2 /
@@ -813,19 +828,23 @@ class TestPublicInputChecks:
 
     STACK_STEPS = [e_step, log_likelihood, soft_e_step, soft_log_likelihood, soft_m_step,
                    simple_e_step, simple_log_likelihood, simple_m_step]
+    # Named by hand: simple_e_step and simple_log_likelihood are e_step's and
+    # log_likelihood's aliases, so they share their __name__.
+    STEP_IDS = ["e_step", "log_likelihood", "soft_e_step", "soft_log_likelihood",
+                "soft_m_step", "simple_e_step", "simple_log_likelihood", "simple_m_step"]
 
     @staticmethod
     def _stack():
         return stack_from_rows([[0.0, 0.3, 1.0, 1.0], [1.0, 1.0, 0.0, 0.3],
                                 [0.0, 1.0, 0.3, 0.0]], GridKind.SOFT)
 
-    @pytest.mark.parametrize("step", STACK_STEPS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("step", STACK_STEPS, ids=STEP_IDS)
     @pytest.mark.parametrize("m", [2, 5])
     def test_stack_steps_refuse_another_expert_count(self, step, m):
         with pytest.raises(ConfigError, match=f"parameters for {m} experts given for 3"):
             step(self._stack(), params(np.full(m, 0.9), np.full(m, 0.8)), 0.3)
 
-    @pytest.mark.parametrize("step", STACK_STEPS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("step", STACK_STEPS, ids=STEP_IDS)
     @pytest.mark.parametrize("prior", [0.0, 1.5, math.nan, "0.3x", None])
     def test_stack_steps_refuse_a_bad_prior(self, step, prior):
         with pytest.raises(ConfigError, match="prior must be in"):

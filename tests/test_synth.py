@@ -73,9 +73,9 @@ class TestGeneratePhantom:
             generate_phantom(spec_with(lesion_intensity=30.0))
 
     def test_lesion_center_needs_three_coordinates(self):
-        message = r"lesion center must have 3 coordinates, got \(8, 8\)"
+        message = r"^lesions\[0\]: lesion center must have 3 coordinates, got \(8, 8\)$"
         with pytest.raises(ConfigError, match=message):
-            spec_with(lesions=(((8, 8), 3.0),))
+            spec_with(lesions=(((8, 8), 3.0), ((8, 8, 8), 3.0)))
 
 
 class TestSimulateRaters:
