@@ -104,10 +104,15 @@ def check_number(name: str, value, integral: bool = False, *,
     """Refuse a value that is not a real number (an integer when
     ``integral``), or that breaks a bound, with a ConfigError naming
     ``name``, the value and the whole allowed range. A bool is never a
-    number, and NaN fails every bound."""
+    number, NaN fails every bound, and a real must convert to a float."""
     kind, noun = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if not integral:  # Python compares a huge int with a float bound exactly
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be a number within float range") from None
     if not ((ge is None or value >= ge) and (gt is None or value > gt)
             and (le is None or value <= le) and (lt is None or value < lt)):
         low = f"[{ge}" if ge is not None else f"({gt}" if gt is not None else "[-inf"

@@ -6,8 +6,8 @@ bright enough in the intensity volume (lesions are hyper-intense) receive
 the soft label gamma, the rest of the ring drops back to 0, and the
 original annotation stays exactly 1.
 
-Only this module loads SciPy, inside the functions that call ``ndimage``, so
-a process that fuses, scores or simulates never pays its import.
+Labeling, bounding boxes and dilation are plain numpy: the package loads no
+SciPy, whose import would cost each command more than the protocol itself.
 """
 
 from __future__ import annotations
@@ -85,11 +85,76 @@ class StructuringElement:
         return cls(offsets)
 
     def as_array(self) -> np.ndarray:
-        """3x3x3 boolean footprint indexed [dz+1, dy+1, dx+1] for scipy."""
+        """3x3x3 boolean footprint indexed [dz+1, dy+1, dx+1], the grid's axis order."""
         arr = np.zeros((3, 3, 3), dtype=bool)
         for dx, dy, dz in self.offsets:
             arr[dz + 1, dy + 1, dx + 1] = True
         return arr
+
+
+def _label(mask3: np.ndarray, footprint: np.ndarray) -> tuple[np.ndarray, int]:
+    """``ndimage.label``: the components of a boolean grid under the footprint's
+    adjacency, numbered 1, 2, ... by each one's first voxel in C order (0 =
+    background), and their count. A union-find over the foreground's C-order
+    ranks joins the pairs the forward offsets link, in batches of up to about
+    one pair per grid voxel (a peak near 50 bytes per voxel): each root is
+    hooked onto the smallest root paired with it, then pointers jump until
+    every voxel points at its root, so a root is its component's first voxel."""
+    padded = np.pad(mask3, 1)  # a False border: no flat shift wraps between rows
+    flat = padded.reshape(-1)
+    index = np.int32 if flat.size < 2**31 else np.int64
+    voxels = np.flatnonzero(flat).astype(index)
+    rank = np.empty(flat.size, dtype=index)  # read only at foreground voxels
+    rank[voxels] = np.arange(voxels.size, dtype=index)
+    parent = np.arange(voxels.size, dtype=index)
+    # A bool array's strides are element strides; each pair is met from its first voxel.
+    shifts = [s for s in ((np.argwhere(footprint) - 1) @ padded.strides).tolist() if s > 0]
+    pending = []
+    for i, shift in enumerate(shifts, start=1):
+        u = np.flatnonzero(flat[voxels + shift]).astype(index)
+        pending.append((u, rank[voxels[u] + shift]))
+        if i < len(shifts) and sum(p.size for p, _ in pending) < flat.size:
+            continue
+        u, v = map(np.concatenate, zip(*pending))
+        pending.clear()
+        while u.size:
+            u, v = parent[u], parent[v]
+            split = u != v
+            u, v = u[split], v[split]
+            np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+            while not np.array_equal(jumped := parent[parent], parent):
+                parent = jumped
+    roots = parent == np.arange(voxels.size, dtype=index)
+    labels = np.zeros(mask3.shape, dtype=index)
+    labels[mask3] = np.cumsum(roots, dtype=index)[parent]
+    return labels, int(roots.sum())
+
+
+def _boxes(labels3: np.ndarray, count: int) -> list[tuple[slice, ...]]:
+    """``ndimage.find_objects``: the bounding box of each id 1..count, as slices."""
+    at = np.flatnonzero(labels3 > 0)
+    ids = labels3.reshape(-1)[at] - 1
+    lo, hi = np.full((3, count), max(labels3.shape)), np.zeros((3, count), dtype=int)
+    for axis, coord in enumerate(np.unravel_index(at, labels3.shape)):
+        np.minimum.at(lo[axis], ids, coord)
+        np.maximum.at(hi[axis], ids, coord)
+    return [tuple(map(slice, a, b)) for a, b in zip(lo.T.tolist(), (hi.T + 1).tolist())]
+
+
+def _dilation_step(region: np.ndarray, footprint: np.ndarray, pads=((0, 0),) * 3) -> np.ndarray:
+    """One dilation of a boolean ``region`` by a symmetric 3x3x3 ``footprint``, False
+    outside it, over its box widened by ``pads``: (before, after) voxels per axis, 0 or 1."""
+    shape = tuple(n + lo + hi for n, (lo, hi) in zip(region.shape, pads))
+    src = np.zeros(tuple(n + 2 for n in shape), dtype=bool)
+    src[tuple(slice(1 + lo, 1 + lo + n) for n, (lo, _) in zip(region.shape, pads))] = region
+    if footprint.all():  # the full box is separable: a three-wide OR along each axis
+        src = src[:-2] | src[1:-1] | src[2:]
+        src = src[:, :-2] | src[:, 1:-1] | src[:, 2:]
+        return src[:, :, :-2] | src[:, :, 1:-1] | src[:, :, 2:]
+    out = np.zeros(shape, dtype=bool)
+    for i, j, k in np.argwhere(footprint).tolist():
+        out |= src[i:i + shape[0], j:j + shape[1], k:k + shape[2]]
+    return out
 
 
 def connected_components(mask: VolumeGrid, connectivity: int = SoftMaskConfig.connectivity):
@@ -99,11 +164,9 @@ def connected_components(mask: VolumeGrid, connectivity: int = SoftMaskConfig.co
     (0 = background) and the list of flat voxel-index arrays, one per
     component, ordered by id.
     """
-    from scipy import ndimage
-
     check_grid("mask", mask, GridKind.BINARY)
     structure = StructuringElement.from_connectivity(connectivity).as_array()
-    labels3, count = ndimage.label(mask.as_3d() > 0.5, structure=structure)
+    labels3, count = _label(mask.as_3d() > 0.5, structure)
     labels = labels3.reshape(-1)
     # A stable sort groups each id's voxels in index order; slot 0 is background.
     order = np.argsort(labels, kind="stable")
@@ -113,13 +176,14 @@ def connected_components(mask: VolumeGrid, connectivity: int = SoftMaskConfig.co
 
 def dilate(mask: VolumeGrid, se: StructuringElement, iters: int) -> VolumeGrid:
     """Iterated Minkowski dilation, clipped at the grid bounds."""
-    from scipy import ndimage
-
     check_grid("mask", mask, GridKind.BINARY)
     check_number("iters", iters, integral=True, ge=0)
-    grown = mask.as_3d() > 0.5
-    if iters > 0:
-        grown = ndimage.binary_dilation(grown, structure=se.as_array(), iterations=iters)
+    grown, footprint = mask.as_3d() > 0.5, se.as_array()
+    for _ in range(iters):
+        # Each step is a function of the last: once one changes nothing, none will.
+        grown, last = _dilation_step(grown, footprint), grown
+        if np.array_equal(grown, last):
+            break
     return VolumeGrid(mask.dims, grown, GridKind.BINARY)
 
 
@@ -152,8 +216,6 @@ def build_soft_mask(
 def _soft_mask(
     binary: VolumeGrid, flair: VolumeGrid, cfg: SoftMaskConfig, structure: np.ndarray
 ) -> VolumeGrid:
-    from scipy import ndimage
-
     check_grid("binary", binary, GridKind.BINARY)
     check_grid("flair", flair, GridKind.INTENSITY, like=binary)
 
@@ -161,8 +223,8 @@ def _soft_mask(
     flair3 = flair.as_3d()
     out = original.astype(np.float64)
 
-    labels3, _ = ndimage.label(original, structure=structure)
-    for cid, box in enumerate(ndimage.find_objects(labels3), start=1):
+    labels3, count = _label(original, structure)
+    for cid, box in enumerate(_boxes(labels3, count), start=1):
         comp_mask = labels3[box] == cid
         if cfg.threshold_mode == "fixed":
             threshold = cfg.threshold_value
@@ -177,7 +239,7 @@ def _soft_mask(
         while last < size < target and iters < cfg.max_dilation_iters:
             pads = [(min(1, s.start), min(1, n - s.stop)) for s, n in zip(box, original.shape)]
             box = tuple(slice(s.start - lo, s.stop + hi) for s, (lo, hi) in zip(box, pads))
-            candidate = ndimage.binary_dilation(np.pad(candidate, pads), structure=structure)
+            candidate = _dilation_step(candidate, structure, pads)
             last, size = size, int(candidate.sum())
             iters += 1
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SEED_SPAN, ConfigError, _refuse_over, check_number
+from .softmask import _dilation_step
 from .volume import Dim3, ExpertStack, GridKind, VolumeGrid, check_grid
 
 # Stream id of the intensity noise; expert i uses stream i.
@@ -129,20 +130,12 @@ def generate_phantom(spec: PhantomSpec) -> tuple[VolumeGrid, VolumeGrid]:
     return truth, VolumeGrid(spec.dims, flair, GridKind.INTENSITY)
 
 
-def _box(mask3: np.ndarray, op) -> np.ndarray:
-    """``op`` (OR or AND) over each voxel's 3x3x3 box, outside the grid False:
-    one three-wide pass per axis over the grid padded with False."""
-    out = np.pad(mask3, 1)
-    for axis in range(3):
-        out = np.moveaxis(out, axis, 0)
-        out = np.moveaxis(op(op(out[:-2], out[1:-1]), out[2:]), 0, axis)
-    return out
-
-
 def _boundary_shell(truth3: np.ndarray) -> np.ndarray:
     """One-voxel shell on both sides of the truth boundary (26-adjacency):
-    the box dilation of the truth less its box erosion."""
-    return _box(truth3, np.logical_or) & ~_box(truth3, np.logical_and)
+    the voxels whose 3x3x3 box holds both truth and non-truth, outside the
+    grid counting as non-truth."""
+    box, padded = np.ones((3, 3, 3), dtype=bool), np.pad(truth3, 1)
+    return (_dilation_step(padded, box) & _dilation_step(~padded, box))[1:-1, 1:-1, 1:-1]
 
 
 def simulate_raters(truth: VolumeGrid, raters: list[RaterSpec]) -> ExpertStack:

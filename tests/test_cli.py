@@ -103,6 +103,23 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path", [["lesions", 0, "radius"], ["lesions", 0, "center", 1]],
+                             ids=["radius", "center"])
+    def test_integer_beyond_float_range_exits_2(self, sim_config, tmp_path, capsys, path):
+        """A 401-digit JSON integer in a real-valued field is refused, not
+        left to overflow when the phantom is built."""
+        doc = json.loads(sim_config.read_text())
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = 10**400
+        sim_config.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", str(sim_config), "-o", str(out)]) == 2
+        assert "must be a number within float range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [20, 5, 2**64 - 1])  # 5 wraps every rater seed below 0
     def test_seed_flag_equals_a_config_with_those_seeds(self, sim_config, tmp_path, seed):
         """--seed S sets the phantom seed to S and shifts each rater seed by

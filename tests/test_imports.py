@@ -66,6 +66,8 @@ steps = {
     "eval": ["eval", str(tmp / "sim" / "truth.svol"), str(tmp / "cons" / "posterior.svol")],
     "softmask": ["softmask", *experts, "--flair", str(tmp / "sim" / "flair.svol"),
                  "-o", str(tmp / "soft")],
+    "fuse --flair": ["fuse", "--variant", "simplified", *experts,
+                     "--flair", str(tmp / "sim" / "flair.svol"), "-o", str(tmp / "flair")],
 }
 report = {}
 for step, argv in steps.items():
@@ -75,15 +77,14 @@ print(json.dumps(report))
 """
 
 
-def test_only_softmask_loads_scipy(tmp_path):
-    """``simulate``, a binary ``fuse`` and ``eval`` run without SciPy;
-    ``softmask`` loads ``scipy.ndimage`` on first use."""
+def test_no_cli_step_loads_scipy(tmp_path):
+    """``simulate``, a binary ``fuse``, ``eval``, ``softmask`` and ``fuse
+    --flair`` all succeed without loading any SciPy module."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
     run = subprocess.run([sys.executable, "-c", _CLI_RUN, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
-    softmask = report.pop("softmask")
-    assert report == {step: [0, []] for step in report}
-    assert softmask[0] == 0 and "scipy.ndimage" in softmask[1]
+    steps = ["import fuselab.cli", "simulate", "fuse", "eval", "softmask", "fuse --flair"]
+    assert report == {step: [0, []] for step in steps}

@@ -3,7 +3,8 @@
 One table lists each field or argument with the name its ConfigError uses
 and its allowed range, written as the message writes it. From each row
 come the refusals: a bool, a string, NaN, a fraction where an integer is
-meant, and a value just past each finite bound (or at an open one); and
+meant, an integer beyond float range where a real is meant, and a value
+just past each finite bound (or at an open one); and
 the acceptances: each closed bound itself.
 """
 
@@ -120,6 +121,8 @@ def _refusals(arg):
         cases += [("fraction", 1.5, wrong_type), ("nan", math.nan, wrong_type)]
     elif arg.range:
         cases.append(("nan", math.nan, f"must lie in {arg.range}, got nan"))
+    if not arg.integral:  # an int no float holds, though it compares within any bound
+        cases.append(("beyond-float", 10**400, "must be a number within float range"))
     if arg.range:
         ends = zip(("low", "high"), _bounds(arg.range), (-math.inf, math.inf))
         for side, (bound, closed), away in ends:

@@ -1,6 +1,10 @@
 """Soft-mask protocol: component labeling, dilation geometry, threshold
 gating, and the protocol invariants."""
 
+import time
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from fuselab import (
     connected_components,
     dilate,
 )
+from fuselab import softmask
 from fuselab.errors import ConfigError, DimensionMismatchError
 from helpers import stack_from_rows
 from oracles import soft_mask_brute
@@ -226,8 +231,6 @@ class TestBuildSoftMask:
         """An unreachable ratio stops growing each component once a step
         adds no voxel (within nx + ny + nz steps on this grid), not at a
         huge cap; the mask is the one a cap of nx + ny + nz gives."""
-        from scipy import ndimage
-
         shape = (5, 6, 8)
         mask = np.zeros(shape)
         mask[1, 1, 1] = mask[3, 4, 6] = 1.0
@@ -237,7 +240,7 @@ class TestBuildSoftMask:
         cfg = dict(target_volume_ratio=1e9, connectivity=6, threshold_mode="fixed",
                    threshold_value=0.5)
         want = build_soft_mask(binary, flair, SoftMaskConfig(max_dilation_iters=sum(shape), **cfg))
-        dilation = ndimage.binary_dilation
+        dilation = softmask._dilation_step
         bound = 2 * (sum(shape) + 1)  # two components
         calls = []
 
@@ -246,13 +249,13 @@ class TestBuildSoftMask:
             assert len(calls) <= bound, "dilation went on after the region stopped growing"
             return dilation(*args, **kwargs)
 
-        monkeypatch.setattr(ndimage, "binary_dilation", counted)
+        monkeypatch.setattr(softmask, "_dilation_step", counted)
         got = build_soft_mask(binary, flair, SoftMaskConfig(max_dilation_iters=10**6, **cfg))
         np.testing.assert_array_equal(got.data, want.data)
         assert 0 < len(calls) <= bound
 
     def test_each_step_dilates_inside_the_grown_box(self, monkeypatch):
-        """Step s of a component dilates an array no larger than the
+        """Step s of a component dilates into an array no larger than the
         component's box plus s voxels per axis side, clipped at the grid."""
         shape = (12, 14, 16)
         mask = np.zeros(shape, dtype=bool)
@@ -266,14 +269,15 @@ class TestBuildSoftMask:
         cfg = SoftMaskConfig(target_volume_ratio=1e9, max_dilation_iters=steps)
         boxes = ndimage.find_objects(ndimage.label(mask, structure=np.ones((3, 3, 3)))[0])
         want = soft_mask_brute(mask, flair.as_3d(), ratio=1e9, max_iters=steps)
-        dilation = ndimage.binary_dilation
+        dilation = softmask._dilation_step
         shapes = []
 
-        def recorded(region, *args, **kwargs):
-            shapes.append(np.shape(region))
-            return dilation(region, *args, **kwargs)
+        def recorded(*args, **kwargs):
+            grown = dilation(*args, **kwargs)
+            shapes.append(grown.shape)
+            return grown
 
-        monkeypatch.setattr(ndimage, "binary_dilation", recorded)
+        monkeypatch.setattr(softmask, "_dilation_step", recorded)
         got = build_soft_mask(binary, flair, cfg)
         assert got.data.tobytes() == want.reshape(-1).tobytes()
         assert len(shapes) == len(boxes) * steps
@@ -368,6 +372,77 @@ class TestAgainstBruteForce:
                               VolumeGrid.from_3d(flair, GridKind.INTENSITY), cfg)
         want = soft_mask_brute(mask, flair, gamma, ratio, mode, value, connectivity, cap)
         assert got.data.tobytes() == want.reshape(-1).tobytes()
+
+
+@st.composite
+def masks(draw):
+    """An empty, full or random mask of any density; any axis may be one
+    voxel long."""
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) < density
+
+
+# The 13 offset pairs {o, -o} of the 3x3x3 box, origin excluded, faces first.
+_PAIRS = sorted({min(o, tuple(-c for c in o)) for o in product((-1, 0, 1), repeat=3)} - {(0, 0, 0)},
+                key=lambda o: sum(map(abs, o)))
+
+
+def serpentine(n):
+    """One 6-connected path through an n^3 grid (n a multiple of 4): full rows
+    in the even planes, joined at alternating row ends, and the planes joined
+    through the odd ones at alternating corners."""
+    path = np.zeros((n, n, n), dtype=bool)
+    path[::2, ::2, :] = True
+    path[::2, 1::4, -1] = path[::2, 3::4, 0] = True
+    path[1::4, -2, 0] = path[3::4, 0, 0] = True
+    return path
+
+
+class TestAgainstNdimage:
+    """The numpy labeling, boxes and dilation equal SciPy's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask=masks(), connectivity=st.sampled_from([6, 18, 26]))
+    def test_labels_equal_ndimage(self, mask, connectivity):
+        structure = StructuringElement.from_connectivity(connectivity).as_array()
+        want, count = ndimage.label(mask, structure)
+        labels, comps = connected_components(VolumeGrid.from_3d(mask, GridKind.BINARY),
+                                             connectivity)
+        assert labels.dtype == want.dtype
+        np.testing.assert_array_equal(labels, want.reshape(-1))
+        assert len(comps) == count
+        assert softmask._boxes(want, count) == ndimage.find_objects(want)
+
+    @pytest.mark.parametrize("iters", [0, 1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(mask=masks(), pairs=st.sets(st.sampled_from(_PAIRS[3:])) | st.just(set(_PAIRS)))
+    def test_dilate_equals_ndimage(self, mask, pairs, iters):
+        offsets = {(0, 0, 0)} | {s for o in {*_PAIRS[:3], *pairs} for s in (o, tuple(-c for c in o))}
+        se = StructuringElement(tuple(sorted(offsets)))
+        got = dilate(VolumeGrid.from_3d(mask, GridKind.BINARY), se, iters)
+        # ndimage reads iterations=0 as "until nothing changes".
+        want = ndimage.binary_dilation(mask, se.as_array(), iterations=iters) if iters else mask
+        np.testing.assert_array_equal(got.as_3d() > 0.5, want)
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    @pytest.mark.parametrize("mask", [np.ones((64,) * 3, dtype=bool), serpentine(64)],
+                             ids=["full", "serpentine"])
+    def test_64_cubed_labels_in_a_second_and_64_bytes_per_voxel(self, mask, connectivity):
+        """One component either way: a flood of pairs, or one long path."""
+        grid = VolumeGrid.from_3d(mask, GridKind.BINARY)
+        start = time.perf_counter()
+        labels, comps = connected_components(grid, connectivity)
+        assert time.perf_counter() - start < 1.0
+        assert len(comps) == 1 and ndimage.label(mask)[1] == 1
+        np.testing.assert_array_equal(labels, mask.reshape(-1))
+        tracemalloc.start()
+        try:
+            connected_components(grid, connectivity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * mask.size
 
 
 class TestBuildSoftStack:
