@@ -41,10 +41,10 @@ from .errors import (
 from .metrics import precision_recall
 from .soft_staple import run_em, run_soft_em
 from .softmask import CONNECTIVITY_RANK, SoftMaskConfig, build_soft_stack
-from .staple import MSTEP_MODES, VARIANTS, FusionConfig, binarize
-from .svol_io import read_svol, write_svol
+from .staple import MSTEP_MODES, VARIANTS, FusionConfig, binarize, fold_votes, id_order
+from .svol_io import read_svol, read_svol_header, write_svol
 from .synth import generate_phantom, load_simulation_config, simulate_raters
-from .volume import ExpertStack, GridKind
+from .volume import Dim3, ExpertStack, GridKind, check_members
 from .volume import validate_stack  # noqa: F401  (perfbench's traced pass wraps this name)
 
 
@@ -194,7 +194,7 @@ def _config_flags(path: str, defaults: dict) -> list[str]:
     to check. Values are strings or numbers; an on/off flag takes a boolean."""
     try:
         doc = json.loads(_read(lambda p: Path(p).read_text(encoding="utf-8"), path))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also the int-digit limit, beside bad UTF-8 and JSON
         raise ConfigError(f"--config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
@@ -244,12 +244,26 @@ def _read(read, path):
         raise InputReadError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _load_stack(paths) -> ExpertStack:
-    grids = [_read(read_svol, p) for p in paths]
+def _check_headers(paths) -> tuple[list[str], Dim3, GridKind]:
+    """The experts' ids (file stems, or the paths where stems collide), dims
+    and kind, once every header checks out as a stack member; no payload
+    is read."""
     ids = [Path(p).stem for p in paths]
     if len(set(ids)) != len(ids):
         ids = [str(p) for p in paths]
-    return ExpertStack(tuple(grids), tuple(ids))
+    pipes = [p for p in paths if os.path.exists(p) and not os.path.isfile(p)]
+    if pipes:  # read_svol opens each input again, for its payload; a pipe would be empty
+        raise InputReadError(f"{pipes[0]} is not a regular file, so it cannot be read twice")
+    dims, kinds = zip(*(_read(read_svol_header, p) for p in paths))
+    check_members(ids, dims, kinds)
+    return ids, dims[0], kinds[0]
+
+
+def _read_row(path, dims: Dim3, kind: GridKind) -> numpy.ndarray:
+    grid = _read(read_svol, path)
+    if (grid.dims, grid.kind) != (dims, kind):
+        raise SvolError(f"{path}: header changed while the inputs were read")
+    return grid.data
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -313,25 +327,28 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
     config = _from_options(FusionConfig, _FUSION_OPTIONS, resolved)
     softmask = _softmask_config(resolved)
 
-    stack = _load_stack(args.inputs)
     inputs = list(args.inputs)
-    if stack.kind is GridKind.BINARY and config.variant != "binary":
+    ids, dims, kind = _check_headers(inputs)
+    if kind is GridKind.BINARY and config.variant != "binary":
         if not args.flair:
             raise ConfigError(
                 "binary inputs need --variant binary, or --flair to build "
                 "soft masks for the soft variants"
             )
-        flair = _read(read_svol, args.flair)
-        stack = build_soft_stack(stack, flair, softmask)
+        stack = ExpertStack(tuple(_read(read_svol, p) for p in inputs), tuple(ids))
+        votes = build_soft_stack(stack, _read(read_svol, args.flair), softmask)
         inputs.append(args.flair)
+    else:  # one payload at a time, dropped once folded into the vote patterns
+        order = id_order(ids)
+        votes = fold_votes((_read_row(inputs[i], dims, kind) for i in order), order, kind, dims)
 
     filenames = ["posterior.svol", "params.json"]
     if resolved["binarize"]:
         filenames.insert(1, "consensus.svol")
     with _outputs(args, filenames, inputs, resolved, started) as temps:
         # One runner under two names: perfbench's traced pass labels its spans by the name.
-        result = (run_em(stack, config) if config.variant == "binary"
-                  else run_soft_em(stack, config))
+        result = (run_em(votes, config) if config.variant == "binary"
+                  else run_soft_em(votes, config))
         by_name = dict(zip(filenames, temps))
         write_svol(result.posterior, by_name["posterior.svol"])
         if resolved["binarize"]:
@@ -341,7 +358,7 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
             {
                 "variant": config.variant,
                 "prior": result.prior,
-                "expert_ids": list(stack.expert_ids),
+                "expert_ids": ids,
                 "sens": [float(v) for v in result.params.sens],
                 "spec": [float(v) for v in result.params.spec],
                 "ll_trace": [float(v) for v in result.ll_trace],
@@ -356,7 +373,8 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
 
 def _cmd_softmask(args, resolved: dict, started: float) -> int:
     cfg = _softmask_config(resolved)
-    stack = _load_stack(args.inputs)
+    ids, _, _ = _check_headers(args.inputs)
+    stack = ExpertStack(tuple(_read(read_svol, p) for p in args.inputs), tuple(ids))
     flair = _read(read_svol, args.flair)
 
     filenames = [Path(p).name for p in args.inputs]

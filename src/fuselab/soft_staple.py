@@ -41,7 +41,6 @@ from .staple import (
     _votes,
     e_step,
     log_likelihood,
-    resolve_prior,
     vote_patterns,
 )
 from .volume import ExpertStack, GridKind, VolumeGrid
@@ -540,22 +539,20 @@ class _McModel(_PatternModel):
         return w1
 
 
-def run_em(stack: ExpertStack, config: FusionConfig | None = None) -> FusionResult:
-    """Full EM fusion under the configured variant (see ``_em_loop``): the
-    "binary" variant takes a binary stack, the soft variants a soft one. The
-    trace records the objective the variant's EM ascends: the binary model's,
-    the exact model's, the sampled model's (which estimates it) or the
-    noisy-channel one. A binary stack's "auto" prior is summed over its
-    patterns, an exact integer, so it equals ``resolve_prior``'s."""
+def run_em(x: ExpertStack | VotePatterns, config: FusionConfig | None = None) -> FusionResult:
+    """Full EM fusion, under the configured variant (see ``_em_loop``), of a
+    stack or of its patterns: the "binary" variant takes a binary stack, the
+    soft variants a soft one. The trace records the objective the variant's
+    EM ascends: the binary model's, the exact model's, the sampled model's
+    (which estimates it) or the noisy-channel one. The "auto" prior comes
+    from ``VotePatterns.votes``, so it equals ``resolve_prior``'s."""
     config = config or FusionConfig()
     kind = GridKind.BINARY if config.variant == "binary" else GridKind.SOFT
-    if stack.kind is not kind:
+    if x.kind is not kind:
         raise ConfigError(f"variant {config.variant!r} needs a {kind.value} stack")
-    patterns = vote_patterns(stack)
-    if kind is GridKind.BINARY and config.prior == AUTO_PRIOR:
-        prior = _mean_vote_prior(float(patterns.columns.sum(axis=0) @ patterns.counts), stack)
-    else:
-        prior = resolve_prior(stack, config.prior)
+    patterns = x if isinstance(x, VotePatterns) else vote_patterns(x)
+    prior = (_mean_vote_prior(patterns.votes, patterns.order.size, patterns.dims)
+             if config.prior == AUTO_PRIOR else _check_prior(config.prior))
     if config.variant == "soft-exact":
         model = _ExactModel(patterns, prior)
     elif config.variant == "soft-mc":

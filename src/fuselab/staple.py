@@ -147,7 +147,7 @@ def resolve_prior(stack: ExpertStack, prior: float | str) -> float:
     """Materialize the prior: grand mean of all votes when "auto"."""
     if prior == AUTO_PRIOR:
         votes = sum(float(np.sum(stack.experts[i].data)) for i in canonical_order(stack))
-        return _mean_vote_prior(votes, stack)
+        return _mean_vote_prior(votes, stack.m, stack.dims)
     return _check_prior(prior)
 
 
@@ -160,13 +160,18 @@ def _check_prior(prior) -> float:
     return p
 
 
-def _mean_vote_prior(votes: float, stack: ExpertStack) -> float:
-    return float(np.clip(votes / (stack.m * stack.dims.n), CLAMP_LO, CLAMP_HI))
+def _mean_vote_prior(votes: float, m: int, dims: Dim3) -> float:
+    return float(np.clip(votes / (m * dims.n), CLAMP_LO, CLAMP_HI))
 
 
 def canonical_order(stack: ExpertStack) -> np.ndarray:
     """Expert indices sorted by id; fixes every reduction order."""
-    return np.array(sorted(range(stack.m), key=lambda i: stack.expert_ids[i]))
+    return id_order(stack.expert_ids)
+
+
+def id_order(ids) -> np.ndarray:
+    """Indices of ``ids`` in sorted-id (canonical) order."""
+    return np.array(sorted(range(len(ids)), key=lambda i: ids[i]))
 
 
 @dataclass(frozen=True)
@@ -174,13 +179,15 @@ class VotePatterns:
     """The distinct vote columns of a stack: ``columns`` is (m, u), rows in
     canonical expert order (``order``), columns in lexicographic order;
     ``counts`` holds how many voxels carry each column and ``inverse``
-    maps every voxel to its column."""
+    maps every voxel to its column. ``votes`` is :func:`resolve_prior`'s sum."""
 
     order: np.ndarray
     columns: np.ndarray
     counts: np.ndarray
     inverse: np.ndarray
     dims: Dim3
+    kind: GridKind
+    votes: float
 
     def restore(self, sens: np.ndarray, spec: np.ndarray) -> RaterParams:
         """Canonical-order estimates back in the stack's own expert order."""
@@ -189,28 +196,39 @@ class VotePatterns:
 
 
 def vote_patterns(stack: ExpertStack) -> VotePatterns:
-    """Group the voxels of a stack by their column of votes.
-
-    Each expert's values become level indices (binary votes have two
-    levels), combined in place into mixed-radix codes in canonical expert
-    order, held in the smallest unsigned dtype that fits the code range
-    (uint8 for up to 8 binary experts). When the next digit would pass
-    2^64, the running codes are first compacted to their ranks, which keeps
-    the columns sorted. The codes are grouped by ``_group_keys``; binary
-    columns are decoded from the code bits.
-    """
+    """Group the voxels of a stack by their column of votes: the stack's
+    rows through :func:`fold_votes`."""
     order = canonical_order(stack)
-    binary = stack.kind is GridKind.BINARY
-    code = np.zeros(stack.dims.n, dtype=np.uint8)
+    return fold_votes((stack.experts[i].data for i in order), order, stack.kind, stack.dims)
+
+
+def fold_votes(rows, order, kind: GridKind, dims: Dim3) -> VotePatterns:
+    """The :class:`VotePatterns` of the flat vote rows that ``rows`` yields
+    one at a time, in canonical expert order (``order``).
+
+    Each row becomes level indices (binary votes have the levels 0 and 1,
+    soft ones their distinct values), folded in place into mixed-radix codes
+    in the smallest unsigned dtype that fits the code range (uint8 for up
+    to 8 binary experts), and is dropped: the fold keeps only the codes and
+    each row's levels and vote sum. When the next digit would pass 2^64,
+    the running codes are first compacted to their ranks, which keeps the
+    columns sorted. The codes are grouped by ``_group_keys``, and the
+    columns decoded from the code values through each rank table.
+    """
+    code = np.zeros(dims.n, dtype=np.uint8)
     bound = 1
-    for i in order:
-        row = stack.experts[i].data
-        if binary:
-            radix, digit = 2, row != 0.0
+    votes = 0.0
+    steps = []  # per expert: its levels, and the rank table compacted before it (or None)
+    for row in rows:
+        if kind is GridKind.BINARY:
+            levels, digit = np.array([0.0, 1.0]), row != 0.0
+            votes += np.count_nonzero(digit)  # np.sum(row), exactly, at a fifth of the time
         else:
             levels = np.unique(row)
-            radix = levels.size
-            digit = np.searchsorted(levels, row).astype(np.min_scalar_type(radix - 1))
+            digit = np.searchsorted(levels, row).astype(np.min_scalar_type(levels.size - 1))
+            votes += float(np.sum(row))
+        del row  # so the next row is read with this one gone
+        radix, ranks = levels.size, None
         if bound * radix > _CODE_SPAN:
             ranks, code = np.unique(code, return_inverse=True)
             bound = ranks.size
@@ -219,15 +237,16 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
             code *= radix
         code += digit
         bound *= radix
+        steps.append((levels, ranks))
     values, counts, inverse = _group_keys(code, bound, inverse=True)
-    if binary and bound == 1 << order.size:  # not compacted: codes are the vote bits
-        shifts = np.arange(order.size - 1, -1, -1, dtype=values.dtype)
-        columns = ((values >> shifts[:, None]) & 1).astype(np.float64)
-    else:
-        first = np.empty(counts.size, dtype=np.int64)
-        first[inverse] = np.arange(inverse.size)
-        columns = np.stack([stack.experts[i].data[first] for i in order])
-    return VotePatterns(order, columns, counts.astype(np.float64), inverse, stack.dims)
+    columns = np.empty((len(steps), values.size))
+    for column_row, (levels, ranks) in zip(columns[::-1], reversed(steps)):
+        values, digit = np.divmod(values, levels.size)
+        column_row[:] = levels[digit]
+        if ranks is not None:
+            values = ranks[values]
+    return VotePatterns(np.asarray(order), columns, counts.astype(np.float64), inverse, dims,
+                        kind, votes)
 
 
 def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None):
@@ -240,7 +259,8 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None)
     if span <= 2 * key.size:
         counts = np.bincount(key, weights, minlength=span)
         values = np.flatnonzero(counts)
-        index = (np.cumsum(counts > 0) - 1).take(key) if inverse else None
+        # Indexing casts a narrow key block by block; take would copy it whole to intp.
+        index = (np.cumsum(counts > 0) - 1)[key] if inverse else None
         return values, counts[values], index
     values, index = np.unique(key, return_inverse=True)
     return values, np.bincount(index, weights), index if inverse else None

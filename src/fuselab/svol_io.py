@@ -54,35 +54,14 @@ def write_svol(grid: VolumeGrid, path) -> None:
 def read_svol(path) -> VolumeGrid:
     """Parse and validate an SVOL file into a VolumeGrid.
 
-    The payload size is checked against the file size before anything is
-    allocated for it; the payload is then read straight into one aligned
-    float64 array, block by block, and each block's values are checked
-    while it is still in cache. A pipe, whose size is known only once it
-    has been read, is read whole first."""
+    :func:`read_svol_header` checks the payload size against the file size
+    before anything is allocated for it; the payload is then read straight
+    into one aligned float64 array, block by block, and each block's values
+    are checked while it is still in cache. A pipe, whose size is known
+    only once it has been read, is read whole first."""
     with open(path, "rb") as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        size = fh.seek(0, os.SEEK_END)
-        fh.seek(0)
-        prefix = fh.read(_PREFIX_LEN)
-        if len(prefix) < len(MAGIC) or prefix[: len(MAGIC)] != MAGIC:
-            raise BadMagicError(f"{path}: not an SVOL file (bad magic)")
-        if len(prefix) < _PREFIX_LEN:
-            raise HeaderError(f"{path}: file ends before the header length field")
-        (hlen,) = struct.unpack_from(_HEADER_LEN_FMT, prefix, len(MAGIC))
-        got = size - _PREFIX_LEN - hlen
-        if got < 0:
-            raise HeaderError(f"{path}: declared header length {hlen} overruns the file")
-        dims, kind = _parse_header(fh.read(hlen), path)
-
-        expected = dims.n * 8
-        if got < expected:
-            raise TruncatedPayloadError(
-                f"{path}: payload holds {got} bytes, expected {expected}"
-            )
-        if got > expected:
-            raise TrailingDataError(
-                f"{path}: {got - expected} trailing byte(s) after the payload"
-            )
+        dims, kind = read_svol_header(path, fh)
         data = np.empty(dims.n, dtype="<f8")
         for lo in range(0, dims.n, _CHECK_BLOCK):
             block = data[lo : lo + _CHECK_BLOCK]
@@ -90,6 +69,33 @@ def read_svol(path) -> VolumeGrid:
                 raise TruncatedPayloadError(f"{path}: file shrank while it was read")
             _check_values(block, kind)
     return VolumeGrid._owned(dims, data, kind)
+
+
+def read_svol_header(path, fh=None) -> tuple[Dim3, GridKind]:
+    """The dims and kind of the SVOL file ``path``, once its magic, header
+    and payload size check out; no payload byte is read. Given the open
+    file ``fh``, reads it from the start and leaves it at the payload."""
+    if fh is None:
+        with open(path, "rb") as raw:
+            return read_svol_header(path, raw if raw.seekable() else io.BytesIO(raw.read()))
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    prefix = fh.read(_PREFIX_LEN)
+    if len(prefix) < len(MAGIC) or prefix[: len(MAGIC)] != MAGIC:
+        raise BadMagicError(f"{path}: not an SVOL file (bad magic)")
+    if len(prefix) < _PREFIX_LEN:
+        raise HeaderError(f"{path}: file ends before the header length field")
+    (hlen,) = struct.unpack_from(_HEADER_LEN_FMT, prefix, len(MAGIC))
+    got = size - _PREFIX_LEN - hlen
+    if got < 0:
+        raise HeaderError(f"{path}: declared header length {hlen} overruns the file")
+    dims, kind = _parse_header(fh.read(hlen), path)
+    expected = dims.n * 8
+    if got < expected:
+        raise TruncatedPayloadError(f"{path}: payload holds {got} bytes, expected {expected}")
+    if got > expected:
+        raise TrailingDataError(f"{path}: {got - expected} trailing byte(s) after the payload")
+    return dims, kind
 
 
 def _parse_header(blob: bytes, path) -> tuple[Dim3, GridKind]:

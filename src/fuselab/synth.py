@@ -181,7 +181,7 @@ def load_simulation_config(path) -> tuple[PhantomSpec, list[RaterSpec]]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # also the int-digit limit, beside bad UTF-8 and JSON
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_simulation_config(doc)
 

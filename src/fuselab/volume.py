@@ -228,27 +228,25 @@ def check_grid(name: str, grid, kinds, like=None) -> None:
 
 def validate_stack(stack: ExpertStack) -> None:
     """Check all ExpertStack invariants, raising a specific StackError."""
-    if stack.m < 1:
+    check_members(stack.expert_ids, [g.dims for g in stack.experts],
+                  [g.kind for g in stack.experts])
+
+
+def check_members(ids, dims, kinds) -> None:
+    """Check the members of a stack, given as their ids, dims and kinds: at
+    least one, one distinct id each, all binary or all soft, with equal
+    dims. Raises the StackError a stack of them would raise."""
+    if len(dims) < 1:
         raise EmptyStackError("a stack needs at least one expert")
-    if len(stack.expert_ids) != stack.m:
-        raise DuplicateExpertIdError(
-            f"{len(stack.expert_ids)} ids for {stack.m} expert grids"
-        )
-    if len(set(stack.expert_ids)) != stack.m:
-        raise DuplicateExpertIdError(
-            f"expert ids are not distinct: {sorted(stack.expert_ids)}"
-        )
-    dims = stack.experts[0].dims
-    kind = stack.experts[0].kind
-    if kind not in (GridKind.BINARY, GridKind.SOFT):
-        raise MixedKindError(f"stack grids must be binary or soft, got {kind.value}")
-    for g, eid in zip(stack.experts, stack.expert_ids):
-        if g.dims != dims:
+    if len(ids) != len(dims):
+        raise DuplicateExpertIdError(f"{len(ids)} ids for {len(dims)} expert grids")
+    if len(set(ids)) != len(ids):
+        raise DuplicateExpertIdError(f"expert ids are not distinct: {sorted(ids)}")
+    if kinds[0] not in (GridKind.BINARY, GridKind.SOFT):
+        raise MixedKindError(f"stack grids must be binary or soft, got {kinds[0].value}")
+    for eid, shape, kind in zip(ids, dims, kinds):
+        if shape != dims[0]:
             raise DimensionMismatchError(
-                f"expert {eid!r} has dims {g.dims.as_tuple()}, "
-                f"expected {dims.as_tuple()}"
-            )
-        if g.kind is not kind:
-            raise MixedKindError(
-                f"expert {eid!r} has kind {g.kind.value}, expected {kind.value}"
-            )
+                f"expert {eid!r} has dims {shape.as_tuple()}, expected {dims[0].as_tuple()}")
+        if kind is not kinds[0]:
+            raise MixedKindError(f"expert {eid!r} has kind {kind.value}, expected {kinds[0].value}")
