@@ -13,15 +13,10 @@ from .metrics import (
     param_recovery_error,
     precision_recall,
     soft_dice,
-    soft_dice_loss,
 )
 from .soft_staple import (
     ENUMERATION_GUARD,
-    VoteCombination,
-    combination_matrix,
-    joint_soft_prob,
     mc_soft_e_step_voxel,
-    noisy_channel_likelihood,
     run_em,
     run_soft_em,
     simple_e_step,
@@ -45,7 +40,6 @@ from .staple import (
     FusionConfig,
     FusionResult,
     RaterParams,
-    annotation_likelihood,
     binarize,
     e_step,
     log_likelihood,
@@ -88,24 +82,19 @@ __all__ = [
     "SoftMaskConfig",
     "StructuringElement",
     "VolumeGrid",
-    "VoteCombination",
-    "annotation_likelihood",
     "binarize",
     "build_soft_mask",
     "build_soft_stack",
-    "combination_matrix",
     "connected_components",
     "dilate",
     "e_step",
     "errors",
     "generate_phantom",
-    "joint_soft_prob",
     "linear_index",
     "load_simulation_config",
     "log_likelihood",
     "m_step",
     "mc_soft_e_step_voxel",
-    "noisy_channel_likelihood",
     "param_recovery_error",
     "posterior_voxel",
     "precision_recall",
@@ -119,7 +108,6 @@ __all__ = [
     "simple_m_step",
     "simulate_raters",
     "soft_dice",
-    "soft_dice_loss",
     "soft_e_step",
     "soft_e_step_voxel",
     "soft_log_likelihood",

@@ -65,7 +65,7 @@ def _from_options(config_cls, renames: dict, resolved: dict, **fixed):
                                   for f in fields(config_cls) if f.name not in fixed})
 
 
-_RUN_DEFAULTS = {"seed": None, "threads": 1, "force": False}
+_RUN_DEFAULTS = {"seed": None, "force": False}
 
 _SOFTMASK = SoftMaskConfig()
 _SOFTMASK_DEFAULTS = {
@@ -97,7 +97,6 @@ def main(argv=None) -> int:
             flags = _config_flags(args.config, args.options)
             args = _PARSER.parse_args(argv[:at] + flags + argv[at:])
         resolved = {key: getattr(args, key) for key in args.options}
-        check_number("--threads", resolved["threads"], integral=True, ge=1)
         if resolved["seed"] is not None:
             check_number("--seed", resolved["seed"], integral=True, ge=0, lt=SEED_SPAN)
         return args.handler(args, resolved, started)
@@ -180,8 +179,6 @@ def _softmask_flags(cmd: argparse.ArgumentParser) -> None:
 
 def _command_flags(cmd: argparse.ArgumentParser, handler, defaults: dict) -> None:
     """The flags every command shares, its handler, and its option defaults."""
-    cmd.add_argument("--threads", type=int,
-                     help="reserved: recorded in the manifest, no effect yet")
     cmd.add_argument("--seed", type=int, help="run seed where the command uses one")
     cmd.add_argument("--force", action="store_true",
                      help="allow overwriting existing output files")
@@ -329,7 +326,12 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
 
     inputs = list(args.inputs)
     ids, dims, kind = _check_headers(inputs)
-    if kind is GridKind.BINARY and config.variant != "binary":
+    builds_soft = kind is GridKind.BINARY and config.variant != "binary"
+    if args.flair is not None and not builds_soft:
+        raise ConfigError("--flair builds soft masks from binary inputs for a soft variant; "
+                          f"it does not apply to {kind.value} inputs under variant "
+                          f"{config.variant!r}")
+    if builds_soft:
         if not args.flair:
             raise ConfigError(
                 "binary inputs need --variant binary, or --flair to build "

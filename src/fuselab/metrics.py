@@ -43,18 +43,13 @@ def soft_dice(truth: VolumeGrid, pred: VolumeGrid) -> float:
     """Smoothed Dice overlap on fractional labels.
 
     ``(sum(T*P) + eps) / (0.5*sum(P) + 0.5*sum(T) + eps)``; two empty
-    grids score 1 by the eps convention. Use ``soft_dice_loss`` for the
-    negated training-style value.
+    grids score 1 by the eps convention.
     """
     _check_pair(truth, pred)
     t, p = truth.data, pred.data
     return float(
         (np.sum(t * p) + DICE_EPS) / (0.5 * np.sum(p) + 0.5 * np.sum(t) + DICE_EPS)
     )
-
-
-def soft_dice_loss(truth: VolumeGrid, pred: VolumeGrid) -> float:
-    return -soft_dice(truth, pred)
 
 
 def precision_recall(

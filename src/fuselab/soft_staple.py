@@ -18,8 +18,6 @@ Both reduce exactly to the binary algorithm on hard votes; ``run_em`` runs all f
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SEED_SPAN, ConfigError, _refuse_over, check_number
@@ -89,46 +87,6 @@ _DRAW_BLOCK = 2**18
 _CODE_BITS = 62
 
 
-@dataclass(frozen=True)
-class VoteCombination:
-    """One joint hard-vote assignment for m experts.
-
-    ``code`` encodes the bits as an integer with expert 0 in the least
-    significant bit; enumeration order is ascending code.
-    """
-
-    m: int
-    code: int
-
-    def __post_init__(self):
-        check_enumeration(self.m)
-        check_number("code", self.code, integral=True, ge=0, lt=2**self.m)
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.code >> i) & 1 for i in range(self.m))
-
-
-def combination_matrix(m: int) -> np.ndarray:
-    """All 2^m combinations as a (2^m, m) 0/1 float array, ascending code."""
-    check_enumeration(m)
-    return _code_bits(np.arange(2**m), m).T
-
-
-def joint_soft_prob(soft_votes, combo: VoteCombination) -> float:
-    """Probability of one joint hard-vote combination under the soft votes."""
-    q = _votes(soft_votes, combo.m)
-    bits = np.array(combo.bits(), dtype=np.float64)
-    return float(np.prod(np.where(bits == 1.0, q, 1.0 - q)))
-
-
-def check_enumeration(m: int, alternative: str = "") -> None:
-    """Refuse an expert count ``m`` that is not a positive integer, or exact
-    enumeration over more than :data:`ENUMERATION_GUARD` experts;
-    ``alternative`` names what to use instead."""
-    check_number("m", m, integral=True, ge=1)
-    _refuse_over(m, ENUMERATION_GUARD, "experts for exact enumeration", alternative)
-
-
 def _joint_votes(q_cols: np.ndarray):
     """Yield (column indices, hard-vote codes, weights) per chunk of columns.
 
@@ -172,7 +130,8 @@ class _ExactModel(_PatternModel):
 
     def __init__(self, patterns: VotePatterns, prior: float):
         m = patterns.order.size
-        check_enumeration(m, "select variant 'soft-mc' instead")
+        _refuse_over(m, ENUMERATION_GUARD, "experts for exact enumeration",
+                     "select variant 'soft-mc' instead")
         k = np.count_nonzero((patterns.columns > 0.0) & (patterns.columns < 1.0), axis=0)
         _refuse_over(int(np.exp2(k).sum()), EXACT_TERM_LIMIT, "joint-vote terms (distinct "
                      "columns x 2^k)", "select variant 'soft-mc' instead")
@@ -198,7 +157,8 @@ def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
     """Exact soft posterior for one voxel: the binary posterior averaged
     over the joint hard votes the soft votes allow, weighted by them."""
     q = _votes(soft_votes, params.m)
-    check_enumeration(q.size, "use mc_soft_e_step_voxel instead")
+    _refuse_over(q.size, ENUMERATION_GUARD, "experts for exact enumeration",
+                 "use mc_soft_e_step_voxel instead")
     prior = _check_prior(prior)
     _, codes, w = next(_joint_votes(q[:, None]))
     p1 = _binary_posterior_arrays(_code_bits(codes[0], q.size), params, prior)[1]
@@ -438,13 +398,6 @@ def mc_soft_e_step_voxel(
                                       np.array([voxel_index]), samples, seed)
     p1 = _binary_posterior_arrays(_code_bits(code, q.size), params, prior)[1]
     return float(np.clip(_voxel_means(sizes, counts, p1, samples)[0], 0.0, 1.0))
-
-
-def noisy_channel_likelihood(q1: float, a: int, sens: float, spec: float) -> float:
-    """Likelihood of a soft vote under the noisy-channel observation model."""
-    if a == 1:
-        return q1 * sens + (1.0 - q1) * (1.0 - sens)
-    return q1 * (1.0 - spec) + (1.0 - q1) * spec
 
 
 def simple_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:

@@ -323,13 +323,6 @@ def _channel_posterior_arrays(q: np.ndarray, params: RaterParams, prior: float):
                                np.log(prior) + np.log(l1).sum(axis=0)), l0, l1)
 
 
-def annotation_likelihood(votes, a: int, params: RaterParams) -> float:
-    """p(votes | x=a): product over experts of the per-vote likelihood."""
-    y = _votes(votes, params.m)
-    log_l0, log_l1 = _log_class_likelihoods(y[:, None], params.sens, params.spec)
-    return float(np.exp(log_l1[0] if a == 1 else log_l0[0]))
-
-
 def posterior_voxel(votes, params: RaterParams, prior: float) -> float:
     """Bayes posterior that the voxel's true label is 1 given hard votes."""
     y = _votes(votes, params.m)

@@ -310,12 +310,11 @@ def test_criterion_10_bit_exact_io_and_run_determinism(tmp_path):
     outputs = []
     for run in ("one", "two"):
         sim_out = tmp_path / f"sim_{run}"
-        assert cli_main(["simulate", str(sim_cfg), "-o", str(sim_out),
-                         "--threads", "1"]) == 0
+        assert cli_main(["simulate", str(sim_cfg), "-o", str(sim_out)]) == 0
         fuse_out = tmp_path / f"cons_{run}"
         experts = sorted(str(p) for p in sim_out.glob("expert_*.svol"))
         assert cli_main(["fuse", "--variant", "binary", *experts,
-                         "-o", str(fuse_out), "--binarize", "--threads", "1"]) == 0
+                         "-o", str(fuse_out), "--binarize"]) == 0
         outputs.append((sim_out, fuse_out))
 
     (sim1, cons1), (sim2, cons2) = outputs
@@ -332,4 +331,4 @@ def test_criterion_10_bit_exact_io_and_run_determinism(tmp_path):
         doc["inputs"] = [p.rsplit("_", 1)[-1] for p in doc["inputs"]]
         doc["outputs"] = [p.rsplit("/", 1)[-1] for p in doc["outputs"]]
     assert m1 == m2
-    assert m1["config"]["threads"] == 1
+    assert m1["config"]["binarize"] is True

@@ -244,6 +244,24 @@ class TestFuse:
         assert main(["fuse", "--variant", "soft-exact", *paths, "--flair", str(flair),
                      "-o", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("variant, kind", [
+        ("binary", GridKind.BINARY), ("binary", GridKind.SOFT),
+        ("soft-exact", GridKind.SOFT), ("simplified", GridKind.SOFT), ("soft-mc", GridKind.SOFT),
+    ])
+    def test_flair_with_no_soft_mask_to_build_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                       variant, kind):
+        """--flair feeds binary inputs to a soft variant; anywhere else it is refused
+        once the headers are checked, before any payload (or the flair) is read."""
+        paths = _write_experts(tmp_path, np.tile([1.0, 1.0, 0.0, 0.0], (3, 1)), kind)
+        calls = []
+        monkeypatch.setattr(fuselab.cli, "read_svol", calls.append)
+        out = tmp_path / "o"
+        assert main(["fuse", "--variant", variant, *paths, "--flair",
+                     str(tmp_path / "missing.svol"), "-o", str(out)]) == 2
+        assert "--flair builds soft masks from binary inputs" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_inputs_with_one_stem_are_named_by_path(self, tmp_path):
         rows = [[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]]
         paths = []
@@ -446,7 +464,6 @@ class TestResolvedDefaults:
             "threshold_mode": "percentile:10",
             "connectivity": 26,
             "max_dilation_iters": 10,
-            "threads": 1,
             "force": False,
         }
 
@@ -464,7 +481,6 @@ class TestResolvedDefaults:
             "connectivity": 26,
             "max_dilation_iters": 10,
             "seed": None,
-            "threads": 1,
             "force": False,
         }
 
@@ -727,9 +743,28 @@ class TestArgumentErrors:
     def test_missing_required_output(self, tmp_path):
         assert main(["fuse", "--variant", "binary", "x.svol"]) == 2
 
-    def test_bad_threads(self, sim_config, tmp_path):
-        assert main(["simulate", str(sim_config), "-o", str(tmp_path / "o"),
-                     "--threads", "0"]) == 2
+    @pytest.mark.parametrize("command", ["fuse", "softmask", "simulate", "eval"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_threads_is_not_an_option(self, sim_config, tmp_path, capsys, command, form):
+        """No command takes --threads, as a flag or as a --config key."""
+        mask = tmp_path / "expert.svol"
+        write_svol(grid([0.0, 1.0, 1.0, 0.0], dims=Dim3(2, 2, 1)), mask)
+        flair = tmp_path / "flair.svol"
+        write_svol(VolumeGrid(Dim3(2, 2, 1), np.full(4, 50.0), GridKind.INTENSITY), flair)
+        argv = {"fuse": ["fuse", "--variant", "binary", str(mask)],
+                "softmask": ["softmask", str(mask), "--flair", str(flair)],
+                "simulate": ["simulate", str(sim_config)],
+                "eval": ["eval", str(mask), str(mask)]}[command]
+        if form == "flag":
+            extra, message = ["--threads", "1"], "unrecognized arguments: --threads 1"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"threads": 1}))
+            extra, message = ["--config", str(cfg)], "unknown key(s): ['threads']"
+        out = tmp_path / "o"
+        assert main([*argv, "-o", str(out), *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -798,7 +833,7 @@ class TestConfigValuesParsedLikeFlags:
         assert config["force"] is False
 
 
-_COMMON = [["--threads"], ["--seed"], ["--force"], ["--config"]]
+_COMMON = [["--seed"], ["--force"], ["--config"]]
 
 
 class TestParserSurface:
@@ -835,13 +870,6 @@ class TestParserSurface:
 
 
 class TestNumberChecksOnTheCommandLine:
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_bad_threads_names_the_flag(self, sim_config, tmp_path, capsys, threads):
-        out = tmp_path / "o"
-        assert main(["simulate", str(sim_config), "-o", str(out), "--threads", threads]) == 2
-        assert f"--threads must lie in [1, inf], got {threads}" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("flags, field", [
         (["--gamma", "1"], "gamma"),
         (["--ratio", "nan"], "target_volume_ratio"),

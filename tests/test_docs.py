@@ -29,6 +29,14 @@ def test_readme_names_option(strings):
     )
 
 
+def test_readme_flags_are_options():
+    """Every --flag token of README's command-line section is an option of some command."""
+    section = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--\w[\w-]*", section))
+    known = {s for cmd in subcommands().values() for a in cmd._actions for s in a.option_strings}
+    assert named - known == set(), "README.md names options no command has"
+
+
 # Each limit, and where README states it: the group is a decimal or 2^k.
 LIMITS = [
     ("ENUMERATION_GUARD", soft_staple.ENUMERATION_GUARD,

@@ -4,6 +4,8 @@ module's ``__all__`` counts as used; an import line marked ``# noqa: F401``
 is kept on purpose and says why."""
 
 import ast
+import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fuselab"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -88,3 +91,49 @@ def test_no_cli_step_loads_scipy(tmp_path):
     report = json.loads(run.stdout.splitlines()[-1])
     steps = ["import fuselab.cli", "simulate", "fuse", "eval", "softmask", "fuse --flair"]
     assert report == {step: [0, []] for step in steps}
+
+
+def _fuselab_chains(path: Path) -> set[tuple[str, ...]]:
+    """The names after ``fuselab`` of each whole ``fuselab.<a>[.<b>...]``
+    attribute chain in a file, and of each ``from fuselab[.<a>] import <b>``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fuselab":
+            chains |= {(*node.module.split(".")[1:], a.name) for a in node.names}
+        elif isinstance(node, ast.Attribute) and id(node) not in inner:
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == "fuselab":
+                chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_benchmark_names_resolve(monkeypatch):
+    """Every fuselab name the benchmark's modules reach exists, and its traced
+    pass finds every name it wraps. ``test_perfbench.py`` is the benchmark's own
+    test, so it is left out."""
+    import fuselab.cli  # and with it every fuselab module
+
+    chains = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        if not path.name.startswith("test_"):
+            chains |= _fuselab_chains(path)
+    missing = [".".join(("fuselab", *chain)) for chain in sorted(chains)
+               if functools.reduce(lambda obj, name: getattr(obj, name, None), chain,
+                                   fuselab) is None]
+    assert chains
+    assert missing == []
+
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclass looks itself up there
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

@@ -12,7 +12,6 @@ from fuselab import (
     param_recovery_error,
     precision_recall,
     soft_dice,
-    soft_dice_loss,
 )
 from fuselab.errors import ConfigError, DimensionMismatchError
 from helpers import grid
@@ -32,11 +31,6 @@ class TestSoftDice:
         t = grid([1.0, 1.0, 0.0, 0.0])
         p = grid([1.0, 0.0, 1.0, 0.0])
         assert soft_dice(t, p) == pytest.approx(0.5, abs=1e-6)
-
-    def test_loss_is_negated_score(self):
-        t = grid([1.0, 0.0])
-        p = grid([0.4, 0.2], GridKind.SOFT)
-        assert soft_dice_loss(t, p) == -soft_dice(t, p)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(0)

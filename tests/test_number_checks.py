@@ -24,8 +24,6 @@ from fuselab import (
     RaterSpec,
     SoftMaskConfig,
     StructuringElement,
-    VoteCombination,
-    combination_matrix,
     connected_components,
     dilate,
     m_step,
@@ -100,9 +98,6 @@ ARGS = [
     Arg("samples", lambda v: _mc(samples=v), SAMPLES, True),
     Arg("seed", lambda v: _mc(seed=v), SEEDS, True),
     Arg("voxel_index", lambda v: _mc(voxel_index=v), SEEDS, True),
-    Arg("m", lambda v: VoteCombination(v, 0), "[1, inf]", True),
-    Arg("code", lambda v: VoteCombination(3, v), "[0, 8)", True),
-    Arg("m", combination_matrix, "[1, inf]", True),
 ]
 
 
@@ -248,12 +243,6 @@ class TestIntegersWhereIntegersAreMeant:
             _phantom(seed=1.5)
         with pytest.raises(ConfigError, match="seed must be an integer"):
             _rater(seed=2.7)
-
-    def test_combination_counts(self):
-        with pytest.raises(ConfigError, match="m must be an integer"):
-            VoteCombination(2.5, 1)
-        with pytest.raises(ConfigError, match="m must be an integer"):
-            combination_matrix(2.5)
 
 
 @pytest.mark.parametrize("kind", [GridKind.BINARY, GridKind.SOFT, GridKind.POSTERIOR])

@@ -13,15 +13,10 @@ from fuselab import (
     FusionConfig,
     GridKind,
     RaterParams,
-    VoteCombination,
-    annotation_likelihood,
-    combination_matrix,
     e_step,
-    joint_soft_prob,
     log_likelihood,
     m_step,
     mc_soft_e_step_voxel,
-    noisy_channel_likelihood,
     posterior_voxel,
     run_em,
     run_soft_em,
@@ -97,47 +92,6 @@ def _run_mixed(monkeypatch, stack, **cfg):
     return res
 
 
-class TestVoteCombination:
-    def test_bits_roundtrip(self):
-        combo = VoteCombination(m=3, code=5)
-        assert combo.bits() == (1, 0, 1)
-
-    def test_guard(self):
-        with pytest.raises(CapacityError):
-            VoteCombination(m=21, code=0)
-
-    def test_code_range(self):
-        with pytest.raises(ConfigError):
-            VoteCombination(m=2, code=4)
-
-    def test_matrix_order_lsb_is_first_expert(self):
-        mat = combination_matrix(3)
-        assert mat.shape == (8, 3)
-        np.testing.assert_array_equal(mat[1], [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(mat[6], [0.0, 1.0, 1.0])
-
-
-class TestJointSoftProb:
-    def test_degenerate_opinions(self):
-        q = [1.0, 0.0]
-        for code in range(4):
-            combo = VoteCombination(2, code)
-            expected = 1.0 if combo.bits() == (1, 0) else 0.0
-            assert joint_soft_prob(q, combo) == expected
-
-    def test_uniform(self):
-        for code in range(4):
-            assert joint_soft_prob([0.5, 0.5], VoteCombination(2, code)) == 0.25
-
-    def test_product(self):
-        got = joint_soft_prob([0.3, 0.9, 0.5], VoteCombination(3, 0b101))
-        assert got == pytest.approx(0.3 * 0.1 * 0.5, rel=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            joint_soft_prob([0.5], VoteCombination(2, 0))
-
-
 class TestSoftEStepVoxel:
     def test_degenerate_equals_hard_posterior(self):
         rng = np.random.default_rng(0)
@@ -210,15 +164,18 @@ class TestSoftLogLikelihood:
         assert got == pytest.approx(soft_loglik_brute(q, sens, spec, 0.4), rel=1e-10)
 
     def test_marginal_consistency(self):
-        # the joint soft weights over all combinations sum to one
+        # each column's joint hard-vote weights sum to one
+        from fuselab.soft_staple import _joint_votes
+
         rng = np.random.default_rng(5)
         for m in (1, 3, 7, 10):
-            q = rng.random(m)
-            mat = combination_matrix(m)
-            total = 0.0
-            for row in mat:
-                total += float(np.prod(np.where(row == 1.0, q, 1.0 - q)))
-            assert total == pytest.approx(1.0, abs=1e-12)
+            q = rng.random((m, 4))
+            seen = []
+            for cols, _, w in _joint_votes(q):
+                assert w.shape == (cols.size, 2**m)
+                np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+                seen.extend(cols)
+            assert sorted(seen) == [0, 1, 2, 3]
 
 
 class TestSoftMStep:
@@ -861,14 +818,12 @@ class TestPublicInputChecks:
             step([0.3, 1.0, 0.6], params(np.full(3, 0.9), np.full(3, 0.8)), prior)
 
     @pytest.mark.parametrize("step", [
-        lambda q, p: annotation_likelihood(q, 1, p),
         lambda q, p: posterior_voxel(q, p, 0.3),
         lambda q, p: soft_e_step_voxel(q, p, 0.3),
         lambda q, p: simple_e_step_voxel(q, p, 0.3),
         lambda q, p: mc_soft_e_step_voxel(q, p, 0.3, 50, seed=1),
-        lambda q, p: joint_soft_prob(q, VoteCombination(3, 1)),
-    ], ids=["annotation_likelihood", "posterior_voxel", "soft_e_step_voxel",
-            "simple_e_step_voxel", "mc_soft_e_step_voxel", "joint_soft_prob"])
+    ], ids=["posterior_voxel", "soft_e_step_voxel", "simple_e_step_voxel",
+            "mc_soft_e_step_voxel"])
     @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
     @pytest.mark.parametrize("at", [0, 2])
     def test_voxel_steps_refuse_a_vote_outside_0_1(self, step, bad, at):
@@ -877,21 +832,6 @@ class TestPublicInputChecks:
         q[at] = bad
         with pytest.raises(ConfigError, match=r"votes must lie in \[0, 1\]"):
             step(q, params(np.full(3, 0.9), np.full(3, 0.8)))
-
-
-class TestNoisyChannel:
-    def test_degenerate_input(self):
-        assert noisy_channel_likelihood(1.0, 1, 0.8, 0.9) == pytest.approx(0.8)
-        assert noisy_channel_likelihood(0.0, 0, 0.8, 0.9) == pytest.approx(0.9)
-
-    def test_mixture_value(self):
-        got = noisy_channel_likelihood(0.3, 1, 0.8, 0.7)
-        assert got == pytest.approx(0.3 * 0.8 + 0.7 * 0.2, rel=1e-12)
-
-    def test_half_vote_symmetric_rater(self):
-        for s in (0.6, 0.9):
-            assert noisy_channel_likelihood(0.5, 1, s, s) == pytest.approx(0.5)
-            assert noisy_channel_likelihood(0.5, 0, s, s) == pytest.approx(0.5)
 
 
 class TestSimplifiedEStep:

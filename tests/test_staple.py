@@ -15,7 +15,6 @@ from fuselab import (
     PhantomSpec,
     RaterParams,
     VolumeGrid,
-    annotation_likelihood,
     binarize,
     e_step,
     log_likelihood,
@@ -32,30 +31,6 @@ from oracles import loglik_brute, posterior_brute
 
 def params(sens, spec):
     return RaterParams(np.atleast_1d(sens), np.atleast_1d(spec))
-
-
-class TestAnnotationLikelihood:
-    def test_single_factor(self):
-        assert annotation_likelihood([1.0], 1, params(0.9, 0.8)) == pytest.approx(
-            0.9, rel=1e-12
-        )
-
-    def test_two_expert_product(self):
-        p = annotation_likelihood([1.0, 0.0], 0, params([0.6, 0.6], [0.8, 0.7]))
-        assert p == pytest.approx((1 - 0.8) * 0.7, rel=1e-12)
-
-    def test_uninformative_raters(self):
-        m = 4
-        votes = [1.0, 0.0, 1.0, 1.0]
-        p = params([0.5] * m, [0.5] * m)
-        for a in (0, 1):
-            assert annotation_likelihood(votes, a, p) == pytest.approx(
-                0.5**m, rel=1e-12
-            )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            annotation_likelihood([1.0, 0.0], 1, params(0.9, 0.9))
 
 
 class TestPosteriorVoxel:
