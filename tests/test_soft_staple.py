@@ -92,6 +92,64 @@ def _run_mixed(monkeypatch, stack, **cfg):
     return res
 
 
+class TestJointVotes:
+    """``_joint_votes`` enumerates each column's joint hard votes: code bit i
+    is expert i's vote, and a code's weight is the product of q_i or 1 - q_i."""
+
+    @staticmethod
+    def _one(q):
+        from fuselab.soft_staple import _joint_votes
+
+        (cols, codes, w), = _joint_votes(np.asarray(q, dtype=float)[:, None])
+        assert cols.tolist() == [0]
+        return codes[0], w[0]
+
+    def test_degenerate_opinions(self):
+        codes, w = self._one([1.0, 0.0])
+        assert codes.tolist() == [0b01] and w.tolist() == [1.0]
+
+    def test_uniform(self):
+        codes, w = self._one([0.5, 0.5])
+        assert codes.tolist() == [0, 1, 2, 3] and w.tolist() == [0.25] * 4
+
+    def test_product(self):
+        codes, w = self._one([0.3, 0.9, 0.5])
+        assert w[codes.tolist().index(0b101)] == pytest.approx(0.3 * 0.1 * 0.5, rel=1e-12)
+
+    def test_lsb_is_first_expert(self):
+        from fuselab.soft_staple import _code_bits
+
+        codes, _ = self._one([0.2, 0.7, 0.4])
+        assert codes.tolist() == list(range(8))
+        bits = _code_bits(codes, 3)
+        np.testing.assert_array_equal(bits[:, 1], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(bits[:, 6], [0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_weights_match_the_brute_product(self, m):
+        from fuselab.soft_staple import _code_bits
+
+        q = np.random.default_rng(m).random(m)
+        q[::3] = np.round(q[::3])  # some votes fix their bit
+        codes, w = self._one(q)
+        bits = _code_bits(codes, m)
+        want = np.prod(np.where(bits == 1.0, q[:, None], 1.0 - q[:, None]), axis=0)
+        np.testing.assert_allclose(w, want, rtol=1e-12, atol=0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 20, 62, 63, 70])
+    def test_packed_codes_unpack_to_their_votes(self, m):
+        from fuselab.soft_staple import _code_bits, _pack_codes
+
+        bits = np.random.default_rng(m).random((6, m)) < 0.5
+        codes = _pack_codes(bits, m)
+        assert codes.size == 6
+        np.testing.assert_array_equal(_code_bits(codes, m), bits.T.astype(float))
+        if m <= 20:
+            want = [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
+            assert codes.tolist() == want
+
+
 class TestSoftEStepVoxel:
     def test_degenerate_equals_hard_posterior(self):
         rng = np.random.default_rng(0)
@@ -832,6 +890,51 @@ class TestPublicInputChecks:
         q[at] = bad
         with pytest.raises(ConfigError, match=r"votes must lie in \[0, 1\]"):
             step(q, params(np.full(3, 0.9), np.full(3, 0.8)))
+
+    @pytest.mark.parametrize("step", [
+        lambda q, p: posterior_voxel(q, p, 0.3),
+        lambda q, p: soft_e_step_voxel(q, p, 0.3),
+        lambda q, p: simple_e_step_voxel(q, p, 0.3),
+        lambda q, p: mc_soft_e_step_voxel(q, p, 0.3, 50, seed=1),
+    ], ids=["posterior_voxel", "soft_e_step_voxel", "simple_e_step_voxel",
+            "mc_soft_e_step_voxel"])
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_voxel_steps_refuse_another_vote_count(self, step, n):
+        with pytest.raises(ConfigError, match=f"^{n} votes for 3 experts$"):
+            step(np.full(n, 0.4), params(np.full(3, 0.9), np.full(3, 0.8)))
+
+
+class TestNoisyChannel:
+    """With one expert, the channel sees a soft vote q as a hard 1 with
+    probability q: p(q | x=1) = q sens + (1 - q)(1 - sens), p(q | x=0) =
+    q (1 - spec) + (1 - q) spec."""
+
+    def test_degenerate_input(self):
+        assert simple_e_step_voxel([1.0], params(0.8, 0.9), 0.4) == pytest.approx(
+            0.4 * 0.8 / (0.4 * 0.8 + 0.6 * 0.1), rel=1e-12)
+        assert simple_e_step_voxel([0.0], params(0.8, 0.9), 0.4) == pytest.approx(
+            0.4 * 0.2 / (0.4 * 0.2 + 0.6 * 0.9), rel=1e-12)
+
+    def test_mixture_value(self):
+        l1 = 0.3 * 0.8 + 0.7 * 0.2
+        l0 = 0.3 * 0.3 + 0.7 * 0.7
+        got = simple_e_step_voxel([0.3], params(0.8, 0.7), 0.4)
+        assert got == pytest.approx(0.4 * l1 / (0.4 * l1 + 0.6 * l0), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.6, 0.9])
+    def test_half_vote_symmetric_rater(self, s):
+        assert simple_e_step_voxel([0.5], params(s, s), 0.35) == pytest.approx(0.35, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.3, 0.8])
+    def test_exact_soft_averages_posteriors_not_likelihoods(self, q):
+        """The exact soft step is the q-weighted mean of the two hard
+        posteriors; the channel mixes the likelihoods, and differs from it
+        wherever the hard vote 1 is not as likely as 0 (here p(y=1) = 0.4)."""
+        p = params(0.8, 0.7)
+        post1, post0 = posterior_voxel([1.0], p, 0.2), posterior_voxel([0.0], p, 0.2)
+        exact = soft_e_step_voxel([q], p, 0.2)
+        assert exact == pytest.approx(q * post1 + (1 - q) * post0, rel=1e-12)
+        assert abs(simple_e_step_voxel([q], p, 0.2) - exact) > 1e-3
 
 
 class TestSimplifiedEStep:

@@ -19,9 +19,12 @@ from fuselab import (
     e_step,
     log_likelihood,
     m_step,
+    mc_soft_e_step_voxel,
     posterior_voxel,
     resolve_prior,
     run_em,
+    simple_e_step_voxel,
+    soft_e_step_voxel,
 )
 from fuselab.errors import ConfigError, DegeneratePosteriorError, ValueRangeError
 from fuselab.staple import CLAMP_LO, _posterior_grid, vote_patterns
@@ -31,6 +34,30 @@ from oracles import loglik_brute, posterior_brute
 
 def params(sens, spec):
     return RaterParams(np.atleast_1d(sens), np.atleast_1d(spec))
+
+
+class TestHardLikelihood:
+    """On hard votes every voxel step is Bayes over the product likelihood
+    p(y | x=1) = prod sens^y (1 - sens)^(1 - y), p(y | x=0) likewise with spec."""
+
+    STEPS = pytest.mark.parametrize("step", [
+        posterior_voxel, soft_e_step_voxel, simple_e_step_voxel,
+        lambda q, p, prior: mc_soft_e_step_voxel(q, p, prior, 3, seed=0),
+    ], ids=["posterior_voxel", "soft_e_step_voxel", "simple_e_step_voxel",
+            "mc_soft_e_step_voxel"])
+
+    @STEPS
+    def test_two_expert_product(self, step):
+        l1 = 0.6 * (1 - 0.6)
+        l0 = (1 - 0.8) * 0.7
+        got = step([1.0, 0.0], params([0.6, 0.6], [0.8, 0.7]), 0.4)
+        assert got == pytest.approx(0.4 * l1 / (0.4 * l1 + 0.6 * l0), rel=1e-12)
+
+    @STEPS
+    def test_uninformative_raters(self, step):
+        p = params([0.5] * 4, [0.5] * 4)
+        for votes in ([1.0, 0.0, 1.0, 1.0], [0.0] * 4, [1.0] * 4):
+            assert step(votes, p, 0.27) == pytest.approx(0.27, rel=1e-12)
 
 
 class TestPosteriorVoxel:
