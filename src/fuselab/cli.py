@@ -36,6 +36,7 @@ from .errors import (
     InputReadError,
     StackError,
     SvolError,
+    _refuse_over,
     check_number,
 )
 from .metrics import precision_recall
@@ -47,6 +48,17 @@ from .synth import generate_phantom, load_simulation_config, simulate_raters
 from .volume import Dim3, ExpertStack, GridKind, check_members
 from .volume import validate_stack  # noqa: F401  (perfbench's traced pass wraps this name)
 
+
+# Most bytes a fuse or softmask command may hold, estimated from the input
+# headers before any payload is read: voxels x 40 for a fuse that reads one
+# expert at a time (a payload, its vote codes, the 8-byte inverse and the
+# posterior), and voxels x (40 + 16 x experts) where the binary stack and its
+# soft masks are both held (softmask, and fuse --flair, which then folds the
+# soft masks). Measured peaks (tracemalloc, 64^3, 1, 3, 7 and 12 experts): such
+# a fuse 25 to 38 bytes per voxel; softmask 38, 70, 134 and 214, fuse --flair
+# 38, 70, 134 and 231. soft-mc's tallies have bounds of their own
+# (soft_staple.MC_ENTRY_LIMIT).
+STACK_BYTE_LIMIT = 2**32
 
 # Config dataclass field -> CLI option where the names differ; None: no option.
 _FUSION_OPTIONS = {"mc_seed": "seed"}
@@ -256,6 +268,13 @@ def _check_headers(paths) -> tuple[list[str], Dim3, GridKind]:
     return ids, dims[0], kinds[0]
 
 
+def _refuse_stack_bytes(dims: Dim3, m: int, whole_stack: bool) -> None:
+    """Refuse a run whose estimated bytes pass :data:`STACK_BYTE_LIMIT`."""
+    per, formula = (40 + 16 * m, "(40 + 16 x experts)") if whole_stack else (40, "40")
+    _refuse_over(dims.n * per, STACK_BYTE_LIMIT, f"estimated bytes to hold (voxels x "
+                 f"{formula})", "crop the volumes or pass fewer experts")
+
+
 def _read_row(path, dims: Dim3, kind: GridKind) -> numpy.ndarray:
     grid = _read(read_svol, path)
     if (grid.dims, grid.kind) != (dims, kind):
@@ -337,10 +356,12 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
                 "binary inputs need --variant binary, or --flair to build "
                 "soft masks for the soft variants"
             )
+        _refuse_stack_bytes(dims, len(ids), whole_stack=True)
         stack = ExpertStack(tuple(_read(read_svol, p) for p in inputs), tuple(ids))
         votes = build_soft_stack(stack, _read(read_svol, args.flair), softmask)
         inputs.append(args.flair)
     else:  # one payload at a time, dropped once folded into the vote patterns
+        _refuse_stack_bytes(dims, len(ids), whole_stack=False)
         order = id_order(ids)
         votes = fold_votes((_read_row(inputs[i], dims, kind) for i in order), order, kind, dims)
 
@@ -375,7 +396,8 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
 
 def _cmd_softmask(args, resolved: dict, started: float) -> int:
     cfg = _softmask_config(resolved)
-    ids, _, _ = _check_headers(args.inputs)
+    ids, dims, _ = _check_headers(args.inputs)
+    _refuse_stack_bytes(dims, len(ids), whole_stack=True)
     stack = ExpertStack(tuple(_read(read_svol, p) for p in args.inputs), tuple(ids))
     flair = _read(read_svol, args.flair)
 
@@ -414,6 +436,9 @@ def _cmd_simulate(args, resolved: dict, started: float) -> int:
 def _cmd_eval(args, resolved: dict, started: float) -> int:
     truth = _read(read_svol, args.truth)
     pred = _read(read_svol, args.pred)
+    if truth.kind is not GridKind.BINARY and not resolved["binarize_truth"]:
+        raise ConfigError(f"truth {args.truth} is not binary; pass --binarize-truth to "
+                          "threshold it")
     report = precision_recall(
         truth, pred,
         threshold=resolved["threshold"],

@@ -136,7 +136,7 @@ class _ExactModel(_PatternModel):
         _refuse_over(int(np.exp2(k).sum()), EXACT_TERM_LIMIT, "joint-vote terms (distinct "
                      "columns x 2^k)", "select variant 'soft-mc' instead")
         s = np.zeros(1 << m)
-        self.chunks = [(cols, codes.astype(np.min_scalar_type(s.size - 1)), w)
+        self.chunks = [(cols, codes.astype(_code_type(m)), w)
                        for cols, codes, w in _joint_votes(patterns.columns)]
         for cols, codes, w in self.chunks:
             s += np.bincount(codes.ravel(), (w * patterns.counts[cols, None]).ravel(), s.size)
@@ -199,12 +199,17 @@ def _streams(voxels: np.ndarray, seed: int):
     """Yield, for each voxel t in turn, a Generator on the Philox stream
     keyed by (seed, t): one Generator, its bit generator re-keyed and reset
     each time, which draws what a new ``Generator(Philox(key=(seed, t)))``
-    would (it caches nothing that its draws depend on)."""
-    keys = np.array([(int(seed), int(t)) for t in voxels], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=keys[0]))
+    would (it caches nothing that its draws depend on). The state it is
+    reset to holds plain Python ints, which the setter reads several times
+    faster than numpy key words; the first ``Philox`` takes a uint64 key
+    array, which a seed of 2^64 - 1 needs."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     fresh = gen.bit_generator.state
-    for key in keys:
-        fresh["state"]["key"] = key
+    key = [int(seed), 0]
+    fresh["state"] = {"counter": [0, 0, 0, 0], "key": key}
+    fresh["buffer"] = [0, 0, 0, 0]
+    for t in voxels.tolist():
+        key[1] = t
         gen.bit_generator.state = fresh
         yield gen
 
@@ -260,18 +265,20 @@ def _mc_codes(q: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.
     return _pack_codes(bits.reshape(-1, width), m)
 
 
-def _mc_tallies(w: np.ndarray, voxels: np.ndarray, samples: int, seed: int) -> np.ndarray:
-    """Sample counts of a block of voxels on the tally path, (voxels, 2^k).
+def _mc_tallies(w: np.ndarray, voxels: np.ndarray, rows: np.ndarray, samples: int,
+                seed: int) -> np.ndarray:
+    """Sample counts of a block of voxels on the tally path, (voxels, 2^k),
+    in the narrowest unsigned type that holds ``samples``.
 
-    Row j of ``w`` holds voxel t = ``voxels[j]``'s 2^k joint-vote weights
-    in ascending code order (as ``_joint_votes`` gives them); its counts
-    are ``multinomial(samples, w[j])`` on the Philox stream keyed by
-    (seed, t): the tally of ``samples`` independent joint votes, drawn at
-    about 2^k binomials instead of ``samples`` x m uniforms.
+    Row ``rows[j]`` of ``w`` holds voxel t = ``voxels[j]``'s 2^k joint-vote
+    weights in ascending code order (as ``_joint_votes`` gives them); its
+    counts are ``multinomial(samples, w[rows[j]])`` on the Philox stream
+    keyed by (seed, t): the tally of ``samples`` independent joint votes,
+    drawn at about 2^k binomials instead of ``samples`` x m uniforms.
     """
-    counts = np.empty(w.shape, dtype=np.int64)
-    for j, gen in enumerate(_streams(voxels, seed)):
-        counts[j] = gen.multinomial(samples, w[j])
+    counts = np.empty((voxels.size, w.shape[1]), dtype=np.min_scalar_type(samples))
+    for j, (i, gen) in enumerate(zip(rows.tolist(), _streams(voxels, seed))):
+        counts[j] = gen.multinomial(samples, w[i])
     return counts
 
 
@@ -318,13 +325,19 @@ def _voxel_tally(codes: np.ndarray, voxels: int, samples: int, m: int):
     return _narrow_tally(np.bincount(voxel, minlength=voxels), code, counts, samples, m)
 
 
+def _code_type(m: int) -> np.dtype:
+    """The narrowest unsigned type that holds every code of m experts."""
+    return np.min_scalar_type((1 << m) - 1)
+
+
 def _narrow_tally(sizes, code, counts, samples: int, m: int):
     """Tally sizes and counts, and int64 codes, in the narrowest unsigned types;
     a size is at most the run's entries, so it fits int64 (``np.repeat``)."""
     if m <= _CODE_BITS:
-        code = code.astype(np.min_scalar_type((1 << m) - 1))
+        code = code.astype(_code_type(m), copy=False)
     size = np.min_scalar_type(min(samples, MC_ENTRY_LIMIT))
-    return sizes.astype(size), code, counts.astype(np.min_scalar_type(samples))
+    return (sizes.astype(size, copy=False), code,
+            counts.astype(np.min_scalar_type(samples), copy=False))
 
 
 def _voxel_means(sizes: np.ndarray, counts: np.ndarray, p1: np.ndarray, samples: int):
@@ -343,9 +356,10 @@ def _draw(cols: np.ndarray, tallied: np.ndarray, ids: np.ndarray, voxels: np.nda
     indices, then their sizes, codes and counts as ``_voxel_tally`` gives
     them. ``tallied`` (per column, from ``_mc_plan``) picks each voxel's
     path. A tallied voxel draws its column's 2^k joint votes' counts
-    (``_mc_tallies``), which ``_joint_votes`` enumerates once per distinct
-    column of the block, and keeps those that are not 0; any other draws its
-    samples (``_mc_codes``).
+    (``_mc_tallies``) straight from the weights ``_joint_votes`` enumerates
+    once per distinct column of the block, and keeps those that are not 0,
+    found in one flat pass over the chunk's counts (already narrow) in
+    voxel, then code order; any other draws its samples (``_mc_codes``).
     """
     m = cols.shape[0]
     on = tallied[ids]
@@ -356,10 +370,11 @@ def _draw(cols: np.ndarray, tallied: np.ndarray, ids: np.ndarray, voxels: np.nda
             where[at] = np.arange(at.size)
             r = where[row]  # each voxel's row of the chunk, or -1
             t, r = voxels[on][r >= 0], r[r >= 0]
-            drawn = _mc_tallies(w[r], t, samples, seed)
-            voxel, j = np.nonzero(drawn)
-            sizes = np.bincount(voxel, minlength=t.size)
-            yield t, *_narrow_tally(sizes, codes[r[voxel], j], drawn[voxel, j], samples, m)
+            drawn = _mc_tallies(w, t, r, samples, seed)
+            kept = np.flatnonzero(drawn)  # row-major: by voxel, then code
+            code = codes.astype(_code_type(m))[r].ravel()[kept]
+            yield t, *_narrow_tally(np.count_nonzero(drawn, axis=1), code, drawn.ravel()[kept],
+                                    samples, m)
     if not on.all():
         codes = _mc_codes(cols[:, ids[~on]], voxels[~on], samples, seed)
         yield voxels[~on], *_voxel_tally(codes, np.count_nonzero(~on), samples, m)

@@ -579,7 +579,50 @@ class TestSoftmaskCommand:
                      "-o", str(tmp_path), "--force"]) == 2
 
 
+class TestStackByteBound:
+    """fuse and softmask estimate their bytes from the headers (voxels x 40
+    reading one expert at a time, voxels x (40 + 16 x experts) holding the
+    stack) and refuse one over STACK_BYTE_LIMIT before any payload is read."""
+
+    @pytest.mark.parametrize("argv, kind, per", [
+        (["fuse", "--variant", "binary"], GridKind.BINARY, 40),
+        (["fuse", "--variant", "simplified"], GridKind.SOFT, 40),
+        (["fuse", "--variant", "soft-exact", "--flair", "FLAIR"], GridKind.BINARY, 40 + 16 * 3),
+        (["softmask", "--flair", "FLAIR"], GridKind.BINARY, 40 + 16 * 3),
+    ], ids=["fuse", "fuse-soft", "fuse-flair", "softmask"])
+    def test_refused_over_the_limit_before_any_payload(self, tmp_path, monkeypatch, capsys,
+                                                        argv, kind, per):
+        dims = Dim3(4, 3, 2)
+        rows = np.zeros((3, dims.n))
+        rows[:, :6] = 1.0
+        paths = _write_experts(tmp_path, rows, kind, dims)
+        flair = tmp_path / "flair.svol"
+        write_svol(VolumeGrid(dims, np.full(dims.n, 80.0), GridKind.INTENSITY), flair)
+        argv = [str(flair) if a == "FLAIR" else a for a in argv] + paths
+        out = tmp_path / "o"
+        monkeypatch.setattr(fuselab.cli, "STACK_BYTE_LIMIT", dims.n * per - 1)
+        reads = []
+        read = fuselab.cli.read_svol
+        monkeypatch.setattr(fuselab.cli, "read_svol", lambda p: reads.append(p) or read(p))
+        assert main([*argv, "-o", str(out)]) == 2
+        assert (f"{dims.n * per} estimated bytes to hold" in capsys.readouterr().err)
+        assert reads == []
+        assert not out.exists()
+        monkeypatch.setattr(fuselab.cli, "STACK_BYTE_LIMIT", dims.n * per)
+        assert main([*argv, "-o", str(out)]) == 0
+
+
 class TestEval:
+    def test_soft_truth_without_the_flag_exits_2_naming_it(self, tmp_path, capsys):
+        t = tmp_path / "t.svol"
+        write_svol(grid([0.3, 1.0, 0.0], GridKind.SOFT), t)
+        out = tmp_path / "rep"
+        assert main(["eval", str(t), str(t), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--binarize-truth" in err and "binarize_truth" not in err
+        assert not out.exists()
+        assert main(["eval", str(t), str(t), "-o", str(out), "--binarize-truth"]) == 0
+
     def test_perfect_match(self, tmp_path, capsys):
         t = tmp_path / "t.svol"
         p = tmp_path / "p.svol"

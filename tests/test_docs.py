@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fuselab import FusionConfig, SoftMaskConfig, precision_recall, soft_staple, synth
+from fuselab import FusionConfig, SoftMaskConfig, cli, precision_recall, soft_staple, synth
 from helpers import subcommands
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -48,6 +48,7 @@ LIMITS = [
     ("SIMULATE_BYTE_LIMIT", synth.SIMULATE_BYTE_LIMIT, r"is more than (2\^\d+) bytes"),
     ("EXACT_TERM_LIMIT", soft_staple.EXACT_TERM_LIMIT,
      r"more than (2\^\d+) joint-vote terms"),
+    ("STACK_BYTE_LIMIT", cli.STACK_BYTE_LIMIT, r"working set exceeds (2\^\d+) bytes"),
 ]
 
 

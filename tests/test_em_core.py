@@ -39,7 +39,9 @@ from fuselab.staple import (
     CLAMP_LO,
     MSTEP_MODES,
     VARIANTS,
+    _COMPARED_LEVELS,
     _PatternModel,
+    _soft_digits,
     resolve_prior,
     vote_patterns,
 )
@@ -131,6 +133,41 @@ def _run(stack, variant, **kw):
     return run_em(stack, cfg) if variant == "binary" else run_soft_em(stack, cfg)
 
 
+# One ULP inside 0 and 1.
+FOLD_EDGES = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def _soft_rows():
+    rng = np.random.default_rng(28)
+    cut = _COMPARED_LEVELS
+    return {
+        "zeros": np.zeros(40),
+        "ones": np.ones(40),
+        "one fractional level": np.full(40, 0.3),
+        "protocol": rng.choice([0.0, 0.3, 1.0], 500, p=[0.8, 0.1, 0.1]),
+        "at the cut-off": rng.permutation(np.arange(cut) / (cut - 1)),
+        "one over the cut-off": rng.permutation(np.arange(cut + 1) / cut),
+        "continuous": rng.random(2000),
+        "ulp inside 0 and 1": rng.choice([0.0, 1.0, 0.5, *FOLD_EDGES], 300),
+        "ulp inside only": rng.choice(FOLD_EDGES, 300),
+    }
+
+
+SOFT_ROWS = _soft_rows()
+
+
+@pytest.mark.parametrize("name", list(SOFT_ROWS))
+def test_soft_digits_match_unique_and_searchsorted(name):
+    """A soft row's levels and digits equal ``np.unique`` and
+    ``np.searchsorted``, on either side of the comparison cut-off."""
+    row = SOFT_ROWS[name]
+    levels, digit = _soft_digits(row)
+    want = np.unique(row)
+    np.testing.assert_array_equal(levels, want)
+    np.testing.assert_array_equal(digit, np.searchsorted(want, row))
+    assert digit.dtype == np.min_scalar_type(want.size - 1)
+
+
 class TestVotePatterns:
     @CORE
     @given(data=st.data(), binary=st.booleans())
@@ -143,6 +180,28 @@ class TestVotePatterns:
         np.testing.assert_array_equal(pats.columns, cols)
         np.testing.assert_array_equal(pats.inverse, inverse.reshape(-1))
         np.testing.assert_array_equal(pats.counts, counts)
+
+    @CORE
+    @given(data=st.data(), compared=st.booleans())
+    def test_soft_fold_matches_a_sorting_fold(self, data, compared):
+        """The soft fold, whichever way it builds its level digits, equals
+        one that sorts each whole row: columns, counts, inverse and votes."""
+        import fuselab.staple as staple
+
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 60))
+        values = st.one_of(st.sampled_from([0.0, 1.0, 0.3, *FOLD_EDGES]), SOFT_VALUES)
+        rows = data.draw(hnp.arrays(np.float64, (m, n), elements=values)) + 0.0
+        ids = tuple(f"e{i}" for i in range(m))   # ids sort in row order
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(staple, "_COMPARED_LEVELS", 256 if compared else 1)
+            pats = vote_patterns(stack_from_rows(rows, GridKind.SOFT, ids=ids))
+        cols, inverse, counts = np.unique(rows, axis=1, return_inverse=True,
+                                          return_counts=True)
+        np.testing.assert_array_equal(pats.columns, cols)
+        np.testing.assert_array_equal(pats.inverse, inverse.reshape(-1))
+        np.testing.assert_array_equal(pats.counts, counts)
+        assert pats.votes == sum(float(np.sum(row)) for row in rows)
 
     def test_code_recompaction_path(self):
         """m=14 experts with 50 levels each: 50^14 codes overflow int64, so

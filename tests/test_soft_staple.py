@@ -33,6 +33,7 @@ from fuselab.errors import CapacityError, ConfigError
 from fuselab.staple import MSTEP_MODES, vote_patterns
 from helpers import assert_monotone, random_binary_stack, stack_from_rows
 from oracles import (
+    _mc_generator,
     exact_posteriors_enumerated,
     mc_draws_brute,
     mc_expected_count_mstep_brute,
@@ -633,11 +634,60 @@ class TestMonteCarloPaths:
         voxels = np.array([0, 5, 2**40 + 5, 2**64 - 1], dtype=np.uint64)
         w = rng.random((voxels.size, 2**m))
         w /= w.sum(axis=1, keepdims=True)
-        got = ss._mc_tallies(w, voxels, 9, seed=2024)
+        got = ss._mc_tallies(w, voxels, np.arange(voxels.size), 9, seed=2024)
         for j, t in enumerate(voxels):
             key = np.array([2024, int(t)], dtype=np.uint64)
             gen = np.random.Generator(np.random.Philox(key=key))
             np.testing.assert_array_equal(got[j], gen.multinomial(9, w[j]))
+
+    TOP = 2**64 - 1
+    EDGE_VOXELS = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_top_seed_and_indices_draw_the_generator_streams(self, m):
+        """At seed 2^64 - 1 and voxel indices up to 2^64 - 1, both draws are
+        numpy's own Generator's on the (seed, voxel) stream, with no warning."""
+        import fuselab.soft_staple as ss
+
+        rng = np.random.default_rng(50 + m)
+        voxels = self.EDGE_VOXELS
+        w = rng.random((3, 2**m))
+        w /= w.sum(axis=1, keepdims=True)
+        rows = rng.integers(0, 3, voxels.size)
+        q = rng.random((m, voxels.size))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tallies = ss._mc_tallies(w, voxels, rows, 9, seed=self.TOP)
+            codes = ss._mc_codes(q, voxels, 5, seed=self.TOP)
+        bits = ss._code_bits(codes, m).T.reshape(voxels.size, 5, m) == 1.0
+        for j, t in enumerate(voxels.tolist()):
+            np.testing.assert_array_equal(
+                tallies[j], _mc_generator(self.TOP, t).multinomial(9, w[rows[j]]))
+            np.testing.assert_array_equal(bits[j], _mc_generator(self.TOP, t).random((5, m))
+                                          < q[:, j])
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_voxel_order_carries_no_state(self, seed):
+        """The same voxels given reversed or shuffled draw the same rows, so
+        nothing carries over from one voxel's stream to the next."""
+        import fuselab.soft_staple as ss
+
+        rng = np.random.default_rng(seed % 97)
+        m, samples = 4, 7
+        voxels = np.concatenate([self.EDGE_VOXELS, rng.integers(0, 2**63, 6, dtype=np.uint64)])
+        w = rng.random((voxels.size, 2**m))
+        w /= w.sum(axis=1, keepdims=True)
+        q = rng.random((m, voxels.size))
+
+        def draw(order):
+            tallies = ss._mc_tallies(w, voxels[order], order, samples, seed)
+            codes = ss._mc_codes(q[:, order], voxels[order], samples, seed)
+            return tallies, codes.reshape(order.size, samples)
+
+        forward = draw(np.arange(voxels.size))
+        for order in (np.arange(voxels.size)[::-1], rng.permutation(voxels.size)):
+            for got, want in zip(draw(order), forward):
+                np.testing.assert_array_equal(got, want[order])
 
     def test_joint_votes_past_float_range_warn_nothing(self):
         """2^1100 overflows float64. A 1,100-expert continuous stack at 8
