@@ -30,11 +30,9 @@ from .soft_staple import (
 )
 from .softmask import (
     SoftMaskConfig,
-    StructuringElement,
     build_soft_mask,
     build_soft_stack,
     connected_components,
-    dilate,
 )
 from .staple import (
     FusionConfig,
@@ -45,7 +43,6 @@ from .staple import (
     log_likelihood,
     m_step,
     posterior_voxel,
-    resolve_prior,
 )
 from .svol_io import read_svol, write_svol
 from .synth import (
@@ -61,7 +58,6 @@ from .volume import (
     ExpertStack,
     GridKind,
     VolumeGrid,
-    linear_index,
     validate_stack,
 )
 
@@ -80,17 +76,14 @@ __all__ = [
     "RaterParams",
     "RaterSpec",
     "SoftMaskConfig",
-    "StructuringElement",
     "VolumeGrid",
     "binarize",
     "build_soft_mask",
     "build_soft_stack",
     "connected_components",
-    "dilate",
     "e_step",
     "errors",
     "generate_phantom",
-    "linear_index",
     "load_simulation_config",
     "log_likelihood",
     "m_step",
@@ -99,7 +92,6 @@ __all__ = [
     "posterior_voxel",
     "precision_recall",
     "read_svol",
-    "resolve_prior",
     "run_em",
     "run_soft_em",
     "simple_e_step",

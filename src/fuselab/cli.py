@@ -45,7 +45,7 @@ from .softmask import CONNECTIVITY_RANK, SoftMaskConfig, build_soft_stack
 from .staple import MSTEP_MODES, VARIANTS, FusionConfig, binarize, fold_votes, id_order
 from .svol_io import read_svol, read_svol_header, write_svol
 from .synth import generate_phantom, load_simulation_config, simulate_raters
-from .volume import Dim3, ExpertStack, GridKind, check_members
+from .volume import LABEL_KINDS, Dim3, ExpertStack, GridKind, VolumeGrid, check_members
 from .volume import validate_stack  # noqa: F401  (perfbench's traced pass wraps this name)
 
 
@@ -253,19 +253,32 @@ def _read(read, path):
         raise InputReadError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _check_headers(paths) -> tuple[list[str], Dim3, GridKind]:
+def _check_headers(paths, kinds) -> tuple[list[str], Dim3, GridKind]:
     """The experts' ids (file stems, or the paths where stems collide), dims
-    and kind, once every header checks out as a stack member; no payload
-    is read."""
+    and kind, once every header checks out as a member of a stack of one of
+    ``kinds``; no payload is read."""
     ids = [Path(p).stem for p in paths]
     if len(set(ids)) != len(ids):
         ids = [str(p) for p in paths]
     pipes = [p for p in paths if os.path.exists(p) and not os.path.isfile(p)]
     if pipes:  # read_svol opens each input again, for its payload; a pipe would be empty
         raise InputReadError(f"{pipes[0]} is not a regular file, so it cannot be read twice")
-    dims, kinds = zip(*(_read(read_svol_header, p) for p in paths))
-    check_members(ids, dims, kinds)
-    return ids, dims[0], kinds[0]
+    dims, found = zip(*(_read(read_svol_header, p) for p in paths))
+    _refuse_kind("expert", paths[0], found[0], kinds)  # the stack's kind is its first's
+    check_members(ids, dims, found)
+    return ids, dims[0], found[0]
+
+
+def _refuse_kind(role: str, path, kind: GridKind, kinds) -> None:
+    """Refuse an input file of a kind other than ``kinds``: invalid input."""
+    if kind not in kinds:
+        raise GridError(f"{role} {path} is of kind {kind.value}, not {' or '.join(kinds)}")
+
+
+def _read_as(role: str, path, kinds) -> VolumeGrid:
+    grid = _read(read_svol, path)
+    _refuse_kind(role, path, grid.kind, kinds)
+    return grid
 
 
 def _refuse_stack_bytes(dims: Dim3, m: int, whole_stack: bool) -> None:
@@ -344,7 +357,7 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
     softmask = _softmask_config(resolved)
 
     inputs = list(args.inputs)
-    ids, dims, kind = _check_headers(inputs)
+    ids, dims, kind = _check_headers(inputs, (GridKind.BINARY, GridKind.SOFT))
     builds_soft = kind is GridKind.BINARY and config.variant != "binary"
     if args.flair is not None and not builds_soft:
         raise ConfigError("--flair builds soft masks from binary inputs for a soft variant; "
@@ -357,8 +370,9 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
                 "soft masks for the soft variants"
             )
         _refuse_stack_bytes(dims, len(ids), whole_stack=True)
+        flair = _read_as("flair", args.flair, (GridKind.INTENSITY,))
         stack = ExpertStack(tuple(_read(read_svol, p) for p in inputs), tuple(ids))
-        votes = build_soft_stack(stack, _read(read_svol, args.flair), softmask)
+        votes = build_soft_stack(stack, flair, softmask)
         inputs.append(args.flair)
     else:  # one payload at a time, dropped once folded into the vote patterns
         _refuse_stack_bytes(dims, len(ids), whole_stack=False)
@@ -396,17 +410,17 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
 
 def _cmd_softmask(args, resolved: dict, started: float) -> int:
     cfg = _softmask_config(resolved)
-    ids, dims, _ = _check_headers(args.inputs)
+    ids, dims, _ = _check_headers(args.inputs, (GridKind.BINARY,))
     _refuse_stack_bytes(dims, len(ids), whole_stack=True)
+    flair = _read_as("flair", args.flair, (GridKind.INTENSITY,))
     stack = ExpertStack(tuple(_read(read_svol, p) for p in args.inputs), tuple(ids))
-    flair = _read(read_svol, args.flair)
 
     filenames = [Path(p).name for p in args.inputs]
     if len(set(filenames)) != len(filenames):
         raise ConfigError("input basenames collide; rename inputs or split the run")
+    soft = build_soft_stack(stack, flair, cfg)
     with _outputs(args, filenames, list(args.inputs) + [args.flair], resolved,
                   started) as temps:
-        soft = build_soft_stack(stack, flair, cfg)
         for grid, tmp in zip(soft.experts, temps):
             write_svol(grid, tmp)
     print(f"softmask: wrote {len(filenames)} soft mask(s) to {args.out}", file=sys.stderr)
@@ -434,8 +448,8 @@ def _cmd_simulate(args, resolved: dict, started: float) -> int:
 
 
 def _cmd_eval(args, resolved: dict, started: float) -> int:
-    truth = _read(read_svol, args.truth)
-    pred = _read(read_svol, args.pred)
+    truth = _read_as("truth", args.truth, LABEL_KINDS)
+    pred = _read_as("pred", args.pred, LABEL_KINDS)
     if truth.kind is not GridKind.BINARY and not resolved["binarize_truth"]:
         raise ConfigError(f"truth {args.truth} is not binary; pass --binarize-truth to "
                           "threshold it")

@@ -512,8 +512,8 @@ def run_em(x: ExpertStack | VotePatterns, config: FusionConfig | None = None) ->
     stack or of its patterns: the "binary" variant takes a binary stack, the
     soft variants a soft one. The trace records the objective the variant's
     EM ascends: the binary model's, the exact model's, the sampled model's
-    (which estimates it) or the noisy-channel one. The "auto" prior comes
-    from ``VotePatterns.votes``, so it equals ``resolve_prior``'s."""
+    (which estimates it) or the noisy-channel one. The "auto" prior is the
+    mean vote, from ``VotePatterns.votes``."""
     config = config or FusionConfig()
     kind = GridKind.BINARY if config.variant == "binary" else GridKind.SOFT
     if x.kind is not kind:

@@ -13,7 +13,6 @@ SciPy, whose import would cost each command more than the protocol itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import ceil, inf
 
 import numpy as np
@@ -58,38 +57,12 @@ def _check_connectivity(connectivity) -> None:
         raise ConfigError(f"connectivity must be 6, 18 or 26, got {connectivity}")
 
 
-@dataclass(frozen=True)
-class StructuringElement:
-    """Neighbor offsets of one dilation step, origin included."""
-
-    offsets: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        offs = set(self.offsets)
-        for face in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-            if face not in offs:
-                raise ConfigError("structuring element must contain all face neighbors")
-        for dx, dy, dz in offs:
-            if (-dx, -dy, -dz) not in offs:
-                raise ConfigError("structuring element must be symmetric under negation")
-
-    @classmethod
-    def from_connectivity(cls, connectivity: int) -> "StructuringElement":
-        _check_connectivity(connectivity)
-        rank = CONNECTIVITY_RANK[connectivity]
-        offsets = tuple(
-            (dx, dy, dz)
-            for dx, dy, dz in product((-1, 0, 1), repeat=3)
-            if 0 <= abs(dx) + abs(dy) + abs(dz) <= rank
-        )
-        return cls(offsets)
-
-    def as_array(self) -> np.ndarray:
-        """3x3x3 boolean footprint indexed [dz+1, dy+1, dx+1], the grid's axis order."""
-        arr = np.zeros((3, 3, 3), dtype=bool)
-        for dx, dy, dz in self.offsets:
-            arr[dz + 1, dy + 1, dx + 1] = True
-        return arr
+def _footprint(connectivity) -> np.ndarray:
+    """The 3x3x3 boolean footprint of one dilation or labelling step, origin
+    included: the offsets of at most ``CONNECTIVITY_RANK[connectivity]``
+    unit steps."""
+    _check_connectivity(connectivity)
+    return np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= CONNECTIVITY_RANK[connectivity]
 
 
 def _label(mask3: np.ndarray, footprint: np.ndarray) -> tuple[np.ndarray, int]:
@@ -165,26 +138,12 @@ def connected_components(mask: VolumeGrid, connectivity: int = SoftMaskConfig.co
     component, ordered by id.
     """
     check_grid("mask", mask, GridKind.BINARY)
-    structure = StructuringElement.from_connectivity(connectivity).as_array()
-    labels3, count = _label(mask.as_3d() > 0.5, structure)
+    labels3, count = _label(mask.as_3d() > 0.5, _footprint(connectivity))
     labels = labels3.reshape(-1)
     # A stable sort groups each id's voxels in index order; slot 0 is background.
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels, minlength=count + 1))
     return labels, np.split(order, ends[:-1])[1:]
-
-
-def dilate(mask: VolumeGrid, se: StructuringElement, iters: int) -> VolumeGrid:
-    """Iterated Minkowski dilation, clipped at the grid bounds."""
-    check_grid("mask", mask, GridKind.BINARY)
-    check_number("iters", iters, integral=True, ge=0)
-    grown, footprint = mask.as_3d() > 0.5, se.as_array()
-    for _ in range(iters):
-        # Each step is a function of the last: once one changes nothing, none will.
-        grown, last = _dilation_step(grown, footprint), grown
-        if np.array_equal(grown, last):
-            break
-    return VolumeGrid(mask.dims, grown, GridKind.BINARY)
 
 
 def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
@@ -195,7 +154,7 @@ def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
 def _protocol(cfg: SoftMaskConfig | None) -> tuple[SoftMaskConfig, np.ndarray]:
     """The config and its dilation footprint."""
     cfg = cfg or SoftMaskConfig()
-    return cfg, StructuringElement.from_connectivity(cfg.connectivity).as_array()
+    return cfg, _footprint(cfg.connectivity)
 
 
 def build_soft_mask(

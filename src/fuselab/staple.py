@@ -72,10 +72,6 @@ class RaterParams:
         object.__setattr__(self, "sens", sens)
         object.__setattr__(self, "spec", spec)
 
-    @classmethod
-    def uniform(cls, m: int, sens: float, spec: float) -> "RaterParams":
-        return cls(np.full(m, sens), np.full(m, spec))
-
     @property
     def m(self) -> int:
         return self.sens.size
@@ -149,14 +145,6 @@ def clamp_params(sens: np.ndarray, spec: np.ndarray):
     return np.clip(sens, CLAMP_LO, CLAMP_HI), np.clip(spec, CLAMP_LO, CLAMP_HI)
 
 
-def resolve_prior(stack: ExpertStack, prior: float | str) -> float:
-    """Materialize the prior: grand mean of all votes when "auto"."""
-    if prior == AUTO_PRIOR:
-        votes = sum(float(np.sum(stack.experts[i].data)) for i in canonical_order(stack))
-        return _mean_vote_prior(votes, stack.m, stack.dims)
-    return _check_prior(prior)
-
-
 def _check_prior(prior) -> float:
     """A fixed prior as a float; refused unless it is a number in (0, 1)
     (a bool or a numeric string is not)."""
@@ -185,7 +173,8 @@ class VotePatterns:
     """The distinct vote columns of a stack: ``columns`` is (m, u), rows in
     canonical expert order (``order``), columns in lexicographic order;
     ``counts`` holds how many voxels carry each column and ``inverse``
-    maps every voxel to its column. ``votes`` is :func:`resolve_prior`'s sum."""
+    maps every voxel to its column. ``votes`` is the sum of all votes, row by
+    row in canonical order; the "auto" prior is their mean."""
 
     order: np.ndarray
     columns: np.ndarray

@@ -101,7 +101,7 @@ def read_svol_header(path, fh=None) -> tuple[Dim3, GridKind]:
 def _parse_header(blob: bytes, path) -> tuple[Dim3, GridKind]:
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also the int-digit limit, beside bad UTF-8 and JSON
         raise HeaderError(f"{path}: header is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise HeaderError(f"{path}: header must be a JSON object")

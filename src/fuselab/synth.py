@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SEED_SPAN, ConfigError, _refuse_over, check_number
+from .errors import SEED_SPAN, ConfigError, ShapeError, _refuse_over, check_number
 from .softmask import _dilation_step
 from .volume import Dim3, ExpertStack, GridKind, VolumeGrid, check_grid
 
@@ -206,6 +206,10 @@ def parse_simulation_config(doc: dict) -> tuple[PhantomSpec, list[RaterSpec]]:
         isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims_raw
     ):
         raise ConfigError("config: key 'dims' must be 3 positive integers")
+    try:
+        dims = Dim3(*dims_raw)
+    except ShapeError as exc:
+        raise ConfigError(f"config: key 'dims': {exc}") from exc
     lesions_raw = need("lesions", list)
     lesions = []
     for i, lesion in enumerate(lesions_raw):
@@ -215,7 +219,7 @@ def parse_simulation_config(doc: dict) -> tuple[PhantomSpec, list[RaterSpec]]:
         lesions.append((need("center", list, lesion, ctx), need("radius", float, lesion, ctx)))
 
     phantom = PhantomSpec(
-        dims=Dim3(*dims_raw),
+        dims=dims,
         lesions=tuple(lesions),
         background_intensity=need("background_intensity", float),
         lesion_intensity=need("lesion_intensity", float),

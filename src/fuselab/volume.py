@@ -64,18 +64,6 @@ class Dim3:
         return (self.nx, self.ny, self.nz)
 
 
-def linear_index(ix: int, iy: int, iz: int, dims: Dim3) -> int:
-    """Flat x-fastest voxel index of coordinate (ix, iy, iz).
-
-    Raises IndexError when any coordinate is out of range.
-    """
-    if not (0 <= ix < dims.nx and 0 <= iy < dims.ny and 0 <= iz < dims.nz):
-        raise IndexError(
-            f"coordinate ({ix}, {iy}, {iz}) outside grid {dims.as_tuple()}"
-        )
-    return ix + dims.nx * (iy + dims.ny * iz)
-
-
 def _check_size(data: np.ndarray, dims: Dim3) -> None:
     if data.size != dims.n:
         raise ShapeError(f"data length {data.size} does not match dims product {dims.n}")
@@ -158,9 +146,6 @@ class VolumeGrid:
         _check_size(self.data, self.dims)
         _check_values(self.data, self.kind)
 
-    def with_kind(self, kind: GridKind) -> "VolumeGrid":
-        return VolumeGrid(self.dims, self.data, kind)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VolumeGrid):
             return NotImplemented
@@ -203,12 +188,6 @@ class ExpertStack:
     def as_matrix(self) -> np.ndarray:
         """Votes as an (m, n) array, expert-major."""
         return np.stack([g.data for g in self.experts])
-
-    def reordered(self, order) -> "ExpertStack":
-        return ExpertStack(
-            tuple(self.experts[i] for i in order),
-            tuple(self.expert_ids[i] for i in order),
-        )
 
 
 def check_grid(name: str, grid, kinds, like=None) -> None:

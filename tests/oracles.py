@@ -389,3 +389,13 @@ def soft_mask_brute(mask, flair, gamma=0.3, ratio=1.2, mode="percentile",
         accepted = candidate & ~original & (flair >= threshold)
         out[accepted] = np.maximum(out[accepted], gamma)
     return out
+
+
+def mean_vote_prior(votes_matrix, ids=None):
+    """The "auto" prior: the grand mean of all votes, clamped to
+    [1e-7, 1 - 1e-7]. The rows are summed one at a time, in sorted-id order
+    (row order without ``ids``), as the package sums them."""
+    order = range(len(votes_matrix)) if ids is None else sorted(range(len(ids)),
+                                                                key=ids.__getitem__)
+    total = sum(float(np.sum(votes_matrix[i])) for i in order)
+    return min(max(total / votes_matrix.size, 1e-7), 1.0 - 1e-7)

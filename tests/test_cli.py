@@ -549,6 +549,7 @@ class TestSoftmaskCommand:
         write_svol(VolumeGrid.from_3d(np.zeros((4, 4, 4)), GridKind.INTENSITY), flair)
         assert main(["softmask", str(mask), "--flair", str(flair),
                      "-o", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
 
     def test_nan_fixed_threshold_exits_2(self, tmp_path):
         """No voxel passes flair >= nan, so it would silently gate every ring out."""
@@ -682,6 +683,39 @@ def _mismatched_dims(tmp_path):
     write_svol(grid([1.0, 0.0]), tmp_path / "a.svol")
     write_svol(grid([1.0, 0.0, 1.0]), tmp_path / "b.svol")
     return [str(tmp_path / "a.svol"), str(tmp_path / "b.svol")]
+
+
+class TestWrongKindInput:
+    """An input file of a kind the command cannot take is invalid input: exit
+    3, naming the file, with no output left. Expert kinds are refused from
+    the headers, and a flair before any expert payload is read."""
+
+    @pytest.mark.parametrize("argv, culprit, reads", [
+        pytest.param(["fuse", "--variant", "binary", "i"], "i", [], id="fuse-intensity"),
+        pytest.param(["fuse", "p", "q"], "p", [], id="fuse-posterior"),
+        pytest.param(["fuse", "--variant", "simplified", "b", "c", "--flair", "c"], "c", ["c"],
+                     id="fuse-binary-flair"),
+        pytest.param(["softmask", "b", "--flair", "c"], "c", ["c"], id="softmask-binary-flair"),
+        pytest.param(["softmask", "s", "--flair", "i"], "s", [], id="softmask-soft-experts"),
+        pytest.param(["eval", "b", "i"], "i", ["b", "i"], id="eval-intensity-pred"),
+        pytest.param(["eval", "i", "b"], "i", ["i"], id="eval-intensity-truth"),
+        pytest.param(["eval", "i", "b", "--binarize-truth"], "i", ["i"],
+                     id="eval-intensity-truth-binarized"),
+    ])
+    def test_exits_3_naming_the_file(self, tmp_path, capsys, monkeypatch, argv, culprit, reads):
+        kinds = {"b": GridKind.BINARY, "c": GridKind.BINARY, "s": GridKind.SOFT,
+                 "i": GridKind.INTENSITY, "p": GridKind.POSTERIOR, "q": GridKind.POSTERIOR}
+        paths = {name: str(tmp_path / f"{name}.svol") for name in kinds}
+        for name, kind in kinds.items():
+            write_svol(grid([1.0, 0.0, 1.0, 0.0], kind), paths[name])
+        read, real = [], fuselab.cli.read_svol
+        monkeypatch.setattr(fuselab.cli, "read_svol", lambda path: read.append(path) or real(path))
+        out = tmp_path / "o"
+        assert main([paths.get(a, a) for a in argv] + ["-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fuselab: invalid input: ") and paths[culprit] in err
+        assert read == [paths[name] for name in reads]
+        assert not out.exists()
 
 
 class TestStderrNamesTheFailure:
@@ -959,6 +993,17 @@ class TestSimulateSizeBound:
         code, calls = self._run(sim_config, tmp_path, monkeypatch, self.NEED)
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("dims", [[4000000] * 3, [2**70, 1, 1]], ids=["past-2^62", "2^70"])
+    def test_dims_past_the_addressable_size_exit_2(self, sim_config, tmp_path, capsys, dims):
+        """Like dims over the byte bound: too large a config, not invalid input."""
+        doc = json.loads(sim_config.read_text())
+        doc["dims"] = dims
+        sim_config.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", str(sim_config), "-o", str(out)]) == 2
+        assert "'dims'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Values each grid kind may hold, for the random CLI runs below.

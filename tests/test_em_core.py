@@ -42,12 +42,12 @@ from fuselab.staple import (
     _COMPARED_LEVELS,
     _PatternModel,
     _soft_digits,
-    resolve_prior,
     vote_patterns,
 )
 from helpers import assert_monotone, random_binary_stack, stack_from_rows
 from oracles import (
     loglik_brute,
+    mean_vote_prior,
     plugin_mstep_brute,
     plugin_mstep_exact,
     posterior_brute,
@@ -253,7 +253,7 @@ class TestVotePatterns:
         if binary:
             assert not np.any(np.signbit(pats.columns))
 
-    def test_pattern_prior_equals_resolve_prior(self, monkeypatch):
+    def test_pattern_prior_equals_the_mean_vote(self, monkeypatch):
         """The prior the runner hands its model; the spy stops the run there,
         since the all-0 and all-1 stacks would collapse in EM."""
         import fuselab.soft_staple as ss
@@ -266,7 +266,7 @@ class TestVotePatterns:
             m, n = int(rng.integers(1, 12)), int(rng.integers(1, 3000))
             stack = random_binary_stack(rng, m, n, p=rng.choice([0.0, 0.02, 0.4, 1.0]))
             run_em(stack, config)
-            assert priors[-1] == resolve_prior(stack, AUTO_PRIOR)
+            assert priors[-1] == mean_vote_prior(stack.as_matrix(), stack.expert_ids)
         assert len(priors) == 40
 
 
@@ -490,7 +490,8 @@ def _label_swap_steps(rows, kind, variant, prior, mode, steps=30) -> bool:
     swapped = prior if prior == AUTO_PRIOR else 1.0 - prior
     model = _ExactModel if variant == "soft-exact" else _PatternModel
     stacks = stack_from_rows(rows, kind), stack_from_rows(1.0 - rows, kind)
-    a, b = (model(vote_patterns(s), resolve_prior(s, p)) for s, p in zip(stacks, (prior, swapped)))
+    a, b = (model(vote_patterns(s), mean_vote_prior(s.as_matrix(), s.expert_ids)
+                  if p == AUTO_PRIOR else p) for s, p in zip(stacks, (prior, swapped)))
     assert abs(b.prior - (1.0 - a.prior)) <= 1e-10
     init = FusionConfig()
     m = rows.shape[0]

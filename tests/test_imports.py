@@ -8,6 +8,7 @@ import functools
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fuselab"
-PERFBENCH = SRC.parents[1] / "perfbench"
+ROOT = SRC.parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -137,3 +139,24 @@ def test_benchmark_names_resolve(monkeypatch):
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_every_export_has_a_user():
+    """Every name in ``fuselab.__all__`` has a user besides the tests: a
+    ``fuselab`` module other than ``__init__.py`` reads it (an AST name or
+    attribute), or a demo, a benchmark module or README names it as a word."""
+    import fuselab
+
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    texts = [ROOT / "README.md", *(ROOT / "demos").glob("*.py"),
+             *(p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))]
+    for path in texts:
+        used |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert sorted(set(fuselab.__all__) - used) == []

@@ -76,7 +76,7 @@ class TestSoftDice:
 class TestPrecisionRecall:
     def test_perfect_prediction(self):
         t = grid([1.0, 1.0, 0.0, 0.0])
-        rep = precision_recall(t, t.with_kind(GridKind.POSTERIOR))
+        rep = precision_recall(t, grid(t.data, GridKind.POSTERIOR))
         assert rep.precision == 1.0
         assert rep.recall == 1.0
         assert rep.dice == pytest.approx(1.0, abs=1e-6)

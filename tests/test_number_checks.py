@@ -23,9 +23,7 @@ from fuselab import (
     RaterParams,
     RaterSpec,
     SoftMaskConfig,
-    StructuringElement,
     connected_components,
-    dilate,
     m_step,
     mc_soft_e_step_voxel,
     posterior_voxel,
@@ -33,6 +31,7 @@ from fuselab import (
     run_em,
     soften_votes,
 )
+from fuselab import softmask
 from fuselab.errors import ConfigError, check_number
 from helpers import grid, random_binary_stack, stack_from_rows
 
@@ -80,8 +79,6 @@ ARGS = [
         lambda v: SoftMaskConfig(threshold_mode="fixed", threshold_value=v),
         "[-inf, inf]"),
     Arg("max_dilation_iters", lambda v: SoftMaskConfig(max_dilation_iters=v), "[1, inf]", True),
-    Arg("iters", lambda v: dilate(_mask(), StructuringElement.from_connectivity(6), v),
-        "[0, inf]", True),
     Arg("background_intensity", lambda v: _phantom(background_intensity=v), "(-inf, inf)"),
     Arg("lesion_intensity", lambda v: _phantom(lesion_intensity=v), "(-inf, inf)"),
     Arg("intensity_noise_sd", lambda v: _phantom(intensity_noise_sd=v), "[0, inf)"),
@@ -174,11 +171,11 @@ class TestCheckNumber:
 
 
 class TestConnectivity:
-    """One check serves the config, the structuring element and the labeller."""
+    """One check serves the config, the footprint and the labeller."""
 
     CALLS = [
         pytest.param(lambda v: SoftMaskConfig(connectivity=v), id="config"),
-        pytest.param(StructuringElement.from_connectivity, id="from_connectivity"),
+        pytest.param(softmask._footprint, id="footprint"),
         pytest.param(lambda v: connected_components(_mask(), v), id="connected_components"),
     ]
 
@@ -197,13 +194,6 @@ class TestConnectivity:
     @pytest.mark.parametrize("call", CALLS)
     def test_takes_numpy_integers(self, call):
         call(np.int64(18))
-
-
-@pytest.mark.parametrize("value", [2.5, "2", True])
-def test_dilate_refuses_a_non_integer_count(value):
-    se = StructuringElement.from_connectivity(6)
-    with pytest.raises(ConfigError, match="iters must be an integer"):
-        dilate(_mask(), se, value)
 
 
 def test_numpy_prior_is_taken():

@@ -16,12 +16,10 @@ from fuselab import (
     Dim3,
     GridKind,
     SoftMaskConfig,
-    StructuringElement,
     VolumeGrid,
     build_soft_mask,
     build_soft_stack,
     connected_components,
-    dilate,
 )
 from fuselab import softmask
 from fuselab.errors import ConfigError, DimensionMismatchError
@@ -40,24 +38,31 @@ def cube_fixture(edge=3, grid_edge=9, flair_value=100.0):
     return binary, flair
 
 
-class TestStructuringElement:
+def grow(binary, footprint, iters):
+    """``iters`` unit dilations of a binary grid by ``footprint``, through the
+    protocol's own step, clipped at the grid bounds."""
+    region = binary.as_3d() > 0.5
+    for _ in range(iters):
+        region = softmask._dilation_step(region, footprint)
+    return VolumeGrid(binary.dims, region.reshape(-1), GridKind.BINARY)
+
+
+class TestFootprint:
     def test_connectivity_sizes(self):
-        assert len(StructuringElement.from_connectivity(6).offsets) == 7
-        assert len(StructuringElement.from_connectivity(18).offsets) == 19
-        assert len(StructuringElement.from_connectivity(26).offsets) == 27
+        assert softmask._footprint(6).sum() == 7
+        assert softmask._footprint(18).sum() == 19
+        assert softmask._footprint(26).sum() == 27
 
-    def test_missing_faces_rejected(self):
-        with pytest.raises(ConfigError):
-            StructuringElement(((0, 0, 0), (1, 0, 0)))
-
-    def test_asymmetric_rejected(self):
-        faces = StructuringElement.from_connectivity(6).offsets
-        with pytest.raises(ConfigError):
-            StructuringElement(faces + ((1, 1, 0),))
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_equals_ndimage_structure(self, connectivity):
+        rank = softmask.CONNECTIVITY_RANK[connectivity]
+        footprint = softmask._footprint(connectivity)
+        assert footprint.dtype == bool
+        np.testing.assert_array_equal(footprint, ndimage.generate_binary_structure(3, rank))
 
     def test_bad_connectivity(self):
         with pytest.raises(ConfigError):
-            StructuringElement.from_connectivity(10)
+            softmask._footprint(10)
 
 
 class TestConnectedComponents:
@@ -96,36 +101,26 @@ class TestConnectedComponents:
             np.testing.assert_array_equal(comp, want)
 
 
-class TestDilate:
-    def test_zero_iterations_is_identity(self):
-        binary, _ = cube_fixture()
-        se = StructuringElement.from_connectivity(26)
-        assert dilate(binary, se, 0) == binary
-
+class TestDilationStep:
     def test_single_voxel_cross(self):
         mask = np.zeros((5, 5, 5))
         mask[2, 2, 2] = 1.0
         g = VolumeGrid.from_3d(mask, GridKind.BINARY)
-        out = dilate(g, StructuringElement.from_connectivity(6), 1)
+        out = grow(g, softmask._footprint(6), 1)
         assert int(out.data.sum()) == 7
 
     def test_cube_full_dilation(self):
         binary, _ = cube_fixture()
-        out = dilate(binary, StructuringElement.from_connectivity(26), 1)
+        out = grow(binary, softmask._footprint(26), 1)
         assert int(out.data.sum()) == 125
 
     def test_output_superset_and_clipping(self):
         mask = np.zeros((3, 3, 3))
         mask[0, 0, 0] = 1.0
         g = VolumeGrid.from_3d(mask, GridKind.BINARY)
-        out = dilate(g, StructuringElement.from_connectivity(26), 1)
+        out = grow(g, softmask._footprint(26), 1)
         assert out.data[0] == 1.0
         assert int(out.data.sum()) == 8
-
-    def test_negative_iters(self):
-        binary, _ = cube_fixture()
-        with pytest.raises(ConfigError):
-            dilate(binary, StructuringElement.from_connectivity(6), -1)
 
 
 class TestBuildSoftMask:
@@ -141,8 +136,7 @@ class TestBuildSoftMask:
 
     def test_flair_dip_excludes_exactly_those_ring_voxels(self):
         binary, flair = cube_fixture()
-        se = StructuringElement.from_connectivity(26)
-        ring = (dilate(binary, se, 1).data > 0.5) & (binary.data < 0.5)
+        ring = (grow(binary, softmask._footprint(26), 1).data > 0.5) & (binary.data < 0.5)
         ring_idx = np.flatnonzero(ring)[:10]
         dipped = flair.data.copy()
         dipped[ring_idx] = 1.0
@@ -161,11 +155,7 @@ class TestBuildSoftMask:
         binary, flair = cube_fixture()
         cfg = SoftMaskConfig()
         out = build_soft_mask(binary, flair, cfg)
-        grown = dilate(
-            binary,
-            StructuringElement.from_connectivity(cfg.connectivity),
-            cfg.max_dilation_iters,
-        )
+        grown = grow(binary, softmask._footprint(cfg.connectivity), cfg.max_dilation_iters)
         assert np.all(grown.data[out.data > 0.0] == 1.0)
 
     def test_gamma_voxels_pass_threshold(self):
@@ -405,8 +395,7 @@ class TestAgainstNdimage:
     @settings(max_examples=150, deadline=None)
     @given(mask=masks(), connectivity=st.sampled_from([6, 18, 26]))
     def test_labels_equal_ndimage(self, mask, connectivity):
-        structure = StructuringElement.from_connectivity(connectivity).as_array()
-        want, count = ndimage.label(mask, structure)
+        want, count = ndimage.label(mask, softmask._footprint(connectivity))
         labels, comps = connected_components(VolumeGrid.from_3d(mask, GridKind.BINARY),
                                              connectivity)
         assert labels.dtype == want.dtype
@@ -419,10 +408,12 @@ class TestAgainstNdimage:
     @given(mask=masks(), pairs=st.sets(st.sampled_from(_PAIRS[3:])) | st.just(set(_PAIRS)))
     def test_dilate_equals_ndimage(self, mask, pairs, iters):
         offsets = {(0, 0, 0)} | {s for o in {*_PAIRS[:3], *pairs} for s in (o, tuple(-c for c in o))}
-        se = StructuringElement(tuple(sorted(offsets)))
-        got = dilate(VolumeGrid.from_3d(mask, GridKind.BINARY), se, iters)
+        footprint = np.zeros((3, 3, 3), dtype=bool)
+        for dx, dy, dz in offsets:
+            footprint[dz + 1, dy + 1, dx + 1] = True
+        got = grow(VolumeGrid.from_3d(mask, GridKind.BINARY), footprint, iters)
         # ndimage reads iterations=0 as "until nothing changes".
-        want = ndimage.binary_dilation(mask, se.as_array(), iterations=iters) if iters else mask
+        want = ndimage.binary_dilation(mask, footprint, iterations=iters) if iters else mask
         np.testing.assert_array_equal(got.as_3d() > 0.5, want)
 
     @pytest.mark.parametrize("connectivity", [6, 26])
@@ -453,7 +444,6 @@ class TestBuildSoftStack:
         flair = VolumeGrid.from_3d(np.full((6, 6, 6), 5.0), GridKind.INTENSITY)
         calls = []
         post_init = SoftMaskConfig.__post_init__
-        footprint = StructuringElement.as_array
 
         def counted(original, name):
             def wrapper(*args, **kwargs):
@@ -463,9 +453,9 @@ class TestBuildSoftStack:
 
         monkeypatch.setattr(SoftMaskConfig, "__post_init__",
                             counted(post_init, "__post_init__"))
-        monkeypatch.setattr(StructuringElement, "as_array", counted(footprint, "as_array"))
+        monkeypatch.setattr(softmask, "_footprint", counted(softmask._footprint, "_footprint"))
         soft = build_soft_stack(stack, flair)
-        assert sorted(calls) == ["__post_init__", "as_array"]
+        assert sorted(calls) == ["__post_init__", "_footprint"]
         for g, s in zip(stack.experts, soft.experts):
             assert s == build_soft_mask(g, flair)
 

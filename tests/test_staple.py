@@ -21,7 +21,6 @@ from fuselab import (
     m_step,
     mc_soft_e_step_voxel,
     posterior_voxel,
-    resolve_prior,
     run_em,
     simple_e_step_voxel,
     soft_e_step_voxel,
@@ -29,7 +28,7 @@ from fuselab import (
 from fuselab.errors import ConfigError, DegeneratePosteriorError, ValueRangeError
 from fuselab.staple import CLAMP_LO, _posterior_grid, vote_patterns
 from helpers import assert_monotone, grid, random_binary_stack, stack_from_rows
-from oracles import loglik_brute, posterior_brute
+from oracles import loglik_brute, mean_vote_prior, posterior_brute
 
 
 def params(sens, spec):
@@ -212,7 +211,7 @@ class TestRunEm:
     def test_auto_prior_is_grand_vote_mean(self):
         rows = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
         stack = stack_from_rows(rows)
-        assert resolve_prior(stack, "auto") == pytest.approx(3 / 8)
+        assert mean_vote_prior(rows) == pytest.approx(3 / 8)
         res = run_em(stack, FusionConfig(max_iters=2))
         assert res.prior == pytest.approx(3 / 8)
 
@@ -307,7 +306,7 @@ class TestModelProperties:
         ids = ("anna", "bob", "carol", "dan")
         stack = stack_from_rows(rows, ids=ids)
         perm = [2, 0, 3, 1]
-        shuffled = stack.reordered(perm)
+        shuffled = ExpertStack(tuple(stack.experts[i] for i in perm), tuple(ids[i] for i in perm))
         r1 = run_em(stack)
         r2 = run_em(shuffled)
         assert np.array_equal(r1.posterior.data, r2.posterior.data)
@@ -394,16 +393,12 @@ class TestPosteriorGrid:
                  id="length-mismatch"),
     pytest.param(lambda: RaterParams([], []), r"experts must lie in \[1, inf\], got 0",
                  id="no-experts"),
-    pytest.param(lambda: RaterParams.uniform(0, 0.9, 0.9), r"experts must lie in \[1, inf\]",
-                 id="uniform-no-experts"),
     pytest.param(lambda: RaterParams([1.1], [0.9]), r"sens values must lie in \[0, 1\]",
                  id="sens-above-1"),
     pytest.param(lambda: RaterParams([0.9], [-0.1]), r"spec values must lie in \[0, 1\]",
                  id="spec-below-0"),
     pytest.param(lambda: RaterParams([math.nan], [0.9]), r"sens values must lie in \[0, 1\]",
                  id="sens-nan"),
-    pytest.param(lambda: RaterParams.uniform(2, 0.9, 1.5), r"spec values must lie in \[0, 1\]",
-                 id="uniform-spec-above-1"),
     pytest.param(lambda: FusionConfig(variant="hard"),
                  r"variant must be one of .*, got 'hard'", id="unknown-variant"),
     pytest.param(lambda: FusionConfig(mstep_mode="mean"),
@@ -418,10 +413,3 @@ class TestPosteriorGrid:
 def test_parameter_and_config_refusals(build, message):
     with pytest.raises(ConfigError, match=message):
         build()
-
-
-def test_uniform_params_repeat_one_pair():
-    p = RaterParams.uniform(3, 0.8, 0.7)
-    assert p.m == 3
-    np.testing.assert_array_equal(p.sens, [0.8, 0.8, 0.8])
-    np.testing.assert_array_equal(p.spec, [0.7, 0.7, 0.7])

@@ -19,7 +19,6 @@ from fuselab import (
     VolumeGrid,
     binarize,
     read_svol,
-    resolve_prior,
     run_em,
     write_svol,
 )
@@ -28,6 +27,7 @@ from fuselab.errors import TrailingDataError, TruncatedPayloadError
 from fuselab.staple import MSTEP_MODES, VARIANTS, _mean_vote_prior, vote_patterns
 from fuselab.svol_io import read_svol_header
 from helpers import stack_from_rows
+from oracles import mean_vote_prior
 
 _HUGE = "1" + "0" * 5000  # past Python's 4,300-digit int conversion limit
 
@@ -209,7 +209,7 @@ class TestStreamedFoldIsByteIdentical:
         _assert_fuse_equals_run_em(tmp_path, shuffled,
                                    *_run(variant, "expected-count"))
 
-    def test_votes_equal_resolve_prior_sum(self):
+    def test_votes_equal_the_mean_vote_oracle_sum(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             m, n = int(rng.integers(1, 9)), int(rng.integers(1, 500))
@@ -218,7 +218,7 @@ class TestStreamedFoldIsByteIdentical:
             stack = stack_from_rows(rows, GridKind.SOFT, ids=ids)
             votes = vote_patterns(stack).votes
             assert votes == sum(float(np.sum(rows[i])) for i in np.argsort(ids))
-            assert _mean_vote_prior(votes, m, stack.dims) == resolve_prior(stack, "auto")
+            assert _mean_vote_prior(votes, m, stack.dims) == mean_vote_prior(rows, ids)
 
 
 def _fuse_peak(tmp_path, m, edge, kind, variant):

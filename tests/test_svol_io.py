@@ -10,6 +10,7 @@ import pytest
 
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
 from fuselab.cli import main
+from fuselab.svol_io import read_svol_header
 from fuselab.errors import (
     BadMagicError,
     HeaderError,
@@ -203,6 +204,31 @@ class TestFaultInjection:
                          struct.pack("<d", 0.5))
         assert main(["eval", str(path), str(path)]) == 3
         assert str(path) in capsys.readouterr().err
+
+    def _huge_dims_file(self, tmp_path):
+        """dims [1<5,000 zeros>, 1, 1]: an integer past Python's 4,300-digit limit."""
+        blob = b'{"dims":[1' + b"0" * 5000 + b',1,1],"kind":"binary"}'
+        path = tmp_path / "huge.svol"
+        path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + struct.pack("<d", 1.0))
+        return path
+
+    @pytest.mark.parametrize("read", [read_svol, read_svol_header])
+    def test_integer_past_the_digit_limit_is_a_header_error(self, tmp_path, read):
+        path = self._huge_dims_file(tmp_path)
+        with pytest.raises(HeaderError, match="not valid UTF-8 JSON") as info:
+            read(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("command", ["fuse", "eval", "softmask"])
+    def test_integer_past_the_digit_limit_exits_3(self, tmp_path, capsys, command):
+        path = str(self._huge_dims_file(tmp_path))
+        out = tmp_path / "o"
+        argv = {"fuse": ["fuse", "--variant", "binary", path],
+                "eval": ["eval", path, path],
+                "softmask": ["softmask", path, "--flair", path]}[command]
+        assert main([*argv, "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"fuselab: invalid input: {path}: header")
+        assert not out.exists()
 
 
 class TestReadAllocation:

@@ -218,6 +218,10 @@ class TestConfigParsing:
                      id="dims-fraction"),
         pytest.param(lambda d: {**d, "dims": [8, True, 8]},
                      "'dims' must be 3 positive integers", id="dims-bool"),
+        pytest.param(lambda d: {**d, "dims": [4000000] * 3},
+                     "'dims': voxel count exceeds the addressable size", id="dims-past-2^62"),
+        pytest.param(lambda d: {**d, "dims": [2**70, 1, 1]},
+                     "'dims': voxel count exceeds the addressable size", id="dims-2^70"),
         pytest.param(lambda d: {**d, "raters": [{**d["raters"][0], "id": 7}]},
                      r"raters\[0\]: key 'id' must be a str", id="id-not-string"),
         pytest.param(lambda d: {**d, "raters": [{**d["raters"][0], "boundary_softening": "x"}]},

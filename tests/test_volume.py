@@ -8,14 +8,11 @@ from fuselab import (
     ExpertStack,
     GridKind,
     RaterSpec,
-    StructuringElement,
     VolumeGrid,
     binarize,
     build_soft_mask,
     build_soft_stack,
     connected_components,
-    dilate,
-    linear_index,
     m_step,
     precision_recall,
     simulate_raters,
@@ -35,43 +32,16 @@ from fuselab.errors import (
 from helpers import grid, stack_from_rows
 
 
-class TestLinearIndex:
-    def test_origin(self):
-        assert linear_index(0, 0, 0, Dim3(4, 4, 4)) == 0
-
-    def test_x_fastest(self):
-        assert linear_index(3, 0, 0, Dim3(4, 4, 4)) == 3
-
-    def test_mixed_coordinate(self):
-        # 1 + 4 * (2 + 5 * 3)
-        assert linear_index(1, 2, 3, Dim3(4, 5, 6)) == 69
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            linear_index(4, 0, 0, Dim3(4, 4, 4))
-        with pytest.raises(IndexError):
-            linear_index(0, -1, 0, Dim3(4, 4, 4))
-
-    def test_bijection(self):
-        dims = Dim3(3, 4, 5)
-        seen = {
-            linear_index(ix, iy, iz, dims)
-            for iz in range(5)
-            for iy in range(4)
-            for ix in range(3)
-        }
-        assert seen == set(range(dims.n))
-
+class TestVolumeGrid:
     def test_matches_3d_layout(self):
+        """Voxel (ix, iy, iz) lives at flat index ix + nx * (iy + ny * iz)."""
         dims = Dim3(3, 4, 5)
         rng = np.random.default_rng(3)
         g = VolumeGrid(dims, rng.random(dims.n), GridKind.SOFT)
         cube = g.as_3d()
         for ix, iy, iz in ((0, 0, 0), (2, 3, 4), (1, 2, 3)):
-            assert cube[iz, iy, ix] == g.data[linear_index(ix, iy, iz, dims)]
+            assert cube[iz, iy, ix] == g.data[ix + dims.nx * (iy + dims.ny * iz)]
 
-
-class TestVolumeGrid:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             VolumeGrid(Dim3(2, 2, 2), np.zeros(7), GridKind.BINARY)
@@ -101,7 +71,7 @@ class TestVolumeGrid:
         c = grid([1.0, 1.0])
         assert a == b
         assert a != c
-        assert a != a.with_kind(GridKind.SOFT)
+        assert a != grid(a.data, GridKind.SOFT)
 
     def test_from_3d_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -254,8 +224,6 @@ class TestGridArgumentChecks:
         ("precision_recall pred", lambda: precision_recall(_LABELS, _INTENSITY), "pred",
          "a label grid"),
         ("connected_components", lambda: connected_components(_SOFT), "mask",
-         "a binary grid"),
-        ("dilate", lambda: dilate(_SOFT, StructuringElement.from_connectivity(6), 1), "mask",
          "a binary grid"),
         ("build_soft_mask binary", lambda: build_soft_mask(_SOFT, _INTENSITY), "binary",
          "a binary grid"),
