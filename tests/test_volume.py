@@ -32,9 +32,39 @@ from fuselab.errors import (
 from helpers import grid, stack_from_rows
 
 
-class TestVolumeGrid:
+def flat_index(ix, iy, iz, dims):
+    """Where ``VolumeGrid.from_3d`` stores voxel (ix, iy, iz) of a
+    ``(nz, ny, nx)`` cube: the one set voxel's position in the flat data."""
+    cube = np.zeros((dims.nz, dims.ny, dims.nx))
+    cube[iz, iy, ix] = 1.0
+    (index,) = np.flatnonzero(VolumeGrid.from_3d(cube, GridKind.BINARY).data)
+    return int(index)
+
+
+class TestLinearIndex:
+    """Voxel (ix, iy, iz) lives at flat index ix + nx * (iy + ny * iz)."""
+
+    def test_origin(self):
+        assert flat_index(0, 0, 0, Dim3(4, 4, 4)) == 0
+
+    def test_x_fastest(self):
+        assert flat_index(3, 0, 0, Dim3(4, 4, 4)) == 3
+
+    def test_mixed_coordinate(self):
+        # 1 + 4 * (2 + 5 * 3)
+        assert flat_index(1, 2, 3, Dim3(4, 5, 6)) == 69
+
+    def test_bijection(self):
+        dims = Dim3(3, 4, 5)
+        seen = {
+            flat_index(ix, iy, iz, dims)
+            for iz in range(5)
+            for iy in range(4)
+            for ix in range(3)
+        }
+        assert seen == set(range(dims.n))
+
     def test_matches_3d_layout(self):
-        """Voxel (ix, iy, iz) lives at flat index ix + nx * (iy + ny * iz)."""
         dims = Dim3(3, 4, 5)
         rng = np.random.default_rng(3)
         g = VolumeGrid(dims, rng.random(dims.n), GridKind.SOFT)
@@ -42,6 +72,8 @@ class TestVolumeGrid:
         for ix, iy, iz in ((0, 0, 0), (2, 3, 4), (1, 2, 3)):
             assert cube[iz, iy, ix] == g.data[ix + dims.nx * (iy + dims.ny * iz)]
 
+
+class TestVolumeGrid:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             VolumeGrid(Dim3(2, 2, 2), np.zeros(7), GridKind.BINARY)
