@@ -31,6 +31,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DegeneratePosteriorError,
+    DimensionMismatchError,
     FuselabError,
     GridError,
     InputReadError,
@@ -50,14 +51,14 @@ from .volume import validate_stack  # noqa: F401  (perfbench's traced pass wraps
 
 
 # Most bytes a fuse or softmask command may hold, estimated from the input
-# headers before any payload is read: voxels x 40 for a fuse that reads one
-# expert at a time (a payload, its vote codes, the 8-byte inverse and the
-# posterior), and voxels x (40 + 16 x experts) where the binary stack and its
-# soft masks are both held (softmask, and fuse --flair, which then folds the
-# soft masks). Measured peaks (tracemalloc, 64^3, 1, 3, 7 and 12 experts): such
-# a fuse 25 to 38 bytes per voxel; softmask 38, 70, 134 and 214, fuse --flair
-# 38, 70, 134 and 231. soft-mc's tallies have bounds of their own
-# (soft_staple.MC_ENTRY_LIMIT).
+# headers before any payload is read. Both read one expert at a time, so the
+# estimate does not grow with the experts: voxels x 40 for a fuse (a payload,
+# its vote codes, the 8-byte inverse and the posterior), voxels x 96 where soft
+# masks are built (softmask, fuse --flair). Measured peaks (tracemalloc, 64^3,
+# 90%-full random masks, 1 and 12 experts): a binary fuse 17 and 18 bytes per
+# voxel, softmask 68 and 69, fuse --flair 69 and 77 (83 at 48^3). The fold's
+# column arrays (staple.COLUMN_VOTE_LIMIT) and soft-mc's tallies
+# (soft_staple.MC_ENTRY_LIMIT) have bounds of their own.
 STACK_BYTE_LIMIT = 2**32
 
 # Config dataclass field -> CLI option where the names differ; None: no option.
@@ -86,9 +87,9 @@ _SOFTMASK_DEFAULTS = {
     **_RUN_DEFAULTS,
 }
 
-# After the soft-mask options, so that fuse's seed defaults to FusionConfig's mc_seed.
+# After the run options, so that fuse's seed defaults to FusionConfig's mc_seed.
 _FUSE_DEFAULTS = {
-    **_SOFTMASK_DEFAULTS,
+    **_RUN_DEFAULTS,
     **_field_defaults(FusionConfig(), _FUSION_OPTIONS),
     "binarize": False,
 }
@@ -152,16 +153,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("--mc-samples", type=int)
     fuse.add_argument("--binarize", action="store_true",
                       help="also write the thresholded consensus mask")
-    fuse.add_argument("--flair", help="intensity SVOL; lets binary inputs feed the "
-                                      "soft variants via the soft-mask protocol")
-    _softmask_flags(fuse)
+    fuse.add_argument("--flair", help="intensity SVOL; lets binary inputs feed the soft "
+                                      "variants via the default soft-mask protocol")
     _command_flags(fuse, _cmd_fuse, _FUSE_DEFAULTS)
 
     soft = sub.add_parser("softmask", help="turn binary masks into soft masks")
     soft.add_argument("inputs", nargs="+", help="binary expert SVOL files")
     soft.add_argument("--flair", required=True, help="intensity SVOL gating the dilation")
     soft.add_argument("-o", "--out", required=True, help="output directory")
-    _softmask_flags(soft)
+    soft.add_argument("--gamma", type=float, help="soft label of the grown voxels")
+    soft.add_argument("--ratio", type=float, help="target volume ratio of each component")
+    soft.add_argument("--threshold-mode", help="'percentile:P' or 'fixed:V'")
+    soft.add_argument("--connectivity", type=int, choices=tuple(CONNECTIVITY_RANK))
+    soft.add_argument("--max-dilation-iters", type=int)
     _command_flags(soft, _cmd_softmask, _SOFTMASK_DEFAULTS)
 
     sim = sub.add_parser("simulate", help="generate a phantom plus simulated raters")
@@ -178,15 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("-o", "--out", help="optional directory for report.json + manifest")
     _command_flags(ev, _cmd_eval, _EVAL_DEFAULTS)
     return parser
-
-
-def _softmask_flags(cmd: argparse.ArgumentParser) -> None:
-    """The soft-mask protocol's options (on ``fuse``, for the --flair path)."""
-    cmd.add_argument("--gamma", type=float, help="soft label of the grown voxels")
-    cmd.add_argument("--ratio", type=float, help="target volume ratio of each component")
-    cmd.add_argument("--threshold-mode", help="'percentile:P' or 'fixed:V'")
-    cmd.add_argument("--connectivity", type=int, choices=tuple(CONNECTIVITY_RANK))
-    cmd.add_argument("--max-dilation-iters", type=int)
 
 
 def _command_flags(cmd: argparse.ArgumentParser, handler, defaults: dict) -> None:
@@ -253,19 +248,26 @@ def _read(read, path):
         raise InputReadError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _check_headers(paths, kinds) -> tuple[list[str], Dim3, GridKind]:
+def _check_headers(paths, kinds, flair=None) -> tuple[list[str], Dim3, GridKind]:
     """The experts' ids (file stems, or the paths where stems collide), dims
     and kind, once every header checks out as a member of a stack of one of
-    ``kinds``; no payload is read."""
+    ``kinds``, and a ``flair`` beside binary experts (it gates their masks)
+    as an intensity grid of their dims; no payload is read."""
     ids = [Path(p).stem for p in paths]
     if len(set(ids)) != len(ids):
         ids = [str(p) for p in paths]
-    pipes = [p for p in paths if os.path.exists(p) and not os.path.isfile(p)]
+    pipes = [p for p in [*paths, flair] if p and os.path.exists(p) and not os.path.isfile(p)]
     if pipes:  # read_svol opens each input again, for its payload; a pipe would be empty
         raise InputReadError(f"{pipes[0]} is not a regular file, so it cannot be read twice")
     dims, found = zip(*(_read(read_svol_header, p) for p in paths))
     _refuse_kind("expert", paths[0], found[0], kinds)  # the stack's kind is its first's
     check_members(ids, dims, found)
+    if flair and found[0] is GridKind.BINARY:
+        shape, kind = _read(read_svol_header, flair)
+        _refuse_kind("flair", flair, kind, (GridKind.INTENSITY,))
+        if shape != dims[0]:
+            raise DimensionMismatchError(
+                f"flair {flair} has dims {shape.as_tuple()}, expected {dims[0].as_tuple()}")
     return ids, dims[0], found[0]
 
 
@@ -281,24 +283,43 @@ def _read_as(role: str, path, kinds) -> VolumeGrid:
     return grid
 
 
-def _refuse_stack_bytes(dims: Dim3, m: int, whole_stack: bool) -> None:
+def _refuse_stack_bytes(dims: Dim3, builds_soft: bool) -> None:
     """Refuse a run whose estimated bytes pass :data:`STACK_BYTE_LIMIT`."""
-    per, formula = (40 + 16 * m, "(40 + 16 x experts)") if whole_stack else (40, "40")
-    _refuse_over(dims.n * per, STACK_BYTE_LIMIT, f"estimated bytes to hold (voxels x "
-                 f"{formula})", "crop the volumes or pass fewer experts")
+    per = 96 if builds_soft else 40
+    _refuse_over(dims.n * per, STACK_BYTE_LIMIT, f"estimated bytes to hold (voxels x {per})",
+                 "crop the volumes")
 
 
-def _read_row(path, dims: Dim3, kind: GridKind) -> numpy.ndarray:
+def _read_grid(path, dims: Dim3, kind: GridKind, flair=None, cfg=None) -> VolumeGrid:
+    """The grid the header pass found at ``path`` or, given a flair, its soft mask."""
     grid = _read(read_svol, path)
     if (grid.dims, grid.kind) != (dims, kind):
         raise SvolError(f"{path}: header changed while the inputs were read")
-    return grid.data
+    if flair is None:
+        return grid
+    return build_soft_stack(ExpertStack((grid,), (str(path),)), flair, cfg).experts[0]
 
 
 def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _targets(args, filenames, inputs, resolved: dict) -> list[Path]:
+    """The output files in ``args.out``, then the manifest, once none is an input,
+    an existing entry other than a regular file, or an existing file without --force."""
+    targets = [Path(args.out) / name for name in [*filenames, "manifest.json"]]
+    for target in targets:
+        if not target.exists():  # nor is it an input, since each input was opened before
+            continue
+        if os.path.realpath(target) in {os.path.realpath(p) for p in inputs}:
+            raise ConfigError(f"refusing to overwrite input file {target}")
+        if not target.is_file():
+            raise ConfigError(f"output {target} exists and is not a regular file")
+        if not resolved["force"]:
+            raise ConfigError(f"output {target} exists; pass --force to overwrite")
+    return targets
 
 
 @contextlib.contextmanager
@@ -315,17 +336,7 @@ def _outputs(args, filenames, inputs, resolved: dict, started: float):
         outdir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"output directory {outdir} cannot be made: {exc.strerror}") from exc
-    input_paths = {os.path.realpath(p) for p in inputs}
-    targets = [outdir / name for name in [*filenames, "manifest.json"]]
-    for target in targets:
-        if os.path.realpath(target) in input_paths:
-            raise ConfigError(f"refusing to overwrite input file {target}")
-        if not target.exists():
-            continue
-        if not target.is_file():
-            raise ConfigError(f"output {target} exists and is not a regular file")
-        if not resolved["force"]:
-            raise ConfigError(f"output {target} exists; pass --force to overwrite")
+    targets = _targets(args, filenames, inputs, resolved)
     temps = [t.with_name(f".{t.name}.partial") for t in targets]
     try:
         yield temps[:-1]
@@ -345,19 +356,13 @@ def _outputs(args, filenames, inputs, resolved: dict, started: float):
             tmp.unlink(missing_ok=True)
 
 
-def _softmask_config(resolved: dict) -> SoftMaskConfig:
-    mode, value = _parse_threshold_mode(resolved["threshold_mode"])
-    return _from_options(SoftMaskConfig, _SOFTMASK_OPTIONS, resolved,
-                         threshold_mode=mode, threshold_value=value)
-
-
 def _cmd_fuse(args, resolved: dict, started: float) -> int:
     resolved["prior"] = _parse_prior(resolved["prior"])
     config = _from_options(FusionConfig, _FUSION_OPTIONS, resolved)
-    softmask = _softmask_config(resolved)
 
     inputs = list(args.inputs)
-    ids, dims, kind = _check_headers(inputs, (GridKind.BINARY, GridKind.SOFT))
+    ids, dims, kind = _check_headers(inputs, (GridKind.BINARY, GridKind.SOFT),
+                                     args.flair if config.variant != "binary" else None)
     builds_soft = kind is GridKind.BINARY and config.variant != "binary"
     if args.flair is not None and not builds_soft:
         raise ConfigError("--flair builds soft masks from binary inputs for a soft variant; "
@@ -369,19 +374,21 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
                 "binary inputs need --variant binary, or --flair to build "
                 "soft masks for the soft variants"
             )
-        _refuse_stack_bytes(dims, len(ids), whole_stack=True)
-        flair = _read_as("flair", args.flair, (GridKind.INTENSITY,))
-        stack = ExpertStack(tuple(_read(read_svol, p) for p in inputs), tuple(ids))
-        votes = build_soft_stack(stack, flair, softmask)
         inputs.append(args.flair)
-    else:  # one payload at a time, dropped once folded into the vote patterns
-        _refuse_stack_bytes(dims, len(ids), whole_stack=False)
-        order = id_order(ids)
-        votes = fold_votes((_read_row(inputs[i], dims, kind) for i in order), order, kind, dims)
-
+    _refuse_stack_bytes(dims, builds_soft)
     filenames = ["posterior.svol", "params.json"]
     if resolved["binarize"]:
         filenames.insert(1, "consensus.svol")
+    _targets(args, filenames, inputs, resolved)
+
+    # One payload at a time, dropped once folded into the vote patterns. Only
+    # the rows hold the flair, so it goes once the last soft mask is built.
+    flair = _read_grid(args.flair, dims, GridKind.INTENSITY) if builds_soft else None
+    order = id_order(ids)
+    rows = (_read_grid(inputs[i], dims, kind, f).data for f in [flair] for i in order)
+    del flair
+    votes = fold_votes(rows, order, GridKind.SOFT if builds_soft else kind, dims)
+
     with _outputs(args, filenames, inputs, resolved, started) as temps:
         # One runner under two names: perfbench's traced pass labels its spans by the name.
         result = (run_em(votes, config) if config.variant == "binary"
@@ -409,20 +416,21 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
 
 
 def _cmd_softmask(args, resolved: dict, started: float) -> int:
-    cfg = _softmask_config(resolved)
-    ids, dims, _ = _check_headers(args.inputs, (GridKind.BINARY,))
-    _refuse_stack_bytes(dims, len(ids), whole_stack=True)
-    flair = _read_as("flair", args.flair, (GridKind.INTENSITY,))
-    stack = ExpertStack(tuple(_read(read_svol, p) for p in args.inputs), tuple(ids))
-
+    mode, value = _parse_threshold_mode(resolved["threshold_mode"])
+    cfg = _from_options(SoftMaskConfig, _SOFTMASK_OPTIONS, resolved,
+                        threshold_mode=mode, threshold_value=value)
+    _, dims, _ = _check_headers(args.inputs, (GridKind.BINARY,), args.flair)
+    _refuse_stack_bytes(dims, builds_soft=True)
     filenames = [Path(p).name for p in args.inputs]
     if len(set(filenames)) != len(filenames):
         raise ConfigError("input basenames collide; rename inputs or split the run")
-    soft = build_soft_stack(stack, flair, cfg)
-    with _outputs(args, filenames, list(args.inputs) + [args.flair], resolved,
-                  started) as temps:
-        for grid, tmp in zip(soft.experts, temps):
-            write_svol(grid, tmp)
+    inputs = [*args.inputs, args.flair]
+    _targets(args, filenames, inputs, resolved)
+
+    flair = _read_grid(args.flair, dims, GridKind.INTENSITY)
+    with _outputs(args, filenames, inputs, resolved, started) as temps:
+        for path, tmp in zip(args.inputs, temps):
+            write_svol(_read_grid(path, dims, GridKind.BINARY, flair, cfg), tmp)
     print(f"softmask: wrote {len(filenames)} soft mask(s) to {args.out}", file=sys.stderr)
     return 0
 

@@ -78,8 +78,8 @@ class ConfigError(FuselabError):
 
 class CapacityError(FuselabError):
     """A request exceeds a size bound: ``ENUMERATION_GUARD``, ``EXACT_TERM_LIMIT``,
-    ``MC_DRAW_LIMIT``, ``MC_ENTRY_LIMIT``, ``_MC_RUN_DRAW_LIMIT``, ``SIMULATE_BYTE_LIMIT``
-    or ``STACK_BYTE_LIMIT``."""
+    ``MC_DRAW_LIMIT``, ``MC_ENTRY_LIMIT``, ``_MC_RUN_DRAW_LIMIT``, ``SIMULATE_BYTE_LIMIT``,
+    ``STACK_BYTE_LIMIT`` or ``COLUMN_VOTE_LIMIT``."""
 
 
 class DegeneratePosteriorError(FuselabError):

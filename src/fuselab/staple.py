@@ -26,7 +26,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import SEED_SPAN, ConfigError, DegeneratePosteriorError, check_number
+from .errors import SEED_SPAN, ConfigError, DegeneratePosteriorError, _refuse_over, check_number
 from .volume import LABEL_KINDS, Dim3, ExpertStack, GridKind, VolumeGrid, check_grid
 
 # Parameters are clipped here after every update; keeps log() finite and
@@ -44,6 +44,15 @@ MSTEP_MODES = ("expected-count", "plugin-mean")
 # 64,000 voxels (2-core Xeon) the comparisons took 0.37 ms at 16 levels, 1.0
 # at 64 and 4.0 at 256, searchsorted 2.0, 3.3 and 4.7 ms.
 _COMPARED_LEVELS = 256
+
+# Most values in (experts + 1) x distinct columns that one fold may hand out:
+# the columns' float64 votes and their per-column masses. Beside the voxel
+# arrays (cli.STACK_BYTE_LIMIT's 40 bytes per voxel), the binary and simplified
+# models and each soft row's levels, which the fold keeps, peak at up to 52
+# bytes per value (tracemalloc, 64^3, 1 to 12 experts of continuous votes, each
+# voxel its own column), so at most 3.3 GiB at the limit. The 16^3 wide-panel
+# benchmark case holds 13 x 1,986.
+COLUMN_VOTE_LIMIT = 2**26
 
 _INT64_MAX = np.iinfo(np.int64).max
 _CODE_SPAN = 1 << 64
@@ -209,7 +218,9 @@ def fold_votes(rows, order, kind: GridKind, dims: Dim3) -> VotePatterns:
     would pass 2^64, the running codes are first compacted to their ranks,
     which keeps the columns sorted. The codes are grouped by
     ``_group_keys``, and the columns decoded from the code values through
-    each rank table.
+    each rank table. A fold of more than :data:`COLUMN_VOTE_LIMIT` column
+    values is refused before that, or as soon as one row has more levels
+    than the limit leaves room for columns.
     """
     code = np.zeros(dims.n, dtype=np.uint8)
     bound = 1
@@ -224,6 +235,7 @@ def fold_votes(rows, order, kind: GridKind, dims: Dim3) -> VotePatterns:
             votes += float(np.sum(row))
         del row  # so the next row is read with this one gone
         radix, ranks = levels.size, None
+        _refuse_columns(len(order), radix)  # a row's levels are at most the columns
         if bound * radix > _CODE_SPAN:
             ranks, code = np.unique(code, return_inverse=True)
             bound = ranks.size
@@ -234,6 +246,7 @@ def fold_votes(rows, order, kind: GridKind, dims: Dim3) -> VotePatterns:
         bound *= radix
         steps.append((levels, ranks))
     values, counts, inverse = _group_keys(code, bound, inverse=True)
+    _refuse_columns(len(order), values.size)
     columns = np.empty((len(steps), values.size))
     for column_row, (levels, ranks) in zip(columns[::-1], reversed(steps)):
         values, digit = np.divmod(values, levels.size)
@@ -242,6 +255,11 @@ def fold_votes(rows, order, kind: GridKind, dims: Dim3) -> VotePatterns:
             values = ranks[values]
     return VotePatterns(np.asarray(order), columns, counts.astype(np.float64), inverse, dims,
                         kind, votes)
+
+
+def _refuse_columns(m: int, columns: int) -> None:
+    _refuse_over((m + 1) * columns, COLUMN_VOTE_LIMIT, "column values ((experts + 1) x "
+                 "distinct vote columns)", "crop the volumes or pass fewer experts")
 
 
 def _soft_digits(row: np.ndarray):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fuselab.cli
+import fuselab.staple
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
 from fuselab.cli import main
 from fuselab.errors import FuselabError
@@ -291,18 +293,20 @@ class TestFuse:
             assert str(folder) in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad", [
-        ["--gamma", "5"],
-        ["--threshold-mode", "bogus"],
-        ["--threshold-mode", "percentile:x"],
-        ["--max-dilation-iters", "0"],
-    ])
-    def test_bad_protocol_options_fail_without_flair(self, tmp_path, bad):
-        rng = np.random.default_rng(11)
-        paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))
-        out = tmp_path / "o"
-        assert main(["fuse", "--variant", "binary", *paths, "-o", str(out), *bad]) == 2
-        assert not out.exists()
+    @pytest.mark.parametrize("variant", ["soft-exact", "simplified", "soft-mc"])
+    def test_flair_equals_softmask_then_fuse(self, sim_config, tmp_path, variant):
+        """fuse --flair runs the default protocol: its outputs are those of
+        softmask followed by fuse, byte for byte."""
+        assert main(["simulate", str(sim_config), "-o", str(tmp_path / "sim")]) == 0
+        raw = sorted(str(p) for p in (tmp_path / "sim").glob("expert_*.svol"))
+        flair = str(tmp_path / "sim" / "flair.svol")
+        assert main(["softmask", *raw, "--flair", flair, "-o", str(tmp_path / "soft")]) == 0
+        soft = sorted(str(p) for p in (tmp_path / "soft").glob("expert_*.svol"))
+        flags = ["--variant", variant, "--binarize", "--mc-samples", "64", "--max-iters", "5"]
+        assert main(["fuse", *raw, "--flair", flair, "-o", str(tmp_path / "a"), *flags]) == 0
+        assert main(["fuse", *soft, "-o", str(tmp_path / "b"), *flags]) == 0
+        for name in ("posterior.svol", "consensus.svol", "params.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_config_file_flags_win(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -459,11 +463,6 @@ class TestResolvedDefaults:
             "mc_samples": 10000,
             "seed": 0,
             "binarize": False,
-            "gamma": 0.3,
-            "ratio": 1.2,
-            "threshold_mode": "percentile:10",
-            "connectivity": 26,
-            "max_dilation_iters": 10,
             "force": False,
         }
 
@@ -551,27 +550,42 @@ class TestSoftmaskCommand:
                      "-o", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad", [
+        ["--gamma", "5"],
+        ["--threshold-mode", "bogus"],
+        ["--threshold-mode", "percentile:x"],
+        ["--max-dilation-iters", "0"],
+    ])
+    def test_bad_protocol_options_fail_in_softmask(self, tmp_path, bad):
+        rng = np.random.default_rng(11)
+        paths = _write_experts(tmp_path, (rng.random((3, 20)) < 0.4).astype(float))
+        flair = tmp_path / "flair.svol"
+        write_svol(VolumeGrid(Dim3(20, 1, 1), np.full(20, 50.0), GridKind.INTENSITY), flair)
+        out = tmp_path / "o"
+        assert main(["softmask", *paths, "--flair", str(flair), "-o", str(out), *bad]) == 2
+        assert not out.exists()
+
     def test_nan_fixed_threshold_exits_2(self, tmp_path):
         """No voxel passes flair >= nan, so it would silently gate every ring out."""
         mask, flair = self._cube_files(tmp_path)
-        other = tmp_path / "other.svol"
-        other.write_bytes(mask.read_bytes())
         out = tmp_path / "o"
-        for argv in (["softmask", str(mask)],
-                     ["fuse", "--variant", "soft-exact", str(mask), str(other)]):
-            assert main([*argv, "--flair", str(flair), "-o", str(out),
-                         "--threshold-mode", "fixed:nan"]) == 2
-            assert not out.exists()
+        assert main(["softmask", str(mask), "--flair", str(flair), "-o", str(out),
+                     "--threshold-mode", "fixed:nan"]) == 2
+        assert not out.exists()
 
-    def test_basename_collision_exits_2_and_writes_nothing(self, tmp_path, capsys):
+    def test_basename_collision_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                           capsys):
         mask, flair = self._cube_files(tmp_path)
         (tmp_path / "again").mkdir()
         twin = tmp_path / "again" / mask.name
         twin.write_bytes(mask.read_bytes())
         out = tmp_path / "o"
+        reads = []
+        monkeypatch.setattr(fuselab.cli, "read_svol", reads.append)
         assert main(["softmask", str(mask), str(twin), "--flair", str(flair),
                      "-o", str(out)]) == 2
         assert "input basenames collide" in capsys.readouterr().err
+        assert reads == []
         assert not out.exists()
 
     def test_never_overwrites_inputs(self, tmp_path):
@@ -582,19 +596,21 @@ class TestSoftmaskCommand:
 
 class TestStackByteBound:
     """fuse and softmask estimate their bytes from the headers (voxels x 40
-    reading one expert at a time, voxels x (40 + 16 x experts) holding the
-    stack) and refuse one over STACK_BYTE_LIMIT before any payload is read."""
+    for a fuse, voxels x 96 where soft masks are built, whatever the number
+    of experts, since both read one expert at a time) and refuse one over
+    STACK_BYTE_LIMIT before any payload is read."""
 
-    @pytest.mark.parametrize("argv, kind, per", [
-        (["fuse", "--variant", "binary"], GridKind.BINARY, 40),
-        (["fuse", "--variant", "simplified"], GridKind.SOFT, 40),
-        (["fuse", "--variant", "soft-exact", "--flair", "FLAIR"], GridKind.BINARY, 40 + 16 * 3),
-        (["softmask", "--flair", "FLAIR"], GridKind.BINARY, 40 + 16 * 3),
-    ], ids=["fuse", "fuse-soft", "fuse-flair", "softmask"])
+    @pytest.mark.parametrize("argv, kind, per, m", [
+        (["fuse", "--variant", "binary"], GridKind.BINARY, 40, 3),
+        (["fuse", "--variant", "simplified"], GridKind.SOFT, 40, 3),
+        (["fuse", "--variant", "soft-exact", "--flair", "FLAIR"], GridKind.BINARY, 96, 3),
+        (["softmask", "--flair", "FLAIR"], GridKind.BINARY, 96, 3),
+        (["softmask", "--flair", "FLAIR"], GridKind.BINARY, 96, 1),
+    ], ids=["fuse", "fuse-soft", "fuse-flair", "softmask", "softmask-one-expert"])
     def test_refused_over_the_limit_before_any_payload(self, tmp_path, monkeypatch, capsys,
-                                                        argv, kind, per):
+                                                        argv, kind, per, m):
         dims = Dim3(4, 3, 2)
-        rows = np.zeros((3, dims.n))
+        rows = np.zeros((m, dims.n))
         rows[:, :6] = 1.0
         paths = _write_experts(tmp_path, rows, kind, dims)
         flair = tmp_path / "flair.svol"
@@ -611,6 +627,104 @@ class TestStackByteBound:
         assert not out.exists()
         monkeypatch.setattr(fuselab.cli, "STACK_BYTE_LIMIT", dims.n * per)
         assert main([*argv, "-o", str(out)]) == 0
+
+
+    @pytest.mark.parametrize("m", [1, 12])
+    @pytest.mark.parametrize("argv, per", [
+        (["fuse", "--variant", "binary", "--max-iters", "2"], 40),
+        (["fuse", "--variant", "simplified", "--max-iters", "2", "--flair", "FLAIR"], 96),
+        (["softmask", "--flair", "FLAIR"], 96),
+    ], ids=["fuse", "fuse-flair", "softmask"])
+    def test_estimate_covers_the_measured_peak(self, tmp_path, argv, per, m):
+        """The traced peak on 90%-full random 64^3 masks, which make the
+        protocol label and grow one component filling most of the grid."""
+        dims = Dim3(64, 64, 64)
+        rng = np.random.default_rng(12)
+        paths = _write_experts(tmp_path, rng.random((m, dims.n)) < 0.9, dims=dims)
+        flair = tmp_path / "flair.svol"
+        write_svol(VolumeGrid(dims, rng.normal(100.0, 10.0, dims.n), GridKind.INTENSITY), flair)
+        argv = [str(flair) if a == "FLAIR" else a for a in argv]
+        tracemalloc.start()
+        try:
+            code = main([*argv, *paths, "-o", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= dims.n * per
+
+
+class TestColumnVoteBound:
+    """A fold of more than COLUMN_VOTE_LIMIT (experts + 1) x distinct-column
+    values is refused before its column arrays are built: exit 2, nothing written."""
+
+    @pytest.mark.parametrize("variant, kind", [("binary", GridKind.BINARY),
+                                               ("simplified", GridKind.SOFT)])
+    def test_refused_over_the_limit(self, tmp_path, monkeypatch, capsys, variant, kind):
+        rng = np.random.default_rng(13)
+        rows = rng.choice([0.0, 0.3, 1.0] if kind is GridKind.SOFT else [0.0, 1.0], (3, 30))
+        paths = _write_experts(tmp_path, rows, kind)
+        values = 4 * np.unique(rows, axis=1).shape[1]
+        out = tmp_path / "o"
+        monkeypatch.setattr(fuselab.staple, "COLUMN_VOTE_LIMIT", values - 1)
+        assert main(["fuse", "--variant", variant, *paths, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"fuselab: {values} column values ((experts + 1) x distinct vote columns) exceed")
+        assert not out.exists()
+        monkeypatch.setattr(fuselab.staple, "COLUMN_VOTE_LIMIT", values)
+        assert main(["fuse", "--variant", variant, *paths, "-o", str(out)]) == 0
+
+    def test_refused_at_the_first_row_of_too_many_levels(self, tmp_path, monkeypatch, capsys):
+        """A row's levels are at most the distinct columns, so a row of more levels
+        than the limit leaves room for is refused before the next row is read."""
+        paths = _write_experts(tmp_path, np.random.default_rng(14).random((3, 30)),
+                               GridKind.SOFT)
+        monkeypatch.setattr(fuselab.staple, "COLUMN_VOTE_LIMIT", 4 * 30 - 1)
+        reads, read = [], fuselab.cli.read_svol
+        monkeypatch.setattr(fuselab.cli, "read_svol", lambda p: reads.append(p) or read(p))
+        out = tmp_path / "o"
+        assert main(["fuse", "--variant", "simplified", *paths, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("fuselab: 120 column values")
+        assert reads == paths[:1]
+        assert not out.exists()
+
+
+class TestTargetsBeforePayloads:
+    """fuse, fuse --flair and softmask check their output targets right after
+    the header pass, so a refused target reads no payload, the flair's neither."""
+
+    @pytest.mark.parametrize("fault, message", [
+        ("exists", "exists; pass --force to overwrite"),
+        ("input", "refusing to overwrite input file"),
+        ("directory", "exists and is not a regular file"),
+    ], ids=["exists", "input", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--variant", "binary"],
+        ["fuse", "--variant", "soft-exact", "--flair", "FLAIR"],
+        ["softmask", "--flair", "FLAIR"],
+    ], ids=["fuse", "fuse-flair", "softmask"])
+    def test_refused_before_any_payload(self, tmp_path, monkeypatch, capsys, argv, fault,
+                                        message):
+        out = tmp_path / "o"
+        out.mkdir()
+        target = out / ("e1.svol" if argv[0] == "softmask" else "posterior.svol")
+        paths = _write_experts(tmp_path, np.tile([1.0, 1.0, 0.0, 0.0], (2, 1)))
+        flair = tmp_path / "flair.svol"
+        write_svol(VolumeGrid(Dim3(4, 1, 1), np.full(4, 50.0), GridKind.INTENSITY), flair)
+        if fault == "directory":
+            target.mkdir()
+        else:
+            target.write_bytes(Path(paths[1]).read_bytes())
+        if fault == "input":
+            paths[1] = str(target)
+        reads = []
+        monkeypatch.setattr(fuselab.cli, "read_svol", reads.append)
+        argv = [str(flair) if a == "FLAIR" else a for a in argv]
+        assert main([*argv, *paths, "-o", str(out), *(["--force"] * (fault != "exists"))]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(target) in err
+        assert reads == []
+        assert [p.name for p in out.iterdir()] == [target.name]
 
 
 class TestEval:
@@ -688,14 +802,14 @@ def _mismatched_dims(tmp_path):
 class TestWrongKindInput:
     """An input file of a kind the command cannot take is invalid input: exit
     3, naming the file, with no output left. Expert kinds are refused from
-    the headers, and a flair before any expert payload is read."""
+    the headers, the flair's among them, so before any payload is read."""
 
     @pytest.mark.parametrize("argv, culprit, reads", [
         pytest.param(["fuse", "--variant", "binary", "i"], "i", [], id="fuse-intensity"),
         pytest.param(["fuse", "p", "q"], "p", [], id="fuse-posterior"),
-        pytest.param(["fuse", "--variant", "simplified", "b", "c", "--flair", "c"], "c", ["c"],
+        pytest.param(["fuse", "--variant", "simplified", "b", "c", "--flair", "c"], "c", [],
                      id="fuse-binary-flair"),
-        pytest.param(["softmask", "b", "--flair", "c"], "c", ["c"], id="softmask-binary-flair"),
+        pytest.param(["softmask", "b", "--flair", "c"], "c", [], id="softmask-binary-flair"),
         pytest.param(["softmask", "s", "--flair", "i"], "s", [], id="softmask-soft-experts"),
         pytest.param(["eval", "b", "i"], "i", ["b", "i"], id="eval-intensity-pred"),
         pytest.param(["eval", "i", "b"], "i", ["i"], id="eval-intensity-truth"),
@@ -920,8 +1034,7 @@ class TestParserSurface:
         ("fuse", [["-h", "--help"], ["inputs"], ["-o", "--out"], ["--variant"], ["--prior"],
                   ["--init-sens"], ["--init-spec"], ["--max-iters"], ["--tol"],
                   ["--mstep-mode"], ["--mc-samples"], ["--binarize"], ["--flair"],
-                  ["--gamma"], ["--ratio"], ["--threshold-mode"], ["--connectivity"],
-                  ["--max-dilation-iters"], *_COMMON]),
+                  *_COMMON]),
         ("softmask", [["-h", "--help"], ["inputs"], ["--flair"], ["-o", "--out"], ["--gamma"],
                       ["--ratio"], ["--threshold-mode"], ["--connectivity"],
                       ["--max-dilation-iters"], *_COMMON]),
@@ -935,8 +1048,7 @@ class TestParserSurface:
 
     @pytest.mark.parametrize("command, choices", [
         ("fuse", {"variant": ["binary", "soft-exact", "soft-mc", "simplified"],
-                  "mstep_mode": ["expected-count", "plugin-mean"],
-                  "connectivity": [6, 18, 26]}),
+                  "mstep_mode": ["expected-count", "plugin-mean"]}),
         ("softmask", {"connectivity": [6, 18, 26]}),
         ("simulate", {}),
         ("eval", {}),
@@ -947,20 +1059,25 @@ class TestParserSurface:
 
 
 class TestNumberChecksOnTheCommandLine:
-    @pytest.mark.parametrize("flags, field", [
-        (["--gamma", "1"], "gamma"),
-        (["--ratio", "nan"], "target_volume_ratio"),
-        (["--threshold-mode", "percentile:101"], "threshold_value"),
-        (["--threshold-mode", "fixed:nan"], "threshold_value"),
-        (["--max-dilation-iters", "0"], "max_dilation_iters"),
-        (["--init-sens", "1.5"], "init_sens"),
-        (["--tol", "0"], "tol"),
-        (["--mc-samples", "0"], "mc_samples"),
+    @pytest.mark.parametrize("command, flags, field", [
+        ("softmask", ["--gamma", "1"], "gamma"),
+        ("softmask", ["--ratio", "nan"], "target_volume_ratio"),
+        ("softmask", ["--threshold-mode", "percentile:101"], "threshold_value"),
+        ("softmask", ["--threshold-mode", "fixed:nan"], "threshold_value"),
+        ("softmask", ["--max-dilation-iters", "0"], "max_dilation_iters"),
+        ("fuse", ["--init-sens", "1.5"], "init_sens"),
+        ("fuse", ["--tol", "0"], "tol"),
+        ("fuse", ["--mc-samples", "0"], "mc_samples"),
     ])
-    def test_out_of_range_option_exits_2_naming_it(self, tmp_path, capsys, flags, field):
+    def test_out_of_range_option_exits_2_naming_it(self, tmp_path, capsys, command, flags,
+                                                   field):
         paths = _write_experts(tmp_path, np.tile([1.0, 1.0, 0.0, 0.0], (2, 1)))
+        if command == "softmask":
+            flair = tmp_path / "flair.svol"
+            write_svol(VolumeGrid(Dim3(4, 1, 1), np.full(4, 50.0), GridKind.INTENSITY), flair)
+            paths += ["--flair", str(flair)]
         out = tmp_path / "cons"
-        assert main(["fuse", *paths, "-o", str(out), *flags]) == 2
+        assert main([command, *paths, "-o", str(out), *flags]) == 2
         assert f"{field} must lie in" in capsys.readouterr().err
         assert not out.exists()
 

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from fuselab import FusionConfig, SoftMaskConfig, cli, precision_recall, soft_staple, synth
+from fuselab import (
+    FusionConfig,
+    SoftMaskConfig,
+    cli,
+    precision_recall,
+    soft_staple,
+    staple,
+    synth,
+)
 from helpers import subcommands
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -49,6 +57,7 @@ LIMITS = [
     ("EXACT_TERM_LIMIT", soft_staple.EXACT_TERM_LIMIT,
      r"more than (2\^\d+) joint-vote terms"),
     ("STACK_BYTE_LIMIT", cli.STACK_BYTE_LIMIT, r"working set exceeds (2\^\d+) bytes"),
+    ("COLUMN_VOTE_LIMIT", staple.COLUMN_VOTE_LIMIT, r"refuses more than (2\^\d+) column values"),
 ]
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fuselab.svol_io
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
 from fuselab.cli import main
 from fuselab.svol_io import read_svol_header
@@ -228,6 +229,34 @@ class TestFaultInjection:
                 "softmask": ["softmask", path, "--flair", path]}[command]
         assert main([*argv, "-o", str(out)]) == 3
         assert capsys.readouterr().err.startswith(f"fuselab: invalid input: {path}: header")
+        assert not out.exists()
+
+
+    @pytest.fixture()
+    def shrinking(self, tmp_path, monkeypatch):
+        """A file whose header, read again for its payload, promises one more
+        row than the file then holds: the file shrank while it was read."""
+        path = tmp_path / "e0.svol"
+        write_svol(VolumeGrid(Dim3(4, 3, 2), np.zeros(24), GridKind.BINARY), path)
+        header = fuselab.svol_io.read_svol_header
+
+        def grown(path, fh=None):
+            dims, kind = header(path, fh)
+            return Dim3(dims.nx, dims.ny, dims.nz + 1), kind
+
+        monkeypatch.setattr(fuselab.svol_io, "read_svol_header", grown)
+        return path
+
+    def test_file_shrinking_while_read_is_a_truncated_payload(self, shrinking):
+        with pytest.raises(TruncatedPayloadError, match="file shrank while it was read") as info:
+            read_svol(shrinking)
+        assert str(shrinking) in str(info.value)
+
+    def test_file_shrinking_while_read_exits_3(self, shrinking, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["fuse", "--variant", "binary", str(shrinking), "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"fuselab: invalid input: {shrinking}: file shrank while it was read")
         assert not out.exists()
 
 

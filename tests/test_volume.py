@@ -104,6 +104,7 @@ class TestVolumeGrid:
         assert a == b
         assert a != c
         assert a != grid(a.data, GridKind.SOFT)
+        assert a.__eq__(a.data) is NotImplemented
 
     def test_from_3d_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -150,7 +151,9 @@ class TestMutationRejection:
 
 class TestValidateStack:
     def test_aligned_binary_ok(self):
-        validate_stack(stack_from_rows(np.eye(3)))
+        stack = stack_from_rows(np.eye(3))
+        validate_stack(stack)
+        assert stack.m == 3
 
     def test_dimension_mismatch(self):
         a = VolumeGrid(Dim3(4, 4, 4), np.zeros(64), GridKind.BINARY)
