@@ -44,7 +44,7 @@ from .metrics import precision_recall
 from .soft_staple import run_em, run_soft_em
 from .softmask import CONNECTIVITY_RANK, SoftMaskConfig, build_soft_stack
 from .staple import MSTEP_MODES, VARIANTS, FusionConfig, binarize, fold_votes, id_order
-from .svol_io import read_svol, read_svol_header, write_svol
+from .svol_io import read_svol, read_svol_header, read_svol_row, write_svol
 from .synth import generate_phantom, load_simulation_config, simulate_raters
 from .volume import LABEL_KINDS, Dim3, ExpertStack, GridKind, VolumeGrid, check_members
 from .volume import validate_stack  # noqa: F401  (perfbench's traced pass wraps this name)
@@ -56,7 +56,8 @@ from .volume import validate_stack  # noqa: F401  (perfbench's traced pass wraps
 # its vote codes, the 8-byte inverse and the posterior), voxels x 96 where soft
 # masks are built (softmask, fuse --flair). Measured peaks (tracemalloc, 64^3,
 # 90%-full random masks, 1 and 12 experts): a binary fuse 17 and 18 bytes per
-# voxel, softmask 68 and 69, fuse --flair 69 and 77 (83 at 48^3). The fold's
+# voxel, from one-byte and float64 expert files alike (the peak comes after the
+# read and fold), softmask 68 and 69, fuse --flair 69 and 77 (83 at 48^3). The fold's
 # column arrays (staple.COLUMN_VOTE_LIMIT) and soft-mc's tallies
 # (soft_staple.MC_ENTRY_LIMIT) have bounds of their own.
 STACK_BYTE_LIMIT = 2**32
@@ -257,7 +258,7 @@ def _check_headers(paths, kinds, flair=None) -> tuple[list[str], Dim3, GridKind]
     if len(set(ids)) != len(ids):
         ids = [str(p) for p in paths]
     pipes = [p for p in [*paths, flair] if p and os.path.exists(p) and not os.path.isfile(p)]
-    if pipes:  # read_svol opens each input again, for its payload; a pipe would be empty
+    if pipes:  # each input is opened again for its payload; a pipe would then be empty
         raise InputReadError(f"{pipes[0]} is not a regular file, so it cannot be read twice")
     dims, found = zip(*(_read(read_svol_header, p) for p in paths))
     _refuse_kind("expert", paths[0], found[0], kinds)  # the stack's kind is its first's
@@ -290,14 +291,25 @@ def _refuse_stack_bytes(dims: Dim3, builds_soft: bool) -> None:
                  "crop the volumes")
 
 
+def _refuse_changed(path, found: tuple, dims: Dim3, kind: GridKind) -> None:
+    if found != (dims, kind):
+        raise SvolError(f"{path}: header changed while the inputs were read")
+
+
 def _read_grid(path, dims: Dim3, kind: GridKind, flair=None, cfg=None) -> VolumeGrid:
     """The grid the header pass found at ``path`` or, given a flair, its soft mask."""
     grid = _read(read_svol, path)
-    if (grid.dims, grid.kind) != (dims, kind):
-        raise SvolError(f"{path}: header changed while the inputs were read")
+    _refuse_changed(path, (grid.dims, grid.kind), dims, kind)
     if flair is None:
         return grid
     return build_soft_stack(ExpertStack((grid,), (str(path),)), flair, cfg).experts[0]
+
+
+def _read_row(path, dims: Dim3, kind: GridKind):
+    """The flat vote row (see ``read_svol_row``) of the input the header pass found at ``path``."""
+    *found, row = _read(read_svol_row, path)
+    _refuse_changed(path, tuple(found), dims, kind)
+    return row
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -381,12 +393,16 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
         filenames.insert(1, "consensus.svol")
     _targets(args, filenames, inputs, resolved)
 
-    # One payload at a time, dropped once folded into the vote patterns. Only
-    # the rows hold the flair, so it goes once the last soft mask is built.
-    flair = _read_grid(args.flair, dims, GridKind.INTENSITY) if builds_soft else None
+    # One payload at a time, dropped once folded into the vote patterns: a
+    # binary input as one byte per vote. Only the soft rows hold the flair, so
+    # it goes once the last soft mask is built.
     order = id_order(ids)
-    rows = (_read_grid(inputs[i], dims, kind, f).data for f in [flair] for i in order)
-    del flair
+    if builds_soft:
+        flair = _read_grid(args.flair, dims, GridKind.INTENSITY)
+        rows = (_read_grid(inputs[i], dims, kind, f).data for f in [flair] for i in order)
+        del flair
+    else:
+        rows = (_read_row(inputs[i], dims, kind) for i in order)
     votes = fold_votes(rows, order, GridKind.SOFT if builds_soft else kind, dims)
 
     with _outputs(args, filenames, inputs, resolved, started) as temps:

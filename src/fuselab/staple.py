@@ -208,7 +208,8 @@ def vote_patterns(stack: ExpertStack) -> VotePatterns:
 
 def fold_votes(rows, order, kind: GridKind, dims: Dim3) -> VotePatterns:
     """The :class:`VotePatterns` of the flat vote rows that ``rows`` yields
-    one at a time, in canonical expert order (``order``).
+    one at a time, in canonical expert order (``order``). A binary row may be
+    float64 or, as ``svol_io.read_svol_row`` reads it, uint8 0 and 1.
 
     Each row becomes level indices (binary votes have the levels 0 and 1,
     soft ones their distinct values, see ``_soft_digits``), folded in place
@@ -228,7 +229,7 @@ def fold_votes(rows, order, kind: GridKind, dims: Dim3) -> VotePatterns:
     steps = []  # per expert: its levels, and the rank table compacted before it (or None)
     for row in rows:
         if kind is GridKind.BINARY:
-            levels, digit = np.array([0.0, 1.0]), row != 0.0
+            levels, digit = np.array([0.0, 1.0]), row != 0
             votes += np.count_nonzero(digit)  # np.sum(row), exactly, at a fifth of the time
         else:
             levels, digit = _soft_digits(row)

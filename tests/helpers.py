@@ -15,6 +15,18 @@ def subcommands():
     return action.choices
 
 
+def watch_payload_reads(monkeypatch):
+    """The paths whose payload the CLI reads from now on, in read order:
+    ``fuselab.cli.read_svol`` reads whole grids, ``read_svol_row`` a plain
+    ``fuse``'s vote rows. Each read still happens."""
+    paths = []
+    for name in ("read_svol", "read_svol_row"):
+        read = getattr(fuselab.cli, name)
+        monkeypatch.setattr(fuselab.cli, name,
+                            lambda path, read=read: paths.append(path) or read(path))
+    return paths
+
+
 def grid(values, kind=GridKind.BINARY, dims=None):
     """Flat values -> VolumeGrid; dims default to (len, 1, 1)."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)

@@ -18,7 +18,7 @@ import fuselab.staple
 from fuselab import Dim3, GridKind, VolumeGrid, read_svol, write_svol
 from fuselab.cli import main
 from fuselab.errors import FuselabError
-from helpers import grid, subcommands
+from helpers import grid, subcommands, watch_payload_reads
 
 
 @pytest.fixture()
@@ -255,8 +255,7 @@ class TestFuse:
         """--flair feeds binary inputs to a soft variant; anywhere else it is refused
         once the headers are checked, before any payload (or the flair) is read."""
         paths = _write_experts(tmp_path, np.tile([1.0, 1.0, 0.0, 0.0], (3, 1)), kind)
-        calls = []
-        monkeypatch.setattr(fuselab.cli, "read_svol", calls.append)
+        calls = watch_payload_reads(monkeypatch)
         out = tmp_path / "o"
         assert main(["fuse", "--variant", variant, *paths, "--flair",
                      str(tmp_path / "missing.svol"), "-o", str(out)]) == 2
@@ -618,9 +617,7 @@ class TestStackByteBound:
         argv = [str(flair) if a == "FLAIR" else a for a in argv] + paths
         out = tmp_path / "o"
         monkeypatch.setattr(fuselab.cli, "STACK_BYTE_LIMIT", dims.n * per - 1)
-        reads = []
-        read = fuselab.cli.read_svol
-        monkeypatch.setattr(fuselab.cli, "read_svol", lambda p: reads.append(p) or read(p))
+        reads = watch_payload_reads(monkeypatch)
         assert main([*argv, "-o", str(out)]) == 2
         assert (f"{dims.n * per} estimated bytes to hold" in capsys.readouterr().err)
         assert reads == []
@@ -680,8 +677,7 @@ class TestColumnVoteBound:
         paths = _write_experts(tmp_path, np.random.default_rng(14).random((3, 30)),
                                GridKind.SOFT)
         monkeypatch.setattr(fuselab.staple, "COLUMN_VOTE_LIMIT", 4 * 30 - 1)
-        reads, read = [], fuselab.cli.read_svol
-        monkeypatch.setattr(fuselab.cli, "read_svol", lambda p: reads.append(p) or read(p))
+        reads = watch_payload_reads(monkeypatch)
         out = tmp_path / "o"
         assert main(["fuse", "--variant", "simplified", *paths, "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("fuselab: 120 column values")
@@ -717,8 +713,7 @@ class TestTargetsBeforePayloads:
             target.write_bytes(Path(paths[1]).read_bytes())
         if fault == "input":
             paths[1] = str(target)
-        reads = []
-        monkeypatch.setattr(fuselab.cli, "read_svol", reads.append)
+        reads = watch_payload_reads(monkeypatch)
         argv = [str(flair) if a == "FLAIR" else a for a in argv]
         assert main([*argv, *paths, "-o", str(out), *(["--force"] * (fault != "exists"))]) == 2
         err = capsys.readouterr().err
@@ -822,8 +817,7 @@ class TestWrongKindInput:
         paths = {name: str(tmp_path / f"{name}.svol") for name in kinds}
         for name, kind in kinds.items():
             write_svol(grid([1.0, 0.0, 1.0, 0.0], kind), paths[name])
-        read, real = [], fuselab.cli.read_svol
-        monkeypatch.setattr(fuselab.cli, "read_svol", lambda path: read.append(path) or real(path))
+        read = watch_payload_reads(monkeypatch)
         out = tmp_path / "o"
         assert main([paths.get(a, a) for a in argv] + ["-o", str(out)]) == 3
         err = capsys.readouterr().err

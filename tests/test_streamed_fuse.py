@@ -4,6 +4,7 @@ byte, and the m x n float64 stack is never held."""
 
 import json
 import os
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from fuselab.cli import main
 from fuselab.errors import TrailingDataError, TruncatedPayloadError
 from fuselab.staple import MSTEP_MODES, VARIANTS, _mean_vote_prior, vote_patterns
 from fuselab.svol_io import read_svol_header
-from helpers import stack_from_rows
+from helpers import stack_from_rows, watch_payload_reads
 from oracles import mean_vote_prior
 
 _HUGE = "1" + "0" * 5000  # past Python's 4,300-digit int conversion limit
@@ -83,9 +84,7 @@ class TestHeadersFirst:
                 else VolumeGrid(dims, rows[2], GridKind.SOFT))
         write_svol(last, paths[2])
         write_svol(VolumeGrid(dims, np.ones(dims.n), GridKind.INTENSITY), tmp_path / "f.svol")
-        calls = []
-        read = fuselab.cli.read_svol
-        monkeypatch.setattr(fuselab.cli, "read_svol", lambda p: calls.append(p) or read(p))
+        calls = watch_payload_reads(monkeypatch)
         flair = ["--flair", str(tmp_path / "f.svol")]
         assert main([command, *paths, *flair, "-o", str(tmp_path / "out")]) == 3
         assert f"expert 'e2' has {mismatch} " in capsys.readouterr().err
@@ -115,13 +114,13 @@ class TestHeadersFirst:
         dims = Dim3(4, 3, 2)
         rows = (np.random.default_rng(4).random((3, dims.n)) < 0.4).astype(float)
         paths = _write([tmp_path / f"e{i}.svol" for i in range(3)], rows, GridKind.BINARY, dims)
-        read = fuselab.cli.read_svol
+        read = fuselab.cli.read_svol_row
 
         def replace_then_read(path):
             write_svol(VolumeGrid(Dim3(2, 3, 4), rows[2], GridKind.BINARY), path)
             return read(path)
 
-        monkeypatch.setattr(fuselab.cli, "read_svol", replace_then_read)
+        monkeypatch.setattr(fuselab.cli, "read_svol_row", replace_then_read)
         assert main(["fuse", *paths, "-o", str(tmp_path / "out")]) == 3
         assert "header changed while the inputs were read" in capsys.readouterr().err
 
@@ -219,6 +218,87 @@ class TestStreamedFoldIsByteIdentical:
             votes = vote_patterns(stack).votes
             assert votes == sum(float(np.sum(rows[i])) for i in np.argsort(ids))
             assert _mean_vote_prior(votes, m, stack.dims) == mean_vote_prior(rows, ids)
+
+
+def _write_float64_binary(path, row, dims):
+    """A binary SVOL file as a writer without the one-byte layout made it:
+    no dtype key, one float64 per voxel."""
+    header = json.dumps({"dims": list(dims.as_tuple()), "kind": "binary"}, sort_keys=True,
+                        separators=(",", ":")).encode()
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_bytes(b"SVOL1\x00" + struct.pack("<I", len(header)) + header
+                           + np.asarray(row, dtype="<f8").tobytes())
+    return str(path)
+
+
+class TestFloat64BinaryFiles:
+    """Binary files in the float64 layout, alone or beside one-byte ones, fuse
+    and evaluate exactly as the same votes written one byte per voxel."""
+
+    @pytest.mark.parametrize("flags", [["--variant", "binary", "--binarize"],
+                                       ["--variant", "simplified", "--flair", "FLAIR"]],
+                             ids=["binary", "flair"])
+    def test_old_and_mixed_stacks_fuse_byte_identical(self, tmp_path, flags):
+        dims = Dim3(8, 7, 6)
+        rng = np.random.default_rng(21)
+        rows = _rater_rows(rng, 5, dims.n, flip=0.1)
+        flair = tmp_path / "flair.svol"
+        write_svol(VolumeGrid(dims, rng.normal(100.0, 10.0, dims.n), GridKind.INTENSITY),
+                   flair)
+        flags = [str(flair) if f == "FLAIR" else f for f in flags]
+        outputs = {}
+        for stack in ("new", "old", "mixed"):
+            paths = [tmp_path / stack / f"r{i}.svol" for i in range(len(rows))]
+            for i, (path, row) in enumerate(zip(paths, rows)):
+                if stack == "old" or (stack == "mixed" and i % 2):
+                    _write_float64_binary(path, row, dims)
+                else:
+                    _write([path], [row], GridKind.BINARY, dims)
+            out = tmp_path / f"out-{stack}"
+            assert main(["fuse", *map(str, paths), "-o", str(out), *flags]) == 0
+            outputs[stack] = {p.name: p.read_bytes() for p in out.iterdir()
+                              if p.name != "manifest.json"}
+        assert "posterior.svol" in outputs["new"] and "params.json" in outputs["new"]
+        assert outputs["old"] == outputs["new"]
+        assert outputs["mixed"] == outputs["new"]
+
+    def test_old_truth_evaluates_the_same(self, tmp_path, capsys):
+        dims = Dim3(6, 5, 4)
+        truth, pred = _rater_rows(np.random.default_rng(22), 2, dims.n, flip=0.2)
+        _write([tmp_path / "t.svol", tmp_path / "p.svol"], [truth, pred], GridKind.BINARY,
+               dims)
+        old = _write_float64_binary(tmp_path / "old" / "t.svol", truth, dims)
+        reports = []
+        for path in (tmp_path / "t.svol", old):
+            assert main(["eval", str(path), str(tmp_path / "p.svol")]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_negative_zero_votes_fuse_unchanged(self, tmp_path):
+        """A binary -0.0 is written and read back as 0; the fuse of those files
+        equals run_em on the grids that held -0.0, byte for byte."""
+        dims = Dim3(6, 5, 4)
+        rng = np.random.default_rng(23)
+        rows = _rater_rows(rng, 4, dims.n, flip=0.1)
+        rows[(rows == 0.0) & (rng.random(rows.shape) < 0.5)] = -0.0
+        assert np.signbit(rows).any()
+        paths = _write([tmp_path / "in" / f"r{i}.svol" for i in range(4)], rows,
+                       GridKind.BINARY, dims)
+        for path, row in zip(paths, rows):
+            assert read_svol(path).data.tobytes() == np.abs(row).tobytes()
+        out = tmp_path / "out"
+        assert main(["fuse", *paths, "--variant", "binary", "--binarize", "-o", str(out)]) == 0
+        stack = stack_from_rows(rows, GridKind.BINARY, ids=tuple(f"r{i}" for i in range(4)),
+                                dims=dims)
+        result = run_em(stack, FusionConfig())
+        write_svol(result.posterior, tmp_path / "posterior.svol")
+        write_svol(binarize(result.posterior), tmp_path / "consensus.svol")
+        for name in ("posterior.svol", "consensus.svol"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        params = json.loads((out / "params.json").read_text())
+        assert params["sens"] == result.params.sens.tolist()
+        assert params["spec"] == result.params.spec.tolist()
+        assert params["ll_trace"] == list(result.ll_trace)
 
 
 def _fuse_peak(tmp_path, m, edge, kind, variant):
