@@ -57,8 +57,8 @@ from .volume import validate_stack  # noqa: F401  (perfbench's traced pass wraps
 # masks are built (softmask, fuse --flair). Measured peaks (tracemalloc, 64^3,
 # 90%-full random masks, 1 and 12 experts): a binary fuse 17 and 18 bytes per
 # voxel, from one-byte and float64 expert files alike (the peak comes after the
-# read and fold), softmask 68 and 69, fuse --flair 69 and 77 (83 at 48^3). The fold's
-# column arrays (staple.COLUMN_VOTE_LIMIT) and soft-mc's tallies
+# read and fold), softmask 68 and 69, fuse --flair 69 and 77 (83 at 48^3). The
+# fold's column arrays (staple.COLUMN_VOTE_LIMIT) and soft-mc's tallies
 # (soft_staple.MC_ENTRY_LIMIT) have bounds of their own.
 STACK_BYTE_LIMIT = 2**32
 
