@@ -33,6 +33,7 @@ from .staple import (
     _channel_posterior_arrays,
     _check_prior,
     _em_loop,
+    _gather,
     _group_keys,
     _mean_vote_prior,
     _posterior_grid,
@@ -483,7 +484,6 @@ class _McModel(_PatternModel):
         codes = np.concatenate([hard_codes.astype(code.dtype), code])
         self.table, _, unit = _group_keys(codes, 1 << m, inverse=True)
         n, units = hard_codes.size, self.table.size
-        unit = unit.astype(np.min_scalar_type(units - 1))
         self.tally = (voxel, size, unit[n:], count)
         # A soft column's entries: its voxels' integer counts, summed per unit.
         key = np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size) + unit[n:]
@@ -501,7 +501,7 @@ class _McModel(_PatternModel):
                 / counts for a in labels]
 
     def voxel_posterior(self, ev) -> np.ndarray:
-        w1 = self.posteriors(ev, (1,))[0][self.patterns.inverse]
+        w1 = _gather(self.posteriors(ev, (1,))[0], self.patterns.inverse)
         voxel, size, unit, count = self.tally
         w1[voxel] = _voxel_means(size, count, ev[1][unit], self.samples)
         return w1

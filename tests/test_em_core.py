@@ -40,10 +40,14 @@ from fuselab.staple import (
     MSTEP_MODES,
     VARIANTS,
     _COMPARED_LEVELS,
+    _SPARSE_SHARE,
     _PatternModel,
+    _group_keys,
     _soft_digits,
+    fold_votes,
     vote_patterns,
 )
+from fuselab.volume import Dim3
 from helpers import assert_monotone, random_binary_stack, stack_from_rows
 from oracles import (
     loglik_brute,
@@ -268,6 +272,100 @@ class TestVotePatterns:
             run_em(stack, config)
             assert priors[-1] == mean_vote_prior(stack.as_matrix(), stack.expert_ids)
         assert len(priors) == 40
+
+
+KEY_DTYPES = (np.uint8, np.uint16, np.uint64, np.intp)
+KEY_SHAPES = ("background-heavy", "dense", "all-zero", "zero-free")
+
+
+def _keys(shape: str, dtype, n: int, span: int, seed: int) -> np.ndarray:
+    """n keys in [0, span) of one shape: about 90% zeros, uniform, all 0, or none 0."""
+    rng = np.random.default_rng(seed)
+    if shape == "all-zero":
+        return np.zeros(n, dtype=dtype)
+    key = rng.integers(1 if shape == "zero-free" else 0, span, n, dtype=np.uint64)
+    if shape == "background-heavy":
+        key[rng.random(n) < 0.9] = 0
+    return key.astype(dtype)
+
+
+def _assert_groups_like_unique(key: np.ndarray, span: int):
+    values, counts, index = _group_keys(key, span, inverse=True)
+    want, inverse, times = np.unique(key, return_inverse=True, return_counts=True)
+    np.testing.assert_array_equal(values, want)
+    np.testing.assert_array_equal(counts, times)
+    np.testing.assert_array_equal(index, inverse)
+    assert index.dtype == np.min_scalar_type(want.size - 1)
+    bare = _group_keys(key, span)
+    np.testing.assert_array_equal(bare[0], want)
+    np.testing.assert_array_equal(bare[1], times)
+    assert bare[2] is None
+
+
+class TestGroupKeys:
+    """``_group_keys`` equals ``np.unique(..., return_inverse=True,
+    return_counts=True)`` on the sort route and on either counting route,
+    with the inverse in the narrowest unsigned dtype."""
+
+    @CORE
+    @given(data=st.data(), dtype=st.sampled_from(KEY_DTYPES), shape=st.sampled_from(KEY_SHAPES),
+           share=st.sampled_from([0.0, _SPARSE_SHARE, 1.0]))
+    def test_matches_unique(self, data, dtype, shape, share):
+        """``share`` 0 counts all keys (bar all-zero ones), 1 only the keys not 0."""
+        import fuselab.staple as staple
+
+        n = data.draw(st.integers(1, 700), label="n")
+        top = min(int(np.iinfo(dtype).max) + 1, 2**64)
+        span = data.draw(st.one_of(st.integers(2, min(2 * n, top)), st.just(min(2 * n, top)),
+                                   st.integers(min(2 * n + 1, top), top)), label="span")
+        key = _keys(shape, dtype, n, span, data.draw(st.integers(0, 2**32), label="seed"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(staple, "_SPARSE_SHARE", share)
+            _assert_groups_like_unique(key, span)
+
+    @pytest.mark.parametrize("dtype", KEY_DTYPES)
+    @pytest.mark.parametrize("shape", KEY_SHAPES)
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_edges(self, dtype, shape, n):
+        """One key, and ``span == 2 * key.size``, the last span that is counted;
+        at 1000 keys the background-heavy ones take the sparse route."""
+        span = min(2 * n, int(np.iinfo(dtype).max) + 1)
+        _assert_groups_like_unique(_keys(shape, dtype, n, span, n), span)
+
+    @pytest.mark.parametrize("columns, dtype", [(256, np.uint8), (257, np.uint16),
+                                                (65_536, np.uint16), (65_537, np.uint32)])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_inverse_widens_past_each_byte_count(self, columns, dtype, sparse):
+        key = np.arange(columns, dtype=np.uint32)
+        if sparse:
+            key = np.concatenate([key, np.zeros(4 * columns, dtype=np.uint32)])
+        index = _group_keys(key, columns, inverse=True)[2]
+        assert index.dtype == dtype
+        np.testing.assert_array_equal(index[:columns], np.arange(columns))
+
+
+class TestFoldMemory:
+    def test_background_heavy_fold_holds_no_key_length_intp_array(self):
+        """Seven 64^3 one-byte rows, about 5% foreground: the fold's codes are
+        about 92% zero, so it counts and maps only the rest, and its index
+        is one byte per voxel. Its tracemalloc peak measured 3.1 bytes per
+        voxel; with a bincount over every code and an intp inverse it was
+        10.3."""
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        dims = Dim3(64, 64, 64)
+        truth = rng.random(dims.n) < 0.05
+        rows = [(truth ^ (rng.random(dims.n) < 0.005)).astype(np.uint8) for _ in range(7)]
+        tracemalloc.start()
+        try:
+            pats = fold_votes(iter(rows), np.arange(7), GridKind.BINARY, dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pats.inverse.dtype == np.uint8
+        assert np.count_nonzero(pats.inverse) < _SPARSE_SHARE * dims.n
+        assert peak <= 4 * dims.n, peak / dims.n
 
 
 class TestStepsAgainstOracles:

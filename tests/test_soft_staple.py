@@ -597,21 +597,20 @@ class TestMonteCarloSweep:
 
     def test_narrow_inverse_builds_the_same_model(self):
         """The block arithmetic on voxel-to-column indices runs in intp, so
-        a uint8 inverse (227 columns here) gives the intp inverse's bytes, on
-        both paths (at 8 samples, k <= 3 tallies and k = 4, 5 samples)."""
+        the uint8 inverse (227 columns here) gives an intp inverse's bytes,
+        on both paths (at 8 samples, k <= 3 tallies and k = 4, 5 samples)."""
         import dataclasses
-        import warnings
 
         import fuselab.soft_staple as ss
         from fuselab.staple import vote_patterns
 
         q = np.random.default_rng(1).choice([0.0, 0.4, 1.0], size=(5, 600))
         patterns = vote_patterns(stack_from_rows(q, GridKind.SOFT))
-        assert patterns.counts.size < 256
-        narrow = dataclasses.replace(patterns, inverse=patterns.inverse.astype(np.uint8))
+        assert patterns.inverse.dtype == np.uint8
+        wide = dataclasses.replace(patterns, inverse=patterns.inverse.astype(np.intp))
         p = params(np.full(5, 0.9), np.full(5, 0.85))
         got = []
-        for pats in (patterns, narrow):
+        for pats in (patterns, wide):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 model = ss._McModel(pats, 0.3, 8, 1)
@@ -619,6 +618,62 @@ class TestMonteCarloSweep:
             got.append([model.s, *model.mstep(p, ev, "plugin-mean"), model.voxel_posterior(ev)])
         for want, have in zip(*got):
             assert have.tobytes() == want.tobytes()
+
+
+def _distinct_columns(m: int, n: int, soft: bool) -> np.ndarray:
+    """(m, n) votes whose voxel t holds the bits of t (n <= 2^m, so every
+    column differs). If ``soft``, every 97th voxel has one vote of 0.4 and
+    every 89th five, which soft-mc at 8 samples tallies and samples."""
+    rows = ((np.arange(n) >> np.arange(m)[:, None]) & 1).astype(float)
+    if soft:
+        rows[np.arange(0, n, 97) % m, np.arange(0, n, 97)] = 0.4
+        rows[:5, ::89] = 0.4
+    return rows
+
+
+class TestWideInverse:
+    """Past 255 and 65,535 distinct columns the inverse widens to uint16 and
+    uint32. The arithmetic on it (``_McModel``'s keys, ``_draw``'s rows,
+    ``m_step``'s counts and the posterior gather) runs in intp, so an intp
+    copy of the inverse gives the same bytes."""
+
+    CASES = [(9, 400, np.uint16), (17, 70_000, np.uint32)]
+
+    @pytest.mark.parametrize("m, n, dtype", CASES)
+    def test_soft_runs_match_an_intp_inverse(self, m, n, dtype):
+        import dataclasses
+
+        ids = tuple(f"e{i:02d}" for i in range(m))   # ids sort in row order
+        patterns = vote_patterns(stack_from_rows(_distinct_columns(m, n, True), GridKind.SOFT,
+                                                 ids=ids))
+        assert patterns.inverse.dtype == dtype
+        wide = dataclasses.replace(patterns, inverse=patterns.inverse.astype(np.intp))
+        for variant in ("simplified", "soft-mc"):
+            config = FusionConfig(variant=variant, max_iters=3, mc_samples=8, mc_seed=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, want = (run_soft_em(pats, config) for pats in (patterns, wide))
+            assert got.posterior.data.tobytes() == want.posterior.data.tobytes()
+            assert got.params.sens.tobytes() == want.params.sens.tobytes()
+            assert got.params.spec.tobytes() == want.params.spec.tobytes()
+            assert got.ll_trace == want.ll_trace
+
+    @pytest.mark.parametrize("m, n, dtype", CASES)
+    def test_binary_steps_on_a_wide_inverse(self, m, n, dtype):
+        """Every voxel is its own column, so the steps equal per-voxel sums."""
+        from fuselab.staple import _binary_posterior_arrays
+
+        rows = _distinct_columns(m, n, False)
+        stack = stack_from_rows(rows, ids=tuple(f"e{i:02d}" for i in range(m)))
+        assert vote_patterns(stack).inverse.dtype == dtype
+        p = params(np.linspace(0.7, 0.95, m), np.linspace(0.9, 0.8, m))
+        w = e_step(stack, p, 0.3)
+        np.testing.assert_allclose(w.data, _binary_posterior_arrays(rows, p, 0.3)[1],
+                                   rtol=1e-12, atol=1e-15)
+        got = m_step(stack, w)
+        np.testing.assert_allclose(got.sens, rows @ w.data / w.data.sum(), rtol=1e-12)
+        np.testing.assert_allclose(got.spec, (1.0 - rows) @ (1.0 - w.data) / (1.0 - w.data).sum(),
+                                   rtol=1e-12)
 
 
 class TestMonteCarloPaths:
