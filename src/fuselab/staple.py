@@ -308,8 +308,7 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None)
     (there it beats a sort, which wins from about four times the key count
     on), else sorted. Counted keys find their indices in a narrow lookup
     table by indexing, which casts a narrow key block by block (``take``
-    would copy it whole to intp), so no key-length intp array is kept.
-    Without weights, where at most ``_SPARSE_SHARE`` of the keys are not 0
+    would copy it whole to intp). Without weights, where at most ``_SPARSE_SHARE`` of the keys are not 0
     (the all-background vote column of a lesion mask fold is code 0), only
     those are found, counted and looked up: 0 is then the smallest value, so
     the index starts as zeros.
@@ -352,9 +351,10 @@ def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     out = np.empty(index.size, dtype=values.dtype)
     buf = np.empty(min(_GATHER_BLOCK, index.size), dtype=np.intp)
     for start in range(0, index.size, _GATHER_BLOCK):
-        part = buf[:index[start:start + _GATHER_BLOCK].size]
-        part[:] = index[start:start + part.size]
-        values.take(part, out=out[start:start + part.size], mode="clip")
+        block = index[start:start + _GATHER_BLOCK]
+        part = buf[:block.size]
+        part[:] = block
+        values.take(part, out=out[start:start + block.size], mode="clip")
     return out
 
 
