@@ -322,10 +322,11 @@ def _targets(args, filenames, inputs, resolved: dict) -> list[Path]:
     """The output files in ``args.out``, then the manifest, once none is an input,
     an existing entry other than a regular file, or an existing file without --force."""
     targets = [Path(args.out) / name for name in [*filenames, "manifest.json"]]
-    for target in targets:
-        if not target.exists():  # nor is it an input, since each input was opened before
-            continue
-        if os.path.realpath(target) in {os.path.realpath(p) for p in inputs}:
+    # A missing target is no input either, since each input was opened before.
+    existing = [target for target in targets if target.exists()]
+    sources = {os.path.realpath(p) for p in inputs} if existing else set()
+    for target in existing:
+        if os.path.realpath(target) in sources:
             raise ConfigError(f"refusing to overwrite input file {target}")
         if not target.is_file():
             raise ConfigError(f"output {target} exists and is not a regular file")
@@ -410,9 +411,9 @@ def _cmd_fuse(args, resolved: dict, started: float) -> int:
         result = (run_em(votes, config) if config.variant == "binary"
                   else run_soft_em(votes, config))
         by_name = dict(zip(filenames, temps))
-        write_svol(result.posterior, by_name["posterior.svol"])
+        write_svol(result.posterior_map, by_name["posterior.svol"])
         if resolved["binarize"]:
-            write_svol(binarize(result.posterior), by_name["consensus.svol"])
+            write_svol(binarize(result.posterior_map), by_name["consensus.svol"])
         _write_json(
             by_name["params.json"],
             {

@@ -33,10 +33,10 @@ from .staple import (
     _channel_posterior_arrays,
     _check_prior,
     _em_loop,
-    _gather,
     _group_keys,
+    _index_type,
     _mean_vote_prior,
-    _posterior_grid,
+    _posterior_map,
     _votes,
     e_step,
     log_likelihood,
@@ -169,7 +169,7 @@ def soft_e_step_voxel(soft_votes, params: RaterParams, prior: float) -> float:
 def soft_e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Exact soft posterior map over the whole grid."""
     model = _ExactModel(vote_patterns(stack), prior)
-    return _posterior_grid(model, model.arrays(params.reordered(model.patterns.order)))
+    return _posterior_map(model, model.arrays(params.reordered(model.patterns.order))).gather()
 
 
 def soft_log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> float:
@@ -456,7 +456,7 @@ class _McModel(_PatternModel):
     tallies nor the sums depend on them, so the outputs do not either.
     Nothing builds a 2^m table, so any expert count works. With the draws
     fixed, the run is exact EM on the sampled model, whose inherited
-    objective estimates the exact one; the final posterior reads each soft
+    objective estimates the exact one; the posterior map reads each soft
     voxel's own tally. A voxel with k fractional votes keeps at most
     min(samples, 2^k) entries. ``_mc_plan`` picks each column's path and
     refuses a run over any bound before the first draw.
@@ -485,6 +485,7 @@ class _McModel(_PatternModel):
         self.table, _, unit = _group_keys(codes, 1 << m, inverse=True)
         n, units = hard_codes.size, self.table.size
         self.tally = (voxel, size, unit[n:], count)
+        self.soft_columns = np.flatnonzero(~hard)
         # A soft column's entries: its voxels' integer counts, summed per unit.
         key = np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size) + unit[n:]
         key, sums, _ = _group_keys(key, counts.size * units, weights=count)
@@ -500,11 +501,17 @@ class _McModel(_PatternModel):
         return [np.bincount(self.col, self.weight * ev[a][self.unit], minlength=counts.size)
                 / counts for a in labels]
 
-    def voxel_posterior(self, ev) -> np.ndarray:
-        w1 = _gather(self.posteriors(ev, (1,))[0], self.patterns.inverse)
+    def posterior_table(self, ev):
+        """Every column's posterior, then each soft voxel's own tally mean,
+        which the index points it at. A soft column's entry is read by no
+        voxel, so it is set to 0 and left out of the range check."""
+        w1 = self.posteriors(ev, (1,))[0]
+        w1[self.soft_columns] = 0.0
         voxel, size, unit, count = self.tally
-        w1[voxel] = _voxel_means(size, count, ev[1][unit], self.samples)
-        return w1
+        table = np.concatenate([w1, _voxel_means(size, count, ev[1][unit], self.samples)])
+        index = self.patterns.inverse.astype(_index_type(table.size))
+        index[voxel] = w1.size + np.arange(voxel.size)
+        return table, index
 
 
 def run_em(x: ExpertStack | VotePatterns, config: FusionConfig | None = None) -> FusionResult:

@@ -140,10 +140,12 @@ def connected_components(mask: VolumeGrid, connectivity: int = SoftMaskConfig.co
     check_grid("mask", mask, GridKind.BINARY)
     labels3, count = _label(mask.as_3d() > 0.5, _footprint(connectivity))
     labels = labels3.reshape(-1)
-    # A stable sort groups each id's voxels in index order; slot 0 is background.
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=count + 1))
-    return labels, np.split(order, ends[:-1])[1:]
+    # A stable sort of the foreground groups each id's voxels in index order.
+    fg = np.flatnonzero(labels)
+    ids = labels[fg]
+    order = fg[np.argsort(ids, kind="stable")]
+    ends = np.cumsum(np.bincount(ids, minlength=count + 1)).tolist()
+    return labels, [order[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 def _nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:

@@ -22,12 +22,14 @@ in which experts are supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
 
 from .errors import SEED_SPAN, ConfigError, DegeneratePosteriorError, _refuse_over, check_number
-from .volume import LABEL_KINDS, Dim3, ExpertStack, GridKind, VolumeGrid, check_grid
+from .volume import (_INTP_BLOCK, LABEL_KINDS, Dim3, ExpertStack, GridKind, IndexedGrid,
+                     VolumeGrid, check_grid)
 
 # Parameters are clipped here after every update; keeps log() finite and
 # stops sensitivity/specificity from freezing at an absorbing 0 or 1.
@@ -59,9 +61,6 @@ COLUMN_VOTE_LIMIT = 2**26
 # 0.8-1.0 ms against 5.6-6.5 for all keys at 2% not 0, 3.0-3.4 against 4.6
 # at 40%, and tied at about 60%.
 _SPARSE_SHARE = 0.4
-
-# Index entries ``_gather`` casts to intp at a time (256 KiB of them).
-_GATHER_BLOCK = 1 << 15
 
 _INT64_MAX = np.iinfo(np.int64).max
 _CODE_SPAN = 1 << 64
@@ -148,15 +147,23 @@ class FusionResult:
     the expected-count M-step it never falls (EM ascent), for every
     variant. soft-mc traces its sampled model's, an estimate of
     soft-exact's, and sets ``ll_is_approximate`` when any voxel is soft.
+    ``posterior_map`` holds the posterior as the model's clipped, checked
+    table of per-column values (and soft-mc's per-soft-voxel means) and the
+    voxel index into it; ``posterior`` is that map gathered into a grid
+    on first access.
     """
 
-    posterior: VolumeGrid
+    posterior_map: IndexedGrid
     params: RaterParams
     ll_trace: tuple[float, ...]
     iters_run: int
     converged: bool
     prior: float
     ll_is_approximate: bool = False
+
+    @cached_property
+    def posterior(self) -> VolumeGrid:
+        return self.posterior_map.gather()
 
 
 def clamp_params(sens: np.ndarray, spec: np.ndarray):
@@ -306,9 +313,12 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None)
     dtype that holds the value count less one (uint8 up to 256 values). Keys
     are counted with bincount while ``span`` is at most twice the key count
     (there it beats a sort, which wins from about four times the key count
-    on), else sorted. Counted keys find their indices in a narrow lookup
-    table by indexing, which casts a narrow key block by block (``take``
-    would copy it whole to intp). Without weights, where at most ``_SPARSE_SHARE`` of the keys are not 0
+    on), else sorted. Without weights, keys are counted one block of at
+    least ``_INTP_BLOCK`` at a time, since bincount copies a narrow key
+    whole to intp; weighted sums keep one pass, so they add in key order.
+    Counted keys find their indices in a narrow lookup table by indexing,
+    which casts a narrow key block by block (``take`` would copy it whole
+    to intp). Without weights, where at most ``_SPARSE_SHARE`` of the keys are not 0
     (the all-background vote column of a lesion mask fold is code 0), only
     those are found, counted and looked up: 0 is then the smallest value, so
     the index starts as zeros.
@@ -318,10 +328,21 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None)
         counts = np.bincount(index, weights)
         return values, counts, index.astype(_index_type(values.size)) if inverse else None
     n, at = key.size, None
-    if inverse and weights is None and np.count_nonzero(key) <= _SPARSE_SHARE * n:
-        at = np.flatnonzero(key != 0)  # twice as fast as on the key itself
+    if inverse and weights is None and (hits := np.count_nonzero(key)) <= _SPARSE_SHARE * n:
+        # Found block by block into the narrowest dtype, not as one intp array.
+        at, done = np.empty(hits, dtype=_index_type(n)), 0
+        for lo in range(0, n, _INTP_BLOCK):
+            found = np.flatnonzero(key[lo:lo + _INTP_BLOCK] != 0)  # twice as fast as on the key
+            at[done:done + found.size] = found + lo
+            done += found.size
         key = key[at]
-    counts = np.bincount(key, weights, minlength=span)
+    if weights is None:  # by blocks, as bincount copies a narrow key to intp
+        counts = np.zeros(span, dtype=np.intp)
+        step = max(_INTP_BLOCK, span)  # so a block's counts take no longer than its keys
+        for lo in range(0, key.size, step):
+            counts += np.bincount(key[lo:lo + step], minlength=span)
+    else:
+        counts = np.bincount(key, weights, minlength=span)
     if at is not None:
         counts[0] += n - at.size
     values = np.flatnonzero(counts)
@@ -339,23 +360,6 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None)
 def _index_type(size: int) -> np.dtype:
     """The narrowest unsigned type that holds every index into ``size`` values."""
     return np.min_scalar_type(max(size - 1, 0))
-
-
-def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``values[index]`` for a narrow ``index``, cast to intp one block of
-    ``_GATHER_BLOCK`` at a time for ``take``'s fast intp path. On a 96^3
-    uint8 index (2-core Xeon) it took 1.0 ms, indexing with the narrow index
-    2.6 ms, and ``take`` on it, which casts it whole, 2.5 (0.7 on an intp
-    index). ``mode="clip"`` only keeps ``take`` from buffering its output;
-    every index is in range."""
-    out = np.empty(index.size, dtype=values.dtype)
-    buf = np.empty(min(_GATHER_BLOCK, index.size), dtype=np.intp)
-    for start in range(0, index.size, _GATHER_BLOCK):
-        block = index[start:start + _GATHER_BLOCK]
-        part = buf[:block.size]
-        part[:] = block
-        values.take(part, out=out[start:start + block.size], mode="clip")
-    return out
 
 
 def _votes(votes, m: int) -> np.ndarray:
@@ -454,10 +458,12 @@ class _PatternModel:
     w(0), w(1) and log p(votes) per unit, and through the channel also each
     vote's likelihoods l0 and l1. The other methods read it:
     ``posteriors`` gives w(a) per distinct vote column for each requested
-    label a; the objective (``s`` @ log p) and the expected-count M-step
-    sum over the units, the plug-in M-step over the columns. ``_em_loop``
-    drives any model through ``arrays``, ``mstep``, ``objective`` and
-    ``voxel_posterior`` (plus ``patterns``, ``prior`` and
+    label a, and ``posterior_table`` the posterior map as a table of w(1)
+    values and the voxel index into it (here the columns' and the inverse);
+    the objective (``s`` @ log p) and the expected-count M-step sum over
+    the units, the plug-in M-step over the columns. ``_em_loop`` drives any
+    model through ``arrays``, ``mstep``, ``objective`` and
+    ``posterior_table`` (plus ``patterns``, ``prior`` and
     ``ll_is_approximate``), always with canonical-order parameters.
     """
 
@@ -480,8 +486,8 @@ class _PatternModel:
     def objective(self, ev) -> float:
         return float(self.s @ ev[2])
 
-    def voxel_posterior(self, ev) -> np.ndarray:
-        return _gather(self.posteriors(ev, (1,))[0], self.patterns.inverse)
+    def posterior_table(self, ev):
+        return self.posteriors(ev, (1,))[0], self.patterns.inverse
 
     def mstep(self, params: RaterParams, ev, mode: str):
         """The update from ``params`` and the evaluation ``ev`` there. Expected
@@ -505,14 +511,12 @@ class _PatternModel:
         return _mstep_ratio(h1 @ n1, h0 @ n0, n1, n0)
 
 
-def _posterior_grid(model, ev) -> VolumeGrid:
-    """A model's posterior map from its evaluation ``ev``; the range is
-    still checked after the clip, which lets NaN through."""
-    w1 = model.voxel_posterior(ev)
-    np.clip(w1, 0.0, 1.0, out=w1)
-    grid = VolumeGrid._owned(model.patterns.dims, w1, GridKind.POSTERIOR)
-    grid.validate()
-    return grid
+def _posterior_map(model, ev) -> IndexedGrid:
+    """A model's posterior map from its evaluation ``ev``, its table clipped
+    to [0, 1]; the range is still checked after the clip, which lets NaN
+    through."""
+    table, index = model.posterior_table(ev)
+    return IndexedGrid(model.patterns.dims, np.clip(table, 0.0, 1.0), index, GridKind.POSTERIOR)
 
 
 def _em_loop(model, config: FusionConfig) -> FusionResult:
@@ -542,7 +546,7 @@ def _em_loop(model, config: FusionConfig) -> FusionResult:
         if step.max() < config.tol:
             converged = True
             break
-    posterior = _posterior_grid(model, ev)
+    posterior = _posterior_map(model, ev)
     return FusionResult(posterior, model.patterns.restore(params.sens, params.spec), tuple(trace),
                         iters, converged, model.prior, model.ll_is_approximate)
 
@@ -551,7 +555,7 @@ def e_step(stack: ExpertStack, params: RaterParams, prior: float) -> VolumeGrid:
     """Posterior map w(1) over the whole grid; w(0) is its complement. On
     a soft stack it is the simplified (noisy-channel) model's."""
     model = _PatternModel(vote_patterns(stack), prior)
-    return _posterior_grid(model, model.arrays(params.reordered(model.patterns.order)))
+    return _posterior_map(model, model.arrays(params.reordered(model.patterns.order))).gather()
 
 
 def m_step(stack: ExpertStack, w: VolumeGrid) -> RaterParams:
@@ -571,8 +575,13 @@ def log_likelihood(stack: ExpertStack, params: RaterParams, prior: float) -> flo
     return model.objective(model.arrays(params.reordered(model.patterns.order)))
 
 
-def binarize(posterior: VolumeGrid) -> VolumeGrid:
-    """Hard consensus: label 1 where w(1) > 0.5; the 0.5 tie goes to 0."""
+def binarize(posterior: VolumeGrid | IndexedGrid) -> VolumeGrid | IndexedGrid:
+    """Hard consensus: label 1 where w(1) > 0.5; the 0.5 tie goes to 0. An
+    :class:`IndexedGrid` posterior gives an IndexedGrid on the same index,
+    so only its table is thresholded."""
     check_grid("posterior", posterior, GridKind.POSTERIOR)
+    if isinstance(posterior, IndexedGrid):
+        consensus = np.greater(posterior.table, 0.5, out=np.empty(posterior.table.size))
+        return IndexedGrid(posterior.dims, consensus, posterior.index, GridKind.BINARY)
     consensus = np.greater(posterior.data, 0.5, out=np.empty(posterior.n))
     return VolumeGrid._owned(posterior.dims, consensus, GridKind.BINARY)

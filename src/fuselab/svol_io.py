@@ -37,7 +37,7 @@ from .errors import (
     TruncatedPayloadError,
     ValueRangeError,
 )
-from .volume import _CHECK_BLOCK, Dim3, GridKind, VolumeGrid, _check_block
+from .volume import _CHECK_BLOCK, Dim3, GridKind, IndexedGrid, VolumeGrid, _check_block, _gather
 
 MAGIC = b"SVOL1\x00"
 _HEADER_LEN_FMT = "<I"
@@ -46,20 +46,37 @@ _FLOAT = np.dtype("<f8")
 _BYTE = np.dtype("u1")
 
 
-def write_svol(grid: VolumeGrid, path) -> None:
-    """Serialize a validated grid. The grid is validated before the file
-    is opened, so nothing is written when validation fails; a float64
-    payload goes out through the buffer protocol, without a copy."""
-    grid.validate()
+def write_svol(grid: VolumeGrid | IndexedGrid, path) -> None:
+    """Serialize a validated grid, or the grid an :class:`IndexedGrid` holds.
+    A grid is validated before the file is opened, so nothing is written
+    when validation fails; an IndexedGrid's table was checked when it was
+    built. A grid's float64 payload goes out in one write through the
+    buffer protocol, without a copy. Any other payload goes out block by
+    block through a one-block buffer: a grid's binary votes cast to one
+    byte each, an IndexedGrid's values gathered from its table (cast first
+    to the payload dtype), so no voxel-sized array is made."""
+    if isinstance(grid, VolumeGrid):
+        grid.validate()
     header = {"dims": list(grid.dims.as_tuple()), "kind": grid.kind.value}
-    payload = np.ascontiguousarray(grid.data, dtype=_FLOAT)
+    stored = _FLOAT
     if grid.kind is GridKind.BINARY:
         header["dtype"] = "u1"
-        payload = payload.astype(_BYTE)
+        stored = _BYTE
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack(_HEADER_LEN_FMT, len(blob)) + blob)
-        fh.write(payload)
+        if isinstance(grid, VolumeGrid) and stored == _FLOAT:
+            fh.write(np.ascontiguousarray(grid.data, dtype=_FLOAT))
+            return
+        table = grid.table.astype(stored) if isinstance(grid, IndexedGrid) else None
+        buffer = np.empty(min(grid.dims.n, _CHECK_BLOCK), stored)
+        for lo in range(0, grid.dims.n, _CHECK_BLOCK):
+            block = buffer[: min(_CHECK_BLOCK, grid.dims.n - lo)]
+            if table is None:
+                block[:] = grid.data[lo : lo + block.size]
+            else:
+                _gather(table, grid.index[lo : lo + block.size], block)
+            fh.write(block)
 
 
 def read_svol(path) -> VolumeGrid:

@@ -80,6 +80,28 @@ def _check_values(data: np.ndarray, kind: GridKind) -> None:
         _check_block(data[lo : lo + _CHECK_BLOCK], kind)
 
 
+# Narrow index or key entries cast to intp at a time (256 KiB of them), by
+# ``_gather`` and by ``staple._group_keys``' counting.
+_INTP_BLOCK = 1 << 15
+
+
+def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``values[index]`` for a narrow ``index``, into ``out`` (by default a
+    new array), cast to intp one block of ``_INTP_BLOCK`` at a time for
+    ``take``'s fast intp path. On a 96^3 uint8 index (2-core Xeon) it took
+    1.0 ms, indexing with the narrow index 2.6 ms, and ``take`` on it, which
+    casts it whole, 2.5 (0.7 on an intp index). ``mode="clip"`` only keeps
+    ``take`` from buffering its output; every index is in range."""
+    out = np.empty(index.size, dtype=values.dtype) if out is None else out
+    buf = np.empty(min(_INTP_BLOCK, index.size), dtype=np.intp)
+    for start in range(0, index.size, _INTP_BLOCK):
+        block = index[start:start + _INTP_BLOCK]
+        part = buf[:block.size]
+        part[:] = block
+        values.take(part, out=out[start:start + block.size], mode="clip")
+    return out
+
+
 def _check_block(data: np.ndarray, kind: GridKind) -> None:
     if kind is GridKind.BINARY:
         if not np.all((data == 0.0) | (data == 1.0)):
@@ -154,6 +176,31 @@ class VolumeGrid:
             and self.kind == other.kind
             and np.array_equal(self.data, other.data)
         )
+
+
+@dataclass(frozen=True, eq=False)
+class IndexedGrid:
+    """A grid held as a small float64 ``table`` and a narrow unsigned voxel
+    ``index`` into it: voxel t's value is ``table[index[t]]``. A fusion's
+    posterior takes this form, one entry per distinct vote column (and per
+    soft voxel for soft-mc), so it is never built voxel by voxel:
+    ``svol_io.write_svol`` writes it block by block, and ``gather`` makes
+    the :class:`VolumeGrid`. The table's values are checked when it is
+    built, as a grid's would be; an entry that no voxel reads must still
+    pass (soft-mc sets its soft columns' entries to 0).
+    """
+
+    dims: Dim3
+    table: np.ndarray
+    index: np.ndarray
+    kind: GridKind
+
+    def __post_init__(self):
+        _check_size(self.index, self.dims)
+        _check_values(self.table, self.kind)
+
+    def gather(self) -> VolumeGrid:
+        return VolumeGrid._owned(self.dims, _gather(self.table, self.index), self.kind)
 
 
 @dataclass(frozen=True)

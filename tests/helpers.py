@@ -27,6 +27,12 @@ def watch_payload_reads(monkeypatch):
     return paths
 
 
+def voxel_posterior(model, ev):
+    """A model's unclipped w(1) per voxel: its posterior table read through its voxel index."""
+    table, index = model.posterior_table(ev)
+    return table[index]
+
+
 def grid(values, kind=GridKind.BINARY, dims=None):
     """Flat values -> VolumeGrid; dims default to (len, 1, 1)."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)

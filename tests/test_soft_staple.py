@@ -31,7 +31,7 @@ from fuselab import (
 )
 from fuselab.errors import CapacityError, ConfigError
 from fuselab.staple import MSTEP_MODES, vote_patterns
-from helpers import assert_monotone, random_binary_stack, stack_from_rows
+from helpers import assert_monotone, random_binary_stack, stack_from_rows, voxel_posterior
 from oracles import (
     _mc_generator,
     exact_posteriors_enumerated,
@@ -554,14 +554,14 @@ class TestMonteCarloSweep:
         small = ss._McModel(patterns, 0.3, 256, 3)
         model = ss._McModel(patterns, 0.3, 4096, 3)
         assert kept(model) < 2 * kept(small)
-        want = model.voxel_posterior(model.arrays(p)).tobytes()
+        want = voxel_posterior(model, model.arrays(p)).tobytes()
 
         def refuse(*_):
             raise AssertionError("the final posterior drew again")
 
         monkeypatch.setattr(ss, "_mc_codes", refuse)
         monkeypatch.setattr(ss, "_mc_tallies", refuse)
-        assert model.voxel_posterior(model.arrays(p)).tobytes() == want
+        assert voxel_posterior(model, model.arrays(p)).tobytes() == want
 
 
     def test_entry_bound_refuses_before_any_draw(self, monkeypatch):
@@ -615,7 +615,7 @@ class TestMonteCarloSweep:
                 warnings.simplefilter("error")
                 model = ss._McModel(pats, 0.3, 8, 1)
             ev = model.arrays(p)
-            got.append([model.s, *model.mstep(p, ev, "plugin-mean"), model.voxel_posterior(ev)])
+            got.append([model.s, *model.mstep(p, ev, "plugin-mean"), voxel_posterior(model, ev)])
         for want, have in zip(*got):
             assert have.tobytes() == want.tobytes()
 

@@ -100,6 +100,20 @@ class TestConnectedComponents:
             assert comp.dtype == want.dtype
             np.testing.assert_array_equal(comp, want)
 
+    def test_many_components_match_a_whole_grid_sort(self):
+        """Thousands of components: each equals its slice of a stable sort of
+        every voxel's label, split at the label counts."""
+        rng = np.random.default_rng(19)
+        g = VolumeGrid.from_3d(rng.random((32, 32, 32)) < 0.1, GridKind.BINARY)
+        labels, comps = connected_components(g, 6)
+        assert len(comps) > 2000
+        order = np.argsort(labels, kind="stable")
+        want = np.split(order, np.cumsum(np.bincount(labels))[:-1])[1:]
+        assert len(comps) == len(want)
+        for comp, w in zip(comps, want):
+            assert comp.dtype == w.dtype
+            np.testing.assert_array_equal(comp, w)
+
 
 class TestDilationStep:
     def test_single_voxel_cross(self):

@@ -26,7 +26,7 @@ from fuselab import (
     soft_e_step_voxel,
 )
 from fuselab.errors import ConfigError, DegeneratePosteriorError, ValueRangeError
-from fuselab.staple import CLAMP_LO, _posterior_grid, vote_patterns
+from fuselab.staple import CLAMP_LO, _posterior_map, vote_patterns
 from helpers import assert_monotone, grid, random_binary_stack, stack_from_rows
 from oracles import loglik_brute, mean_vote_prior, posterior_brute
 
@@ -369,23 +369,26 @@ class TestBinarize:
         out.validate()
 
 
-class TestPosteriorGrid:
+class TestPosteriorMap:
     @staticmethod
     def _model(w1):
-        """A model whose posterior map is ``w1``, over two binary voxels' patterns."""
+        """A model whose posterior table is ``w1``, over two binary voxels' patterns."""
         patterns = vote_patterns(stack_from_rows([[0.0, 1.0]]))
-        return SimpleNamespace(patterns=patterns, voxel_posterior=lambda params: w1)
+        return SimpleNamespace(patterns=patterns, posterior_table=lambda ev: (w1, patterns.inverse))
 
     def test_nan_posterior_is_refused(self):
         """The clip lets NaN through, so the range check stays."""
-        with pytest.raises(ValueRangeError):
-            _posterior_grid(self._model(np.array([1.5, np.nan])), params(0.9, 0.9))
+        with pytest.raises(ValueRangeError, match=r"posterior grid holds a value outside \[0, 1\]"):
+            _posterior_map(self._model(np.array([1.5, np.nan])), params(0.9, 0.9))
 
-    def test_clipped_in_place(self):
+    def test_clipped_table_on_the_model_index(self):
+        """The table is clipped, and the voxel index is the model's own, not a copy."""
         w1 = np.array([-1e-17, 1.0 + 2e-16])
-        g = _posterior_grid(self._model(w1), params(0.9, 0.9))
-        assert g.data is w1
-        np.testing.assert_array_equal(g.data, [0.0, 1.0])
+        model = self._model(w1)
+        g = _posterior_map(model, params(0.9, 0.9))
+        assert g.index is model.patterns.inverse
+        np.testing.assert_array_equal(g.table, [0.0, 1.0])
+        np.testing.assert_array_equal(g.gather().data, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("build, message", [
