@@ -53,11 +53,11 @@ from .volume import validate_stack  # noqa: F401  (perfbench's traced pass wraps
 # Most bytes a fuse or softmask command may hold, estimated from the input
 # headers before any payload is read. Both read one expert at a time, so the
 # estimate does not grow with the experts: voxels x 40 for a fuse (a payload,
-# its vote codes, their grouping's intp temporaries, the inverse and the
-# posterior), voxels x 96 where soft masks are built (softmask, fuse --flair).
+# its vote codes, their grouping's temporaries, the inverse and the output
+# blocks), voxels x 96 where soft masks are built (softmask, fuse --flair).
 # Measured peaks (tracemalloc, 64^3, 90%-full random masks, 1 and 12 experts):
-# a binary fuse 10 and 12 bytes per voxel (10 and 10 on 5%-full masks), from
-# one-byte and float64 expert files alike, softmask 68 and 69, fuse --flair 69
+# a binary fuse from one-byte files 4 and 6 bytes per voxel, with or without
+# --binarize (the same on 5%-full masks), softmask 68 and 69, fuse --flair 69
 # and 77 (83 at 48^3). The fold's column arrays (staple.COLUMN_VOTE_LIMIT) and
 # soft-mc's tallies (soft_staple.MC_ENTRY_LIMIT) have bounds of their own.
 STACK_BYTE_LIMIT = 2**32

@@ -504,7 +504,7 @@ class _McModel(_PatternModel):
     def posterior_table(self, ev):
         """Every column's posterior, then each soft voxel's own tally mean,
         which the index points it at. A soft column's entry is read by no
-        voxel, so it is set to 0 and left out of the range check."""
+        voxel, so it is set to 0, which the range check passes."""
         w1 = self.posteriors(ev, (1,))[0]
         w1[self.soft_columns] = 0.0
         voxel, size, unit, count = self.tally
