@@ -28,6 +28,10 @@ class ValueRangeError(GridError):
     """A voxel value is outside the range allowed by the grid kind."""
 
 
+class GridIndexError(GridError):
+    """An indexed grid's voxel index is not integer or points outside its table."""
+
+
 class StackError(FuselabError):
     """An expert stack violates its invariants."""
 

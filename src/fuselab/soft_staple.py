@@ -27,8 +27,8 @@ from .staple import (
     FusionResult,
     RaterParams,
     VotePatterns,
-    _INT64_MAX,
     _PatternModel,
+    _bincount,
     _binary_posterior_arrays,
     _channel_posterior_arrays,
     _check_prior,
@@ -137,7 +137,7 @@ class _ExactModel(_PatternModel):
         _refuse_over(int(np.exp2(k).sum()), EXACT_TERM_LIMIT, "joint-vote terms (distinct "
                      "columns x 2^k)", "select variant 'soft-mc' instead")
         s = np.zeros(1 << m)
-        self.chunks = [(cols, codes.astype(_code_type(m)), w)
+        self.chunks = [(cols, codes.astype(_index_type(1 << m)), w)
                        for cols, codes, w in _joint_votes(patterns.columns)]
         for cols, codes, w in self.chunks:
             s += np.bincount(codes.ravel(), (w * patterns.counts[cols, None]).ravel(), s.size)
@@ -310,32 +310,22 @@ def _voxel_tally(codes: np.ndarray, voxels: int, samples: int, m: int):
     its distinct codes and their sample counts, sorted by voxel then code.
     A voxel with k fractional votes has at most min(samples, 2^k) entries.
     Sizes and counts come in the narrowest unsigned type that holds them.
-    Keys voxel x 2^m + code are grouped by ``_group_keys``; codes are
-    ranked first when the keys would not fit in int64.
+    Each voxel's codes, int64 or packed, are sorted as a row: its entries
+    start the row's runs, and their counts are the runs' lengths.
     """
-    table = None
-    if m > _CODE_BITS or voxels > _INT64_MAX >> m:
-        table, codes = np.unique(codes, return_inverse=True)
-        span = table.size
-    else:
-        span = 1 << m
-    key, counts, _ = _group_keys(np.repeat(np.arange(voxels), samples) * span + codes,
-                                 voxels * span)
-    voxel, code = np.divmod(key, span)
-    code = code if table is None else table[code]
-    return _narrow_tally(np.bincount(voxel, minlength=voxels), code, counts, samples, m)
-
-
-def _code_type(m: int) -> np.dtype:
-    """The narrowest unsigned type that holds every code of m experts."""
-    return np.min_scalar_type((1 << m) - 1)
+    rows = np.sort(codes.reshape(voxels, samples), axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]  # numpy has no out= loop for void codes
+    at = np.flatnonzero(starts)  # row-major: by voxel, then code
+    counts = np.diff(at, append=rows.size)
+    return _narrow_tally(np.count_nonzero(starts, axis=1), rows.ravel()[at], counts, samples, m)
 
 
 def _narrow_tally(sizes, code, counts, samples: int, m: int):
     """Tally sizes and counts, and int64 codes, in the narrowest unsigned types;
     a size is at most the run's entries, so it fits int64 (``np.repeat``)."""
     if m <= _CODE_BITS:
-        code = code.astype(_code_type(m), copy=False)
+        code = code.astype(_index_type(1 << m), copy=False)
     size = np.min_scalar_type(min(samples, MC_ENTRY_LIMIT))
     return (sizes.astype(size, copy=False), code,
             counts.astype(np.min_scalar_type(samples), copy=False))
@@ -365,7 +355,7 @@ def _draw(cols: np.ndarray, tallied: np.ndarray, ids: np.ndarray, voxels: np.nda
     m = cols.shape[0]
     on = tallied[ids]
     if on.any():
-        distinct, _, row = _group_keys(ids[on], cols.shape[1], inverse=True)
+        distinct, _, row = _group_keys(ids[on], cols.shape[1])
         for at, codes, w in _joint_votes(cols[:, distinct]):
             where = np.full(distinct.size, -1)
             where[at] = np.arange(at.size)
@@ -373,7 +363,7 @@ def _draw(cols: np.ndarray, tallied: np.ndarray, ids: np.ndarray, voxels: np.nda
             t, r = voxels[on][r >= 0], r[r >= 0]
             drawn = _mc_tallies(w, t, r, samples, seed)
             kept = np.flatnonzero(drawn)  # row-major: by voxel, then code
-            code = codes.astype(_code_type(m))[r].ravel()[kept]
+            code = codes.astype(_index_type(1 << m))[r].ravel()[kept]
             yield t, *_narrow_tally(np.count_nonzero(drawn, axis=1), code, drawn.ravel()[kept],
                                     samples, m)
     if not on.all():
@@ -448,7 +438,8 @@ class _McModel(_PatternModel):
     tallies are kept as one record, ``tally``: flat arrays of each soft
     voxel's index and number of entries, and of each entry's unit and sample
     count. The units are the distinct hard-vote codes (``table``). A soft
-    column's entries sum its voxels' integer counts per unit, divided by the
+    column's entries are its distinct units (``_group_keys``), weighted by
+    their voxels' integer counts (summed by ``_bincount``, exactly) over the
     sample count; a hard column is one entry weighted by its voxel count (the
     estimator has zero variance there), which makes the all-hard case agree
     with the binary algorithm to machine precision. The units are massed by
@@ -482,13 +473,13 @@ class _McModel(_PatternModel):
             voxel, size, code, count = soft, soft, hard_codes[:0], soft
         # The hard columns' codes lead; they are in no voxel's tally.
         codes = np.concatenate([hard_codes.astype(code.dtype), code])
-        self.table, _, unit = _group_keys(codes, 1 << m, inverse=True)
+        self.table, _, unit = _group_keys(codes, 1 << m)
         n, units = hard_codes.size, self.table.size
         self.tally = (voxel, size, unit[n:], count)
         self.soft_columns = np.flatnonzero(~hard)
-        # A soft column's entries: its voxels' integer counts, summed per unit.
         key = np.repeat(patterns.inverse[voxel].astype(np.intp) * units, size) + unit[n:]
-        key, sums, _ = _group_keys(key, counts.size * units, weights=count)
+        key, _, entry = _group_keys(key, counts.size * units)
+        sums = _bincount(entry, key.size, count)
         self.col = np.concatenate([np.flatnonzero(hard), key // units])
         self.unit = np.concatenate([unit[:n], key % units])
         self.weight = np.concatenate([counts[hard], sums / samples])

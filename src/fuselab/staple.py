@@ -62,7 +62,6 @@ COLUMN_VOTE_LIMIT = 2**26
 # at 40%, and tied at about 60%.
 _SPARSE_SHARE = 0.4
 
-_INT64_MAX = np.iinfo(np.int64).max
 _CODE_SPAN = 1 << 64
 
 
@@ -259,14 +258,14 @@ def fold_votes(rows, order, kind: GridKind, dims: Dim3) -> VotePatterns:
         if bound * radix > _CODE_SPAN:
             ranks, code = np.unique(code, return_inverse=True)
             bound = ranks.size
-        code = code.astype(np.min_scalar_type(bound * radix - 1), copy=False)
+        code = code.astype(_index_type(bound * radix), copy=False)
         if bound > 1:  # else every code is 0, and radix may not fit the dtype
             code *= radix
         code += digit
         del digit  # so the last row's digits are gone before the grouping
         bound *= radix
         steps.append((levels, ranks))
-    values, counts, inverse = _group_keys(code, bound, inverse=True)
+    values, counts, inverse = _group_keys(code, bound)
     _refuse_columns(len(order), values.size)
     columns = np.empty((len(steps), values.size))
     for column_row, (levels, ranks) in zip(columns[::-1], reversed(steps)):
@@ -299,36 +298,31 @@ def _soft_digits(row: np.ndarray):
                              np.unique(row[(row > 0.0) & (row < 1.0)]),
                              [hi] if hi == 1.0 else []])
     if levels.size > _COMPARED_LEVELS:
-        return levels, np.searchsorted(levels, row).astype(np.min_scalar_type(levels.size - 1))
+        return levels, np.searchsorted(levels, row).astype(_index_type(levels.size))
     digit = np.zeros(row.size, dtype=np.uint8)
     for level in levels[1:]:
         digit += row >= level
     return levels, digit
 
 
-def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None):
+def _group_keys(key: np.ndarray, span: int):
     """The distinct values, ascending, of the integer ``key`` (all in [0, ``span``)),
-    how often each occurs (or the sum of its positive ``weights``), and if
-    ``inverse`` each key's value index (else None), in the narrowest unsigned
-    dtype that holds the value count less one (uint8 up to 256 values). Keys
-    are counted with bincount while ``span`` is at most twice the key count
-    (there it beats a sort, which wins from about four times the key count
-    on), else sorted. Without weights, keys are counted one block of at
-    least ``_INTP_BLOCK`` at a time, since bincount copies a narrow key
-    whole to intp; weighted sums keep one pass, so they add in key order.
-    Counted keys find their indices in a narrow lookup table by indexing,
-    which casts a narrow key block by block (``take`` would copy it whole
-    to intp). Without weights, where at most ``_SPARSE_SHARE`` of the keys are not 0
+    how often each occurs, and each key's value index, in the narrowest
+    unsigned dtype that holds the value count less one (uint8 up to 256
+    values). Keys are counted (``_bincount``) while ``span`` is at most twice
+    the key count (there it beats a sort, which wins from about four times
+    the key count on), else sorted by ``np.unique``. Counted keys find their
+    indices in a narrow lookup table by indexing, which casts a narrow key
+    block by block. Where at most ``_SPARSE_SHARE`` of the keys are not 0
     (the all-background vote column of a lesion mask fold is code 0), only
-    those are found, counted and looked up: 0 is then the smallest value, so
-    the index starts as zeros.
+    those are found, counted and looked up: 0 is then the smallest value,
+    so the index starts as zeros.
     """
     if span > 2 * key.size:
-        values, index = np.unique(key, return_inverse=True)
-        counts = np.bincount(index, weights)
-        return values, counts, index.astype(_index_type(values.size)) if inverse else None
+        values, index, counts = np.unique(key, return_inverse=True, return_counts=True)
+        return values, counts, index.astype(_index_type(values.size))
     n, at = key.size, None
-    if inverse and weights is None and (hits := np.count_nonzero(key)) <= _SPARSE_SHARE * n:
+    if (hits := np.count_nonzero(key)) <= _SPARSE_SHARE * n:
         # Found block by block into the narrowest dtype, not as one intp array.
         at, done = np.empty(hits, dtype=_index_type(n)), 0
         for lo in range(0, n, _INTP_BLOCK):
@@ -336,18 +330,10 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None)
             at[done:done + found.size] = found + lo
             done += found.size
         key = key[at]
-    if weights is None:  # by blocks, as bincount copies a narrow key to intp
-        counts = np.zeros(span, dtype=np.intp)
-        step = max(_INTP_BLOCK, span)  # so a block's counts take no longer than its keys
-        for lo in range(0, key.size, step):
-            counts += np.bincount(key[lo:lo + step], minlength=span)
-    else:
-        counts = np.bincount(key, weights, minlength=span)
+    counts = _bincount(key, span)
     if at is not None:
         counts[0] += n - at.size
     values = np.flatnonzero(counts)
-    if not inverse:
-        return values, counts[values], None
     lookup = np.zeros(span, dtype=_index_type(values.size))
     lookup[values] = np.arange(values.size)
     if at is None:
@@ -355,6 +341,18 @@ def _group_keys(key: np.ndarray, span: int, inverse: bool = False, weights=None)
     index = np.zeros(n, dtype=lookup.dtype)
     index[at] = lookup[key]
     return values, counts[values], index
+
+
+def _bincount(x: np.ndarray, size: int, weights=None) -> np.ndarray:
+    """``np.bincount(x, weights, minlength=size)``, one block of at least ``_INTP_BLOCK``
+    entries at a time, as bincount copies a narrow ``x`` whole to intp (and ``weights``
+    to float64). Weights must be integers, so that block sums are exact."""
+    out = np.zeros(size, dtype=np.intp if weights is None else np.float64)
+    step = max(_INTP_BLOCK, size)  # so a block's bins take no longer than its entries
+    for lo in range(0, x.size, step):
+        out += np.bincount(x[lo:lo + step], None if weights is None else weights[lo:lo + step],
+                           minlength=size)
+    return out
 
 
 def _index_type(size: int) -> np.dtype:

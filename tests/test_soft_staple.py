@@ -744,6 +744,36 @@ class TestMonteCarloPaths:
             for got, want in zip(draw(order), forward):
                 np.testing.assert_array_equal(got, want[order])
 
+    @pytest.mark.parametrize("m", [7, 62, 63, 70])
+    @pytest.mark.parametrize("voxels, samples", [(1, 1), (6, 24), (5, 300)])
+    def test_voxel_tally_matches_a_brute_tally(self, m, voxels, samples):
+        """Each voxel's sizes, codes and counts, in order and dtype, equal
+        ``np.unique(row, return_counts=True)`` of its own row: int64 codes up
+        to m = 62, packed void codes beyond. Each voxel varies a few experts,
+        the top one among them, so its codes repeat and span every byte."""
+        import fuselab.soft_staple as ss
+
+        rng = np.random.default_rng(m * 1000 + samples)
+        bits = np.repeat(rng.random((voxels, m)) < 0.5, samples, axis=0)
+        for j in range(voxels):
+            free = np.append(rng.choice(m - 1, size=2, replace=False), m - 1)
+            rows = slice(j * samples, (j + 1) * samples)
+            bits[rows, free] = rng.random((samples, free.size)) < 0.5
+        codes = ss._pack_codes(bits, m)
+        assert codes.dtype == (np.int64 if m <= 62 else np.dtype((np.void, -(-m // 8))))
+        sizes, code, counts = ss._voxel_tally(codes, voxels, samples, m)
+        assert sizes.dtype == np.min_scalar_type(samples)
+        assert code.dtype == (np.min_scalar_type(2**m - 1) if m <= 62 else codes.dtype)
+        assert counts.dtype == np.min_scalar_type(samples)
+        assert sizes.size == voxels and code.size == counts.size == sizes.sum()
+        at = 0
+        for j in range(voxels):
+            want, times = np.unique(codes[j * samples:(j + 1) * samples], return_counts=True)
+            assert sizes[j] == want.size
+            np.testing.assert_array_equal(code[at:at + want.size], want.astype(code.dtype))
+            np.testing.assert_array_equal(counts[at:at + want.size], times)
+            at += want.size
+
     def test_joint_votes_past_float_range_warn_nothing(self):
         """2^1100 overflows float64. A 1,100-expert continuous stack at 8
         samples draws every voxel sample by sample, with no warning on the way."""

@@ -25,10 +25,13 @@ from fuselab.errors import (
     DimensionMismatchError,
     DuplicateExpertIdError,
     EmptyStackError,
+    GridError,
+    GridIndexError,
     MixedKindError,
     ShapeError,
     ValueRangeError,
 )
+from fuselab.volume import IndexedGrid
 from helpers import grid, stack_from_rows
 
 
@@ -233,6 +236,37 @@ class TestBlockedValueCheck:
         data[at] = {GridKind.BINARY: 0.5, GridKind.INTENSITY: np.inf}.get(kind, np.nan)
         with pytest.raises(ValueRangeError):
             VolumeGrid(Dim3(data.size, 1, 1), data, kind)
+
+
+class TestIndexedGridIndex:
+    """An indexed grid takes only an integer index whose every entry
+    points into its table, so no gather or write reads past it."""
+
+    TABLE = np.array([0.1, 0.9])
+
+    @pytest.mark.parametrize("index", [
+        pytest.param(np.array([0, 1, 5, 7], dtype=np.uint8), id="past the table"),
+        pytest.param(np.array([0, 1, 2, 1], dtype=np.uint16), id="table size"),
+        pytest.param(np.array([0, 1, -1, 1]), id="negative intp"),
+        pytest.param(np.array([0, 1, -128, 1], dtype=np.int8), id="negative int8"),
+        pytest.param(np.array([0, 1, 2**40, 1], dtype=np.int64), id="huge int64"),
+        pytest.param(np.array([0.0, 1.0, 1.0, 0.0]), id="float"),
+        pytest.param(np.array([False, True, True, False]), id="bool"),
+    ])
+    def test_bad_index_is_refused(self, index):
+        with pytest.raises(GridIndexError, match="^grid index "):
+            IndexedGrid(Dim3(2, 2, 1), self.TABLE, index, GridKind.POSTERIOR)
+        assert issubclass(GridIndexError, GridError)
+
+    def test_empty_table_is_refused(self):
+        with pytest.raises(GridIndexError):
+            IndexedGrid(Dim3(1, 1, 1), np.empty(0), np.zeros(1, np.uint8), GridKind.POSTERIOR)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.int8, np.intp])
+    def test_index_in_range_gathers(self, dtype):
+        index = np.array([0, 1, 1, 0], dtype=dtype)
+        got = IndexedGrid(Dim3(2, 2, 1), self.TABLE, index, GridKind.POSTERIOR).gather()
+        np.testing.assert_array_equal(got.data, [0.1, 0.9, 0.9, 0.1])
 
 
 _LABELS = grid([1.0, 0.0, 1.0, 0.0])
